@@ -13,6 +13,9 @@
 #
 # Run: python3 demos/online_regret.py
 
+import math
+from fractions import Fraction
+
 from algoselect.online import (
     adversary_sequence,
     erdos_renyi_generator,
@@ -21,9 +24,18 @@ from algoselect.online import (
     uniform_smooth_spec,
 )
 
+
+def scientific(x: Fraction) -> str:
+    """A positive rational in scientific notation, via its base-10 logarithm
+    (float(x) underflows to 0 once x is below about 1e-308)."""
+    lg = math.log10(x.numerator) - math.log10(x.denominator)
+    exponent = math.floor(lg)
+    return f"{10 ** (lg - exponent):.3f}e{exponent:+d}"
+
+
 print("adversarial nested windows (budget 1500 vertices, T = 120):")
 params = adversary_sequence(1500, 120, seed=0)
-print(f"  graph size n = {params[0].n}, final window width = {float(params[-1].s - params[-1].r):.3e}")
+print(f"  graph size n = {params[0].n}, final window width = {scientific(params[-1].s - params[-1].r)}")
 trace = run_adversary_online(1500, T=120, seed=0)
 print(f"  learner collected {trace.cum_cost[-1]:.2f} out of a hindsight optimum {trace.best_ref_total:.2f}")
 print(f"  average regret vs the surviving window: {trace.avg_regret_ref:.3f}")

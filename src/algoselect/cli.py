@@ -81,14 +81,14 @@ def cmd_gd_tune(args) -> int:
     else:
         rng = labeled_rng(args.seed, "gd-instances")
         samples = [gdtune.random_instance(family, args.dim, rng) for _ in range(args.samples)]
-    net = None
     if args.net:
         net = np.asarray([float(tok) for tok in args.net.split(",")])
+    else:
+        net = gdtune.knet(family)
     rho_star, report = gdtune.erm_stepsize(family, samples, net=net)
-    net_size = (net.size if net is not None else gdtune.knet(family).size)
     text = _csv(
         "rho_star,mean_iterations,net_size,K,H",
-        [(float(rho_star), report.train_mean, int(net_size), family.K, family.H)],
+        [(float(rho_star), report.train_mean, int(net.size), family.K, family.H)],
     )
     atomic_write_text(args.out, text)
     return 0
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, TypeError) as exc:
+    except (ValueError, KeyError, OSError, TypeError, gdtune.GuaranteedProgressError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "type": type(exc).__name__}) + "\n")
         return 1
 

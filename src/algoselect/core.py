@@ -9,14 +9,11 @@ costs as plain floats in [0, H]; the heavier machinery for specific families
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .utils import thread_count
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -94,21 +91,10 @@ class FiniteFamily:
             raise ValueError(f"bad orientation: {self.orientation!r}")
 
     def cost_matrix(self, samples: Sequence) -> np.ndarray:
-        """Costs of every index on every sample, shape (len(indices), len(samples)).
-
-        Rows are independent, so they are computed by a thread pool when
-        ALGOSELECT_THREADS > 1; results are reduced in index order either way.
-        """
-        def row(index):
-            return [float(self.evaluate(index, x)) for x in samples]
-
-        workers = thread_count()
-        if workers > 1 and len(self.indices) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(row, self.indices))
-        else:
-            rows = [row(i) for i in self.indices]
-        return np.asarray(rows, dtype=float)
+        """Costs of every index on every sample, shape (len(indices), len(samples))."""
+        return np.asarray(
+            [[float(self.evaluate(i, x)) for x in samples] for i in self.indices], dtype=float
+        )
 
 
 @dataclass(frozen=True)
@@ -138,15 +124,30 @@ def erm_finite(family: FiniteFamily, samples: Sequence, holdout: Sequence | None
     `holdout` is given, the report estimates the error of the choice against
     the empirically best index on the held-out set.
     """
-    if len(samples) == 0:
+    train = family.cost_matrix(samples)
+    held = family.cost_matrix(holdout) if holdout is not None else None
+    return erm_costs(family.indices, train, held, family.orientation)
+
+
+def erm_costs(
+    indices: Sequence, train: np.ndarray, holdout: np.ndarray | None, orientation: str
+) -> ErrorReport:
+    """The ERM reduction over cost matrices of shape (len(indices), samples).
+
+    Means are taken over axis 1 of each C-ordered matrix; the first optimum
+    (the smallest index) wins.  With a nonempty holdout matrix the report
+    estimates the error of the choice against the best index on the held-out
+    samples.
+    """
+    if train.shape[1] == 0:
         raise ValueError("need at least one sample")
-    train_means = family.cost_matrix(samples).mean(axis=1)
-    best = _best_index(train_means, family.orientation)
-    chosen = family.indices[best]
-    if holdout is not None and len(holdout) > 0:
-        hold_means = family.cost_matrix(holdout).mean(axis=1)
+    train_means = train.mean(axis=1)
+    best = _best_index(train_means, orientation)
+    chosen = indices[best]
+    if holdout is not None and holdout.shape[1] > 0:
+        hold_means = holdout.mean(axis=1)
         chosen_hold = float(hold_means[best])
-        best_hold = float(hold_means[_best_index(hold_means, family.orientation)])
+        best_hold = float(hold_means[_best_index(hold_means, orientation)])
         return ErrorReport(chosen, float(train_means[best]), chosen_hold, abs(chosen_hold - best_hold))
     return ErrorReport(chosen, float(train_means[best]), float(train_means[best]), 0.0)
 

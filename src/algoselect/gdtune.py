@@ -16,6 +16,12 @@ are within the net spacing K of each other; `knet` builds that net and
 2. two paths from one start drift at most (eta-rho) * D(rho)^j * L * Z / c
    after j steps,
 3. iteration counts of rho and eta differ by at most 1 when eta - rho <= K.
+
+`erm_stepsize` scores the whole net with one batched recurrence per sample
+(`net_costs`): every net point is a row of z <- z - rho * (lambda * z), and a
+row retires once its norm reaches nu.  Each row performs the float operations
+of the scalar `run_gd` in the same order, with the same norm (`_norm`), so the
+counts are identical; `run_gd` stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MINIMIZE, FiniteFamily, erm_finite
+from .core import MINIMIZE, erm_costs
 
 STOP_NORM = "norm"
 STOP_GRAD = "grad"
@@ -90,8 +96,9 @@ class GdFamily:
         """Net spacing below which iteration counts differ by at most 1."""
         return self.nu * self.c**2 / (self.L * self.Z) * self.D(self.rho_u) ** (-self.H)
 
-    def contains(self, rho: float) -> bool:
-        return self.rho_l <= rho <= self.rho_u
+    def contains(self, rho):
+        """Whether rho lies in [rho_l, rho_u]; elementwise for an array of step sizes."""
+        return (self.rho_l <= rho) & (rho <= self.rho_u)
 
     def safe_lambda_range(self) -> tuple[float, float]:
         """Eigenvalue range for which every admissible step size makes progress."""
@@ -104,7 +111,7 @@ class GdFamily:
         lam = instance.lambdas
         if (lam < self.m_sc - 1e-12).any() or (lam > self.L + 1e-12).any():
             raise ValueError("instance eigenvalues outside [m_sc, L]")
-        if np.linalg.norm(instance.z0) > self.Z * (1 + 1e-12):
+        if _norm(instance.z0) > self.Z * (1 + 1e-12):
             raise ValueError("initial point norm exceeds Z")
 
 
@@ -150,10 +157,20 @@ def random_instance(family: GdFamily, dim: int, rng: np.random.Generator) -> GdI
     return GdInstance(lambdas, direction * norm)
 
 
+def _norm(z: np.ndarray):
+    """Euclidean norm over the last axis: of a vector, or of each row of a matrix.
+
+    Every norm behind an iteration count goes through here, so the scalar and
+    the batched runs agree to the last bit (np.linalg.norm's BLAS dot on a
+    vector can round differently from a row-wise reduction).
+    """
+    return np.sqrt((z * z).sum(axis=-1))
+
+
 def _stop_measure(z: np.ndarray, instance: GdInstance, stop: str) -> float:
     if stop == STOP_NORM:
-        return float(np.linalg.norm(z))
-    return float(np.linalg.norm(instance.gradient(z)))
+        return float(_norm(z))
+    return float(_norm(instance.gradient(z)))
 
 
 def _cap_for(family: GdFamily, stop: str) -> int:
@@ -163,6 +180,18 @@ def _cap_for(family: GdFamily, stop: str) -> int:
     # ln(L) / -ln(1-c) steps later than the norm rule.
     extra = math.log(max(family.L, 1.0)) / -math.log(1.0 - family.c)
     return math.ceil(family.H + extra)
+
+
+def _cap_error(cap: int) -> GuaranteedProgressError:
+    return GuaranteedProgressError(
+        f"no convergence within {cap} iterations; guaranteed progress violated"
+    )
+
+
+def _stall_error(family: GdFamily, rho: float) -> GuaranteedProgressError:
+    return GuaranteedProgressError(
+        f"step at rho={rho} shrank ||z|| by less than the guaranteed factor {1 - family.c}"
+    )
 
 
 def run_gd(family: GdFamily, rho: float, instance: GdInstance, stop: str = STOP_NORM) -> int:
@@ -183,17 +212,83 @@ def run_gd(family: GdFamily, rho: float, instance: GdInstance, stop: str = STOP_
     steps = 0
     while _stop_measure(z, instance, stop) > family.nu:
         if steps >= cap:
-            raise GuaranteedProgressError(
-                f"no convergence within {cap} iterations; guaranteed progress violated"
-            )
+            raise _cap_error(cap)
         z_next = step_map(rho, z, instance)
-        if np.linalg.norm(z_next) > (1.0 - family.c) * np.linalg.norm(z) * (1 + 1e-12):
-            raise GuaranteedProgressError(
-                f"step at rho={rho} shrank ||z|| by less than the guaranteed factor {1 - family.c}"
-            )
+        if _norm(z_next) > (1.0 - family.c) * _norm(z) * (1 + 1e-12):
+            raise _stall_error(family, rho)
         z = z_next
         steps += 1
     return steps
+
+
+# Codes `_net_iterations` returns for rows that fail instead of counting.
+_CAP_EXCEEDED = -1.0
+_STALLED = -2.0
+
+
+def _net_iterations(family: GdFamily, rhos: np.ndarray, instance: GdInstance) -> np.ndarray:
+    """run_gd's count (norm rule) for every step size in `rhos`, as floats.
+
+    All rows step together through z <- z - rho * (lambda * z); a row retires
+    with its count once its norm is at most nu, or with a failure code once it
+    misses the guaranteed shrink or runs into the cap.  Per row the tests and
+    the float operations are run_gd's, in run_gd's order.
+    """
+    nu, cap, shrink = family.nu, family.iteration_cap, 1.0 - family.c
+    out = np.empty(rhos.size)
+    rows = np.arange(rhos.size)
+    r = rhos[:, None]
+    z = np.tile(instance.z0, (rhos.size, 1))
+    norms = _norm(z)
+    steps = 0
+    while True:
+        running = norms > nu
+        if not running.all():
+            out[rows[~running]] = steps
+            rows, r, z, norms = rows[running], r[running], z[running], norms[running]
+        if rows.size == 0:
+            return out
+        if steps >= cap:
+            out[rows] = _CAP_EXCEEDED
+            return out
+        z = z - r * (instance.lambdas * z)
+        next_norms = _norm(z)
+        stalled = next_norms > shrink * norms * (1 + 1e-12)
+        if stalled.any():
+            out[rows[stalled]] = _STALLED
+            keep = ~stalled
+            rows, r, z, next_norms = rows[keep], r[keep], z[keep], next_norms[keep]
+        norms = next_norms
+        steps += 1
+
+
+def net_costs(family: GdFamily, net, samples: Sequence[GdInstance]) -> np.ndarray:
+    """Iteration counts of every net point on every sample, shape (net, samples).
+
+    Equal to [[run_gd(family, rho, x) for x in samples] for rho in net] as
+    floats, computed by one batched recurrence per sample over the whole net.
+    Every net point and every sample is validated first, with run_gd's
+    messages.  A run that breaks guaranteed progress raises run_gd's error for
+    the smallest such net index, at the first sample that fails there.
+    """
+    rhos = np.asarray(net, dtype=float)
+    outside = np.flatnonzero(~family.contains(rhos))
+    if outside.size:
+        rho = float(rhos[outside[0]])
+        raise ValueError(f"rho={rho} outside [{family.rho_l}, {family.rho_u}]")
+    for x in samples:
+        family.check_instance(x)
+    costs = np.empty((rhos.size, len(samples)))
+    for j, x in enumerate(samples):
+        costs[:, j] = _net_iterations(family, rhos, x)
+    failed = costs < 0
+    if failed.any():
+        i = int(np.flatnonzero(failed.any(axis=1))[0])
+        j = int(np.flatnonzero(failed[i])[0])
+        if costs[i, j] == _CAP_EXCEEDED:
+            raise _cap_error(family.iteration_cap)
+        raise _stall_error(family, float(rhos[i]))
+    return costs
 
 
 def knet(family: GdFamily, max_points: int = 10**7) -> np.ndarray:
@@ -213,30 +308,33 @@ def knet(family: GdFamily, max_points: int = 10**7) -> np.ndarray:
         )
     multiples = np.arange(k_lo, k_hi + 1, dtype=float) * K
     multiples = np.clip(multiples, family.rho_l, family.rho_u)
-    points = np.concatenate([[family.rho_l], multiples, [family.rho_u]])
-    points = np.sort(points)
-    merged = [points[0]]
-    for p in points[1:]:
-        if p - merged[-1] > 1e-9 * max(1.0, abs(p)):
-            merged.append(p)
-    return np.asarray(merged)
+    points = np.sort(np.concatenate([[family.rho_l], multiples, [family.rho_u]]))
+    # A point within float noise of the last kept point is dropped.  Only a
+    # point that close to its predecessor can be, so the scan in order visits
+    # just those (the clipped multiples and the endpoints).
+    tol = 1e-9 * np.maximum(1.0, np.abs(points))
+    keep = np.ones(points.size, dtype=bool)
+    for i in (np.flatnonzero(np.diff(points) <= tol[1:]) + 1).tolist():
+        last = i - 1
+        while not keep[last]:
+            last -= 1
+        keep[i] = points[i] - points[last] > tol[i]
+    return points[keep]
 
 
 def erm_stepsize(family: GdFamily, samples: Sequence[GdInstance], net=None, holdout=None):
-    """Exhaustive ERM over the net, minimizing mean iteration count.
+    """Exhaustive ERM over the net (the K-net by default), minimizing mean iteration count.
 
-    Returns (rho_star, ErrorReport); ties break toward the smaller step size.
+    The net is scored by `net_costs`, one batched recurrence per sample, and
+    reduced by `core.erm_costs`.  Returns (rho_star, ErrorReport); ties break
+    toward the smaller step size.
     """
     points = knet(family) if net is None else np.asarray(net, dtype=float)
     if points.size == 0:
         raise ValueError("empty net")
-    finite = FiniteFamily(
-        tuple(float(r) for r in points),
-        lambda rho, x: float(run_gd(family, rho, x)),
-        orientation=MINIMIZE,
-        H=float(family.iteration_cap),
-    )
-    report = erm_finite(finite, samples, holdout)
+    train = net_costs(family, points, samples)
+    held = net_costs(family, points, holdout) if holdout is not None else None
+    report = erm_costs(points.tolist(), train, held, MINIMIZE)
     return report.chosen, report
 
 
@@ -323,13 +421,13 @@ def verify_lemmas(family: GdFamily, trials: int, seed: int = 0, max_dim: int = 4
 
         # (b) + (c): run both trajectories to the cap, tracking drift and norms.
         z_r, z_e = inst.z0, inst.z0
-        norms_r = [float(np.linalg.norm(z_r))]
+        norms_r = [float(_norm(z_r))]
         norms_e = norms_r.copy()
         for j in range(1, cap + 1):
             z_r = step_map(rho, z_r, inst)
             z_e = step_map(eta, z_e, inst)
-            norms_r.append(float(np.linalg.norm(z_r)))
-            norms_e.append(float(np.linalg.norm(z_e)))
+            norms_r.append(float(_norm(z_r)))
+            norms_e.append(float(_norm(z_e)))
             drift = float(np.linalg.norm(z_r - z_e))
             bound = drift_bound(family, rho, eta, j).value
             if bound > 0:

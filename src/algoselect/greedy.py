@@ -200,6 +200,8 @@ class KnapsackInstance:
         s = np.asarray(sizes, dtype=float)
         if v.ndim != 1 or v.shape != s.shape or v.size < 1:
             raise ValueError("values and sizes must be equal-length nonempty vectors")
+        if not (np.isfinite(v).all() and np.isfinite(s).all() and math.isfinite(capacity)):
+            raise ValueError("values, sizes, and capacity must be finite")
         if (v <= 0).any() or (s <= 0).any() or capacity <= 0:
             raise ValueError("values, sizes, and capacity must be positive")
         self.n = int(v.size)

@@ -1,4 +1,4 @@
-"""Shared plumbing: labeled random streams, atomic file writes, thread budget."""
+"""Shared plumbing: labeled random streams and atomic file writes."""
 
 from __future__ import annotations
 
@@ -25,15 +25,6 @@ def labeled_seed(root_seed: int, label: str) -> np.random.SeedSequence:
 
 def labeled_rng(root_seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(labeled_seed(root_seed, label))
-
-
-def thread_count() -> int:
-    """Parallelism cap taken from ALGOSELECT_THREADS (default 1, i.e. serial)."""
-    raw = os.environ.get("ALGOSELECT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -85,6 +85,22 @@ class TestGdTune:
         rho_star, mean_iters = float(row.split(",")[0]), float(row.split(",")[1])
         assert rho_star == 1.0 and mean_iters == 1.0
 
+    def test_progress_failure_is_one_json_line(self, tmp_path, capsys):
+        # lambda=4 at rho=0.5 maps z to -z: no progress, so run_gd's
+        # GuaranteedProgressError must reach the user as the JSON error line.
+        d = tmp_path / "gd"
+        d.mkdir()
+        save_gd_instance(GdInstance([4.0], [0.5]), str(d / "bad.json"))
+        out = tmp_path / "gd.csv"
+        code = run_cli("gd-tune", "--rho-hi", 0.5, "--net", "0.1,0.5", "--instances", d,
+                       "--out", out)
+        assert code == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        payload = json.loads(line)
+        assert payload["type"] == "GuaranteedProgressError"
+        assert "rho=0.5" in payload["error"]
+
 
 class TestAdversary:
     def test_jsonl_replay_scores_one_in_final_window(self, tmp_path):

@@ -137,19 +137,6 @@ class TestErmFinite:
         with pytest.raises(ValueError):
             FiniteFamily((), lambda i, x: 0.0)
 
-    def test_thread_cap_preserves_results(self, monkeypatch):
-        rng = np.random.default_rng(99)
-        table = {(i, x): float(rng.uniform()) for i in range(6) for x in range(15)}
-        fam = table_family(table)
-        serial = fam.cost_matrix(list(range(15)))
-        chosen_serial = erm_finite(fam, list(range(15))).chosen
-        monkeypatch.setenv("ALGOSELECT_THREADS", "4")
-        threaded = fam.cost_matrix(list(range(15)))
-        assert np.array_equal(serial, threaded)
-        assert erm_finite(fam, list(range(15))).chosen == chosen_serial
-        monkeypatch.setenv("ALGOSELECT_THREADS", "not-a-number")
-        assert np.array_equal(fam.cost_matrix(list(range(15))), serial)
-
 
 class TestShatterProbe:
     def test_equal_costs_not_shattered(self):

@@ -11,6 +11,7 @@ from algoselect.gdtune import (
     erm_stepsize,
     knet,
     load_gd_instance,
+    net_costs,
     random_instance,
     run_gd,
     save_gd_instance,
@@ -148,6 +149,22 @@ class TestKnet:
         assert fine.K < coarse.K
         assert knet(fine).size > knet(coarse).size
 
+    def test_matches_sequential_merge(self):
+        # Reference: sort, then keep each point farther than 1e-9 (relative)
+        # from the last kept one.  Aligned endpoints make near-duplicates.
+        families = [LEMMA_FAMILY, unit_family(), unit_family(rho_l=0.75, rho_u=0.75)]
+        families += [GdFamily(rho_l=0.5 + k * 0.025, rho_u=2.0, L=1.0, m_sc=1.0, c=0.5, Z=1.0,
+                              nu=0.1) for k in range(12)]
+        for fam in families:
+            k_lo = math.ceil(fam.rho_l / fam.K - 1e-9)
+            k_hi = math.floor(fam.rho_u / fam.K + 1e-9)
+            multiples = [min(max(k * fam.K, fam.rho_l), fam.rho_u) for k in range(k_lo, k_hi + 1)]
+            kept = []
+            for p in sorted([fam.rho_l, fam.rho_u] + multiples):
+                if not kept or p - kept[-1] > 1e-9 * max(1.0, abs(p)):
+                    kept.append(p)
+            assert knet(fam).tolist() == kept
+
     def test_size_guard(self):
         fam = GdFamily(rho_l=0.5, rho_u=2.0, L=1.0, m_sc=1.0, c=0.5, Z=1.0, nu=1e-9)
         with pytest.raises(ValueError, match="rescale"):
@@ -179,6 +196,71 @@ class TestErmStepsize:
         means = np.array([np.mean([run_gd(fam, r, x) for x in samples]) for r in net])
         assert report.train_mean == means.min()
         assert rho == net[int(np.argmin(means))]
+
+
+def scalar_costs(family, net, samples):
+    """The index-major run_gd loop that net_costs replaces."""
+    return np.array([[float(run_gd(family, float(r), x)) for x in samples] for r in net])
+
+
+class TestNetCosts:
+    def test_matches_run_gd_exactly(self):
+        rng = np.random.default_rng(17)
+        fam = LEMMA_FAMILY
+        full = knet(fam)
+        for dim in range(1, 7):
+            picks = np.sort(rng.choice(np.arange(1, full.size - 1), size=60, replace=False))
+            net = np.concatenate([full[:20], full[picks], full[-20:]])
+            samples = [random_instance(fam, dim, rng) for _ in range(3)]
+            inside = rng.normal(size=dim)
+            samples.append(GdInstance(samples[0].lambdas, inside * 0.5 * fam.nu / np.linalg.norm(inside)))
+            costs = net_costs(fam, net, samples)
+            assert np.array_equal(costs, scalar_costs(fam, net, samples))
+            assert (costs[:, -1] == 0).all()
+
+    def test_matches_run_gd_on_coarse_family(self):
+        # Few steps and large spacing: counts vary across the interval.
+        rng = np.random.default_rng(4)
+        fam = GdFamily(rho_l=0.5, rho_u=1.0, L=2.0, m_sc=1.0, c=0.5, Z=1.0, nu=0.0625)
+        net = knet(fam)
+        # z0 = nu, and 0.25 halved twice at rho=0.5, meet the stop test exactly at nu.
+        samples = [GdInstance([1.0], [z]) for z in (1.0, -0.5, 0.11, 0.04, 0.0625, 0.25)]
+        samples += [random_instance(fam, int(rng.integers(1, 7)), rng) for _ in range(6)]
+        costs = net_costs(fam, net, samples)
+        assert np.array_equal(costs, scalar_costs(fam, net, samples))
+        assert np.unique(costs).size > 2
+        assert costs[0, 4] == 0 and costs[0, 5] == 2
+
+    def test_stall_names_the_scalar_loops_rho(self):
+        # Sample a stalls only at rho=0.5 and sample b from rho=0.49 on; the
+        # index-major scalar loop meets (0.49, b) first.
+        fam = GdFamily(rho_l=0.1, rho_u=0.5, L=4.0, m_sc=1.0, c=0.1, Z=1.0, nu=0.01)
+        samples = [GdInstance([3.85], [0.5]), GdInstance([4.0], [0.5])]
+        net = [0.1, 0.3, 0.49, 0.5]
+        with pytest.raises(GuaranteedProgressError) as scalar:
+            scalar_costs(fam, net, samples)
+        with pytest.raises(GuaranteedProgressError) as batched:
+            erm_stepsize(fam, samples, net=net)
+        assert str(batched.value) == str(scalar.value)
+        assert "rho=0.49" in str(batched.value)
+
+    def test_point_outside_interval_same_error(self):
+        fam = unit_family()
+        sample = GdInstance([1.0], [1.0])
+        with pytest.raises(ValueError) as scalar:
+            run_gd(fam, 1.2, sample)
+        with pytest.raises(ValueError) as batched:
+            erm_stepsize(fam, [sample], net=[0.5, 1.2, 0.75])
+        assert str(batched.value) == str(scalar.value)
+
+    def test_invalid_instance_same_error(self):
+        fam = unit_family()
+        bad = GdInstance([1.0], [2.0])  # start norm above Z
+        with pytest.raises(ValueError) as scalar:
+            run_gd(fam, 0.5, bad)
+        with pytest.raises(ValueError) as batched:
+            erm_stepsize(fam, [GdInstance([1.0], [1.0]), bad], net=[0.5, 1.0])
+        assert str(batched.value) == str(scalar.value)
 
 
 class TestDriftBound:

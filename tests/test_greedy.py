@@ -350,6 +350,15 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             KnapsackInstance([1.0], [1.0], 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_knapsack(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            KnapsackInstance([bad, 1.0], [1.0, 1.0], 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            KnapsackInstance([1.0, 1.0], [1.0, bad], 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            KnapsackInstance([1.0, 1.0], [1.0, 1.0], bad)
+
     def test_edges_canonicalized(self):
         inst = MwisInstance(3, [(2, 0), (0, 2), (1, 2)], [0.1, 0.2, 0.3])
         assert inst.edges.tolist() == [[0, 2], [1, 2]]
