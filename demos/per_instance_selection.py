@@ -9,9 +9,9 @@
 
 import numpy as np
 
-from algoselect.core import MAXIMIZE, FiniteFamily, erm_finite
+from algoselect.core import MAXIMIZE, erm_finite
 from algoselect.epm import fit_linear_epm, fit_selection_table, mwis_feature_map, select_per_instance
-from algoselect.greedy import greedy_cost, mwis_family, random_mwis_instance
+from algoselect.greedy import greedy_cost, mwis_family, random_mwis_instance, representative_family
 
 rng = np.random.default_rng(11)
 portfolio = [0.0, 0.5, 1.0]  # value-greedy, mixed, density-greedy
@@ -33,7 +33,7 @@ for epm in epms:
     print(f"rho={epm.algorithm_index}: training MSE {epm.train_loss:.5f}, "
           f"coefficients {np.round(epm.coef, 3)}")
 
-single = FiniteFamily(tuple(portfolio), lambda rho, x: greedy_cost(fam, rho, x))
+single = representative_family(fam, portfolio)
 best_fixed = erm_finite(single, train).chosen
 fixed_total = np.mean([greedy_cost(fam, best_fixed, x) for x in holdout])
 epm_total = np.mean([

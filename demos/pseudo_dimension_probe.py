@@ -14,8 +14,8 @@ sys.path.insert(0, "tests")
 import numpy as np
 
 from _fixtures import crafted_shatter_pair
-from algoselect.core import FiniteFamily, LearnSpec, sample_size, shatter_probe
-from algoselect.greedy import breakpoints, greedy_cost, mwis_family
+from algoselect.core import LearnSpec, sample_size, shatter_probe
+from algoselect.greedy import breakpoints, mwis_family, representative_family
 
 print("uniform-convergence sample sizes, cost range H=1, failure probability 1%:")
 for d in (1, 4, 16):
@@ -28,10 +28,7 @@ for d in (1, 4, 16):
 first, second = crafted_shatter_pair()
 family = mwis_family(6)
 reps = breakpoints(family, [first, second]).representatives
-finite = FiniteFamily(
-    tuple(float(r) for r in reps),
-    lambda rho, x: greedy_cost(family, rho, x),
-)
+finite = representative_family(family, reps)
 print(f"\nprobing a 2-instance set with {reps.size} candidate parameters:")
 (report,) = shatter_probe(finite, [[first, second]])
 print(f"  shattered: {report.shattered} ({report.labeling_count}/4 labelings)")

@@ -42,7 +42,6 @@ from .online import (
     UniformUnion,
     adversary_sequence,
     build_hard_instance,
-    mw_learner,
     run_adversary_online,
     run_smoothed_online,
     smooth_sequence,

@@ -127,12 +127,7 @@ def _probe_family(args):
         fam = greedy.knapsack_family(args.n, (0.0, 2.0))
         instances = [greedy.random_knapsack_instance(args.n, rng) for _ in range(args.sets * args.set_size)]
     reps = greedy.breakpoints(fam, instances).representatives
-    finite = FiniteFamily(
-        tuple(float(r) for r in reps),
-        lambda rho, x: greedy.greedy_cost(fam, rho, x),
-        orientation=MAXIMIZE,
-    )
-    return finite, instances
+    return greedy.representative_family(fam, reps), instances
 
 
 def cmd_pdim_probe(args) -> int:
@@ -178,6 +173,8 @@ def cmd_epm(args) -> int:
 
 
 def cmd_sort_bench(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     rng = labeled_rng(args.seed, "sort-bench")
     if args.train_csv:
         train = sorter.load_arrays_csv(args.train_csv)

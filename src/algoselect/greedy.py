@@ -11,9 +11,11 @@ Two built-in problem kinds are provided:
 Scores are compared in log space (ln p - rho * ln d), which preserves order
 and avoids overflow for extreme attribute ratios.  Because two members of a
 family with arbitrarily close parameters can behave completely differently,
-ERM over the continuum is done constructively: every parameter value at which
-any two object scores cross is enumerated in closed form, and one
-representative per subinterval is evaluated (`breakpoints`, `erm_breakpoint`).
+ERM over the continuum is done constructively: on each sample, every parameter
+value at which two of its object scores cross is enumerated in closed form.
+These points cut the interval into open pieces on which every run is fixed,
+and ERM probes both endpoints and every open piece, the two boundary pieces
+included (`breakpoints`, `erm_breakpoint`).
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .core import MAXIMIZE, CostValue, ErrorReport, FiniteFamily, erm_finite
+from .core import MAXIMIZE, CostValue, FiniteFamily, erm_costs, erm_finite
 
 VALUE_ONLY = "value-only"
 KNAPSACK_DENSITY = "knapsack-density"
@@ -138,8 +141,14 @@ class MwisInstance:
                 raise ValueError("edge endpoint out of range")
             if (edge_arr[:, 0] == edge_arr[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
-            edge_arr = np.sort(edge_arr, axis=1)
-            edge_arr = np.unique(edge_arr, axis=0)
+            # Each pair as the 1-D key min * n + max, which sorts like the
+            # canonical rows.  Sort and drop repeats by hand: np.unique on
+            # millions of int64 keys is about 70x slower than a sort.
+            u, v = edge_arr[:, 0], edge_arr[:, 1]
+            keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+            keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+            edge_arr = np.empty((keys.size, 2), dtype=np.int64)
+            np.divmod(keys, n, out=(edge_arr[:, 0], edge_arr[:, 1]))
         w = np.asarray(weights, dtype=float)
         if w.shape != (n,):
             raise ValueError("weights must have one entry per vertex")
@@ -440,13 +449,15 @@ def grid_costs(family: ParamGreedyFamily, rhos, instance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BreakpointSet:
-    """Parameter values where some pair of object scores crosses, plus probes.
+    """Parameter values where two object scores of one sample cross, plus probes.
 
-    `points` are strictly inside the open interval; `representatives` hold one
-    parameter per closed subinterval: the interval endpoints for the two
-    boundary subintervals and midpoints elsewhere.  Every greedy member of the
-    family behaves identically throughout each open subinterval on the sample
-    set the breakpoints were computed from.
+    `points` is the union over the samples of each sample's own crossings,
+    strictly inside the open interval.  They cut the interval into open pieces
+    on each of which every greedy member behaves identically on every sample.
+    `representatives` probe every piece once, in increasing order: the
+    endpoint `lo`, the midpoint of every open piece (the two boundary pieces
+    included) and the endpoint `hi`.  The crossing points themselves are not
+    probed.
     """
 
     points: np.ndarray
@@ -458,29 +469,19 @@ class BreakpointSet:
         return int(self.points.size)
 
 
-def _attribute_pool(family: ParamGreedyFamily, samples) -> tuple[np.ndarray, np.ndarray]:
-    """All (primary, denominator-base) attribute pairs reachable on the samples.
+def _sample_attributes(family: ParamGreedyFamily, x) -> tuple[np.ndarray, np.ndarray]:
+    """One sample's (primary, denominator-base) attribute pairs.
 
     For the adaptive MWIS rule every vertex contributes one pair per residual
     degree 0..deg(v): a superset of what executions can reach, which is sound
     for crossing enumeration.
     """
-    primaries, bases = [], []
-    for x in samples:
-        if family.problem == "knapsack":
-            primaries.append(x.values)
-            bases.append(np.ones_like(x.values) if family.scoring.kind == VALUE_ONLY else x.sizes)
-        elif family.assignment.kind == MWIS_NONADAPTIVE:
-            primaries.append(x.weights)
-            bases.append(1.0 + x.degrees.astype(float))
-        else:
-            reps = x.degrees.astype(np.int64) + 1
-            primaries.append(np.repeat(x.weights, reps))
-            parts = [1.0 + np.arange(d + 1, dtype=float) for d in x.degrees]
-            bases.append(np.concatenate(parts))
-    pool = np.stack([np.concatenate(primaries), np.concatenate(bases)], axis=1)
-    pool = np.unique(pool, axis=0)
-    return pool[:, 0], pool[:, 1]
+    if family.problem == "knapsack":
+        return x.values, np.ones_like(x.values) if family.scoring.kind == VALUE_ONLY else x.sizes
+    if family.assignment.kind == MWIS_NONADAPTIVE:
+        return x.weights, 1.0 + x.degrees.astype(float)
+    counts = x.degrees + 1
+    return np.repeat(x.weights, counts), np.concatenate([1.0 + np.arange(c, dtype=float) for c in counts])
 
 
 def _merge_close(points: np.ndarray, rtol: float = _BREAKPOINT_MERGE_RTOL) -> np.ndarray:
@@ -494,47 +495,38 @@ def _merge_close(points: np.ndarray, rtol: float = _BREAKPOINT_MERGE_RTOL) -> np
 
 
 def breakpoints(family: ParamGreedyFamily, samples) -> BreakpointSet:
-    """Closed-form crossing points of all attribute score curves on the samples.
+    """Closed-form crossing points of each sample's own attribute score curves.
 
     For score p / d^rho the curves of two attributes cross where
     rho = ln(p1/p2) / ln(d1/d2), defined only when d1 != d2; equal attributes
     never cross (ties are broken lexicographically, so the comparison outcome
-    is constant).  Roots are kept strictly inside the open interval; roots
-    closer to an interval endpoint than float noise can resolve are treated as
-    boundary crossings, which the endpoint representatives cover exactly.
+    is constant).  Only pairs within one sample are solved: a greedy run
+    compares the objects of one instance, so a crossing between attributes of
+    two samples cannot change any run.  Roots closer to an interval endpoint
+    than float noise can resolve are dropped; the endpoint probes and the
+    boundary-piece midpoints cover both sides of such a crossing.
     """
     if len(samples) == 0:
         raise ValueError("need at least one sample")
     lo, hi = family.interval
     inner_lo = lo + 1e-9 * max(1.0, abs(lo))
     inner_hi = hi - 1e-9 * max(1.0, abs(hi))
-    P, D = _attribute_pool(family, samples)
-    logp, logd = np.log(P), np.log(D)
     roots = []
-    block = 1024
-    for start in range(0, logp.size, block):
-        stop = min(start + block, logp.size)
-        dnum = logp[start:stop, None] - logp[None, :]
-        dden = logd[start:stop, None] - logd[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = dnum / dden
-        valid = (dden != 0) & np.isfinite(r) & (r > inner_lo) & (r < inner_hi)
-        # Only pairs (i, j) with i < j; the block covers rows start..stop.
-        cols = np.arange(logp.size)[None, :]
-        rows = np.arange(start, stop)[:, None]
-        valid &= cols > rows
-        roots.append(r[valid])
-    points = np.unique(np.concatenate(roots)) if roots else np.empty(0)
-    points = _merge_close(points)
-    if points.size == 0:
-        reps = np.asarray([(lo + hi) / 2.0])
-    else:
-        mids = (points[:-1] + points[1:]) / 2.0
-        reps = np.concatenate([[lo], mids, [hi]])
+    for x in samples:
+        logp, logd = (np.log(a) for a in _sample_attributes(family, x))
+        i, j = np.triu_indices(logp.size, k=1)
+        dden = logd[i] - logd[j]
+        crossing = dden != 0
+        r = (logp[i] - logp[j])[crossing] / dden[crossing]
+        roots.append(r[(r > inner_lo) & (r < inner_hi)])
+    points = _merge_close(np.unique(np.concatenate(roots)))
+    grid = np.concatenate([[lo], points, [hi]])
+    reps = np.unique(np.concatenate([[lo], (grid[:-1] + grid[1:]) / 2.0, [hi]]))
     return BreakpointSet(points, reps, (lo, hi))
 
 
-def _as_finite(family: ParamGreedyFamily, rhos) -> FiniteFamily:
+def representative_family(family: ParamGreedyFamily, rhos) -> FiniteFamily:
+    """The family restricted to `rhos`, each member costed by the scalar `greedy_cost`."""
     return FiniteFamily(
         tuple(float(r) for r in rhos),
         lambda rho, x: greedy_cost(family, rho, x),
@@ -543,13 +535,13 @@ def _as_finite(family: ParamGreedyFamily, rhos) -> FiniteFamily:
 
 
 def erm_breakpoint(family: ParamGreedyFamily, samples, holdout=None, bset: BreakpointSet | None = None):
-    """Best single parameter on the samples via subinterval representatives.
+    """Best single parameter on the samples over the probes of `breakpoints`.
 
     Returns (rho_star, ErrorReport); ties break toward the smaller rho.
     """
     if bset is None:
         bset = breakpoints(family, samples)
-    report = erm_finite(_as_finite(family, bset.representatives), samples, holdout)
+    report = erm_finite(representative_family(family, bset.representatives), samples, holdout)
     return report.chosen, report
 
 
@@ -561,28 +553,25 @@ def best_of_q(family: ParamGreedyFamily, rhos, instance) -> CostValue:
 
 
 def erm_best_of_q(family: ParamGreedyFamily, samples, q: int, holdout=None, q_cap: int = 3):
-    """Exhaustive ERM over q-subsets of the subinterval representatives.
+    """Exhaustive ERM over q-subsets of the piece representatives.
 
+    A subset's cost on an instance is the best of its members' costs.
     Returns (rho_tuple, ErrorReport).  `q` is capped to keep the subset
     enumeration tractable.
     """
     if not 1 <= q <= q_cap:
         raise ValueError(f"q must be in 1..{q_cap}")
-    reps = breakpoints(family, samples).representatives
-    combos = list(combinations(range(reps.size), q))
+    finite = representative_family(family, breakpoints(family, samples).representatives)
+    combos = np.asarray(list(combinations(range(len(finite.indices)), q)))
 
-    def combo_means(instances) -> np.ndarray:
-        per_rep = np.asarray([[greedy_cost(family, r, x) for x in instances] for r in reps])
-        return np.asarray([per_rep[list(c)].max(axis=0).mean() for c in combos])
+    def combo_costs(instances) -> np.ndarray:
+        costs = finite.cost_matrix(instances)
+        return reduce(np.maximum, (costs[column] for column in combos.T))
 
-    means = combo_means(samples)
-    best = int(np.argmax(means))
-    chosen = tuple(float(reps[i]) for i in combos[best])
-    if holdout is not None and len(holdout) > 0:
-        hold = combo_means(holdout)
-        err = abs(float(hold[best]) - float(hold.max()))
-        return chosen, ErrorReport(chosen, float(means[best]), float(hold[best]), err)
-    return chosen, ErrorReport(chosen, float(means[best]), float(means[best]), 0.0)
+    chosen = [tuple(finite.indices[i] for i in c) for c in combos]
+    held = combo_costs(holdout) if holdout is not None else None
+    report = erm_costs(chosen, combo_costs(samples), held, MAXIMIZE)
+    return report.chosen, report
 
 
 # ---------------------------------------------------------------------------

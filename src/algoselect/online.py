@@ -336,6 +336,8 @@ def theoretical_m(n: int, sigma: float, d_exp: int) -> int:
 
 
 def theoretical_q(n: int, sigma: float, d_exp: int, m: int | None = None) -> float:
+    if n < 2:
+        raise ValueError(f"theoretical q needs n >= 2 (it divides by ln n), got n={n}")
     if m is None:
         m = theoretical_m(n, sigma, d_exp)
     return 1.0 / (n**d_exp * 4.0 * (1.0 / sigma) * m**2 * n**8 * math.log(n))
@@ -392,10 +394,6 @@ class HedgeLearner:
             raise ValueError("one gain per net point required")
         self._log_w += self.eta * gains
         self._log_w -= self._log_w.max()
-
-
-def mw_learner(net, T: int | None = None, eta="auto") -> HedgeLearner:
-    return HedgeLearner(net, T, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,15 @@ class TestSortBench:
         assert code == 0
         assert len(out.read_text().strip().split("\n")) == 9
 
+    def test_zero_length_arrays_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sort.csv"
+        assert run_cli("sort-bench", "--n", 0, "--out", out) == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        payload = json.loads(line)
+        assert payload["type"] == "ValueError"
+        assert "--n" in payload["error"]
+
 
 class TestOnlineCommand:
     def test_trace_csv(self, tmp_path):
@@ -189,6 +198,16 @@ class TestOnlineCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "step,chosen_rho,cost,cum_cost,cum_best,avg_regret"
         assert len(lines) == 21
+
+    def test_single_vertex_rejected(self, tmp_path, capsys):
+        # The theoretical discretization q divides by ln n, which is 0 at n = 1.
+        out = tmp_path / "trace.csv"
+        assert run_cli("online", "--n", 1, "--T", 5, "--net-size", 8, "--out", out) == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        payload = json.loads(line)
+        assert payload["type"] == "ValueError"
+        assert "n >= 2" in payload["error"]
 
 
 ALL_COMMANDS = [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,8 @@ class TestBreakpoints:
         inst = KnapsackInstance([4.0, 4.0], [4.0, 4.0], 10.0)
         bset = breakpoints(knapsack_family(2, interval=(0.0, 2.0)), [inst])
         assert bset.count == 0
-        assert bset.representatives.tolist() == [1.0]  # interval midpoint
+        # One open piece: both endpoints and its midpoint.
+        assert bset.representatives.tolist() == [0.0, 1.0, 2.0]
 
     def test_value_only_scoring_never_crosses(self):
         rng = np.random.default_rng(3)
@@ -163,11 +166,29 @@ class TestBreakpoints:
         fam = mwis_family(8)
         bset = breakpoints(fam, [random_mwis_instance(8, 0.4, rng) for _ in range(3)])
         assert bset.count > 0
-        grid = np.concatenate([[bset.interval[0]], bset.points, [bset.interval[1]]])
+        lo, hi = bset.interval
+        grid = np.concatenate([[lo], bset.points, [hi]])
         assert (np.diff(grid) > 0).all()
-        for rep, lo, hi in zip(bset.representatives, grid[:-1], grid[1:]):
-            assert lo <= rep <= hi
-            assert rep not in bset.points
+        reps = bset.representatives
+        assert reps[0] == lo and reps[-1] == hi
+        # One probe strictly inside every open piece, the boundary pieces included.
+        assert reps.size == grid.size + 1
+        for rep, left, right in zip(reps[1:-1], grid[:-1], grid[1:]):
+            assert left < rep < right
+
+    def test_degenerate_interval_single_probe(self):
+        inst = KnapsackInstance([4.0, 2.0], [4.0, 1.0], 4.0)
+        bset = breakpoints(knapsack_family(2, interval=(0.5, 0.5)), [inst])
+        assert bset.count == 0
+        assert bset.representatives.tolist() == [0.5]
+
+    def test_cross_sample_pairs_are_not_crossings(self):
+        # Each sample alone has no crossing; pairing attributes across the
+        # two samples would give rho = ln 2 / ln 2 = 1.
+        fam = knapsack_family(1, interval=(0.0, 2.0))
+        bset = breakpoints(fam, [KnapsackInstance([4.0], [4.0], 5.0),
+                                 KnapsackInstance([2.0], [2.0], 5.0)])
+        assert bset.count == 0
 
     def test_piecewise_constancy(self):
         rng = np.random.default_rng(37)
@@ -188,7 +209,7 @@ class TestErmBreakpoint:
     def test_no_breakpoints_returns_midpoint(self):
         inst = KnapsackInstance([4.0, 4.0], [4.0, 4.0], 10.0)
         rho, report = erm_breakpoint(knapsack_family(2, interval=(0.0, 2.0)), [inst])
-        assert rho == 1.0
+        assert rho == 0.0  # every probe ties; the smallest rho wins
         assert report.train_mean == 8.0
 
     def test_matches_fine_grid_oracle(self):
@@ -220,7 +241,20 @@ class TestErmBreakpoint:
         # Constant-cost family: every representative ties, the smallest wins.
         inst = MwisInstance(3, [], [0.3, 0.3, 0.3])
         rho, _ = erm_breakpoint(mwis_family(3), [inst])
-        assert rho == 0.5  # single representative: the midpoint
+        assert rho == 0.0  # probes 0, 0.5 and 1 tie: the endpoint lo wins
+
+    def test_tie_at_lower_endpoint_repro(self):
+        # Equal-value items tie exactly at rho = 0, where the tie-break packs
+        # the big item of s1 (mean 1.5); any rho in the boundary piece
+        # (0, 0.415) packs both small ones.  Probing that piece only at
+        # rho = 0 missed it and returned 1.75 from another piece.
+        fam = knapsack_family(3, interval=(0.0, 2.0))
+        s1 = KnapsackInstance([1.0, 1.0, 1.0], [2.0, 1.0, 1.0], 2.0)
+        s2 = KnapsackInstance([2.0, 1.5], [2.0, 1.0], 2.0)
+        rho, report = erm_breakpoint(fam, [s1, s2])
+        assert report.train_mean == 2.0
+        assert 0.0 < rho < math.log(2 / 1.5) / math.log(2)
+        assert np.mean([greedy_cost(fam, rho, x) for x in (s1, s2)]) == 2.0
 
 
 class TestBestOfQ:
@@ -363,3 +397,14 @@ class TestInstanceValidation:
         inst = MwisInstance(3, [(2, 0), (0, 2), (1, 2)], [0.1, 0.2, 0.3])
         assert inst.edges.tolist() == [[0, 2], [1, 2]]
         assert inst.degrees.tolist() == [1, 1, 2]
+        # Many duplicates and reversed pairs, against sort + 2-D row unique.
+        rng = np.random.default_rng(59)
+        n = 40
+        raw = rng.integers(0, n, size=(3000, 2))
+        raw = raw[raw[:, 0] != raw[:, 1]]
+        raw = np.concatenate([raw, raw[::-1, ::-1], raw[:500]])
+        expected = np.unique(np.sort(raw, axis=1), axis=0)
+        edges = MwisInstance(n, raw, np.full(n, 0.5)).edges
+        assert edges.dtype == expected.dtype and edges.flags.c_contiguous
+        assert edges.tobytes() == expected.tobytes()
+        assert edges.shape == expected.shape

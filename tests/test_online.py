@@ -7,6 +7,7 @@ import pytest
 from algoselect.greedy import MwisInstance, grid_masks, mwis_family, run_greedy
 from algoselect.online import (
     HardInstanceParams,
+    HedgeLearner,
     SmoothSpec,
     UniformUnion,
     adversary_sequence,
@@ -17,7 +18,6 @@ from algoselect.online import (
     instance_to_jsonl,
     largest_hard_size,
     min_pairwise_gap,
-    mw_learner,
     run_adversary_online,
     run_smoothed_online,
     smooth_sequence,
@@ -228,7 +228,7 @@ class TestTransitionPoints:
 
 class TestHedgeLearner:
     def test_single_point_net(self):
-        learner = mw_learner([0.3], T=10)
+        learner = HedgeLearner([0.3], T=10)
         rng = np.random.default_rng(0)
         for _ in range(5):
             assert learner.sample(rng) == 0
@@ -236,7 +236,7 @@ class TestHedgeLearner:
         assert learner.probabilities().tolist() == [1.0]
 
     def test_distribution_valid_after_many_updates(self):
-        learner = mw_learner(np.linspace(0, 1, 64), T=10**4)
+        learner = HedgeLearner(np.linspace(0, 1, 64), T=10**4)
         rng = np.random.default_rng(4)
         for _ in range(2000):
             learner.update(rng.random(64))
@@ -250,7 +250,7 @@ class TestHedgeLearner:
         bound = math.sqrt(math.log(K) / (2 * T))
         regrets = []
         for seed in range(30):
-            learner = mw_learner(np.linspace(0, 1, K), T=T)
+            learner = HedgeLearner(np.linspace(0, 1, K), T=T)
             rng = np.random.default_rng(seed)
             gains = np.zeros(K)
             gains[5] = 1.0
@@ -263,7 +263,7 @@ class TestHedgeLearner:
 
     def test_auto_eta_needs_horizon(self):
         with pytest.raises(ValueError):
-            mw_learner([0.1, 0.2])
+            HedgeLearner([0.1, 0.2])
 
 
 class TestSmoothedOnlineRun:
