@@ -361,6 +361,48 @@ def greedy_cost(family: ParamGreedyFamily, rho, instance) -> float:
 _GRID_MAX_N = 63  # vertex bitmasks live in one uint64 lane
 
 
+def _nonadaptive_masks(instances: Sequence[MwisInstance], owner: np.ndarray,
+                       rhos: np.ndarray) -> np.ndarray:
+    """Non-adaptive greedy solutions for rows drawn from several graphs of one
+    size: row i runs rho = rhos[i] on instances[owner[i]].  Shape (rows, n) bool.
+
+    Each row keeps its taken vertices as a bitmask in one uint64 lane (n <= 63)
+    and every graph its neighbourhoods as one such mask per vertex.
+    """
+    n = instances[0].n
+    if n > _GRID_MAX_N:
+        raise ValueError(f"grid evaluator supports n <= {_GRID_MAX_N}")
+    edges = np.concatenate([x.edges for x in instances])
+    first = np.repeat(np.arange(len(instances)) * n, [x.edges.shape[0] for x in instances])
+    ends = np.concatenate([first + edges[:, 0], first + edges[:, 1]])
+    others = np.concatenate([edges[:, 1], edges[:, 0]]).astype(np.uint64)
+    degrees = np.bincount(ends, minlength=len(instances) * n).reshape(-1, n)
+    adj_bits = np.zeros(len(instances) * n, dtype=np.uint64)
+    np.bitwise_or.at(adj_bits, ends, np.uint64(1) << others)
+
+    # keys = log w - rho * log(1 + deg), negated, built in place: a block of
+    # rows is large, and each extra (rows, n) temporary adds to peak memory.
+    keys = np.log(np.stack([x.weights for x in instances]))[owner]
+    scaled = np.log1p(degrees.astype(float))[owner]
+    scaled *= rhos[:, None]
+    keys -= scaled
+    del scaled
+    order = np.argsort(np.negative(keys, out=keys), axis=1, kind="stable")
+    del keys
+    vertex_bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    m = rhos.size
+    base = owner * n
+    taken_bits = np.zeros(m, dtype=np.uint64)
+    chosen = np.zeros((m, n), dtype=bool)
+    rows = np.arange(m)
+    for pos in range(n):
+        cur = order[:, pos]
+        feasible = (taken_bits & adj_bits[base + cur]) == 0
+        taken_bits |= np.where(feasible, vertex_bit[cur], np.uint64(0))
+        chosen[rows[feasible], cur[feasible]] = True
+    return chosen
+
+
 def mwis_grid_masks(instance: MwisInstance, rhos, adaptive: bool) -> np.ndarray:
     """Greedy solutions for every rho at once, shape (len(rhos), n) bool.
 
@@ -371,24 +413,9 @@ def mwis_grid_masks(instance: MwisInstance, rhos, adaptive: bool) -> np.ndarray:
         raise ValueError(f"grid evaluator supports n <= {_GRID_MAX_N}")
     rhos = np.asarray(rhos, dtype=float).ravel()
     n, m = instance.n, rhos.size
-    logw = np.log(instance.weights)
     if not adaptive:
-        keys = logw[None, :] - rhos[:, None] * np.log1p(instance.degrees.astype(float))[None, :]
-        order = np.argsort(-keys, axis=1, kind="stable")
-        adj_bits = np.zeros(n, dtype=np.uint64)
-        for u, v in instance.edges.tolist():
-            adj_bits[u] |= np.uint64(1 << v)
-            adj_bits[v] |= np.uint64(1 << u)
-        vertex_bit = (np.uint64(1) << np.arange(n, dtype=np.uint64))
-        taken_bits = np.zeros(m, dtype=np.uint64)
-        chosen = np.zeros((m, n), dtype=bool)
-        rows = np.arange(m)
-        for pos in range(n):
-            cur = order[:, pos]
-            feasible = (taken_bits & adj_bits[cur]) == 0
-            taken_bits |= np.where(feasible, vertex_bit[cur], np.uint64(0))
-            chosen[rows[feasible], cur[feasible]] = True
-        return chosen
+        return _nonadaptive_masks([instance], np.zeros(m, dtype=np.intp), rhos)
+    logw = np.log(instance.weights)
     adj = instance.adjacency_matrix()
     adj_f = adj.astype(float)
     alive = np.ones((m, n), dtype=bool)

@@ -13,7 +13,11 @@ are provided:
 * `smooth_sequence` draws vertex weights from bounded-density distributions
   over [0, 1] on arbitrary graphs.  Costs are then piecewise constant in rho
   with pieces delimited by the closed-form `transition_points`, which is what
-  makes a finite net competitive with the whole continuum.
+  makes a finite net competitive with the whole continuum.  Because this
+  sequence does not depend on the learner, `run_smoothed_online` evaluates
+  steps in blocks: one vectorized pass per block finds every step's
+  transition points and the greedy value on each piece, and only the Hedge
+  update runs once per step.
 
 Costs are normalized to [0, 1] (smoothed instances divide by total vertex
 weight, which preserves the per-instance ranking of parameters).
@@ -26,11 +30,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .greedy import MwisInstance, grid_costs, mwis_family
+from .greedy import MwisInstance, _nonadaptive_masks
 from .utils import labeled_rng
 
 
@@ -301,6 +306,29 @@ def _canonical_denominators(n: int) -> tuple:
     return tuple(sorted(set(seen.values())))
 
 
+def _transition_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`transition_points` of every row of a (steps, n) weight matrix at once.
+
+    Returns flat points and offsets: row i owns the sorted, distinct points
+    `points[offsets[i]:offsets[i + 1]]`.
+    """
+    steps, n = weights.shape
+    ordered = np.sort(weights, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError("transition points require distinct vertex weights")
+    denoms = np.asarray(_canonical_denominators(n))
+    logw = np.log(weights)
+    i, j = np.triu_indices(n, k=1)
+    roots = ((logw[:, i] - logw[:, j])[:, :, None] / denoms).reshape(steps, -1)
+    roots[(roots < 0.0) | (roots > 1.0)] = np.inf
+    roots.sort(axis=1)
+    keep = np.isfinite(roots)
+    keep[:, 1:] &= roots[:, 1:] != roots[:, :-1]
+    offsets = np.zeros(steps + 1, dtype=np.intp)
+    np.cumsum(keep.sum(axis=1), out=offsets[1:])
+    return roots[keep], offsets
+
+
 def transition_points(instance: MwisInstance) -> np.ndarray:
     """Every parameter in [0, 1] where two score curves w / k^rho can cross.
 
@@ -308,20 +336,7 @@ def transition_points(instance: MwisInstance) -> np.ndarray:
     output actually changes, for both degree variants.  Weights must be
     distinct and positive (almost sure under smoothing).
     """
-    w = instance.weights
-    if np.unique(w).size != w.size:
-        raise ValueError("transition points require distinct vertex weights")
-    if instance.n < 2:
-        return np.empty(0)
-    denoms = np.asarray(_canonical_denominators(instance.n))
-    if denoms.size == 0:
-        return np.empty(0)
-    logw = np.log(w)
-    iu = np.triu_indices(instance.n, k=1)
-    dlogw = logw[iu[0]] - logw[iu[1]]
-    roots = (dlogw[:, None] / denoms[None, :]).ravel()
-    roots = roots[(roots >= 0.0) & (roots <= 1.0)]
-    return np.unique(roots)
+    return _transition_rows(instance.weights[None, :])[0]
 
 
 def min_pairwise_gap(points: np.ndarray) -> float:
@@ -374,8 +389,8 @@ class HedgeLearner:
             if T is None or T < 1:
                 raise ValueError("auto eta needs the horizon T")
             eta = math.sqrt(8.0 * math.log(max(self.net.size, 2)) / T)
-        if eta <= 0:
-            raise ValueError("eta must be positive")
+        if not (eta > 0 and math.isfinite(eta)):
+            raise ValueError(f"eta must be finite and positive, got {eta}")
         self.eta = float(eta)
         self._log_w = np.zeros(self.net.size)
 
@@ -409,6 +424,9 @@ class RegretTrace:
     comparator (best parameter over the union of per-instance transition
     points for smoothed runs, the surviving-window optimum for adversarial
     runs).  Average regret is (comparator total - collected total) / T.
+    For smoothed runs `min_comparator_gap` is the smallest distance between
+    two transition points of the same step (None when no step has two);
+    points of different steps are not compared.
     """
 
     net: np.ndarray
@@ -444,12 +462,36 @@ class RegretTrace:
         return "\n".join(lines) + "\n"
 
 
-def _piece_costs(instance: MwisInstance, tau: np.ndarray, family) -> np.ndarray:
-    """Greedy value on each open interval between consecutive transition points,
-    normalized by total vertex weight so costs lie in [0, 1]."""
-    grid = np.concatenate([[0.0], tau, [1.0]])
-    reps = (grid[:-1] + grid[1:]) / 2.0
-    return grid_costs(family, reps, instance) / instance.total_weight()
+# Steps whose step functions are computed together.  A block is cut shorter
+# when its candidate roots (pairs x denominators per step) would pass
+# _BLOCK_ROOTS, so large graphs cost no more memory than one step at a time.
+BLOCK_STEPS = 32
+_BLOCK_ROOTS = 1 << 18
+
+
+def _block_steps(n: int) -> int:
+    roots = n * (n - 1) // 2 * len(_canonical_denominators(n))
+    return max(1, min(BLOCK_STEPS, _BLOCK_ROOTS // max(roots, 1)))
+
+
+def _step_functions(block: list[MwisInstance]):
+    """Step functions of a block of same-size instances, as flat arrays.
+
+    Returns (points, offsets, pieces): step i has transition points
+    `points[offsets[i]:offsets[i + 1]]` and the `offsets[i + 1] - offsets[i] + 1`
+    values `pieces[offsets[i] + i:offsets[i + 1] + i + 1]`, the non-adaptive
+    greedy value at the midpoint of each open piece of [0, 1] between them,
+    normalized by total vertex weight so values lie in [0, 1].
+    """
+    weights = np.stack([x.weights for x in block])
+    points, offsets = _transition_rows(weights)
+    lefts = np.insert(points, offsets[:-1], 0.0)
+    rights = np.insert(points, offsets[1:], 1.0)
+    owner = np.repeat(np.arange(len(block)), np.diff(offsets) + 1)
+    masks = _nonadaptive_masks(block, owner, (lefts + rights) / 2.0)
+    totals = np.array([x.total_weight() for x in block])
+    pieces = np.where(masks, weights[owner], 0.0).sum(axis=1) / totals[owner]
+    return points, offsets, pieces
 
 
 def run_smoothed_online(
@@ -466,10 +508,18 @@ def run_smoothed_online(
 
     With `net=None` the theoretical spacing q is used, which is astronomically
     fine for realistic sizes; pass an int for a practical uniform net of that
-    many points.  The trace reports the theoretical q either way, plus the
-    minimum gap among all observed transition points so q-collisions can be
-    detected.
+    many points, or the points themselves (finite, in [0, 1], any order).  The
+    trace reports the theoretical q either way, plus the smallest gap between
+    two transition points of one step (`min_comparator_gap`), so q-collisions
+    can be detected.
+
+    The instance sequence does not depend on the learner, so steps are drawn
+    from `smooth_stream` in blocks of up to `BLOCK_STEPS` and each block's
+    transition points and piece values are computed in one vectorized pass;
+    only the Hedge step runs once per step.
     """
+    if T < 1:
+        raise ValueError("need T >= 1")
     n = spec.n
     q = theoretical_q(n, spec.sigma, d_exp)
     if net is None:
@@ -484,35 +534,67 @@ def run_smoothed_online(
         net_arr = np.linspace(0.0, 1.0, net)
     else:
         net_arr = np.asarray(net, dtype=float)
-    family = mwis_family(n)
+    if net_arr.ndim != 1 or net_arr.size == 0:
+        raise ValueError("net must be a nonempty 1-D array of parameters")
+    if not (np.isfinite(net_arr).all() and (net_arr >= 0.0).all() and (net_arr <= 1.0).all()):
+        raise ValueError("net points must be finite and lie in [0, 1]")
     learner = HedgeLearner(net_arr, T, eta)
     rng_learner = labeled_rng(seed, "mw-learner")
+    # Gains are laid out over the sorted net, then put back in the net's order.
+    sorted_net, unsort = net_arr, None
+    if (np.diff(net_arr) < 0).any():
+        order = np.argsort(net_arr, kind="stable")
+        sorted_net, unsort = net_arr[order], np.argsort(order)
 
     chosen_rho = np.empty(T)
     costs = np.empty(T)
     cum_cost = np.empty(T)
     cum_best = np.empty(T)
     net_totals = np.zeros(net_arr.size)
-    step_functions = []
+    block_points, block_counts, block_pieces = [], [], []
     min_gap = math.inf
     running = 0.0
-    for t, inst in enumerate(smooth_stream(spec, graph_generator, T, seed)):
-        tau = transition_points(inst)
-        pieces = _piece_costs(inst, tau, family)
-        step_functions.append((tau, pieces))
-        if tau.size >= 2:
-            min_gap = min(min_gap, float(np.diff(tau).min()))
-        idx = learner.sample(rng_learner)
-        gains = pieces[np.searchsorted(tau, net_arr, side="right")]
-        learner.update(gains)
-        net_totals += gains
-        chosen_rho[t] = net_arr[idx]
-        costs[t] = gains[idx]
-        running += costs[t]
-        cum_cost[t] = running
-        cum_best[t] = net_totals.max()
+    stream = smooth_stream(spec, graph_generator, T, seed)
+    block_size = _block_steps(n)
+    for start in range(0, T, block_size):
+        block = list(islice(stream, block_size))
+        points, offsets, pieces = _step_functions(block)
+        counts = np.diff(offsets)
+        block_points.append(points)
+        block_counts.append(counts)
+        block_pieces.append(pieces)
+        step_of = np.repeat(np.arange(len(block)), counts)
+        gaps = np.diff(points)[step_of[1:] == step_of[:-1]]
+        if gaps.size:
+            min_gap = min(min_gap, float(gaps.min()))
+        # Sorted net points [bounds[k], bounds[k + 1]) lie on the piece right
+        # of point k, as searchsorted(tau, net, side="right") assigns them.
+        bounds = np.searchsorted(sorted_net, points)
+        widths = (np.insert(bounds, offsets[1:], net_arr.size)
+                  - np.insert(bounds, offsets[:-1], 0))
+        piece_offsets = offsets + np.arange(len(block) + 1)
+        for i in range(len(block)):
+            t = start + i
+            step = slice(piece_offsets[i], piece_offsets[i + 1])
+            gains = np.repeat(pieces[step], widths[step])
+            if unsort is not None:
+                gains = gains[unsort]
+            idx = learner.sample(rng_learner)
+            learner.update(gains)
+            net_totals += gains
+            chosen_rho[t] = net_arr[idx]
+            costs[t] = gains[idx]
+            running += costs[t]
+            cum_cost[t] = running
+            cum_best[t] = net_totals.max()
     best_net_idx = int(np.argmax(net_totals))
-    best_ref_rho, best_ref_total = _transition_comparator(step_functions, net_arr[best_net_idx])
+    offsets = np.zeros(T + 1, dtype=np.intp)
+    np.cumsum(np.concatenate(block_counts), out=offsets[1:])
+    points, pieces = np.concatenate(block_points), np.concatenate(block_pieces)
+    # The flat copies replace the block lists; holding both raises peak memory.
+    del block_points, block_pieces
+    best_ref_rho, best_ref_total = _transition_comparator(
+        points, offsets, pieces, net_arr[best_net_idx])
     return RegretTrace(
         net=net_arr,
         chosen_rho=chosen_rho,
@@ -528,20 +610,21 @@ def run_smoothed_online(
     )
 
 
-def _transition_comparator(step_functions, net_best_rho: float, max_candidates: int = 256):
+def _transition_comparator(points, offsets, pieces, net_best_rho: float, max_candidates: int = 256):
     """Best parameter over the union of all transition points (piece midpoints).
 
+    Takes the run's step functions in the flat layout of `_step_functions`.
     A coarse pass over delta events ranks the union pieces; the leaders are
     then re-totaled by direct per-step evaluation in step order, which makes
     the result float-comparable with the net totals.
     """
-    positions = [np.zeros(1)]
-    deltas = [np.zeros(1)]
-    for tau, pieces in step_functions:
-        positions.append(np.concatenate([[0.0], tau]))
-        deltas.append(np.concatenate([[pieces[0]], np.diff(pieces)]))
-    pos = np.concatenate(positions)
-    del_ = np.concatenate(deltas)
+    piece_offsets = offsets + np.arange(offsets.size)
+    # Events: each step opens at 0 with its first value and changes by the
+    # difference of neighbouring values at each of its points.
+    pos = np.concatenate([[0.0], np.insert(points, offsets[:-1], 0.0)])
+    del_ = np.diff(pieces, prepend=0.0)
+    del_[piece_offsets[:-1]] = pieces[piece_offsets[:-1]]
+    del_ = np.concatenate([[0.0], del_])
     order = np.argsort(pos, kind="stable")
     pos, del_ = pos[order], del_[order]
     totals = np.cumsum(del_)
@@ -550,7 +633,7 @@ def _transition_comparator(step_functions, net_best_rho: float, max_candidates: 
     if candidate_pos.size > max_candidates:
         candidate_pos = candidate_pos[np.argsort(totals[totals >= top - 1e-9])[-max_candidates:]]
     # Evaluate at a point strictly inside the piece to the right of each event.
-    all_pos = np.unique(pos)
+    all_pos = pos[np.concatenate([[True], pos[1:] != pos[:-1]])]
     candidates = []
     for p in np.unique(candidate_pos):
         nxt = all_pos[np.searchsorted(all_pos, p, side="right"):]
@@ -559,8 +642,9 @@ def _transition_comparator(step_functions, net_best_rho: float, max_candidates: 
     candidates.append(net_best_rho)
     candidates = np.unique(np.asarray(candidates))
     totals_direct = np.zeros(candidates.size)
-    for tau, pieces in step_functions:
-        totals_direct += pieces[np.searchsorted(tau, candidates, side="right")]
+    for t in range(offsets.size - 1):
+        tau = points[offsets[t]:offsets[t + 1]]
+        totals_direct += pieces[piece_offsets[t] + np.searchsorted(tau, candidates, side="right")]
     best = int(np.argmax(totals_direct))
     return float(candidates[best]), float(totals_direct[best])
 

@@ -4,10 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algoselect.greedy import MwisInstance, grid_masks, mwis_family, run_greedy
+from algoselect import online
+from algoselect.greedy import (
+    MwisInstance,
+    _nonadaptive_masks,
+    grid_costs,
+    grid_masks,
+    mask_cost,
+    mwis_family,
+    run_greedy,
+)
 from algoselect.online import (
     HardInstanceParams,
     HedgeLearner,
+    RegretTrace,
     SmoothSpec,
     UniformUnion,
     adversary_sequence,
@@ -26,6 +36,9 @@ from algoselect.online import (
     transition_points,
     uniform_smooth_spec,
 )
+from algoselect.utils import labeled_rng
+
+from _fixtures import MWIS_WEIGHT_PALETTE
 
 
 class TestHardInstance:
@@ -265,6 +278,11 @@ class TestHedgeLearner:
         with pytest.raises(ValueError):
             HedgeLearner([0.1, 0.2])
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_rejects_eta_not_finite_and_positive(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            HedgeLearner([0.1, 0.2], T=10, eta=eta)
+
 
 class TestSmoothedOnlineRun:
     def test_trace_consistency_and_determinism(self):
@@ -325,6 +343,217 @@ class TestSmoothedOnlineRun:
         assert int(step) == 3
         assert float(cum) == pytest.approx(trace.cum_cost[2])
         assert float(regret) == pytest.approx((trace.cum_best[2] - trace.cum_cost[2]) / 3)
+
+
+def _reference_transition_points(x):
+    """Transition points by the per-instance formula: every pair's roots
+    against every denominator, kept in [0, 1] and deduplicated by np.unique."""
+    denoms = np.asarray(online._canonical_denominators(x.n))
+    logw = np.log(x.weights)
+    i, j = np.triu_indices(x.n, k=1)
+    roots = ((logw[i] - logw[j])[:, None] / denoms[None, :]).ravel()
+    return np.unique(roots[(roots >= 0.0) & (roots <= 1.0)])
+
+
+def _reference_comparator(step_functions, net_best_rho, max_candidates=256):
+    """Best union-piece parameter from a list of per-step (tau, pieces)."""
+    pos = np.concatenate([np.zeros(1)]
+                         + [np.concatenate([[0.0], tau]) for tau, _ in step_functions])
+    del_ = np.concatenate([np.zeros(1)] + [np.concatenate([[pieces[0]], np.diff(pieces)])
+                                           for _, pieces in step_functions])
+    order = np.argsort(pos, kind="stable")
+    pos, del_ = pos[order], del_[order]
+    totals = np.cumsum(del_)
+    near_top = totals >= totals.max() - 1e-9
+    candidate_pos = pos[near_top]
+    if candidate_pos.size > max_candidates:
+        candidate_pos = candidate_pos[np.argsort(totals[near_top])[-max_candidates:]]
+    all_pos = np.unique(pos)
+    candidates = []
+    for p in np.unique(candidate_pos):
+        nxt = all_pos[np.searchsorted(all_pos, p, side="right"):]
+        hi = nxt[0] if nxt.size else 1.0
+        candidates.append(min((p + hi) / 2.0 if hi > p else p, 1.0))
+    candidates = np.unique(np.asarray(candidates + [net_best_rho]))
+    direct = np.zeros(candidates.size)
+    for tau, pieces in step_functions:
+        direct += pieces[np.searchsorted(tau, candidates, side="right")]
+    best = int(np.argmax(direct))
+    return float(candidates[best]), float(direct[best])
+
+
+def reference_smoothed_run(spec, gen, T, seed, net):
+    """`run_smoothed_online` one step at a time: one instance, one step
+    function from `transition_points` and `grid_costs`, one Hedge step."""
+    net_arr = np.linspace(0.0, 1.0, net) if isinstance(net, int) else np.asarray(net, dtype=float)
+    family = mwis_family(spec.n)
+    learner = HedgeLearner(net_arr, T)
+    rng = labeled_rng(seed, "mw-learner")
+    chosen, costs, cum_cost, cum_best = (np.empty(T) for _ in range(4))
+    net_totals = np.zeros(net_arr.size)
+    step_functions, min_gap, running = [], math.inf, 0.0
+    for t, inst in enumerate(smooth_sequence(spec, gen, T, seed)):
+        tau = transition_points(inst)
+        grid = np.concatenate([[0.0], tau, [1.0]])
+        pieces = grid_costs(family, (grid[:-1] + grid[1:]) / 2.0, inst) / inst.total_weight()
+        step_functions.append((tau, pieces))
+        if tau.size >= 2:
+            min_gap = min(min_gap, float(np.diff(tau).min()))
+        gains = pieces[np.searchsorted(tau, net_arr, side="right")]
+        idx = learner.sample(rng)
+        learner.update(gains)
+        net_totals += gains
+        chosen[t] = net_arr[idx]
+        costs[t] = gains[idx]
+        running += costs[t]
+        cum_cost[t] = running
+        cum_best[t] = net_totals.max()
+    best = int(np.argmax(net_totals))
+    ref_rho, ref_total = _reference_comparator(step_functions, net_arr[best])
+    return RegretTrace(net_arr, chosen, costs, cum_cost, cum_best, float(net_arr[best]),
+                       float(net_totals[best]), ref_rho, ref_total,
+                       min_comparator_gap=None if min_gap == math.inf else min_gap)
+
+
+def assert_same_trace(got, want):
+    assert got.to_csv() == want.to_csv()
+    assert (got.best_net_rho, got.best_net_total) == (want.best_net_rho, want.best_net_total)
+    assert (got.best_ref_rho, got.best_ref_total) == (want.best_ref_rho, want.best_ref_total)
+    assert got.min_comparator_gap == want.min_comparator_gap
+
+
+class TestBlockedRunner:
+    """The blocked runner against the per-step reference loop, byte for byte."""
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 12])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["1", "B-1", "B", "B+1", "3B+5"])
+    def test_matches_per_step_loop(self, n, blocks, extra):
+        # T = blocks * B + extra for the block size B; n = 2 has no
+        # denominators, so each of its steps is a single piece.
+        T = blocks * online._block_steps(n) + extra
+        spec = uniform_smooth_spec(n, 0.5)
+        gen = erdos_renyi_generator(n, 0.4)
+        got = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=n + T, net=257)
+        assert_same_trace(got, reference_smoothed_run(spec, gen, T, n + T, 257))
+
+    @pytest.mark.parametrize("T", [1, online.BLOCK_STEPS + 1, 3 * online.BLOCK_STEPS + 5])
+    def test_interval_union_spec(self, T):
+        spec = uniform_smooth_spec(8, 0.05, ((0.6, 0.65), (0.82, 0.87)))
+        gen = erdos_renyi_generator(8, 0.3)
+        got = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=3, net=1001)
+        assert_same_trace(got, reference_smoothed_run(spec, gen, T, 3, 1001))
+
+    def test_shuffled_net_with_repeats_keeps_gains(self):
+        spec = uniform_smooth_spec(6, 0.5)
+        gen = erdos_renyi_generator(6, 0.5)
+        T, seed = 45, 8
+        # Repeats, both endpoints, and points exactly on transition points.
+        on_points = np.concatenate([transition_points(x)[::7]
+                                    for x in smooth_sequence(spec, gen, 3, seed)])
+        net = np.concatenate([np.linspace(0.0, 1.0, 200), [0.0, 1.0, 0.5, 0.5],
+                              on_points, on_points])
+        net = np.random.default_rng(9).permutation(net)
+        got = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=seed, net=net)
+        assert_same_trace(got, reference_smoothed_run(spec, gen, T, seed, net))
+
+    @pytest.mark.parametrize("net", [np.array([np.nan, -0.5, 0.3, 1.7]), np.array([0.2, 1.5]),
+                                     np.array([-1e-12, 0.5]), np.array([0.1, np.inf]),
+                                     np.array([]), np.zeros((2, 2)), 0],
+                             ids=["nan-and-outside", "above-1", "below-0", "inf", "empty",
+                                  "2-d", "size-0"])
+    def test_rejects_bad_net_before_drawing(self, net):
+        def gen(rng):
+            raise AssertionError("an instance was drawn")
+
+        with pytest.raises(ValueError, match="net"):
+            run_smoothed_online(uniform_smooth_spec(4, 0.5), gen, T=3, d_exp=1, seed=0, net=net)
+
+    def test_rejects_empty_horizon(self):
+        with pytest.raises(ValueError, match="T >= 1"):
+            run_smoothed_online(uniform_smooth_spec(4, 0.5), erdos_renyi_generator(4, 0.5),
+                                T=0, d_exp=1, seed=0, net=8, eta=0.1)
+
+    def test_duplicate_weights_mid_block_rejected(self):
+        class RepeatsOnFifthDraw:
+            # Uniform draws, except that the fifth is 0.5; two vertices with
+            # this distribution tie at step 5, inside the first block.
+            density = 1.0
+
+            def __init__(self):
+                self.draws = 0
+
+            def sample(self, rng):
+                self.draws += 1
+                u = rng.uniform(0.0, 1.0)
+                return 0.5 if self.draws == 5 else u
+
+        dists = (RepeatsOnFifthDraw(), RepeatsOnFifthDraw()) + (UniformUnion(((0.0, 1.0),)),) * 4
+        with pytest.raises(ValueError, match="distinct"):
+            run_smoothed_online(SmoothSpec(0.5, dists), erdos_renyi_generator(6, 0.4),
+                                T=online.BLOCK_STEPS, d_exp=1, seed=0, net=33)
+
+    def test_large_graphs_get_short_blocks(self):
+        assert online._block_steps(2) == online._block_steps(12) == online.BLOCK_STEPS
+        assert online._block_steps(63) == 1
+
+
+class TestStackedPaths:
+    """The stacked transition-point and bitmask paths, row by row."""
+
+    @staticmethod
+    def mixed_block(rng, n=8, repeat_weights=False):
+        # An edgeless graph, the complete graph and three Erdos-Renyi graphs.
+        i, j = np.triu_indices(n, k=1)
+        graphs = [np.empty((0, 2), dtype=np.int64), np.stack([i, j], axis=1)]
+        for p in (0.2, 0.5, 0.8):
+            keep = rng.random(i.size) < p
+            graphs.append(np.stack([i[keep], j[keep]], axis=1))
+        return [MwisInstance(n, e, rng.choice(MWIS_WEIGHT_PALETTE, size=n, replace=repeat_weights))
+                for e in graphs]
+
+    def test_masks_match_scalar_greedy_on_ties(self):
+        # Repeated palette weights tie scores exactly (equal weight and
+        # degree), and palette crossings tie them at the crossing points.
+        rng = np.random.default_rng(5)
+        fam = mwis_family(8)
+        for _ in range(4):
+            block = self.mixed_block(rng, repeat_weights=True)
+            logw = np.log(MWIS_WEIGHT_PALETTE)
+            dw = (logw[:, None] - logw[None, :]).ravel()
+            dk = np.log(np.arange(1.0, 9.0))
+            dk = (dk[:, None] - dk[None, :]).ravel()
+            roots = (dw[:, None] / dk[dk > 0][None, :]).ravel()
+            rhos = np.unique(np.concatenate([[0.0, 0.5, 1.0], roots[(roots >= 0) & (roots <= 1)]]))
+            owner = np.repeat(np.arange(len(block)), rhos.size)
+            rows = np.tile(rhos, len(block))
+            masks = _nonadaptive_masks(block, owner, rows)
+            for mask, i, rho in zip(masks, owner, rows):
+                sol, cost = run_greedy(fam, rho, block[i])
+                assert tuple(np.flatnonzero(mask)) == sol
+                assert mask_cost(mask, block[i].weights) == cost.value
+
+    def test_step_functions_match_per_instance_paths(self):
+        rng = np.random.default_rng(6)
+        fam = mwis_family(8)
+        for _ in range(4):
+            block = self.mixed_block(rng)
+            points, offsets, pieces = online._step_functions(block)
+            for i, x in enumerate(block):
+                tau = points[offsets[i]:offsets[i + 1]]
+                assert np.array_equal(tau, transition_points(x))
+                assert np.array_equal(tau, _reference_transition_points(x))
+                grid = np.concatenate([[0.0], tau, [1.0]])
+                want = [run_greedy(fam, r, x)[1].value / x.total_weight()
+                        for r in (grid[:-1] + grid[1:]) / 2.0]
+                assert pieces[offsets[i] + i:offsets[i + 1] + i + 1].tolist() == want
+
+    def test_bitmask_lane_limit_kept(self):
+        x = MwisInstance(64, [(0, 1)], np.linspace(0.01, 1.0, 64))
+        with pytest.raises(ValueError, match="n <= 63"):
+            grid_masks(mwis_family(64), [0.5], x)
+        with pytest.raises(ValueError, match="n <= 63"):
+            _nonadaptive_masks([x], np.zeros(1, dtype=np.intp), np.array([0.5]))
 
 
 class TestTheoreticalQuantities:
