@@ -46,7 +46,7 @@ gen = erdos_renyi_generator(8, 0.3)
 trace = run_smoothed_online(spec, gen, T=2000, d_exp=1, seed=0, net=2000)
 print(f"  best fixed net point in hindsight: rho = {trace.best_net_rho:.4f} "
       f"(total {trace.best_net_total:.1f})")
-print(f"  best parameter over all transition points: rho = {trace.best_ref_rho:.4f} "
+print(f"  exact best piece of the summed step functions: rho = {trace.best_ref_rho:.4f} "
       f"(total {trace.best_ref_total:.1f})")
 print(f"  average regret vs the net: {trace.avg_regret:.4f}")
 print(f"  theoretical net spacing q for these parameters: {trace.q_theoretical:.2e}")

@@ -29,12 +29,10 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_instance_dir(path: str, problem: str):
+def _load_instance_dir(path: str, suffix: str, loader):
     if not os.path.isdir(path):
         raise ValueError(f"instance directory not found: {path}")
-    suffix = ".json" if problem == "mwis" else ".csv"
     names = sorted(name for name in os.listdir(path) if name.endswith(suffix))
-    loader = greedy.load_mwis if problem == "mwis" else greedy.load_knapsack
     instances = [loader(os.path.join(path, name)) for name in names]
     if not instances:
         raise ValueError(f"no instances ({suffix} files) in {path}")
@@ -52,12 +50,14 @@ def _train_holdout_split(instances, seed: int, frac: float):
 
 
 def cmd_erm_greedy(args) -> int:
-    instances = _load_instance_dir(args.instances, args.problem)
-    n = max(getattr(x, "n") for x in instances)
+    interval = (args.rho_lo, args.rho_hi)
     if args.problem == "mwis":
-        family = greedy.mwis_family(n, (args.rho_lo, args.rho_hi), adaptive=args.variant == "adaptive")
+        instances = _load_instance_dir(args.instances, ".json", greedy.load_mwis)
+        family = greedy.mwis_family(max(x.n for x in instances), interval,
+                                    adaptive=args.variant == "adaptive")
     else:
-        family = greedy.knapsack_family(n, (args.rho_lo, args.rho_hi))
+        instances = _load_instance_dir(args.instances, ".csv", greedy.load_knapsack)
+        family = greedy.knapsack_family(max(x.n for x in instances), interval)
     train, holdout = _train_holdout_split(instances, args.seed, args.holdout_frac)
     bset = greedy.breakpoints(family, train)
     rho_star, report = greedy.erm_breakpoint(family, train, holdout=holdout, bset=bset)
@@ -72,12 +72,7 @@ def cmd_erm_greedy(args) -> int:
 def cmd_gd_tune(args) -> int:
     family = gdtune.GdFamily(args.rho_lo, args.rho_hi, args.L, args.m_sc, args.c, args.Z, args.nu)
     if args.instances:
-        if not os.path.isdir(args.instances):
-            raise ValueError(f"instance directory not found: {args.instances}")
-        names = sorted(n for n in os.listdir(args.instances) if n.endswith(".json"))
-        samples = [gdtune.load_gd_instance(os.path.join(args.instances, n)) for n in names]
-        if not samples:
-            raise ValueError(f"no instances (.json files) in {args.instances}")
+        samples = _load_instance_dir(args.instances, ".json", gdtune.load_gd_instance)
     else:
         rng = labeled_rng(args.seed, "gd-instances")
         samples = [gdtune.random_instance(family, args.dim, rng) for _ in range(args.samples)]

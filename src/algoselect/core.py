@@ -1,4 +1,5 @@
-"""Learning model core: cost values, sample-size bounds, finite ERM, and shattering probes.
+"""Learning model core: cost values, sample-size bounds, step functions, finite ERM,
+and shattering probes.
 
 An algorithm family is a deterministic map (index, instance) -> cost, with a
 fixed optimization orientation shared by all indices.  Everything here treats
@@ -115,6 +116,55 @@ class ErrorReport:
 def _best_index(means: np.ndarray, orientation: str) -> int:
     # argmax/argmin return the first optimum, which is the smallest index.
     return int(np.argmax(means) if orientation == MAXIMIZE else np.argmin(means))
+
+
+@dataclass(frozen=True, eq=False)
+class StepFunction:
+    """Cost on one fixed instance as a piecewise-constant function of rho.
+
+    `values[k]` holds on the open piece between the sorted change points
+    `points[k - 1]` and `points[k]` (the end pieces are unbounded); equal
+    neighbouring pieces are merged when built.  `at` is right-continuous.  A
+    value taken only exactly at a change point is not represented: claims
+    built on this type are about the open pieces.
+    """
+
+    points: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        points = np.asarray(self.points, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if points.ndim != 1 or values.shape != (points.size + 1,):
+            raise ValueError("need 1-D points and one value per piece (len(points) + 1)")
+        if (np.diff(points) <= 0).any():
+            raise ValueError("change points must be strictly increasing")
+        change = values[1:] != values[:-1]
+        object.__setattr__(self, "points", points[change])
+        object.__setattr__(self, "values", values[np.concatenate([[True], change])])
+
+    def at(self, rhos) -> np.ndarray:
+        if self.points.size == 0:  # most instances' costs never change; skip the search
+            return np.full(np.shape(rhos), self.values[0])
+        return self.values[np.searchsorted(self.points, rhos, side="right")]
+
+
+def argmax_sum(functions: Sequence[StepFunction], lo: float, hi: float) -> tuple[float, float]:
+    """Exact best piece of [lo, hi] for the sum of step functions.
+
+    The union of the change points cuts [lo, hi] into pieces, each totalled
+    over `functions` in list order: bit-equal to a running `+=` of the same
+    values at any rho inside the piece.  The first maximum (the smallest rho)
+    wins.  Returns (midpoint of the best piece, its total).
+    """
+    union = np.unique(np.concatenate([f.points for f in functions] + [np.empty(0)]))
+    left_ends = np.concatenate([[-np.inf], union])
+    totals = np.zeros(left_ends.size)
+    for f in functions:
+        totals += f.at(left_ends)
+    best = int(np.argmax(totals))
+    edges = np.concatenate([[lo], union, [hi]])
+    return float((edges[best] + edges[best + 1]) / 2.0), float(totals[best])
 
 
 def erm_finite(family: FiniteFamily, samples: Sequence, holdout: Sequence | None = None) -> ErrorReport:

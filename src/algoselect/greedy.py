@@ -14,8 +14,9 @@ family with arbitrarily close parameters can behave completely differently,
 ERM over the continuum is done constructively: on each sample, every parameter
 value at which two of its object scores cross is enumerated in closed form.
 These points cut the interval into open pieces on which every run is fixed,
-and ERM probes both endpoints and every open piece, the two boundary pieces
-included (`breakpoints`, `erm_breakpoint`).
+so each sample's value is a step function of rho (`step_function`).  ERM
+probes both endpoints and every open piece of the union, the two boundary
+pieces included, off those step functions (`breakpoints`, `erm_breakpoint`).
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MAXIMIZE, CostValue, FiniteFamily, erm_costs, erm_finite
+from .core import MAXIMIZE, CostValue, FiniteFamily, StepFunction, erm_costs
 
 VALUE_ONLY = "value-only"
 KNAPSACK_DENSITY = "knapsack-density"
@@ -183,10 +184,6 @@ class MwisInstance:
     def degrees(self) -> np.ndarray:
         self._build_csr()
         return self._degrees
-
-    def neighbors(self, v: int) -> np.ndarray:
-        self._build_csr()
-        return self._indices[self._indptr[v]:self._indptr[v + 1]]
 
     def adjacency_matrix(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n), dtype=bool)
@@ -521,6 +518,17 @@ def _merge_close(points: np.ndarray, rtol: float = _BREAKPOINT_MERGE_RTOL) -> np
     return np.asarray(merged)
 
 
+def _own_crossings(family: ParamGreedyFamily, x) -> np.ndarray:
+    """One sample's distinct crossing points strictly inside the interval, sorted."""
+    lo, hi = family.interval
+    logp, logd = (np.log(a) for a in _sample_attributes(family, x))
+    i, j = np.triu_indices(logp.size, k=1)
+    dden = logd[i] - logd[j]
+    crossing = dden != 0
+    r = (logp[i] - logp[j])[crossing] / dden[crossing]
+    return np.unique(r[(r > lo + 1e-9 * max(1.0, abs(lo))) & (r < hi - 1e-9 * max(1.0, abs(hi)))])
+
+
 def breakpoints(family: ParamGreedyFamily, samples) -> BreakpointSet:
     """Closed-form crossing points of each sample's own attribute score curves.
 
@@ -532,24 +540,43 @@ def breakpoints(family: ParamGreedyFamily, samples) -> BreakpointSet:
     two samples cannot change any run.  Roots closer to an interval endpoint
     than float noise can resolve are dropped; the endpoint probes and the
     boundary-piece midpoints cover both sides of such a crossing.
+
+    The claim is about open pieces: the representatives probe both endpoints
+    and every open piece between the points.  A crossing point itself is not
+    probed; what a run does there rests on an exact float tie and the id order.
     """
     if len(samples) == 0:
         raise ValueError("need at least one sample")
     lo, hi = family.interval
-    inner_lo = lo + 1e-9 * max(1.0, abs(lo))
-    inner_hi = hi - 1e-9 * max(1.0, abs(hi))
-    roots = []
-    for x in samples:
-        logp, logd = (np.log(a) for a in _sample_attributes(family, x))
-        i, j = np.triu_indices(logp.size, k=1)
-        dden = logd[i] - logd[j]
-        crossing = dden != 0
-        r = (logp[i] - logp[j])[crossing] / dden[crossing]
-        roots.append(r[(r > inner_lo) & (r < inner_hi)])
-    points = _merge_close(np.unique(np.concatenate(roots)))
+    points = _merge_close(np.unique(np.concatenate([_own_crossings(family, x) for x in samples])))
     grid = np.concatenate([[lo], points, [hi]])
     reps = np.unique(np.concatenate([[lo], (grid[:-1] + grid[1:]) / 2.0, [hi]]))
     return BreakpointSet(points, reps, (lo, hi))
+
+
+def step_function(family: ParamGreedyFamily, x) -> StepFunction:
+    """One sample's greedy value between its own crossings, one run per open piece."""
+    lo, hi = family.interval
+    points = _own_crossings(family, x)
+    grid = np.concatenate([[lo], points, [hi]])
+    return StepFunction(points, [greedy_cost(family, r, x) for r in (grid[:-1] + grid[1:]) / 2.0])
+
+
+def breakpoint_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
+    """Greedy values at `rhos` on every sample, shape (len(rhos), len(samples)).
+
+    A rho inside the interval is read off the sample's `step_function`; a rho
+    at an endpoint gets a run there, since a crossing can sit on an endpoint.
+    Equals `representative_family(family, rhos).cost_matrix(samples)` where
+    no rho lies on a crossing point.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    costs = np.empty((rhos.size, len(samples)))
+    for j, x in enumerate(samples):
+        costs[:, j] = step_function(family, x).at(rhos)
+        for end in family.interval:
+            costs[rhos == end, j] = greedy_cost(family, end, x)
+    return costs
 
 
 def representative_family(family: ParamGreedyFamily, rhos) -> FiniteFamily:
@@ -564,11 +591,16 @@ def representative_family(family: ParamGreedyFamily, rhos) -> FiniteFamily:
 def erm_breakpoint(family: ParamGreedyFamily, samples, holdout=None, bset: BreakpointSet | None = None):
     """Best single parameter on the samples over the probes of `breakpoints`.
 
-    Returns (rho_star, ErrorReport); ties break toward the smaller rho.
+    Exact over every rho outside the finite set of crossing points (open-piece
+    semantics, see `breakpoints`).  Returns (rho_star, ErrorReport); ties
+    break toward the smaller rho.
     """
     if bset is None:
         bset = breakpoints(family, samples)
-    report = erm_finite(representative_family(family, bset.representatives), samples, holdout)
+    reps = bset.representatives
+    held = breakpoint_costs(family, holdout, reps) if holdout is not None else None
+    report = erm_costs(tuple(float(r) for r in reps), breakpoint_costs(family, samples, reps),
+                       held, MAXIMIZE)
     return report.chosen, report
 
 
@@ -579,23 +611,28 @@ def best_of_q(family: ParamGreedyFamily, rhos, instance) -> CostValue:
     return CostValue(max(greedy_cost(family, r, instance) for r in rhos), MAXIMIZE)
 
 
-def erm_best_of_q(family: ParamGreedyFamily, samples, q: int, holdout=None, q_cap: int = 3):
+_BEST_OF_Q_CAP = 3
+
+
+def erm_best_of_q(family: ParamGreedyFamily, samples, q: int, holdout=None):
     """Exhaustive ERM over q-subsets of the piece representatives.
 
     A subset's cost on an instance is the best of its members' costs.
     Returns (rho_tuple, ErrorReport).  `q` is capped to keep the subset
-    enumeration tractable.
+    enumeration tractable and may not exceed the number of representatives.
     """
-    if not 1 <= q <= q_cap:
-        raise ValueError(f"q must be in 1..{q_cap}")
-    finite = representative_family(family, breakpoints(family, samples).representatives)
-    combos = np.asarray(list(combinations(range(len(finite.indices)), q)))
+    if not 1 <= q <= _BEST_OF_Q_CAP:
+        raise ValueError(f"q must be in 1..{_BEST_OF_Q_CAP}")
+    reps = breakpoints(family, samples).representatives
+    if reps.size < q:
+        raise ValueError(f"q={q} exceeds the {reps.size} probe(s) of the interval")
+    combos = np.asarray(list(combinations(range(reps.size), q)))
 
     def combo_costs(instances) -> np.ndarray:
-        costs = finite.cost_matrix(instances)
+        costs = breakpoint_costs(family, instances, reps)
         return reduce(np.maximum, (costs[column] for column in combos.T))
 
-    chosen = [tuple(finite.indices[i] for i in c) for c in combos]
+    chosen = [tuple(float(reps[i]) for i in c) for c in combos]
     held = combo_costs(holdout) if holdout is not None else None
     report = erm_costs(chosen, combo_costs(samples), held, MAXIMIZE)
     return report.chosen, report
@@ -606,12 +643,23 @@ def erm_best_of_q(family: ParamGreedyFamily, samples, q: int, holdout=None, q_ca
 # ---------------------------------------------------------------------------
 
 
+def erdos_renyi_generator(n: int, p: float) -> Callable[[np.random.Generator], np.ndarray]:
+    """Edge lists of G(n, p) graphs, one per call with the caller's generator."""
+    if not 0.0 <= p <= 1.0:  # NaN fails the comparison too
+        raise ValueError(f"edge probability must be finite and in [0, 1], got {p}")
+    iu = np.triu_indices(n, k=1)
+
+    def gen(rng: np.random.Generator) -> np.ndarray:
+        mask = rng.random(iu[0].size) < p
+        return np.stack([iu[0][mask], iu[1][mask]], axis=1)
+
+    return gen
+
+
 def random_mwis_instance(n: int, edge_prob: float, rng: np.random.Generator,
                          weight_choices=None) -> MwisInstance:
     """Erdos-Renyi graph; weights uniform in (0, 1] or drawn from a palette."""
-    iu = np.triu_indices(n, k=1)
-    mask = rng.random(iu[0].size) < edge_prob
-    edges = np.stack([iu[0][mask], iu[1][mask]], axis=1)
+    edges = erdos_renyi_generator(n, edge_prob)(rng)
     if weight_choices is None:
         weights = rng.uniform(0.0, 1.0, size=n)
         weights[weights == 0.0] = 0.5

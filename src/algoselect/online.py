@@ -16,8 +16,8 @@ are provided:
   makes a finite net competitive with the whole continuum.  Because this
   sequence does not depend on the learner, `run_smoothed_online` evaluates
   steps in blocks: one vectorized pass per block finds every step's
-  transition points and the greedy value on each piece, and only the Hedge
-  update runs once per step.
+  transition points and the greedy value on each piece (one `StepFunction`
+  per step), and only the Hedge update runs once per step.
 
 Costs are normalized to [0, 1] (smoothed instances divide by total vertex
 weight, which preserves the per-instance ranking of parameters).
@@ -31,11 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .greedy import MwisInstance, _nonadaptive_masks
+from .core import StepFunction, argmax_sum
+# `erdos_renyi_generator` is re-exported as the graph model of smoothed runs.
+from .greedy import MwisInstance, _nonadaptive_masks, erdos_renyi_generator  # noqa: F401
 from .utils import labeled_rng
 
 
@@ -254,16 +256,6 @@ def uniform_smooth_spec(n: int, sigma: float, intervals=((0.0, 1.0),)) -> Smooth
     return SmoothSpec(sigma, (UniformUnion(tuple(intervals)),) * n)
 
 
-def erdos_renyi_generator(n: int, p: float) -> Callable[[np.random.Generator], np.ndarray]:
-    iu = np.triu_indices(n, k=1)
-
-    def gen(rng: np.random.Generator) -> np.ndarray:
-        mask = rng.random(iu[0].size) < p
-        return np.stack([iu[0][mask], iu[1][mask]], axis=1)
-
-    return gen
-
-
 def smooth_stream(spec: SmoothSpec, graph_generator, T: int, seed: int) -> Iterator[MwisInstance]:
     rng = labeled_rng(seed, "smooth-sequence")
     for _ in range(T):
@@ -421,9 +413,9 @@ class RegretTrace:
     """Per-step record of an online run plus two hindsight comparators.
 
     `best_net_*` is the best fixed net point; `best_ref_*` is the reference
-    comparator (best parameter over the union of per-instance transition
-    points for smoothed runs, the surviving-window optimum for adversarial
-    runs).  Average regret is (comparator total - collected total) / T.
+    comparator: the exact best piece of the summed step functions for
+    smoothed runs (`core.argmax_sum`), the surviving-window optimum for
+    adversarial runs.  Average regret is (comparator total - collected total) / T.
     For smoothed runs `min_comparator_gap` is the smallest distance between
     two transition points of the same step (None when no step has two);
     points of different steps are not compared.
@@ -474,24 +466,52 @@ def _block_steps(n: int) -> int:
     return max(1, min(BLOCK_STEPS, _BLOCK_ROOTS // max(roots, 1)))
 
 
-def _step_functions(block: list[MwisInstance]):
-    """Step functions of a block of same-size instances, as flat arrays.
+def _step_functions(block: list[MwisInstance]) -> tuple[list[StepFunction], float]:
+    """Step functions of a block of same-size instances, plus the smallest gap
+    between two transition points of one step (inf when no step has two).
 
-    Returns (points, offsets, pieces): step i has transition points
-    `points[offsets[i]:offsets[i + 1]]` and the `offsets[i + 1] - offsets[i] + 1`
-    values `pieces[offsets[i] + i:offsets[i + 1] + i + 1]`, the non-adaptive
-    greedy value at the midpoint of each open piece of [0, 1] between them,
-    normalized by total vertex weight so values lie in [0, 1].
+    Each step's pieces are cut by its `transition_points` and valued by the
+    non-adaptive greedy at the piece midpoint, normalized by total vertex
+    weight so values lie in [0, 1]; `StepFunction` then merges equal
+    neighbouring pieces.
     """
     weights = np.stack([x.weights for x in block])
     points, offsets = _transition_rows(weights)
+    counts = np.diff(offsets)
     lefts = np.insert(points, offsets[:-1], 0.0)
     rights = np.insert(points, offsets[1:], 1.0)
-    owner = np.repeat(np.arange(len(block)), np.diff(offsets) + 1)
+    owner = np.repeat(np.arange(len(block)), counts + 1)
     masks = _nonadaptive_masks(block, owner, (lefts + rights) / 2.0)
     totals = np.array([x.total_weight() for x in block])
     pieces = np.where(masks, weights[owner], 0.0).sum(axis=1) / totals[owner]
-    return points, offsets, pieces
+    step_of = np.repeat(np.arange(len(block)), counts)
+    gaps = np.diff(points)[step_of[1:] == step_of[:-1]]
+    functions = [StepFunction(points[a:b], pieces[a + i:b + i + 1])
+                 for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))]
+    return functions, float(gaps.min()) if gaps.size else math.inf
+
+
+def _run_hedge(net_arr: np.ndarray, step_gains, T: int, eta, seed: int) -> RegretTrace:
+    """Hedge over `net_arr` for T steps of full-information gains, one array
+    per step from `step_gains`.  The trace's reference comparator is left for
+    the caller to fill in."""
+    learner = HedgeLearner(net_arr, T, eta)
+    rng_learner = labeled_rng(seed, "mw-learner")
+    chosen_rho, costs, cum_cost, cum_best = (np.empty(T) for _ in range(4))
+    net_totals = np.zeros(net_arr.size)
+    running = 0.0
+    for t, gains in enumerate(step_gains):
+        idx = learner.sample(rng_learner)
+        learner.update(gains)
+        net_totals += gains
+        chosen_rho[t] = net_arr[idx]
+        costs[t] = gains[idx]
+        running += costs[t]
+        cum_cost[t] = running
+        cum_best[t] = net_totals.max()
+    best = int(np.argmax(net_totals))
+    return RegretTrace(net_arr, chosen_rho, costs, cum_cost, cum_best, float(net_arr[best]),
+                       float(net_totals[best]), best_ref_rho=math.nan, best_ref_total=math.nan)
 
 
 def run_smoothed_online(
@@ -515,8 +535,9 @@ def run_smoothed_online(
 
     The instance sequence does not depend on the learner, so steps are drawn
     from `smooth_stream` in blocks of up to `BLOCK_STEPS` and each block's
-    transition points and piece values are computed in one vectorized pass;
-    only the Hedge step runs once per step.
+    step functions are computed in one vectorized pass; only the Hedge step
+    runs once per step.  `best_ref_*` is the exact best piece of the sum of
+    all step functions (`core.argmax_sum`).
     """
     if T < 1:
         raise ValueError("need T >= 1")
@@ -538,115 +559,22 @@ def run_smoothed_online(
         raise ValueError("net must be a nonempty 1-D array of parameters")
     if not (np.isfinite(net_arr).all() and (net_arr >= 0.0).all() and (net_arr <= 1.0).all()):
         raise ValueError("net points must be finite and lie in [0, 1]")
-    learner = HedgeLearner(net_arr, T, eta)
-    rng_learner = labeled_rng(seed, "mw-learner")
-    # Gains are laid out over the sorted net, then put back in the net's order.
-    sorted_net, unsort = net_arr, None
-    if (np.diff(net_arr) < 0).any():
-        order = np.argsort(net_arr, kind="stable")
-        sorted_net, unsort = net_arr[order], np.argsort(order)
+    functions, gaps = [], [math.inf]
 
-    chosen_rho = np.empty(T)
-    costs = np.empty(T)
-    cum_cost = np.empty(T)
-    cum_best = np.empty(T)
-    net_totals = np.zeros(net_arr.size)
-    block_points, block_counts, block_pieces = [], [], []
-    min_gap = math.inf
-    running = 0.0
-    stream = smooth_stream(spec, graph_generator, T, seed)
-    block_size = _block_steps(n)
-    for start in range(0, T, block_size):
-        block = list(islice(stream, block_size))
-        points, offsets, pieces = _step_functions(block)
-        counts = np.diff(offsets)
-        block_points.append(points)
-        block_counts.append(counts)
-        block_pieces.append(pieces)
-        step_of = np.repeat(np.arange(len(block)), counts)
-        gaps = np.diff(points)[step_of[1:] == step_of[:-1]]
-        if gaps.size:
-            min_gap = min(min_gap, float(gaps.min()))
-        # Sorted net points [bounds[k], bounds[k + 1]) lie on the piece right
-        # of point k, as searchsorted(tau, net, side="right") assigns them.
-        bounds = np.searchsorted(sorted_net, points)
-        widths = (np.insert(bounds, offsets[1:], net_arr.size)
-                  - np.insert(bounds, offsets[:-1], 0))
-        piece_offsets = offsets + np.arange(len(block) + 1)
-        for i in range(len(block)):
-            t = start + i
-            step = slice(piece_offsets[i], piece_offsets[i + 1])
-            gains = np.repeat(pieces[step], widths[step])
-            if unsort is not None:
-                gains = gains[unsort]
-            idx = learner.sample(rng_learner)
-            learner.update(gains)
-            net_totals += gains
-            chosen_rho[t] = net_arr[idx]
-            costs[t] = gains[idx]
-            running += costs[t]
-            cum_cost[t] = running
-            cum_best[t] = net_totals.max()
-    best_net_idx = int(np.argmax(net_totals))
-    offsets = np.zeros(T + 1, dtype=np.intp)
-    np.cumsum(np.concatenate(block_counts), out=offsets[1:])
-    points, pieces = np.concatenate(block_points), np.concatenate(block_pieces)
-    # The flat copies replace the block lists; holding both raises peak memory.
-    del block_points, block_pieces
-    best_ref_rho, best_ref_total = _transition_comparator(
-        points, offsets, pieces, net_arr[best_net_idx])
-    return RegretTrace(
-        net=net_arr,
-        chosen_rho=chosen_rho,
-        costs=costs,
-        cum_cost=cum_cost,
-        cum_best=cum_best,
-        best_net_rho=float(net_arr[best_net_idx]),
-        best_net_total=float(net_totals[best_net_idx]),
-        best_ref_rho=best_ref_rho,
-        best_ref_total=best_ref_total,
-        q_theoretical=q,
-        min_comparator_gap=None if min_gap == math.inf else min_gap,
-    )
+    def step_gains():
+        stream = smooth_stream(spec, graph_generator, T, seed)
+        block_size = _block_steps(n)
+        for _ in range(0, T, block_size):
+            block, gap = _step_functions(list(islice(stream, block_size)))
+            functions.extend(block)
+            gaps.append(gap)
+            yield from (sf.at(net_arr) for sf in block)
 
-
-def _transition_comparator(points, offsets, pieces, net_best_rho: float, max_candidates: int = 256):
-    """Best parameter over the union of all transition points (piece midpoints).
-
-    Takes the run's step functions in the flat layout of `_step_functions`.
-    A coarse pass over delta events ranks the union pieces; the leaders are
-    then re-totaled by direct per-step evaluation in step order, which makes
-    the result float-comparable with the net totals.
-    """
-    piece_offsets = offsets + np.arange(offsets.size)
-    # Events: each step opens at 0 with its first value and changes by the
-    # difference of neighbouring values at each of its points.
-    pos = np.concatenate([[0.0], np.insert(points, offsets[:-1], 0.0)])
-    del_ = np.diff(pieces, prepend=0.0)
-    del_[piece_offsets[:-1]] = pieces[piece_offsets[:-1]]
-    del_ = np.concatenate([[0.0], del_])
-    order = np.argsort(pos, kind="stable")
-    pos, del_ = pos[order], del_[order]
-    totals = np.cumsum(del_)
-    top = totals.max()
-    candidate_pos = pos[totals >= top - 1e-9]
-    if candidate_pos.size > max_candidates:
-        candidate_pos = candidate_pos[np.argsort(totals[totals >= top - 1e-9])[-max_candidates:]]
-    # Evaluate at a point strictly inside the piece to the right of each event.
-    all_pos = pos[np.concatenate([[True], pos[1:] != pos[:-1]])]
-    candidates = []
-    for p in np.unique(candidate_pos):
-        nxt = all_pos[np.searchsorted(all_pos, p, side="right"):]
-        hi = nxt[0] if nxt.size else 1.0
-        candidates.append(min((p + hi) / 2.0 if hi > p else p, 1.0))
-    candidates.append(net_best_rho)
-    candidates = np.unique(np.asarray(candidates))
-    totals_direct = np.zeros(candidates.size)
-    for t in range(offsets.size - 1):
-        tau = points[offsets[t]:offsets[t + 1]]
-        totals_direct += pieces[piece_offsets[t] + np.searchsorted(tau, candidates, side="right")]
-    best = int(np.argmax(totals_direct))
-    return float(candidates[best]), float(totals_direct[best])
+    trace = _run_hedge(net_arr, step_gains(), T, eta, seed)
+    trace.best_ref_rho, trace.best_ref_total = argmax_sum(functions, 0.0, 1.0)
+    trace.q_theoretical = q
+    trace.min_comparator_gap = None if min(gaps) == math.inf else min(gaps)
+    return trace
 
 
 def run_adversary_online(n_budget: int, T: int, seed: int, net=None, eta="auto") -> RegretTrace:
@@ -658,58 +586,31 @@ def run_adversary_online(n_budget: int, T: int, seed: int, net=None, eta="auto")
     """
     params_list = adversary_sequence(n_budget, T, seed)
     n = params_list[0].n
-    if net is None:
-        net_fracs = [Fraction(k, n) for k in range(n + 1)]
-    else:
-        net_fracs = [Fraction(x) for x in net]
+    net_fracs = ([Fraction(k, n) for k in range(n + 1)] if net is None
+                 else [Fraction(x) for x in net])
     net_arr = np.asarray([float(f) for f in net_fracs])
-    learner = HedgeLearner(net_arr, T, eta)
-    rng_learner = labeled_rng(seed, "mw-learner")
 
-    chosen_rho = np.empty(T)
-    costs = np.empty(T)
-    cum_cost = np.empty(T)
-    cum_best = np.empty(T)
-    net_totals = np.zeros(net_arr.size)
-    ref_total = 0.0
-    running = 0.0
-    uniform_grid = net is None
-    grid_n = n
-    for t, params in enumerate(params_list):
-        inside = params.inside_cost()
-        outside = params.outside_cost()
-        gains = np.full(net_arr.size, outside)
-        if uniform_grid:
-            k_min = math.floor(params.r * grid_n) + 1
-            k_max = math.floor(params.s * grid_n)
-            if k_min <= k_max:
-                gains[max(k_min, 0):min(k_max, grid_n) + 1] = inside
-        else:
-            for i, f in enumerate(net_fracs):
-                if params.r < f <= params.s:
-                    gains[i] = inside
-        idx = learner.sample(rng_learner)
-        learner.update(gains)
-        net_totals += gains
-        ref_total += inside
-        chosen_rho[t] = net_arr[idx]
-        costs[t] = gains[idx]
-        running += costs[t]
-        cum_cost[t] = running
-        cum_best[t] = net_totals.max()
+    def step_gains():
+        for params in params_list:
+            inside = params.inside_cost()
+            gains = np.full(net_arr.size, params.outside_cost())
+            if net is None:
+                k_min = math.floor(params.r * n) + 1
+                k_max = math.floor(params.s * n)
+                if k_min <= k_max:
+                    gains[max(k_min, 0):min(k_max, n) + 1] = inside
+            else:
+                for i, f in enumerate(net_fracs):
+                    if params.r < f <= params.s:
+                        gains[i] = inside
+            yield gains
+
+    trace = _run_hedge(net_arr, step_gains(), T, eta, seed)
     final = params_list[-1]
-    best_net_idx = int(np.argmax(net_totals))
-    return RegretTrace(
-        net=net_arr,
-        chosen_rho=chosen_rho,
-        costs=costs,
-        cum_cost=cum_cost,
-        cum_best=cum_best,
-        best_net_rho=float(net_arr[best_net_idx]),
-        best_net_total=float(net_totals[best_net_idx]),
-        best_ref_rho=float((final.r + final.s) / 2),
-        best_ref_total=ref_total,
-    )
+    trace.best_ref_rho = float((final.r + final.s) / 2)
+    # cumsum adds in step order, like a running total.
+    trace.best_ref_total = float(np.cumsum([p.inside_cost() for p in params_list])[-1])
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,13 @@ from algoselect.gdtune import GdFamily, GdInstance, erm_stepsize, knet, run_gd, 
 from algoselect.greedy import (
     breakpoints,
     erm_breakpoint,
-    greedy_cost,
     grid_costs,
     grid_masks,
     knapsack_family,
     mwis_family,
     random_knapsack_instance,
     random_mwis_instance,
+    representative_family,
     run_greedy,
 )
 from algoselect.online import (
@@ -310,11 +310,7 @@ def test_11_shattering_probe():
     first, second = crafted_shatter_pair()
     family = mwis_family(6)
     reps = breakpoints(family, [first, second]).representatives
-    finite = FiniteFamily(
-        tuple(float(r) for r in reps),
-        lambda rho, x: greedy_cost(family, rho, x),
-        orientation=MAXIMIZE,
-    )
+    finite = representative_family(family, reps)
     (pair_report,) = shatter_probe(finite, [[first, second]])
     matrix = finite.cost_matrix([first, second])
     reverified = (

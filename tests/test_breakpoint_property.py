@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from algoselect.greedy import (
     KnapsackInstance,
     MwisInstance,
+    breakpoint_costs,
     breakpoints,
     erm_breakpoint,
     grid_costs,
     knapsack_family,
     mwis_family,
+    representative_family,
 )
 
 VALUES = (1.0, 2.0)
@@ -81,3 +83,15 @@ def test_erm_matches_dense_grid_oracle(kind, data):
     rho, report = erm_breakpoint(family, samples, bset=bset)
     assert family.contains(rho)
     assert report.train_mean == oracle_best_mean(family, samples, bset.points)
+
+
+@pytest.mark.parametrize("kind", ["knapsack", "mwis-nonadaptive", "mwis-adaptive"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_step_function_costs_match_scalar_probes(kind, data):
+    # The ERM matrix read off each sample's own step function equals a
+    # scalar greedy run at every probe of the union.
+    family, samples = data.draw(family_and_samples(kind))
+    reps = breakpoints(family, samples).representatives
+    want = representative_family(family, reps).cost_matrix(samples)
+    assert np.array_equal(breakpoint_costs(family, samples, reps), want)

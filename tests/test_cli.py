@@ -210,6 +210,20 @@ class TestOnlineCommand:
         assert "n >= 2" in payload["error"]
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("online", ["--p-er", 1.5, "--T", 5, "--net-size", 8]),
+    ("epm", ["--p-er", "nan", "--samples", 5, "--holdout", 2]),
+], ids=["online-above-1", "epm-nan"])
+def test_bad_edge_probability_is_one_json_line(command, extra, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(command, *extra, "--out", out) == 1
+    assert not out.exists()
+    (line,) = capsys.readouterr().err.strip().split("\n")
+    payload = json.loads(line)
+    assert payload["type"] == "ValueError"
+    assert "edge probability" in payload["error"]
+
+
 ALL_COMMANDS = [
     ("erm-greedy", lambda tmp: ["--instances", mwis_dir(tmp)]),
     ("gd-tune", lambda tmp: ["--samples", 8, "--dim", 2]),

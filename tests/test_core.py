@@ -9,6 +9,8 @@ from algoselect.core import (
     CostValue,
     FiniteFamily,
     LearnSpec,
+    StepFunction,
+    argmax_sum,
     erm_finite,
     realized_labelings,
     sample_size,
@@ -189,3 +191,62 @@ class TestShatterProbe:
         costs = {(0, "x"): 0.2, (1, "x"): 0.8, (0, "y"): 0.5, (1, "y"): 0.5}
         reports = shatter_probe(table_family(costs), [["x"], ["y"]])
         assert [r.shattered for r in reports] == [True, False]
+
+
+def random_step(rng, lattice=np.arange(1, 8) / 8.0, palette=(0.1, 0.2, 0.7)):
+    """Unmerged (points, values) on a small lattice, so neighbouring pieces,
+    points of different functions and piece totals tie often."""
+    points = np.sort(rng.choice(lattice, size=rng.integers(0, lattice.size + 1), replace=False))
+    return points, rng.choice(palette, size=points.size + 1)
+
+
+def brute_at(points, values, rho):
+    return values[sum(p <= rho for p in points)]
+
+
+class TestStepFunction:
+    def test_merging_and_right_continuous_evaluation(self):
+        rng = np.random.default_rng(61)
+        probes = np.unique(np.concatenate([np.linspace(0.0, 1.0, 97), np.arange(9) / 8.0]))
+        for _ in range(300):
+            points, values = random_step(rng)
+            f = StepFunction(points, values)
+            assert np.isin(f.points, points).all()
+            assert (f.values[1:] != f.values[:-1]).all()
+            assert f.values.size == f.points.size + 1
+            # Probes include every change point exactly, 0 and 1.
+            assert f.at(probes).tolist() == [brute_at(points, values, r) for r in probes]
+
+    def test_constant_and_validation(self):
+        f = StepFunction([0.25, 0.5], [3.0, 3.0, 3.0])
+        assert f.points.size == 0 and f.values.tolist() == [3.0]
+        assert f.at([0.0, 0.25, 1.0]).tolist() == [3.0, 3.0, 3.0]
+        with pytest.raises(ValueError, match="increasing"):
+            StepFunction([0.5, 0.25], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="increasing"):
+            StepFunction([0.5, 0.5], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="one value per piece"):
+            StepFunction([0.5], [1.0])
+
+    def test_argmax_sum_matches_brute_force(self):
+        rng = np.random.default_rng(67)
+        for _ in range(300):
+            raw = [random_step(rng) for _ in range(rng.integers(1, 6))]
+            functions = [StepFunction(p, v) for p, v in raw]
+            rho, total = argmax_sum(functions, 0.0, 1.0)
+            # Pieces between the merged change points, valued from the raw pieces.
+            edges = sorted({0.0, 1.0} | {float(p) for f in functions for p in f.points})
+            mids = [(a + b) / 2.0 for a, b in zip(edges[:-1], edges[1:])]
+            totals = []
+            for mid in mids:
+                running = 0.0
+                for points, values in raw:
+                    running += brute_at(points, values, mid)
+                totals.append(running)
+            best = max(totals)
+            assert total == best
+            assert rho == mids[totals.index(best)]  # the first (smallest) best piece
+
+    def test_argmax_sum_without_change_points(self):
+        rho, total = argmax_sum([StepFunction([], [0.1])] * 3, 0.0, 2.0)
+        assert (rho, total) == (1.0, 0.1 + 0.1 + 0.1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _fixtures import MWIS_WEIGHT_PALETTE, crafted_shatter_pair
-from algoselect.core import FiniteFamily, shatter_probe
+from algoselect.core import shatter_probe
 from algoselect.greedy import (
     KnapsackInstance,
     MwisInstance,
@@ -23,6 +23,7 @@ from algoselect.greedy import (
     mwis_family,
     random_knapsack_instance,
     random_mwis_instance,
+    representative_family,
     run_greedy,
     save_knapsack,
     save_mwis,
@@ -243,6 +244,18 @@ class TestErmBreakpoint:
         rho, _ = erm_breakpoint(mwis_family(3), [inst])
         assert rho == 0.0  # probes 0, 0.5 and 1 tie: the endpoint lo wins
 
+    def test_open_piece_semantics_at_a_crossing(self):
+        # Every score ties exactly at rho = 1, where the id tie-break packs
+        # 2, 2 and 4 (value 8); every other rho packs 7.  ERM is exact over
+        # the open pieces and does not probe the crossing point itself.
+        fam = knapsack_family(4, (0.0, 2.0))
+        inst = KnapsackInstance([2, 2, 4, 3], [2, 2, 4, 3], 8)
+        assert breakpoints(fam, [inst]).points.tolist() == [1.0]
+        rho, report = erm_breakpoint(fam, [inst])
+        assert report.train_mean == 7.0
+        assert greedy_cost(fam, 1.0, inst) == 8.0
+        assert greedy_cost(fam, rho, inst) == 7.0
+
     def test_tie_at_lower_endpoint_repro(self):
         # Equal-value items tie exactly at rho = 0, where the tie-break packs
         # the big item of s1 (mean 1.5); any rho in the boundary piece
@@ -321,16 +334,20 @@ class TestErmBestOfQ:
         with pytest.raises(ValueError):
             erm_best_of_q(knapsack_family(2), [two_item_knapsack()], q=4)
 
+    def test_fewer_probes_than_q_rejected(self):
+        # A one-point interval has a single probe (the repro once raised
+        # TypeError from reduce over no combinations).
+        fam = knapsack_family(2, (0.5, 0.5))
+        with pytest.raises(ValueError, match="1 probe"):
+            erm_best_of_q(fam, [KnapsackInstance([1, 2], [1, 3], 3)], q=2)
+
 
 class TestCraftedShatterPair:
     def test_all_four_labelings_shattered(self):
         first, second = crafted_shatter_pair()
         fam = mwis_family(6)
         bset = breakpoints(fam, [first, second])
-        finite = FiniteFamily(
-            tuple(float(r) for r in bset.representatives),
-            lambda rho, x: greedy_cost(fam, rho, x),
-        )
+        finite = representative_family(fam, bset.representatives)
         (report,) = shatter_probe(finite, [[first, second]])
         assert report.shattered
         assert report.labeling_count == 4
@@ -392,6 +409,11 @@ class TestInstanceValidation:
             KnapsackInstance([1.0, 1.0], [1.0, bad], 2.0)
         with pytest.raises(ValueError, match="finite"):
             KnapsackInstance([1.0, 1.0], [1.0, 1.0], bad)
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan"), float("inf")])
+    def test_random_mwis_rejects_bad_edge_probability(self, p):
+        with pytest.raises(ValueError, match="edge probability"):
+            random_mwis_instance(5, p, np.random.default_rng(0))
 
     def test_edges_canonicalized(self):
         inst = MwisInstance(3, [(2, 0), (0, 2), (1, 2)], [0.1, 0.2, 0.3])

@@ -201,6 +201,16 @@ class TestSmoothModel:
         with pytest.raises(ValueError):
             UniformUnion(((0.0, 0.5), (0.4, 0.9)))
 
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan"), float("inf")])
+    def test_generator_rejects_bad_edge_probability(self, p):
+        with pytest.raises(ValueError, match="edge probability"):
+            erdos_renyi_generator(6, p)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_generator_edge_probability_endpoints(self, p):
+        edges = erdos_renyi_generator(5, p)(np.random.default_rng(0))
+        assert edges.shape == ((0, 2) if p == 0.0 else (10, 2))
+
 
 class TestTransitionPoints:
     def test_closed_form_membership(self):
@@ -355,36 +365,45 @@ def _reference_transition_points(x):
     return np.unique(roots[(roots >= 0.0) & (roots <= 1.0)])
 
 
-def _reference_comparator(step_functions, net_best_rho, max_candidates=256):
-    """Best union-piece parameter from a list of per-step (tau, pieces)."""
-    pos = np.concatenate([np.zeros(1)]
-                         + [np.concatenate([[0.0], tau]) for tau, _ in step_functions])
-    del_ = np.concatenate([np.zeros(1)] + [np.concatenate([[pieces[0]], np.diff(pieces)])
-                                           for _, pieces in step_functions])
-    order = np.argsort(pos, kind="stable")
-    pos, del_ = pos[order], del_[order]
-    totals = np.cumsum(del_)
-    near_top = totals >= totals.max() - 1e-9
-    candidate_pos = pos[near_top]
-    if candidate_pos.size > max_candidates:
-        candidate_pos = candidate_pos[np.argsort(totals[near_top])[-max_candidates:]]
-    all_pos = np.unique(pos)
-    candidates = []
-    for p in np.unique(candidate_pos):
-        nxt = all_pos[np.searchsorted(all_pos, p, side="right"):]
-        hi = nxt[0] if nxt.size else 1.0
-        candidates.append(min((p + hi) / 2.0 if hi > p else p, 1.0))
-    candidates = np.unique(np.asarray(candidates + [net_best_rho]))
-    direct = np.zeros(candidates.size)
+def _union_oracle(step_functions):
+    """Brute-force comparator: every piece of [0, 1] cut by the union of the
+    steps' unmerged transition points, totalled at its midpoint in step order.
+    Returns (piece midpoints, totals)."""
+    edges = np.concatenate([[0.0], np.unique(np.concatenate([tau for tau, _ in step_functions])),
+                            [1.0]])
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    totals = np.zeros(mids.size)
     for tau, pieces in step_functions:
-        direct += pieces[np.searchsorted(tau, candidates, side="right")]
-    best = int(np.argmax(direct))
-    return float(candidates[best]), float(direct[best])
+        totals += pieces[np.searchsorted(tau, mids, side="right")]
+    return mids, totals
+
+
+def _oracle_total_at(step_functions, rho):
+    total = 0.0
+    for tau, pieces in step_functions:
+        total += pieces[np.searchsorted(tau, rho, side="right")]
+    return total
+
+
+def assert_exact_comparator(trace, step_functions):
+    """`best_ref_*` is the first best piece of the unmerged union, exactly."""
+    mids, totals = _union_oracle(step_functions)
+    best = totals.max()
+    assert trace.best_ref_total == best
+    assert _oracle_total_at(step_functions, trace.best_ref_rho) == best
+    assert trace.best_ref_total >= trace.best_net_total
+    # The smallest best rho wins: every oracle piece from the first best one
+    # up to the returned rho ties the best total.
+    first = mids[np.argmax(totals)]
+    assert first <= trace.best_ref_rho
+    assert (totals[(mids >= first) & (mids <= trace.best_ref_rho)] == best).all()
 
 
 def reference_smoothed_run(spec, gen, T, seed, net):
     """`run_smoothed_online` one step at a time: one instance, one step
-    function from `transition_points` and `grid_costs`, one Hedge step."""
+    function from `transition_points` and `grid_costs`, one Hedge step.
+    Returns the trace without its comparator, plus the unmerged per-step
+    (transition points, piece values)."""
     net_arr = np.linspace(0.0, 1.0, net) if isinstance(net, int) else np.asarray(net, dtype=float)
     family = mwis_family(spec.n)
     learner = HedgeLearner(net_arr, T)
@@ -409,17 +428,18 @@ def reference_smoothed_run(spec, gen, T, seed, net):
         cum_cost[t] = running
         cum_best[t] = net_totals.max()
     best = int(np.argmax(net_totals))
-    ref_rho, ref_total = _reference_comparator(step_functions, net_arr[best])
-    return RegretTrace(net_arr, chosen, costs, cum_cost, cum_best, float(net_arr[best]),
-                       float(net_totals[best]), ref_rho, ref_total,
-                       min_comparator_gap=None if min_gap == math.inf else min_gap)
+    trace = RegretTrace(net_arr, chosen, costs, cum_cost, cum_best, float(net_arr[best]),
+                        float(net_totals[best]), math.nan, math.nan,
+                        min_comparator_gap=None if min_gap == math.inf else min_gap)
+    return trace, step_functions
 
 
-def assert_same_trace(got, want):
+def assert_same_trace(got, reference):
+    want, step_functions = reference
     assert got.to_csv() == want.to_csv()
     assert (got.best_net_rho, got.best_net_total) == (want.best_net_rho, want.best_net_total)
-    assert (got.best_ref_rho, got.best_ref_total) == (want.best_ref_rho, want.best_ref_total)
     assert got.min_comparator_gap == want.min_comparator_gap
+    assert_exact_comparator(got, step_functions)
 
 
 class TestBlockedRunner:
@@ -538,15 +558,20 @@ class TestStackedPaths:
         fam = mwis_family(8)
         for _ in range(4):
             block = self.mixed_block(rng)
-            points, offsets, pieces = online._step_functions(block)
+            points, offsets = online._transition_rows(np.stack([x.weights for x in block]))
+            functions, min_gap = online._step_functions(block)
+            gaps = []
             for i, x in enumerate(block):
                 tau = points[offsets[i]:offsets[i + 1]]
                 assert np.array_equal(tau, transition_points(x))
                 assert np.array_equal(tau, _reference_transition_points(x))
                 grid = np.concatenate([[0.0], tau, [1.0]])
-                want = [run_greedy(fam, r, x)[1].value / x.total_weight()
-                        for r in (grid[:-1] + grid[1:]) / 2.0]
-                assert pieces[offsets[i] + i:offsets[i + 1] + i + 1].tolist() == want
+                mids = (grid[:-1] + grid[1:]) / 2.0
+                want = [run_greedy(fam, r, x)[1].value / x.total_weight() for r in mids]
+                assert functions[i].at(mids).tolist() == want
+                assert np.isin(functions[i].points, tau).all()
+                gaps.extend(np.diff(tau))
+            assert min_gap == min(gaps)
 
     def test_bitmask_lane_limit_kept(self):
         x = MwisInstance(64, [(0, 1)], np.linspace(0.01, 1.0, 64))
