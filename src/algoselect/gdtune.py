@@ -125,8 +125,8 @@ class GdInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
         object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float))
-        if self.lambdas.shape != self.z0.shape or self.lambdas.ndim != 1:
-            raise ValueError("lambdas and z0 must be equal-length vectors")
+        if self.lambdas.shape != self.z0.shape or self.lambdas.ndim != 1 or self.lambdas.size == 0:
+            raise ValueError("lambdas and z0 must be nonempty equal-length vectors")
         if (self.lambdas <= 0).any() or not np.isfinite(self.lambdas).all():
             raise ValueError("eigenvalues must be positive and finite")
         if not np.isfinite(self.z0).all():

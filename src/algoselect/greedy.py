@@ -245,18 +245,20 @@ def _exact_order(instance: MwisInstance, rho: Fraction) -> list[int]:
     """Score order with exact per-pair comparisons.
 
     Requires every (1 + degree) to be an integer power of `exact_base`, which
-    holds for the nested-interval constructions this mode exists for.
+    holds for the nested-interval constructions this mode exists for.  Keys
+    are made once per (exponent, degree) class; ties go to the smaller id.
     """
     base = instance.exact_base
-    ks = []
-    for v in range(instance.n):
-        d = int(instance.degrees[v]) + 1
-        k = round(math.log(d, base)) if d > 1 else 0
-        if base**k != d:
-            raise ValueError("exact mode requires (1 + degree) to be a power of the base")
-        ks.append(k)
-    keys = [e - rho * k for e, k in zip(instance.exact_exponents, ks)]
-    return sorted(range(instance.n), key=lambda v: (-keys[v], v))
+    sizes, size_of = np.unique(instance.degrees + 1, return_inverse=True)
+    ks = [round(math.log(d, base)) if d > 1 else 0 for d in sizes.tolist()]
+    if any(base**k != d for k, d in zip(ks, sizes.tolist())):
+        raise ValueError("exact mode requires (1 + degree) to be a power of the base")
+    classes = {}
+    class_of = [classes.setdefault((e, ks[s]), len(classes))
+                for e, s in zip(instance.exact_exponents, size_of.tolist())]
+    keys = [e - rho * k for e, k in classes]
+    rank = {key: r for r, key in enumerate(sorted(set(keys), reverse=True))}
+    return np.argsort(np.array([rank[key] for key in keys])[class_of], kind="stable").tolist()
 
 
 def _greedy_mwis_nonadaptive(instance: MwisInstance, rho) -> np.ndarray:
@@ -358,36 +360,28 @@ def greedy_cost(family: ParamGreedyFamily, rho, instance) -> float:
 _GRID_MAX_N = 63  # vertex bitmasks live in one uint64 lane
 
 
-def _nonadaptive_masks(instances: Sequence[MwisInstance], owner: np.ndarray,
-                       rhos: np.ndarray) -> np.ndarray:
-    """Non-adaptive greedy solutions for rows drawn from several graphs of one
-    size: row i runs rho = rhos[i] on instances[owner[i]].  Shape (rows, n) bool.
-
-    Each row keeps its taken vertices as a bitmask in one uint64 lane (n <= 63)
-    and every graph its neighbourhoods as one such mask per vertex.
-    """
-    n = instances[0].n
+def _graph_lanes(n: int, graphs: int, edges: np.ndarray, edge_graph: np.ndarray):
+    """Degrees (graphs, n) and neighbourhood bitmasks (graphs * n,), one uint64
+    lane per vertex, of graphs on n vertices; edges[e] is in graph edge_graph[e]."""
     if n > _GRID_MAX_N:
         raise ValueError(f"grid evaluator supports n <= {_GRID_MAX_N}")
-    edges = np.concatenate([x.edges for x in instances])
-    first = np.repeat(np.arange(len(instances)) * n, [x.edges.shape[0] for x in instances])
-    ends = np.concatenate([first + edges[:, 0], first + edges[:, 1]])
+    ends = np.concatenate([edge_graph * n + edges[:, 0], edge_graph * n + edges[:, 1]])
     others = np.concatenate([edges[:, 1], edges[:, 0]]).astype(np.uint64)
-    degrees = np.bincount(ends, minlength=len(instances) * n).reshape(-1, n)
-    adj_bits = np.zeros(len(instances) * n, dtype=np.uint64)
+    adj_bits = np.zeros(graphs * n, dtype=np.uint64)
     np.bitwise_or.at(adj_bits, ends, np.uint64(1) << others)
+    return np.bincount(ends, minlength=graphs * n).reshape(-1, n), adj_bits
 
-    # keys = log w - rho * log(1 + deg), negated, built in place: a block of
-    # rows is large, and each extra (rows, n) temporary adds to peak memory.
-    keys = np.log(np.stack([x.weights for x in instances]))[owner]
-    scaled = np.log1p(degrees.astype(float))[owner]
-    scaled *= rhos[:, None]
-    keys -= scaled
-    del scaled
-    order = np.argsort(np.negative(keys, out=keys), axis=1, kind="stable")
-    del keys
+
+def _nonadaptive_masks(logw: np.ndarray, degrees: np.ndarray, adj_bits: np.ndarray,
+                       owner: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Non-adaptive greedy solutions for rows drawn from several graphs of one
+    size (log weights and `_graph_lanes`): row i runs rho = rhos[i] on graph
+    owner[i].  Shape (rows, n) bool.  A row's taken vertices are one bitmask.
+    """
+    n, m = logw.shape[1], rhos.size
+    keys = logw[owner] - rhos[:, None] * np.log1p(degrees.astype(float))[owner]
+    order = np.argsort(-keys, axis=1, kind="stable")
     vertex_bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    m = rhos.size
     base = owner * n
     taken_bits = np.zeros(m, dtype=np.uint64)
     chosen = np.zeros((m, n), dtype=bool)
@@ -411,7 +405,8 @@ def mwis_grid_masks(instance: MwisInstance, rhos, adaptive: bool) -> np.ndarray:
     rhos = np.asarray(rhos, dtype=float).ravel()
     n, m = instance.n, rhos.size
     if not adaptive:
-        return _nonadaptive_masks([instance], np.zeros(m, dtype=np.intp), rhos)
+        lanes = _graph_lanes(n, 1, instance.edges, np.zeros(len(instance.edges), dtype=np.intp))
+        return _nonadaptive_masks(np.log(instance.weights)[None], *lanes, np.zeros(m, np.intp), rhos)
     logw = np.log(instance.weights)
     adj = instance.adjacency_matrix()
     adj_f = adj.astype(float)
@@ -643,17 +638,26 @@ def erm_best_of_q(family: ParamGreedyFamily, samples, q: int, holdout=None):
 # ---------------------------------------------------------------------------
 
 
+class _ErdosRenyi:
+    """G(n, p): a vertex pair u < v (row-major) is an edge if its draw is below p."""
+
+    def __init__(self, n: int, p: float):
+        self.n, self.p, self.pairs = n, p, np.triu_indices(n, k=1)
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        return self.edges(rng.random((1, self.pairs[0].size)))[0]
+
+    def edges(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The edges of graphs with pair draws `draws` (one row each) and each edge's row."""
+        row, pair = np.nonzero(draws < self.p)
+        return np.stack([self.pairs[0][pair], self.pairs[1][pair]], axis=1), row
+
+
 def erdos_renyi_generator(n: int, p: float) -> Callable[[np.random.Generator], np.ndarray]:
     """Edge lists of G(n, p) graphs, one per call with the caller's generator."""
     if not 0.0 <= p <= 1.0:  # NaN fails the comparison too
         raise ValueError(f"edge probability must be finite and in [0, 1], got {p}")
-    iu = np.triu_indices(n, k=1)
-
-    def gen(rng: np.random.Generator) -> np.ndarray:
-        mask = rng.random(iu[0].size) < p
-        return np.stack([iu[0][mask], iu[1][mask]], axis=1)
-
-    return gen
+    return _ErdosRenyi(n, p)
 
 
 def random_mwis_instance(n: int, edge_prob: float, rng: np.random.Generator,

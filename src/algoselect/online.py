@@ -14,10 +14,10 @@ are provided:
   over [0, 1] on arbitrary graphs.  Costs are then piecewise constant in rho
   with pieces delimited by the closed-form `transition_points`, which is what
   makes a finite net competitive with the whole continuum.  Because this
-  sequence does not depend on the learner, `run_smoothed_online` evaluates
-  steps in blocks: one vectorized pass per block finds every step's
-  transition points and the greedy value on each piece (one `StepFunction`
-  per step), and only the Hedge update runs once per step.
+  sequence does not depend on the learner, `run_smoothed_online` works in
+  blocks: one `rng.random` call draws a block, one vectorized pass finds each
+  step's own crossings and greedy value per piece (one `StepFunction` per
+  step), and only Hedge runs per step, skipping the update on constant steps.
 
 Costs are normalized to [0, 1] (smoothed instances divide by total vertex
 weight, which preserves the per-instance ranking of parameters).
@@ -30,14 +30,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, permutations
 from typing import Iterator
 
 import numpy as np
 
 from .core import StepFunction, argmax_sum
 # `erdos_renyi_generator` is re-exported as the graph model of smoothed runs.
-from .greedy import MwisInstance, _nonadaptive_masks, erdos_renyi_generator  # noqa: F401
+from .greedy import (MwisInstance, _ErdosRenyi, _graph_lanes, _nonadaptive_masks,  # noqa: F401
+                     erdos_renyi_generator)
 from .utils import labeled_rng
 
 
@@ -218,13 +219,20 @@ class UniformUnion:
     def density(self) -> float:
         return 1.0 / self.total_length
 
-    def sample(self, rng: np.random.Generator) -> float:
-        u = rng.uniform(0.0, self.total_length)
+    def _walk(self, u):
+        """(u <= length, lo + u) per interval, u a unit uniform (float or array)
+        scaled to the total length, then less each interval's length in turn."""
+        u = self.total_length * u
         for lo, hi in self.intervals:
-            if u <= hi - lo:
-                return lo + u
-            u -= hi - lo
-        return self.intervals[-1][1]
+            yield u <= hi - lo, lo + u
+            u = u - (hi - lo)
+
+    def sample(self, rng: np.random.Generator) -> float:
+        return next((pick for hit, pick in self._walk(rng.random()) if hit), self.intervals[-1][1])
+
+    def place(self, u: np.ndarray) -> np.ndarray:
+        """`sample` at each of the unit uniforms u."""
+        return np.select(*zip(*self._walk(u)), self.intervals[-1][1])
 
 
 @dataclass(frozen=True)
@@ -256,9 +264,9 @@ def uniform_smooth_spec(n: int, sigma: float, intervals=((0.0, 1.0),)) -> Smooth
     return SmoothSpec(sigma, (UniformUnion(tuple(intervals)),) * n)
 
 
-def smooth_stream(spec: SmoothSpec, graph_generator, T: int, seed: int) -> Iterator[MwisInstance]:
-    rng = labeled_rng(seed, "smooth-sequence")
-    for _ in range(T):
+def _instances(spec: SmoothSpec, graph_generator, rng) -> Iterator[MwisInstance]:
+    """Endless smoothed instances drawn with `rng`, graph first, then weights."""
+    while True:
         edges = graph_generator(rng)
         weights = np.empty(spec.n)
         for v, dist in enumerate(spec.distributions):
@@ -269,9 +277,31 @@ def smooth_stream(spec: SmoothSpec, graph_generator, T: int, seed: int) -> Itera
         yield MwisInstance(spec.n, edges, weights)
 
 
+def smooth_stream(spec: SmoothSpec, graph_generator, T: int, seed: int) -> Iterator[MwisInstance]:
+    yield from islice(_instances(spec, graph_generator, labeled_rng(seed, "smooth-sequence")), T)
+
+
 def smooth_sequence(spec: SmoothSpec, graph_generator, T: int, seed: int) -> list[MwisInstance]:
     """Materialized `smooth_stream`; identical seeds give identical sequences."""
     return list(smooth_stream(spec, graph_generator, T, seed))
+
+
+def _draw_block(spec: SmoothSpec, graph_generator, rng: np.random.Generator, steps: int):
+    """The next `steps` instances of `_instances` as (steps, n) weights, all
+    edges in step order and each edge's step.  Erdos-Renyi graphs with
+    `UniformUnion` weights take one `rng.random` call (for PCG64 the same
+    doubles); other models, or a weight outside (0, 1], go step by step."""
+    if (isinstance(graph_generator, _ErdosRenyi) and graph_generator.n == spec.n
+            and all(isinstance(d, UniformUnion) for d in spec.distributions)):
+        state, pairs = rng.bit_generator.state, graph_generator.pairs[0].size
+        draws = rng.random((steps, pairs + spec.n))
+        weights = np.column_stack([d.place(u) for d, u in zip(spec.distributions, draws[:, pairs:].T)])
+        if ((weights > 0.0) & (weights <= 1.0)).all():
+            return (weights, *graph_generator.edges(draws[:, :pairs]))
+        rng.bit_generator.state = state
+    block = list(islice(_instances(spec, graph_generator, rng), steps))
+    step = np.repeat(np.arange(steps), [len(x.edges) for x in block])
+    return np.stack([x.weights for x in block]), np.concatenate([x.edges for x in block]), step
 
 
 # ---------------------------------------------------------------------------
@@ -280,30 +310,36 @@ def smooth_sequence(spec: SmoothSpec, graph_generator, T: int, seed: int) -> lis
 
 
 @lru_cache(maxsize=None)
-def _canonical_denominators(n: int) -> tuple:
-    """Distinct values of ln(k1) - ln(k2) over k1 != k2 in {2..n}, canonicalized.
+def _log_ratios(n: int) -> np.ndarray:
+    """ln(k1) - ln(k2) at [k1, k2] for k1 != k2 in {2..n}, NaN elsewhere.  The
+    ratio is reduced first, so equal denominators are bitwise equal."""
+    table = np.full((n + 1, n + 1), np.nan)
+    for k1, k2 in permutations(range(2, n + 1), 2):
+        table[k1, k2] = math.log(k1 // math.gcd(k1, k2)) - math.log(k2 // math.gcd(k1, k2))
+    table.flags.writeable = False  # cached and shared by every caller
+    return table
 
-    Ratios are reduced before taking logs so mathematically equal
-    denominators are bitwise equal, which keeps deduplication exact.
-    """
-    seen = {}
-    for k1 in range(2, n + 1):
-        for k2 in range(2, n + 1):
-            if k1 == k2:
-                continue
-            g = math.gcd(k1, k2)
-            key = (k1 // g, k2 // g)
-            if key not in seen:
-                seen[key] = math.log(key[0]) - math.log(key[1])
-    return tuple(sorted(set(seen.values())))
+
+@lru_cache(maxsize=None)
+def _canonical_denominators(n: int) -> tuple:
+    table = _log_ratios(n)
+    return tuple(sorted(set(table[~np.isnan(table)].tolist())))
+
+
+def _unit_rows(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's distinct values in [0, 1], sorted in place, as flat points
+    and offsets: row i owns `points[offsets[i]:offsets[i + 1]]`."""
+    roots[~((roots >= 0.0) & (roots <= 1.0))] = np.inf  # NaN too
+    roots.sort(axis=1)
+    keep = np.isfinite(roots)
+    keep[:, 1:] &= roots[:, 1:] != roots[:, :-1]
+    offsets = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return roots[keep], offsets
 
 
 def _transition_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`transition_points` of every row of a (steps, n) weight matrix at once.
-
-    Returns flat points and offsets: row i owns the sorted, distinct points
-    `points[offsets[i]:offsets[i + 1]]`.
-    """
+    """`transition_points` of every row of a (steps, n) weight matrix at once,
+    as the flat points and offsets of `_unit_rows`."""
     steps, n = weights.shape
     ordered = np.sort(weights, axis=1)
     if (ordered[:, 1:] == ordered[:, :-1]).any():
@@ -311,14 +347,28 @@ def _transition_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     denoms = np.asarray(_canonical_denominators(n))
     logw = np.log(weights)
     i, j = np.triu_indices(n, k=1)
-    roots = ((logw[:, i] - logw[:, j])[:, :, None] / denoms).reshape(steps, -1)
-    roots[(roots < 0.0) | (roots > 1.0)] = np.inf
-    roots.sort(axis=1)
-    keep = np.isfinite(roots)
-    keep[:, 1:] &= roots[:, 1:] != roots[:, :-1]
-    offsets = np.zeros(steps + 1, dtype=np.intp)
-    np.cumsum(keep.sum(axis=1), out=offsets[1:])
-    return roots[keep], offsets
+    return _unit_rows(((logw[:, i] - logw[:, j])[:, :, None] / denoms).reshape(steps, -1))
+
+
+_SLIVER = 1e-9  # far above a crossing's rounding, 1e-16 |log w| / |ln(k_i / k_j)|
+
+
+def _cut_rows(logw, degrees, points, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """`_unit_rows` of each row's own crossings (log w_i - log w_j) / (ln k_i -
+    ln k_j), k = 1 + degree, over pairs with k_i != k_j and no isolated vertex
+    (bitwise `_transition_rows` points), plus those `points` next to a piece
+    narrower than `_SLIVER`, where rounding may put a crossing either side."""
+    steps, n = logw.shape
+    i, j = np.triu_indices(n, k=1)
+    roots = (logw[:, i] - logw[:, j]) / _log_ratios(n)[degrees[:, i] + 1, degrees[:, j] + 1]
+    row, pos = np.repeat(np.arange(steps), np.diff(offsets)), np.arange(points.size)
+    narrow = np.insert(points, offsets[1:], 1.0) - np.insert(points, offsets[:-1], 0.0) < _SLIVER
+    near = narrow[pos + row] | narrow[pos + row + 1]  # the pieces left and right of a point
+    if near.any():
+        extra = np.full((steps, np.diff(offsets).max()), np.inf)
+        extra[row[near], (pos - offsets[row])[near]] = points[near]
+        roots = np.hstack([roots, extra])
+    return _unit_rows(roots)
 
 
 def transition_points(instance: MwisInstance) -> np.ndarray:
@@ -339,14 +389,16 @@ def min_pairwise_gap(points: np.ndarray) -> float:
 
 
 def theoretical_m(n: int, sigma: float, d_exp: int) -> int:
+    if d_exp < 1:
+        raise ValueError(f"d_exp must be >= 1 (the collision bound is n^-d_exp), got {d_exp}")
     return math.ceil(n**d_exp * math.log(1.0 / sigma))
 
 
 def theoretical_q(n: int, sigma: float, d_exp: int, m: int | None = None) -> float:
     if n < 2:
         raise ValueError(f"theoretical q needs n >= 2 (it divides by ln n), got n={n}")
-    if m is None:
-        m = theoretical_m(n, sigma, d_exp)
+    default_m = theoretical_m(n, sigma, d_exp)  # rejects d_exp < 1 whatever m is
+    m = default_m if m is None else m
     return 1.0 / (n**d_exp * 4.0 * (1.0 / sigma) * m**2 * n**8 * math.log(n))
 
 
@@ -370,7 +422,7 @@ class HedgeLearner:
 
     Gains in [0, 1]; update multiplies each weight by exp(eta * gain).
     Weights are kept in log space and renormalized, so they stay positive and
-    finite at any horizon.
+    finite at any horizon.  `sample` keeps its CDF until the next `update`.
     """
 
     def __init__(self, net, T: int | None = None, eta="auto"):
@@ -385,15 +437,16 @@ class HedgeLearner:
             raise ValueError(f"eta must be finite and positive, got {eta}")
         self.eta = float(eta)
         self._log_w = np.zeros(self.net.size)
+        self._cdf = None
 
     def probabilities(self) -> np.ndarray:
-        shifted = self._log_w - self._log_w.max()
-        w = np.exp(shifted)
+        w = np.exp(self._log_w)  # the largest log weight is 0 (see `update`)
         return w / w.sum()
 
     def sample(self, rng: np.random.Generator) -> int:
-        p = self.probabilities()
-        return int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, p.size - 1))
+        if self._cdf is None:
+            self._cdf = np.cumsum(self.probabilities())
+        return min(int(np.searchsorted(self._cdf, rng.random(), side="right")), self._cdf.size - 1)
 
     def update(self, gains: np.ndarray) -> None:
         gains = np.asarray(gains, dtype=float)
@@ -401,6 +454,7 @@ class HedgeLearner:
             raise ValueError("one gain per net point required")
         self._log_w += self.eta * gains
         self._log_w -= self._log_w.max()
+        self._cdf = None
 
 
 # ---------------------------------------------------------------------------
@@ -466,35 +520,35 @@ def _block_steps(n: int) -> int:
     return max(1, min(BLOCK_STEPS, _BLOCK_ROOTS // max(roots, 1)))
 
 
-def _step_functions(block: list[MwisInstance]) -> tuple[list[StepFunction], float]:
-    """Step functions of a block of same-size instances, plus the smallest gap
-    between two transition points of one step (inf when no step has two).
-
-    Each step's pieces are cut by its `transition_points` and valued by the
-    non-adaptive greedy at the piece midpoint, normalized by total vertex
-    weight so values lie in [0, 1]; `StepFunction` then merges equal
-    neighbouring pieces.
-    """
-    weights = np.stack([x.weights for x in block])
+def _step_functions(weights: np.ndarray, edges: np.ndarray,
+                    edge_step: np.ndarray) -> tuple[list[StepFunction], float]:
+    """Step functions of a block of instances as `_draw_block` gives them, plus
+    the smallest gap between two `_transition_rows` points of one step (inf
+    when no step has two).  Pieces are cut by `_cut_rows`, valued by the
+    non-adaptive greedy at their midpoint over the total vertex weight (in
+    [0, 1]) and merged when equal by `StepFunction`."""
+    steps, n = weights.shape
     points, offsets = _transition_rows(weights)
-    counts = np.diff(offsets)
+    step_of = np.repeat(np.arange(steps), np.diff(offsets))
+    gaps = np.diff(points)[step_of[1:] == step_of[:-1]]
+    degrees, adj_bits = _graph_lanes(n, steps, edges, edge_step)
+    logw = np.log(weights)
+    points, offsets = _cut_rows(logw, degrees, points, offsets)
     lefts = np.insert(points, offsets[:-1], 0.0)
     rights = np.insert(points, offsets[1:], 1.0)
-    owner = np.repeat(np.arange(len(block)), counts + 1)
-    masks = _nonadaptive_masks(block, owner, (lefts + rights) / 2.0)
-    totals = np.array([x.total_weight() for x in block])
+    owner = np.repeat(np.arange(steps), np.diff(offsets) + 1)
+    masks = _nonadaptive_masks(logw, degrees, adj_bits, owner, (lefts + rights) / 2.0)
+    totals = np.array([math.fsum(w) for w in weights])
     pieces = np.where(masks, weights[owner], 0.0).sum(axis=1) / totals[owner]
-    step_of = np.repeat(np.arange(len(block)), counts)
-    gaps = np.diff(points)[step_of[1:] == step_of[:-1]]
     functions = [StepFunction(points[a:b], pieces[a + i:b + i + 1])
                  for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))]
     return functions, float(gaps.min()) if gaps.size else math.inf
 
 
 def _run_hedge(net_arr: np.ndarray, step_gains, T: int, eta, seed: int) -> RegretTrace:
-    """Hedge over `net_arr` for T steps of full-information gains, one array
-    per step from `step_gains`.  The trace's reference comparator is left for
-    the caller to fill in."""
+    """Hedge over `net_arr` for T steps of gains from `step_gains`: an array, or
+    a float when every point gains the same (a pure shift of the log weights,
+    so no update).  The caller fills in the reference comparator."""
     learner = HedgeLearner(net_arr, T, eta)
     rng_learner = labeled_rng(seed, "mw-learner")
     chosen_rho, costs, cum_cost, cum_best = (np.empty(T) for _ in range(4))
@@ -502,10 +556,11 @@ def _run_hedge(net_arr: np.ndarray, step_gains, T: int, eta, seed: int) -> Regre
     running = 0.0
     for t, gains in enumerate(step_gains):
         idx = learner.sample(rng_learner)
-        learner.update(gains)
+        if not isinstance(gains, float):
+            learner.update(gains)
+        costs[t] = gains if isinstance(gains, float) else gains[idx]
         net_totals += gains
         chosen_rho[t] = net_arr[idx]
-        costs[t] = gains[idx]
         running += costs[t]
         cum_cost[t] = running
         cum_best[t] = net_totals.max()
@@ -533,11 +588,11 @@ def run_smoothed_online(
     two transition points of one step (`min_comparator_gap`), so q-collisions
     can be detected.
 
-    The instance sequence does not depend on the learner, so steps are drawn
-    from `smooth_stream` in blocks of up to `BLOCK_STEPS` and each block's
-    step functions are computed in one vectorized pass; only the Hedge step
-    runs once per step.  `best_ref_*` is the exact best piece of the sum of
-    all step functions (`core.argmax_sum`).
+    The instance sequence does not depend on the learner, so it is drawn in
+    blocks of up to `BLOCK_STEPS` steps (`_draw_block`, bit-equal to
+    `smooth_stream`) whose step functions come from one vectorized pass; only
+    Hedge runs per step, and a constant step skips its update.  `best_ref_*`
+    is the exact best piece of the sum of all step functions (`argmax_sum`).
     """
     if T < 1:
         raise ValueError("need T >= 1")
@@ -562,13 +617,14 @@ def run_smoothed_online(
     functions, gaps = [], [math.inf]
 
     def step_gains():
-        stream = smooth_stream(spec, graph_generator, T, seed)
+        rng = labeled_rng(seed, "smooth-sequence")
         block_size = _block_steps(n)
-        for _ in range(0, T, block_size):
-            block, gap = _step_functions(list(islice(stream, block_size)))
+        for start in range(0, T, block_size):
+            steps = min(block_size, T - start)
+            block, gap = _step_functions(*_draw_block(spec, graph_generator, rng, steps))
             functions.extend(block)
             gaps.append(gap)
-            yield from (sf.at(net_arr) for sf in block)
+            yield from (float(f.values[0]) if f.points.size == 0 else f.at(net_arr) for f in block)
 
     trace = _run_hedge(net_arr, step_gains(), T, eta, seed)
     trace.best_ref_rho, trace.best_ref_total = argmax_sum(functions, 0.0, 1.0)

@@ -101,6 +101,23 @@ class TestGdTune:
         assert payload["type"] == "GuaranteedProgressError"
         assert "rho=0.5" in payload["error"]
 
+    @pytest.mark.parametrize("source", ["generated", "file"])
+    def test_zero_dimension_is_one_json_line(self, source, tmp_path, capsys):
+        out = tmp_path / "gd.csv"
+        if source == "generated":
+            args = ["--dim", 0, "--samples", 2]
+        else:
+            d = tmp_path / "gd"
+            d.mkdir()
+            (d / "empty.json").write_text(json.dumps({"lambdas": [], "z0": []}))
+            args = ["--instances", d]
+        assert run_cli("gd-tune", *args, "--out", out) == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        payload = json.loads(line)
+        assert payload["type"] == "ValueError"
+        assert "nonempty" in payload["error"]
+
 
 class TestAdversary:
     def test_jsonl_replay_scores_one_in_final_window(self, tmp_path):
@@ -208,6 +225,16 @@ class TestOnlineCommand:
         payload = json.loads(line)
         assert payload["type"] == "ValueError"
         assert "n >= 2" in payload["error"]
+
+    @pytest.mark.parametrize("d_exp", [0, -3])
+    def test_d_exp_below_one_rejected(self, d_exp, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert run_cli("online", "--d-exp", d_exp, "--T", 5, "--net-size", 8, "--out", out) == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        payload = json.loads(line)
+        assert payload["type"] == "ValueError"
+        assert "d_exp must be >= 1" in payload["error"]
 
 
 @pytest.mark.parametrize("command,extra", [

@@ -299,6 +299,13 @@ class TestVerifyLemmas:
 
 
 class TestInstanceIO:
+    def test_zero_dimension_rejected(self):
+        # A run from an empty start point would take no step at all.
+        with pytest.raises(ValueError, match="nonempty"):
+            GdInstance([], [])
+        with pytest.raises(ValueError, match="nonempty"):
+            random_instance(LEMMA_FAMILY, 0, np.random.default_rng(0))
+
     def test_roundtrip(self, tmp_path):
         inst = GdInstance([1.5, 2.5], [0.3, -0.4])
         path = tmp_path / "inst.json"

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from algoselect import online
+from algoselect.core import StepFunction
 from algoselect.greedy import (
     MwisInstance,
+    _exact_order,
+    _graph_lanes,
     _nonadaptive_masks,
     grid_costs,
     grid_masks,
@@ -105,6 +108,47 @@ class TestHardInstance:
             HardInstanceParams(5, Fraction(0), Fraction(3, 4))
 
 
+def _per_vertex_exact_order(instance, rho):
+    """Exact score order by one Fraction key per vertex, sorted (-key, id)."""
+    base, ks = instance.exact_base, []
+    for d in (instance.degrees + 1).tolist():
+        k = round(math.log(d, base)) if d > 1 else 0
+        assert base**k == d
+        ks.append(k)
+    keys = [e - rho * k for e, k in zip(instance.exact_exponents, ks)]
+    return sorted(range(instance.n), key=lambda v: (-keys[v], v))
+
+
+class TestExactOrder:
+    @pytest.mark.parametrize("n_budget", [200, 1500])
+    def test_matches_per_vertex_sort_on_hard_windows(self, n_budget):
+        for params in adversary_sequence(n_budget, 3, seed=5):
+            inst = build_hard_instance(params)
+            width = params.s - params.r
+            for rho in ((params.r + params.s) / 2, params.s + width, params.r, params.s,
+                        Fraction(0), Fraction(1, 2)):
+                assert _exact_order(inst, rho) == _per_vertex_exact_order(inst, rho)
+
+    def test_tied_classes_keep_id_order(self):
+        # Base 2: a star (centre degree 3, leaves degree 1), an isolated
+        # vertex and an edge.  At rho = 1/2 five vertices of three different
+        # (exponent, log-base degree) classes share the key 1/2.
+        edges = [(0, 1), (0, 2), (0, 3), (5, 6)]
+        exponents = [Fraction(3, 2), Fraction(1), Fraction(0), Fraction(1), Fraction(1, 2),
+                     Fraction(1), Fraction(3, 4)]
+        inst = MwisInstance(7, edges, [2.0 ** float(e) / 4 for e in exponents],
+                            exact_base=2, exact_exponents=exponents)
+        for rho in (Fraction(1, 2), Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 4)):
+            assert _exact_order(inst, rho) == _per_vertex_exact_order(inst, rho)
+        assert _exact_order(inst, Fraction(1, 2))[:5] == [0, 1, 3, 4, 5]
+
+    def test_degree_not_a_power_of_the_base_rejected(self):
+        inst = MwisInstance(3, [(0, 1), (1, 2)], [0.5, 0.25, 0.5], exact_base=2,
+                            exact_exponents=[Fraction(0), Fraction(-1), Fraction(0)])
+        with pytest.raises(ValueError, match="power of the base"):
+            _exact_order(inst, Fraction(1, 2))
+
+
 class TestAdversarySequence:
     def test_sizing(self):
         assert largest_hard_size(200) == 5
@@ -180,6 +224,24 @@ class TestSmoothModel:
         assert inside.all()
         share_first = ((draws >= 0.6) & (draws <= 0.65)).mean()
         assert 0.4 < share_first < 0.6  # halves by length
+
+    def test_draws_follow_their_scalar_definitions(self):
+        # The block draw reuses these per-step draws, so they are pinned here:
+        # pair u < v (row-major) is an edge when its draw is below p, and a
+        # weight walks rng.uniform(0, length) through the intervals in order.
+        def walk(dist, u):
+            for lo, hi in dist.intervals:
+                if u <= hi - lo:
+                    return lo + u
+                u -= hi - lo
+            return dist.intervals[-1][1]
+
+        gen, pairs = erdos_renyi_generator(7, 0.4), np.transpose(np.triu_indices(7, k=1))
+        dist = UniformUnion(((0.0, 0.3), (0.5, 0.6), (0.9, 1.0)))
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(200):
+            assert np.array_equal(gen(rng), pairs[ref.random(len(pairs)) < 0.4])
+            assert dist.sample(rng) == walk(dist, ref.uniform(0.0, dist.total_length))
 
     def test_weights_distinct_and_nonzero(self):
         rng = np.random.default_rng(1)
@@ -283,6 +345,13 @@ class TestHedgeLearner:
                 learner.update(gains)
             regrets.append((T - got) / T)
         assert np.mean(regrets) <= bound + 0.01
+
+    def test_update_drops_the_cached_distribution(self):
+        learner = HedgeLearner(np.linspace(0, 1, 4), eta=50.0)
+        rng = np.random.default_rng(0)
+        assert len({learner.sample(rng) for _ in range(40)}) > 1  # uniform at the start
+        learner.update(np.array([0.0, 0.0, 0.0, 1.0]))  # index 3 now has all but e^-50
+        assert {learner.sample(rng) for _ in range(40)} == {3}
 
     def test_auto_eta_needs_horizon(self):
         with pytest.raises(ValueError):
@@ -518,6 +587,124 @@ class TestBlockedRunner:
         assert online._block_steps(63) == 1
 
 
+class ZeroInSecondBlock:
+    """A generator whose second block draw (a 2-D `random` call with more
+    columns than vertex pairs) has its first vertex weight draw replaced by 0;
+    everything else delegates."""
+
+    def __init__(self, rng, pairs):
+        self.rng, self.pairs, self.blocks = rng, pairs, 0
+
+    def random(self, size=None):
+        out = self.rng.random(size)
+        if np.ndim(out) == 2 and out.shape[1] > self.pairs:
+            self.blocks += 1
+            if self.blocks == 2:
+                out[0, self.pairs] = 0.0
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class CountingUniform:
+    """A distribution that is not a `UniformUnion`: uniform on (0, 1]."""
+
+    density = 1.0
+
+    def __init__(self):
+        self.draws = 0
+
+    def sample(self, rng):
+        self.draws += 1
+        return 1.0 - rng.random()
+
+
+class TestBlockStream:
+    """`_draw_block` against `smooth_sequence`, bit for bit."""
+
+    @staticmethod
+    def assert_blocks_match(spec, gen, sizes, seed, want):
+        rng = labeled_rng(seed, "smooth-sequence")
+        start = 0
+        for size in sizes:
+            weights, edges, step = online._draw_block(spec, gen, rng, size)
+            assert weights.shape == (size, spec.n)
+            for s, x in enumerate(want[start:start + size]):
+                assert weights[s].tobytes() == x.weights.tobytes()
+                assert np.array_equal(edges[step == s], x.edges)
+            start += size
+        assert start == len(want)
+
+    @staticmethod
+    def forbid_per_step_draws(monkeypatch):
+        def per_step(*args):
+            raise AssertionError("a block was drawn one step at a time")
+
+        monkeypatch.setattr(online, "_instances", per_step)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 12])
+    def test_uniform_spec(self, n, monkeypatch):
+        B = online._block_steps(n)
+        spec, gen = uniform_smooth_spec(n, 0.5), erdos_renyi_generator(n, 0.4)
+        want = smooth_sequence(spec, gen, 2 * B + 2, n)
+        self.forbid_per_step_draws(monkeypatch)
+        self.assert_blocks_match(spec, gen, [1, B, B + 1], n, want)
+
+    def test_per_vertex_interval_unions(self, monkeypatch):
+        # Up to three intervals per vertex, some starting at 0, one ending at 1.
+        dists = (UniformUnion(((0.0, 0.3), (0.5, 0.6), (0.9, 1.0))), UniformUnion(((0.2, 0.7),)),
+                 UniformUnion(((0.05, 0.1), (0.4, 0.45))), UniformUnion(((0.0, 0.02), (0.6, 0.65),
+                                                                        (0.82, 0.87))))
+        spec, gen = SmoothSpec(0.05, dists * 2), erdos_renyi_generator(8, 0.3)
+        B = online._block_steps(8)
+        want = smooth_sequence(spec, gen, 2 * B + 2, 4)
+        self.forbid_per_step_draws(monkeypatch)
+        self.assert_blocks_match(spec, gen, [1, B, B + 1], 4, want)
+
+    def test_zero_weight_redraws_the_block_per_step(self, monkeypatch):
+        spec, gen = uniform_smooth_spec(6, 0.5), erdos_renyi_generator(6, 0.4)
+        T, seed = 3 * online._block_steps(6) + 2, 13
+        reference = reference_smoothed_run(spec, gen, T, seed, 129)
+        rngs = []
+
+        def patched(root, label):
+            rng = labeled_rng(root, label)
+            if label == "smooth-sequence":
+                rngs.append(ZeroInSecondBlock(rng, 15))
+                return rngs[-1]
+            return rng
+
+        monkeypatch.setattr(online, "labeled_rng", patched)
+        got = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=seed, net=129)
+        assert rngs[0].blocks == 4  # the zero forced one redraw; blocks 3 and 4 went whole
+        assert_same_trace(got, reference)
+
+    def test_other_distributions_draw_per_step(self):
+        dists = (CountingUniform(),) + (UniformUnion(((0.0, 1.0),)),) * 4
+        spec, gen = SmoothSpec(0.5, dists), erdos_renyi_generator(5, 0.4)
+        T = online._block_steps(5) + 3
+        reference = reference_smoothed_run(spec, gen, T, 2, 65)
+        dists[0].draws = 0
+        got = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=2, net=65)
+        assert dists[0].draws == T
+        assert_same_trace(got, reference)
+
+
+def _reference_own_crossings(x):
+    """Crossings of the vertex pairs of x with distinct degrees, neither
+    vertex isolated, solved one pair at a time over reduced degree ratios."""
+    k, logw, roots = x.degrees + 1, np.log(x.weights), set()
+    for i in range(x.n):
+        for j in range(i + 1, x.n):
+            if k[i] != k[j] and min(k[i], k[j]) >= 2:
+                g = math.gcd(int(k[i]), int(k[j]))
+                r = (logw[i] - logw[j]) / (math.log(k[i] // g) - math.log(k[j] // g))
+                if 0.0 <= r <= 1.0:
+                    roots.add(float(r))
+    return np.array(sorted(roots))
+
+
 class TestStackedPaths:
     """The stacked transition-point and bitmask paths, row by row."""
 
@@ -531,6 +718,12 @@ class TestStackedPaths:
             graphs.append(np.stack([i[keep], j[keep]], axis=1))
         return [MwisInstance(n, e, rng.choice(MWIS_WEIGHT_PALETTE, size=n, replace=repeat_weights))
                 for e in graphs]
+
+    @staticmethod
+    def block_arrays(block):
+        """A list of instances as `online._draw_block` returns a block."""
+        step = np.repeat(np.arange(len(block)), [len(x.edges) for x in block])
+        return np.stack([x.weights for x in block]), np.concatenate([x.edges for x in block]), step
 
     def test_masks_match_scalar_greedy_on_ties(self):
         # Repeated palette weights tie scores exactly (equal weight and
@@ -547,7 +740,9 @@ class TestStackedPaths:
             rhos = np.unique(np.concatenate([[0.0, 0.5, 1.0], roots[(roots >= 0) & (roots <= 1)]]))
             owner = np.repeat(np.arange(len(block)), rhos.size)
             rows = np.tile(rhos, len(block))
-            masks = _nonadaptive_masks(block, owner, rows)
+            weights, edges, step = self.block_arrays(block)
+            lanes = _graph_lanes(8, len(block), edges, step)
+            masks = _nonadaptive_masks(np.log(weights), *lanes, owner, rows)
             for mask, i, rho in zip(masks, owner, rows):
                 sol, cost = run_greedy(fam, rho, block[i])
                 assert tuple(np.flatnonzero(mask)) == sol
@@ -559,7 +754,7 @@ class TestStackedPaths:
         for _ in range(4):
             block = self.mixed_block(rng)
             points, offsets = online._transition_rows(np.stack([x.weights for x in block]))
-            functions, min_gap = online._step_functions(block)
+            functions, min_gap = online._step_functions(*self.block_arrays(block))
             gaps = []
             for i, x in enumerate(block):
                 tau = points[offsets[i]:offsets[i + 1]]
@@ -573,12 +768,36 @@ class TestStackedPaths:
                 gaps.extend(np.diff(tau))
             assert min_gap == min(gaps)
 
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_own_crossings_keep_the_superset_step_functions(self, n):
+        # Continuous weights: every own crossing is bitwise a superset point,
+        # and cutting by the superset instead gives the same merged function.
+        rng = np.random.default_rng(n)
+        fam = mwis_family(n)
+        for _ in range(3):
+            block = [MwisInstance(n, x.edges, 1.0 - rng.random(n)) for x in self.mixed_block(rng, n)]
+            weights, edges, step = self.block_arrays(block)
+            points, offsets = online._transition_rows(weights)
+            degrees, _ = _graph_lanes(n, len(block), edges, step)
+            own, own_offsets = online._cut_rows(np.log(weights), degrees, points, offsets)
+            functions, _ = online._step_functions(weights, edges, step)
+            for i, x in enumerate(block):
+                tau = points[offsets[i]:offsets[i + 1]]
+                mine = own[own_offsets[i]:own_offsets[i + 1]]
+                assert np.array_equal(mine, _reference_own_crossings(x))
+                assert np.isin(mine, tau).all()
+                grid = np.concatenate([[0.0], tau, [1.0]])
+                pieces = grid_costs(fam, (grid[:-1] + grid[1:]) / 2.0, x) / x.total_weight()
+                superset = StepFunction(tau, pieces)
+                assert np.array_equal(functions[i].points, superset.points)
+                assert np.array_equal(functions[i].values, superset.values)
+
     def test_bitmask_lane_limit_kept(self):
         x = MwisInstance(64, [(0, 1)], np.linspace(0.01, 1.0, 64))
         with pytest.raises(ValueError, match="n <= 63"):
             grid_masks(mwis_family(64), [0.5], x)
         with pytest.raises(ValueError, match="n <= 63"):
-            _nonadaptive_masks([x], np.zeros(1, dtype=np.intp), np.array([0.5]))
+            _graph_lanes(64, 1, x.edges, np.zeros(1, dtype=np.int64))
 
 
 class TestTheoreticalQuantities:
@@ -591,6 +810,15 @@ class TestTheoreticalQuantities:
     def test_collision_bound_consistency(self):
         # With the theoretical q, the bound collapses to n^-d by construction.
         assert collision_probability_bound(8, 0.25, 1) == pytest.approx(1.0 / 8)
+
+    @pytest.mark.parametrize("d_exp", [0, -3])
+    def test_d_exp_below_one_rejected(self, d_exp):
+        with pytest.raises(ValueError, match="d_exp must be >= 1"):
+            theoretical_m(8, 0.25, d_exp)
+        with pytest.raises(ValueError, match="d_exp must be >= 1"):
+            theoretical_q(8, 0.25, d_exp)
+        with pytest.raises(ValueError, match="d_exp must be >= 1"):
+            theoretical_q(8, 0.25, d_exp, m=10)
 
     def test_min_gap_helper(self):
         assert min_pairwise_gap(np.array([0.1, 0.4, 0.45])) == pytest.approx(0.05)
