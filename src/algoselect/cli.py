@@ -121,8 +121,12 @@ def _probe_family(args):
     else:
         fam = greedy.knapsack_family(args.n, (0.0, 2.0))
         instances = [greedy.random_knapsack_instance(args.n, rng) for _ in range(args.sets * args.set_size)]
+    # Each probe's costs are read off the instances' step functions; the
+    # probed "instances" are then column numbers of that matrix.
     reps = greedy.breakpoints(fam, instances).representatives
-    return greedy.representative_family(fam, reps), instances
+    costs = greedy.breakpoint_costs(fam, instances, reps)
+    finite = FiniteFamily(tuple(range(reps.size)), lambda k, j: costs[k, j], orientation=MAXIMIZE)
+    return finite, list(range(len(instances)))
 
 
 def cmd_pdim_probe(args) -> int:

@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -120,32 +121,41 @@ def knapsack_family(n: int, interval=(0.0, 1.0), value_only: bool = False) -> Pa
 class MwisInstance:
     """Undirected vertex-weighted graph with weights in (0, 1].
 
-    `edges` is canonicalized to unique (u, v) pairs with u < v.  Instances
-    whose weights are exact powers of an integer base may carry
+    `edges` is an int64 array of shape (E, 2) owned by the instance: the
+    unique (u, v) pairs with u < v, in increasing order of u * n + v.  Input
+    already in that form is kept as given; any other order, reversed pairs
+    and repeats are canonicalized.  Endpoints must be whole numbers.  The
+    neighbour lists the greedy runs walk are sorted by vertex id.
+
+    Instances whose weights are exact powers of an integer base >= 2 may carry
     (`exact_base`, `exact_exponents`): weight_v proportional to
-    base**exponent_v with Fraction exponents.  Greedy runs with a Fraction
+    base**exponent_v with rational exponents.  Greedy runs with a Fraction
     parameter then compare scores exactly, which keeps selections correct even
     when parameter windows are far below float resolution.
     """
 
     __slots__ = ("n", "edges", "weights", "exact_base", "exact_exponents",
-                 "_indptr", "_indices", "_degrees")
+                 "_indptr", "_indices", "_degrees", "_exact_classes")
 
     def __init__(self, n, edges, weights, exact_base=None, exact_exponents=None):
         n = int(n)
         if n < 1:
             raise ValueError("need at least one vertex")
-        edge_arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                              dtype=np.int64).reshape(-1, 2)
-        if edge_arr.size:
-            if (edge_arr < 0).any() or (edge_arr >= n).any():
-                raise ValueError("edge endpoint out of range")
-            if (edge_arr[:, 0] == edge_arr[:, 1]).any():
-                raise ValueError("self-loops are not allowed")
-            # Each pair as the 1-D key min * n + max, which sorts like the
-            # canonical rows.  Sort and drop repeats by hand: np.unique on
-            # millions of int64 keys is about 70x slower than a sort.
-            u, v = edge_arr[:, 0], edge_arr[:, 1]
+        raw = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges).reshape(-1, 2)
+        if raw.dtype.kind not in "iuf" or (raw.dtype.kind == "f" and (np.floor(raw) != raw).any()):
+            raise ValueError("edge endpoints must be whole numbers")
+        if raw.size and ((raw < 0).any() or (raw >= n).any()):
+            raise ValueError("edge endpoint out of range")
+        edge_arr = raw.astype(np.int64, order="C")  # always a copy: never the caller's array
+        u, v = edge_arr[:, 0], edge_arr[:, 1]
+        if (u == v).any():
+            raise ValueError("self-loops are not allowed")
+        # Each pair as the 1-D key min * n + max, which sorts like the
+        # canonical rows.  Canonical input (u < v, keys strictly increasing)
+        # is kept; otherwise sort and drop repeats by hand: np.unique on
+        # millions of int64 keys is about 70x slower than a sort.
+        keys = u * n + v
+        if not ((u < v).all() and (keys[1:] > keys[:-1]).all()):
             keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
             keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
             edge_arr = np.empty((keys.size, 2), dtype=np.int64)
@@ -155,30 +165,40 @@ class MwisInstance:
             raise ValueError("weights must have one entry per vertex")
         if (w <= 0).any() or (w > 1).any() or not np.isfinite(w).all():
             raise ValueError("weights must lie in (0, 1]")
+        if (exact_base is None) != (exact_exponents is None):
+            raise ValueError("exact_base and exact_exponents must be given together")
+        if exact_base is not None:
+            if not isinstance(exact_base, numbers.Integral) or exact_base < 2:
+                raise ValueError(f"exact_base must be an integer >= 2, got {exact_base!r}")
+            exact_exponents = tuple(exact_exponents)
+            if len(exact_exponents) != n:
+                raise ValueError("need one exact exponent per vertex")
+            # One isinstance check per distinct type, not per exponent.
+            if not all(issubclass(t, numbers.Rational) for t in set(map(type, exact_exponents))):
+                raise ValueError("exact exponents must be rational numbers")
         self.n = n
         self.edges = edge_arr
         self.weights = w
         self.exact_base = None if exact_base is None else int(exact_base)
-        self.exact_exponents = None if exact_exponents is None else tuple(exact_exponents)
-        if (self.exact_base is None) != (self.exact_exponents is None):
-            raise ValueError("exact_base and exact_exponents must be given together")
-        if self.exact_exponents is not None and len(self.exact_exponents) != n:
-            raise ValueError("need one exact exponent per vertex")
+        self.exact_exponents = exact_exponents
         self._indptr = None
         self._indices = None
         self._degrees = None
+        self._exact_classes = None
 
     def _build_csr(self):
+        """Degrees and sorted neighbour lists from one bincount and one key sort."""
         if self._indptr is not None:
             return
         n, e = self.n, self.edges
-        both = np.concatenate([e, e[:, ::-1]]) if e.size else np.empty((0, 2), dtype=np.int64)
-        order = np.argsort(both[:, 0], kind="stable")
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=n)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._indices = both[:, 1].copy()
-        self._degrees = counts.astype(np.int64)
+        counts = np.bincount(e.ravel(), minlength=n)
+        # Neighbour v of u as the key u * n + v, sorted (a stable sort reuses the sorted
+        # first half); subtracting u * n decodes each vertex's neighbours in order.
+        keys = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
+        keys.sort(kind="stable")
+        self._indices = keys - np.repeat(np.arange(n, dtype=np.int64) * n, counts)
+        self._indptr = np.concatenate([[0], np.cumsum(counts)])
+        self._degrees = counts
 
     @property
     def degrees(self) -> np.ndarray:
@@ -245,35 +265,43 @@ def _exact_order(instance: MwisInstance, rho: Fraction) -> list[int]:
     """Score order with exact per-pair comparisons.
 
     Requires every (1 + degree) to be an integer power of `exact_base`, which
-    holds for the nested-interval constructions this mode exists for.  Keys
-    are made once per (exponent, degree) class; ties go to the smaller id.
+    holds for the nested-interval constructions this mode exists for.  The
+    (exponent, degree) classes do not depend on rho and are kept on the
+    instance; each run ranks only the classes.  Ties go to the smaller id.
     """
-    base = instance.exact_base
-    sizes, size_of = np.unique(instance.degrees + 1, return_inverse=True)
-    ks = [round(math.log(d, base)) if d > 1 else 0 for d in sizes.tolist()]
-    if any(base**k != d for k, d in zip(ks, sizes.tolist())):
-        raise ValueError("exact mode requires (1 + degree) to be a power of the base")
-    classes = {}
-    class_of = [classes.setdefault((e, ks[s]), len(classes))
-                for e, s in zip(instance.exact_exponents, size_of.tolist())]
+    if instance._exact_classes is None:
+        base = instance.exact_base
+        sizes, size_of = np.unique(instance.degrees + 1, return_inverse=True)
+        ks = [round(math.log(d, base)) if d > 1 else 0 for d in sizes.tolist()]
+        if any(base**k != d for k, d in zip(ks, sizes.tolist())):
+            raise ValueError("exact mode requires (1 + degree) to be a power of the base")
+        classes = {}
+        class_of = [classes.setdefault((e, ks[s]), len(classes))
+                    for e, s in zip(instance.exact_exponents, size_of.tolist())]
+        instance._exact_classes = (list(classes), np.array(class_of))
+    classes, class_of = instance._exact_classes
     keys = [e - rho * k for e, k in classes]
     rank = {key: r for r, key in enumerate(sorted(set(keys), reverse=True))}
     return np.argsort(np.array([rank[key] for key in keys])[class_of], kind="stable").tolist()
 
 
 def _greedy_mwis_nonadaptive(instance: MwisInstance, rho) -> np.ndarray:
+    """First fit in score order: a vertex is taken unless a taken neighbour blocks it."""
     if isinstance(rho, Fraction) and instance.exact_base is not None:
         order = _exact_order(instance, rho)
     else:
         keys = _mwis_log_keys(instance, rho, instance.degrees.astype(float))
-        order = np.argsort(-keys, kind="stable")
+        order = np.argsort(-keys, kind="stable").tolist()
     instance._build_csr()
     indptr, indices = instance._indptr, instance._indices
     chosen = np.zeros(instance.n, dtype=bool)
+    blocked = np.zeros(instance.n, dtype=bool)
     for v in order:
-        if not chosen[indices[indptr[v]:indptr[v + 1]]].any():
+        if not blocked[v]:
             chosen[v] = True
+            blocked[indices[indptr[v]:indptr[v + 1]]] = True
     return chosen
+
 
 def _greedy_mwis_adaptive(instance: MwisInstance, rho) -> np.ndarray:
     instance._build_csr()

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -66,8 +67,8 @@ class HardInstanceParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", Fraction(self.r))
         object.__setattr__(self, "s", Fraction(self.s))
-        if self.m < 3:
-            raise ValueError("need m >= 3")
+        if not isinstance(self.m, numbers.Integral) or self.m < 3:
+            raise ValueError(f"need an integer m >= 3, got {self.m!r}")
         if not 0 < self.r < self.s < 1:
             raise ValueError("need 0 < r < s < 1")
 
@@ -127,12 +128,14 @@ def build_hard_instance(params: HardInstanceParams) -> MwisInstance:
     scores exactly.
     """
     a, b, c, m = params.size_a, params.size_b, params.size_c, params.m
-    ids_a = np.arange(a, dtype=np.int64)
     ids_b = a + np.arange(b, dtype=np.int64)
-    ids_c = a + b + np.arange(c, dtype=np.int64)
-    hub_edges = np.stack([np.repeat(ids_a, b), np.tile(ids_b, a)], axis=1)
-    star_edges = np.stack([ids_b, ids_c[np.arange(b) // (m - 1)]], axis=1)
-    edges = np.concatenate([hub_edges, star_edges])
+    # Canonical order (hub rows, then mass-star rows), which MwisInstance keeps as given.
+    edges = np.empty((a * b + b, 2), dtype=np.int64)
+    hub_edges = edges[:a * b].reshape(a, b, 2)
+    hub_edges[:, :, 0] = np.arange(a, dtype=np.int64)[:, None]
+    hub_edges[:, :, 1] = ids_b
+    edges[a * b:, 0] = ids_b
+    edges[a * b:, 1] = a + b + np.arange(b, dtype=np.int64) // (m - 1)
     weights = np.concatenate([
         np.full(a, params.weight_a),
         np.full(b, params.t),

@@ -1,20 +1,29 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from algoselect.cli import main
+from algoselect.core import shatter_probe
 from algoselect.greedy import (
     KnapsackInstance,
+    breakpoints,
+    knapsack_family,
     mwis_family,
+    random_knapsack_instance,
     random_mwis_instance,
+    representative_family,
     run_greedy,
     save_knapsack,
     save_mwis,
 )
 from algoselect.online import build_hard_instance, instance_from_jsonl
 from algoselect.gdtune import GdInstance, save_gd_instance
+from algoselect.utils import labeled_rng
 from _fixtures import interval_gadget
 
 
@@ -61,6 +70,18 @@ class TestErmGreedy:
                        "--rho-hi", 2.0, "--out", out)
         assert code == 0
         assert out.read_text().count("\n") == 2
+
+    def test_fractional_endpoint_is_one_json_line(self, tmp_path, capsys):
+        d = tmp_path / "instances"
+        d.mkdir()
+        (d / "g.json").write_text(json.dumps({"n": 3, "edges": [[0, 1.7]], "weights": [0.5, 0.4, 0.3]}))
+        out = tmp_path / "o.csv"
+        assert run_cli("erm-greedy", "--instances", d, "--out", out) == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        payload = json.loads(line)
+        assert payload["type"] == "ValueError"
+        assert "whole numbers" in payload["error"]
 
 
 class TestGdTune:
@@ -140,6 +161,17 @@ class TestAdversary:
         for j, p in enumerate(params, start=1):
             assert p.s - p.r == Fraction(1, n**j)
 
+    def test_runs_as_a_module_from_the_source_tree(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "seq.jsonl"
+        done = subprocess.run([sys.executable, "-m", "algoselect", "adversary", "--n-budget", "200",
+                               "--T", "3", "--out", str(out)], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert run_cli("adversary", "--n-budget", 200, "--T", 3, "--out", tmp_path / "b") == 0
+        assert out.read_bytes() == (tmp_path / "b").read_bytes()
+
 
 class TestPdimProbe:
     def test_constant_family_never_shattered(self, tmp_path):
@@ -150,6 +182,26 @@ class TestPdimProbe:
         payload = json.loads(out.read_text())
         assert all(not r["shattered"] for r in payload["reports"])
         assert all(r["labeling_count"] == 1 for r in payload["reports"])
+
+    @pytest.mark.parametrize("family", ["mwis", "knapsack"])
+    def test_reports_equal_the_scalar_probe_family(self, family, tmp_path):
+        # The probe reads its costs off step functions; the scalar runner at
+        # every representative must give the same reports.
+        out = tmp_path / "probe.json"
+        assert run_cli("pdim-probe", "--family", family, "--seed", 7, "--out", out) == 0
+        rng = labeled_rng(7, "pdim-instances")
+        if family == "mwis":
+            fam = mwis_family(6)
+            instances = [random_mwis_instance(6, 0.5, rng) for _ in range(6)]
+        else:
+            fam = knapsack_family(6, (0.0, 2.0))
+            instances = [random_knapsack_instance(6, rng) for _ in range(6)]
+        finite = representative_family(fam, breakpoints(fam, instances).representatives)
+        reports = shatter_probe(finite, [instances[0:2], instances[2:4], instances[4:6]])
+        got = json.loads(out.read_text())["reports"]
+        assert [(r["set_size"], r["shattered"], r["labeling_count"], r["witnesses"]) for r in got] == \
+            [(r.set_size, r.shattered, r.labeling_count, list(r.witnesses) if r.witnesses else None)
+             for r in reports]
 
     def test_mwis_probe_runs(self, tmp_path):
         out = tmp_path / "probe.json"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +96,117 @@ class TestRunGreedy:
             sol_a, _ = run_greedy(mwis_family(8, adaptive=True), rho, inst)
             sol_n, _ = run_greedy(mwis_family(8, adaptive=False), rho, inst)
             assert sol_a == sol_n == tuple(range(8))
+
+
+def first_fit_oracle(instance, rho, adaptive):
+    """Greedy MWIS over Python adjacency sets, scores w / (1 + deg)^rho in
+    log space, ties to the smaller id; residual degrees when adaptive."""
+    adj = [set() for _ in range(instance.n)]
+    for u, v in instance.edges.tolist():
+        adj[u].add(v)
+        adj[v].add(u)
+    logw = [math.log(w) for w in instance.weights.tolist()]
+
+    def score(v):
+        return logw[v] - rho * math.log1p(len(adj[v]))
+
+    if not adaptive:
+        chosen = set()
+        for v in sorted(range(instance.n), key=lambda v: (-score(v), v)):
+            if not adj[v] & chosen:
+                chosen.add(v)
+        return tuple(sorted(chosen))
+    chosen, alive = [], set(range(instance.n))
+    while alive:
+        v = min(alive, key=lambda v: (-score(v), v))
+        chosen.append(v)
+        removed = {v} | (adj[v] & alive)
+        alive -= removed
+        for r in removed:
+            for x in adj[r]:
+                adj[x].discard(r)
+    return tuple(sorted(chosen))
+
+
+class TestLargeGraphPath:
+    """The scalar path on graphs above the grid evaluators' 63-vertex limit."""
+
+    @pytest.mark.parametrize("n,p", [(64, 0.1), (100, 0.3), (300, 0.02), (300, 0.1)])
+    def test_matches_first_fit_oracle(self, n, p):
+        rng = np.random.default_rng(n + int(100 * p))
+        for palette in (None, MWIS_WEIGHT_PALETTE):
+            weights = (rng.uniform(0.05, 1.0, n) if palette is None
+                       else rng.choice(palette, size=n))  # repeats: exact ties
+            inst = MwisInstance(n, random_mwis_instance(n, p, rng).edges, weights)
+            for adaptive in (False, True):
+                fam = mwis_family(n, adaptive=adaptive)
+                for rho in (0.0, 0.37, 1.0):
+                    sol, cost = run_greedy(fam, rho, inst)
+                    assert sol == first_fit_oracle(inst, rho, adaptive)
+                    assert cost.value == pytest.approx(math.fsum(weights[list(sol)]), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 300])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5])
+    def test_csr_matches_adjacency_matrix(self, n, p):
+        rng = np.random.default_rng(n)
+        inst = MwisInstance(n, random_mwis_instance(n, p, rng).edges, np.full(n, 0.5))
+        adj = inst.adjacency_matrix()
+        inst._build_csr()
+        indptr, indices = inst._indptr, inst._indices
+        assert indptr.dtype == indices.dtype == inst.degrees.dtype == np.int64
+        assert inst.degrees.tolist() == adj.sum(axis=1).tolist()
+        for v in range(n):
+            nbrs = indices[indptr[v]:indptr[v + 1]]
+            assert nbrs.tolist() == np.flatnonzero(adj[v]).tolist()  # sorted
+
+    def test_csr_with_isolated_vertices(self):
+        inst = MwisInstance(6, [(4, 1), (1, 3)], np.full(6, 0.5))
+        inst._build_csr()
+        assert inst.degrees.tolist() == [0, 2, 0, 1, 1, 0]
+        assert inst._indptr.tolist() == [0, 0, 2, 2, 3, 4, 4]
+        assert inst._indices.tolist() == [3, 4, 1, 1]
+
+
+class TestCanonicalEdges:
+    @staticmethod
+    def canonical(n=300, p=0.05, seed=3):
+        return random_mwis_instance(n, p, np.random.default_rng(seed)).edges
+
+    def test_any_input_order_gives_the_canonical_bytes(self):
+        canon = self.canonical()
+        n, weights = 300, np.full(300, 0.5)
+        rng = np.random.default_rng(4)
+        flipped = canon.copy()
+        flip = rng.random(len(canon)) < 0.5
+        flipped[flip] = flipped[flip][:, ::-1]
+        inputs = {
+            "canonical": canon,
+            "shuffled": canon[rng.permutation(len(canon))],
+            "reversed": canon[::-1, ::-1],
+            "duplicated": np.concatenate([canon, canon[:40], canon[::7, ::-1]]),
+            "flipped": flipped,
+            "list": canon.tolist(),
+            "whole floats": canon.astype(float),
+        }
+        for name, edges in inputs.items():
+            got = MwisInstance(n, edges, weights).edges
+            assert got.dtype == np.int64 and got.flags.c_contiguous and got.flags.owndata, name
+            assert got.tobytes() == canon.tobytes(), name
+
+    def test_never_aliases_the_callers_array(self):
+        canon = self.canonical()
+        shuffled = canon[::-1].copy()
+        for edges in (canon.copy(), shuffled):
+            inst = MwisInstance(300, edges, np.full(300, 0.5))
+            assert not np.shares_memory(inst.edges, edges)
+            before = inst.edges.tobytes()
+            edges[:] = 0
+            assert inst.edges.tobytes() == before == canon.tobytes()
+
+    def test_empty_edge_list(self):
+        for edges in ([], np.empty((0, 2), dtype=np.int64), np.empty(0)):
+            inst = MwisInstance(3, edges, [0.1, 0.2, 0.3])
+            assert inst.edges.dtype == np.int64 and inst.edges.shape == (0, 2)
 
 
 class TestGridEvaluators:
@@ -394,6 +506,30 @@ class TestInstanceValidation:
             MwisInstance(2, [], [0.5, 1.5])
         with pytest.raises(ValueError):
             MwisInstance(2, [], [0.5, 0.0])
+
+    @pytest.mark.parametrize("edges", [[[0, 1.7]], [["0", "1"]], [[0, float("nan")]],
+                                       [[0.5, 2]], [[0, None]]])
+    def test_rejects_fractional_endpoints(self, edges):
+        with pytest.raises(ValueError, match="whole numbers"):
+            MwisInstance(3, edges, [0.1, 0.2, 0.3])
+
+    def test_whole_float_endpoints_accepted(self):
+        assert MwisInstance(3, [[2.0, 0.0]], [0.1, 0.2, 0.3]).edges.tolist() == [[0, 2]]
+
+    @pytest.mark.parametrize("base", [0, 1, -2, 2.5, "2", True])
+    def test_rejects_bad_exact_base(self, base):
+        with pytest.raises(ValueError, match="exact_base"):
+            MwisInstance(2, [], [0.5, 0.25], exact_base=base, exact_exponents=[0, -1])
+
+    @pytest.mark.parametrize("bad", ["x", None, 0.5, [1]])
+    def test_rejects_non_rational_exact_exponents(self, bad):
+        with pytest.raises(ValueError, match="rational"):
+            MwisInstance(2, [], [0.5, 0.25], exact_base=2, exact_exponents=[Fraction(0), bad])
+
+    def test_accepts_rational_exact_exponents(self):
+        inst = MwisInstance(2, [], [0.5, 0.25], exact_base=np.int64(2),
+                            exact_exponents=[Fraction(-1), -2])
+        assert inst.exact_base == 2 and inst.exact_exponents == (Fraction(-1), -2)
 
     def test_rejects_nonpositive_knapsack(self):
         with pytest.raises(ValueError):

@@ -107,6 +107,11 @@ class TestHardInstance:
         with pytest.raises(ValueError):
             HardInstanceParams(5, Fraction(0), Fraction(3, 4))
 
+    @pytest.mark.parametrize("m", [3.5, "3", 4.0, None])
+    def test_rejects_non_integer_m(self, m):
+        with pytest.raises(ValueError, match="integer m"):
+            HardInstanceParams(m, Fraction(1, 4), Fraction(3, 4))
+
 
 def _per_vertex_exact_order(instance, rho):
     """Exact score order by one Fraction key per vertex, sorted (-key, id)."""
@@ -141,6 +146,29 @@ class TestExactOrder:
         for rho in (Fraction(1, 2), Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 4)):
             assert _exact_order(inst, rho) == _per_vertex_exact_order(inst, rho)
         assert _exact_order(inst, Fraction(1, 2))[:5] == [0, 1, 3, 4, 5]
+
+    def test_cached_classes_at_the_replay_size(self):
+        # The replay's window size: exact runs at r, s, the midpoint and one
+        # width past s, all on one instance (classes cached by the first
+        # run) and each on a fresh instance, against the closed form and the
+        # per-vertex order.
+        for params in adversary_sequence(2500, 2, seed=300):
+            shared = build_hard_instance(params)
+            fam = mwis_family(shared.n)
+            a, b = params.size_a, params.size_b
+            inside = tuple(range(a, a + b))
+            outside = tuple(range(a)) + tuple(range(a + b, params.n))
+            width = params.s - params.r
+            for rho in (params.r, params.s, (params.r + params.s) / 2, params.s + width):
+                fresh = build_hard_instance(params)
+                order = _per_vertex_exact_order(fresh, rho)
+                assert _exact_order(fresh, rho) == order
+                assert _exact_order(shared, rho) == order
+                want = inside if params.r < rho <= params.s else outside
+                for inst in (shared, fresh):
+                    sol, cost = run_greedy(fam, rho, inst)
+                    assert sol == want
+                    assert cost.value == pytest.approx(params.cost_at(rho), abs=1e-12)
 
     def test_degree_not_a_power_of_the_base_rejected(self):
         inst = MwisInstance(3, [(0, 1), (1, 2)], [0.5, 0.25, 0.5], exact_base=2,
