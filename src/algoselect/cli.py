@@ -50,6 +50,8 @@ def _train_holdout_split(instances, seed: int, frac: float):
 
 
 def cmd_erm_greedy(args) -> int:
+    if not 0.0 <= args.holdout_frac < 1.0:  # NaN fails the comparison too
+        raise ValueError(f"--holdout-frac must be in [0, 1), got {args.holdout_frac}")
     interval = (args.rho_lo, args.rho_hi)
     if args.problem == "mwis":
         instances = _load_instance_dir(args.instances, ".json", greedy.load_mwis)

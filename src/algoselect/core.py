@@ -149,6 +149,20 @@ class StepFunction:
         return self.values[np.searchsorted(self.points, rhos, side="right")]
 
 
+def merge_close(points: np.ndarray, rtol: float) -> np.ndarray:
+    """Sorted `points` less near-duplicates: each point is kept only if it lies
+    more than rtol * max(1, |p|) above the last point kept.  Only a point that
+    close to its predecessor can be dropped, so the scan visits just those."""
+    tol = rtol * np.maximum(1.0, np.abs(points))
+    keep = np.ones(points.size, dtype=bool)
+    for i in (np.flatnonzero(np.diff(points) <= tol[1:]) + 1).tolist():
+        last = i - 1
+        while not keep[last]:
+            last -= 1
+        keep[i] = points[i] - points[last] > tol[i]
+    return points[keep]
+
+
 def argmax_sum(functions: Sequence[StepFunction], lo: float, hi: float) -> tuple[float, float]:
     """Exact best piece of [lo, hi] for the sum of step functions.
 
@@ -237,11 +251,14 @@ def realized_labelings(costs: np.ndarray, witnesses: Sequence[float]) -> int:
     return int(np.unique(codes).size)
 
 
+# Most witness vectors `shatter_probe` tries on one instance set.
+_WITNESS_SEARCH_LIMIT = 5_000_000
+
+
 def shatter_probe(
     family: FiniteFamily,
     sample_sets: Sequence[Sequence],
     size_cap: int = 4,
-    combo_cap: int = 5_000_000,
 ) -> list[ShatterReport]:
     """Search witness vectors certifying that each instance set is shattered.
 
@@ -258,11 +275,9 @@ def shatter_probe(
         costs = family.cost_matrix(sample_set)
         grids = _witness_grids(costs)
         total = math.prod(len(g) for g in grids)
-        if total > combo_cap:
-            raise ValueError(
-                f"witness search space of {total} combinations exceeds the cap of {combo_cap}; "
-                "reduce the candidate count or the set size"
-            )
+        if total > _WITNESS_SEARCH_LIMIT:
+            raise ValueError(f"witness search space of {total} combinations exceeds the cap of "
+                             f"{_WITNESS_SEARCH_LIMIT}; reduce the candidate count or the set size")
         target = 2**s
         best_count, best_wit, shattered = 0, None, False
         for wit in product(*grids):

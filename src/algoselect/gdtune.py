@@ -33,10 +33,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MINIMIZE, erm_costs
+from .core import MINIMIZE, erm_costs, merge_close
 
-STOP_NORM = "norm"
-STOP_GRAD = "grad"
+# Largest K-net `knet` builds.
+_KNET_LIMIT = 10**7
+
+# `verify_lemmas` draws each trial's dimension from 1.._LEMMA_DIMS.
+_LEMMA_DIMS = 4
 
 
 class GuaranteedProgressError(RuntimeError):
@@ -47,12 +50,10 @@ class GuaranteedProgressError(RuntimeError):
 class GdFamily:
     """Gradient descent with step size in [rho_l, rho_u] on a restricted class.
 
-    The stopping rule compares ||z|| to the tolerance `nu` (this is the
-    variant the iteration-count guarantees are proved for; a gradient-norm
-    rule is available via `run_gd(..., stop="grad")` without those
-    guarantees).  `c` is the guaranteed progress factor and must satisfy
-    c <= rho_l * m_sc so that the built-in function class makes progress at
-    the smallest admissible step size.
+    The stopping rule compares ||z|| to the tolerance `nu`, the rule the
+    iteration-count guarantees are proved for.  `c` is the guaranteed
+    progress factor and must satisfy c <= rho_l * m_sc so that the built-in
+    function class makes progress at the smallest admissible step size.
     """
 
     rho_l: float
@@ -167,21 +168,6 @@ def _norm(z: np.ndarray):
     return np.sqrt((z * z).sum(axis=-1))
 
 
-def _stop_measure(z: np.ndarray, instance: GdInstance, stop: str) -> float:
-    if stop == STOP_NORM:
-        return float(_norm(z))
-    return float(_norm(instance.gradient(z)))
-
-
-def _cap_for(family: GdFamily, stop: str) -> int:
-    if stop == STOP_NORM:
-        return family.iteration_cap
-    # ||grad f(z)|| <= L ||z||, so the gradient rule fires at most
-    # ln(L) / -ln(1-c) steps later than the norm rule.
-    extra = math.log(max(family.L, 1.0)) / -math.log(1.0 - family.c)
-    return math.ceil(family.H + extra)
-
-
 def _cap_error(cap: int) -> GuaranteedProgressError:
     return GuaranteedProgressError(
         f"no convergence within {cap} iterations; guaranteed progress violated"
@@ -194,23 +180,20 @@ def _stall_error(family: GdFamily, rho: float) -> GuaranteedProgressError:
     )
 
 
-def run_gd(family: GdFamily, rho: float, instance: GdInstance, stop: str = STOP_NORM) -> int:
+def run_gd(family: GdFamily, rho: float, instance: GdInstance) -> int:
     """Iteration count of gradient descent at step size rho.
 
-    Stops when the stop measure (||z|| by default) falls to nu.  Per-step
-    guaranteed progress is asserted; exceeding the iteration cap or failing to
-    make progress signals an invalid family/instance pairing, not a normal
-    outcome.
+    Stops when ||z|| falls to nu.  Per-step guaranteed progress is asserted;
+    exceeding the iteration cap or failing to make progress signals an
+    invalid family/instance pairing, not a normal outcome.
     """
-    if stop not in (STOP_NORM, STOP_GRAD):
-        raise ValueError(f"unknown stop rule: {stop!r}")
     if not family.contains(rho):
         raise ValueError(f"rho={rho} outside [{family.rho_l}, {family.rho_u}]")
     family.check_instance(instance)
     z = instance.z0
-    cap = _cap_for(family, stop)
+    cap = family.iteration_cap
     steps = 0
-    while _stop_measure(z, instance, stop) > family.nu:
+    while _norm(z) > family.nu:
         if steps >= cap:
             raise _cap_error(cap)
         z_next = step_map(rho, z, instance)
@@ -227,7 +210,7 @@ _STALLED = -2.0
 
 
 def _net_iterations(family: GdFamily, rhos: np.ndarray, instance: GdInstance) -> np.ndarray:
-    """run_gd's count (norm rule) for every step size in `rhos`, as floats.
+    """run_gd's count for every step size in `rhos`, as floats.
 
     All rows step together through z <- z - rho * (lambda * z); a row retires
     with its count once its norm is at most nu, or with a failure code once it
@@ -291,7 +274,7 @@ def net_costs(family: GdFamily, net, samples: Sequence[GdInstance]) -> np.ndarra
     return costs
 
 
-def knet(family: GdFamily, max_points: int = 10**7) -> np.ndarray:
+def knet(family: GdFamily) -> np.ndarray:
     """The K-net: integer multiples of K inside the interval plus both endpoints.
 
     Within one net cell every step size has an iteration count within 1 of the
@@ -302,24 +285,14 @@ def knet(family: GdFamily, max_points: int = 10**7) -> np.ndarray:
     k_lo = math.ceil(family.rho_l / K - 1e-9)
     k_hi = math.floor(family.rho_u / K + 1e-9)
     count = max(0, k_hi - k_lo + 1)
-    if count > max_points:
+    if count > _KNET_LIMIT:
         raise ValueError(
-            f"net would hold {count} points (> {max_points}); rescale nu, c, or the interval"
+            f"net would hold {count} points (> {_KNET_LIMIT}); rescale nu, c, or the interval"
         )
     multiples = np.arange(k_lo, k_hi + 1, dtype=float) * K
     multiples = np.clip(multiples, family.rho_l, family.rho_u)
-    points = np.sort(np.concatenate([[family.rho_l], multiples, [family.rho_u]]))
-    # A point within float noise of the last kept point is dropped.  Only a
-    # point that close to its predecessor can be, so the scan in order visits
-    # just those (the clipped multiples and the endpoints).
-    tol = 1e-9 * np.maximum(1.0, np.abs(points))
-    keep = np.ones(points.size, dtype=bool)
-    for i in (np.flatnonzero(np.diff(points) <= tol[1:]) + 1).tolist():
-        last = i - 1
-        while not keep[last]:
-            last -= 1
-        keep[i] = points[i] - points[last] > tol[i]
-    return points[keep]
+    # Clipped multiples and the endpoints can land within float noise of each other.
+    return merge_close(np.sort(np.concatenate([[family.rho_l], multiples, [family.rho_u]])), 1e-9)
 
 
 def erm_stepsize(family: GdFamily, samples: Sequence[GdInstance], net=None, holdout=None):
@@ -382,7 +355,7 @@ def _iterations_from_norms(norms: list[float], nu: float) -> int:
     return len(norms) - 1
 
 
-def verify_lemmas(family: GdFamily, trials: int, seed: int = 0, max_dim: int = 4) -> LemmaReport:
+def verify_lemmas(family: GdFamily, trials: int, seed: int = 0) -> LemmaReport:
     """Random search for violations of the Lipschitz / drift / cost-gap bounds.
 
     Each trial draws an instance, two points, and a step-size pair
@@ -396,7 +369,7 @@ def verify_lemmas(family: GdFamily, trials: int, seed: int = 0, max_dim: int = 4
     rtol = 1e-9
     cap = family.iteration_cap
     for trial in range(trials):
-        dim = int(rng.integers(1, max_dim + 1))
+        dim = int(rng.integers(1, _LEMMA_DIMS + 1))
         inst = random_instance(family, dim, rng)
         rho = float(rng.uniform(family.rho_l, family.rho_u))
         eta = float(min(rho + rng.uniform(0.0, 1.0) * family.K, family.rho_u))

@@ -1,12 +1,14 @@
 """Single-parameter greedy heuristics for object assignment problems.
 
-Two built-in problem kinds are provided:
+A family is a scoring rule paired with an assignment rule; three kinds are
+provided (`ParamGreedyFamily.kind`):
 
-* Knapsack: pack items in order of nonincreasing score v / s^rho.
-* Maximum-weight independent set (MWIS): select vertices in order of
-  nonincreasing score w / (1 + deg)^rho, with the degree either frozen at its
-  initial value (non-adaptive) or recomputed in the residual graph after each
-  selection (adaptive).
+* "knapsack": pack items in order of nonincreasing score v / s^rho, each item
+  that still fits.
+* "mwis": maximum-weight independent set, vertices in order of nonincreasing
+  score w / (1 + deg)^rho with the degree frozen at its initial value.
+* "mwis-adaptive": the same score with the degree recomputed in the residual
+  graph after each selection.
 
 Scores are compared in log space (ln p - rho * ln d), which preserves order
 and avoids overflow for extreme attribute ratios.  Because two members of a
@@ -34,59 +36,34 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MAXIMIZE, CostValue, FiniteFamily, StepFunction, erm_costs
-
-VALUE_ONLY = "value-only"
-KNAPSACK_DENSITY = "knapsack-density"
-MWIS_DENSITY = "mwis-density"
-
-KNAPSACK_PACK = "knapsack-feasible-pack"
-MWIS_NONADAPTIVE = "mwis-nonadaptive"
-MWIS_ADAPTIVE = "mwis-adaptive"
+from .core import MAXIMIZE, CostValue, FiniteFamily, StepFunction, erm_costs, merge_close
 
 # Exact float dedup of coincident crossing points, relative to magnitude.
 _BREAKPOINT_MERGE_RTOL = 1e-12
 
-
-@dataclass(frozen=True)
-class ScoringRule:
-    """A one-parameter score family; any two attribute curves cross <= kappa times."""
-
-    kind: str
-    kappa: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in (VALUE_ONLY, KNAPSACK_DENSITY, MWIS_DENSITY):
-            raise ValueError(f"unknown scoring rule: {self.kind!r}")
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
-
-
-@dataclass(frozen=True)
-class AssignmentRule:
-    """How the top-scoring object is assigned; bounds attribute churn per object."""
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in (KNAPSACK_PACK, MWIS_NONADAPTIVE, MWIS_ADAPTIVE):
-            raise ValueError(f"unknown assignment rule: {self.kind!r}")
-
-    def beta(self, n: int) -> int:
-        # Only the adaptive MWIS rule mutates attributes (residual degrees).
-        return n if self.kind == MWIS_ADAPTIVE else 1
+# Default capacity of `random_knapsack_instance`, as a share of the total item size.
+_KNAPSACK_CAPACITY_SHARE = 0.5
 
 
 @dataclass(frozen=True)
 class ParamGreedyFamily:
-    """Greedy heuristics indexed by a parameter rho in a finite interval."""
+    """Greedy heuristics of one `kind` indexed by a parameter rho in a finite interval.
 
-    scoring: ScoringRule
-    assignment: AssignmentRule
+    The kind ("knapsack", "mwis" or "mwis-adaptive", see the module docstring)
+    fixes both the score and how the top-scoring object is assigned.  Any two
+    attribute score curves cross at most kappa = 1 time, and an object's
+    attributes take at most beta = n values during a run (only the residual
+    degrees of "mwis-adaptive" change at all): the two counts that enter the
+    pseudo-dimension bound.
+    """
+
+    kind: str
     interval: tuple[float, float]
     n: int
 
     def __post_init__(self) -> None:
+        if self.kind not in ("knapsack", "mwis", "mwis-adaptive"):
+            raise ValueError(f"unknown greedy family kind: {self.kind!r}")
         lo, hi = self.interval
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("interval must be finite")
@@ -94,14 +71,6 @@ class ParamGreedyFamily:
             raise ValueError("interval must satisfy 0 <= lo <= hi")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        mwis_scoring = self.scoring.kind == MWIS_DENSITY
-        mwis_assign = self.assignment.kind in (MWIS_NONADAPTIVE, MWIS_ADAPTIVE)
-        if mwis_scoring != mwis_assign:
-            raise ValueError("scoring and assignment rules target different problems")
-
-    @property
-    def problem(self) -> str:
-        return "mwis" if self.assignment.kind != KNAPSACK_PACK else "knapsack"
 
     def contains(self, rho) -> bool:
         lo, hi = self.interval
@@ -109,13 +78,11 @@ class ParamGreedyFamily:
 
 
 def mwis_family(n: int, interval=(0.0, 1.0), adaptive: bool = False) -> ParamGreedyFamily:
-    rule = MWIS_ADAPTIVE if adaptive else MWIS_NONADAPTIVE
-    return ParamGreedyFamily(ScoringRule(MWIS_DENSITY), AssignmentRule(rule), tuple(interval), n)
+    return ParamGreedyFamily("mwis-adaptive" if adaptive else "mwis", tuple(interval), n)
 
 
-def knapsack_family(n: int, interval=(0.0, 1.0), value_only: bool = False) -> ParamGreedyFamily:
-    scoring = ScoringRule(VALUE_ONLY if value_only else KNAPSACK_DENSITY)
-    return ParamGreedyFamily(scoring, AssignmentRule(KNAPSACK_PACK), tuple(interval), n)
+def knapsack_family(n: int, interval=(0.0, 1.0)) -> ParamGreedyFamily:
+    return ParamGreedyFamily("knapsack", tuple(interval), n)
 
 
 class MwisInstance:
@@ -337,9 +304,8 @@ def _greedy_mwis_adaptive(instance: MwisInstance, rho) -> np.ndarray:
     return chosen
 
 
-def _greedy_knapsack(instance: KnapsackInstance, rho, value_only: bool) -> np.ndarray:
-    logv = np.log(instance.values)
-    keys = logv if value_only else logv - float(rho) * np.log(instance.sizes)
+def _greedy_knapsack(instance: KnapsackInstance, rho) -> np.ndarray:
+    keys = np.log(instance.values) - float(rho) * np.log(instance.sizes)
     order = np.argsort(-keys, kind="stable")
     chosen = np.zeros(instance.n, dtype=bool)
     resid = instance.capacity
@@ -359,16 +325,15 @@ def run_greedy(family: ParamGreedyFamily, rho, instance):
     """
     if not family.contains(rho):
         raise ValueError(f"rho={rho} outside family interval {family.interval}")
-    kind = family.assignment.kind
-    if kind == KNAPSACK_PACK:
+    if family.kind == "knapsack":
         if not isinstance(instance, KnapsackInstance):
             raise TypeError("knapsack family needs a KnapsackInstance")
-        mask = _greedy_knapsack(instance, rho, family.scoring.kind == VALUE_ONLY)
+        mask = _greedy_knapsack(instance, rho)
         value = mask_cost(mask, instance.values)
     else:
         if not isinstance(instance, MwisInstance):
             raise TypeError("MWIS family needs an MwisInstance")
-        if kind == MWIS_NONADAPTIVE:
+        if family.kind == "mwis":
             mask = _greedy_mwis_nonadaptive(instance, rho)
         else:
             mask = _greedy_mwis_adaptive(instance, rho)
@@ -457,13 +422,9 @@ def mwis_grid_masks(instance: MwisInstance, rhos, adaptive: bool) -> np.ndarray:
     return chosen
 
 
-def knapsack_grid_masks(instance: KnapsackInstance, rhos, value_only: bool = False) -> np.ndarray:
+def knapsack_grid_masks(instance: KnapsackInstance, rhos) -> np.ndarray:
     rhos = np.asarray(rhos, dtype=float).ravel()
-    logv = np.log(instance.values)
-    if value_only:
-        keys = np.broadcast_to(logv, (rhos.size, instance.n)).copy()
-    else:
-        keys = logv[None, :] - rhos[:, None] * np.log(instance.sizes)[None, :]
+    keys = np.log(instance.values)[None, :] - rhos[:, None] * np.log(instance.sizes)[None, :]
     order = np.argsort(-keys, axis=1, kind="stable")
     m = rhos.size
     resid = np.full(m, instance.capacity)
@@ -478,14 +439,14 @@ def knapsack_grid_masks(instance: KnapsackInstance, rhos, value_only: bool = Fal
 
 
 def grid_masks(family: ParamGreedyFamily, rhos, instance) -> np.ndarray:
-    if family.problem == "knapsack":
-        return knapsack_grid_masks(instance, rhos, family.scoring.kind == VALUE_ONLY)
-    return mwis_grid_masks(instance, rhos, family.assignment.kind == MWIS_ADAPTIVE)
+    if family.kind == "knapsack":
+        return knapsack_grid_masks(instance, rhos)
+    return mwis_grid_masks(instance, rhos, family.kind == "mwis-adaptive")
 
 
 def grid_costs(family: ParamGreedyFamily, rhos, instance) -> np.ndarray:
     masks = grid_masks(family, rhos, instance)
-    payload = instance.values if family.problem == "knapsack" else instance.weights
+    payload = instance.values if family.kind == "knapsack" else instance.weights
     return np.where(masks, payload, 0.0).sum(axis=1)
 
 
@@ -523,22 +484,12 @@ def _sample_attributes(family: ParamGreedyFamily, x) -> tuple[np.ndarray, np.nda
     degree 0..deg(v): a superset of what executions can reach, which is sound
     for crossing enumeration.
     """
-    if family.problem == "knapsack":
-        return x.values, np.ones_like(x.values) if family.scoring.kind == VALUE_ONLY else x.sizes
-    if family.assignment.kind == MWIS_NONADAPTIVE:
+    if family.kind == "knapsack":
+        return x.values, x.sizes
+    if family.kind == "mwis":
         return x.weights, 1.0 + x.degrees.astype(float)
     counts = x.degrees + 1
     return np.repeat(x.weights, counts), np.concatenate([1.0 + np.arange(c, dtype=float) for c in counts])
-
-
-def _merge_close(points: np.ndarray, rtol: float = _BREAKPOINT_MERGE_RTOL) -> np.ndarray:
-    if points.size == 0:
-        return points
-    merged = [points[0]]
-    for p in points[1:]:
-        if p - merged[-1] > rtol * max(1.0, abs(p)):
-            merged.append(p)
-    return np.asarray(merged)
 
 
 def _own_crossings(family: ParamGreedyFamily, x) -> np.ndarray:
@@ -571,7 +522,8 @@ def breakpoints(family: ParamGreedyFamily, samples) -> BreakpointSet:
     if len(samples) == 0:
         raise ValueError("need at least one sample")
     lo, hi = family.interval
-    points = _merge_close(np.unique(np.concatenate([_own_crossings(family, x) for x in samples])))
+    points = merge_close(np.unique(np.concatenate([_own_crossings(family, x) for x in samples])),
+                         _BREAKPOINT_MERGE_RTOL)
     grid = np.concatenate([[lo], points, [hi]])
     reps = np.unique(np.concatenate([[lo], (grid[:-1] + grid[1:]) / 2.0, [hi]]))
     return BreakpointSet(points, reps, (lo, hi))
@@ -701,13 +653,12 @@ def random_mwis_instance(n: int, edge_prob: float, rng: np.random.Generator,
 
 
 def random_knapsack_instance(n: int, rng: np.random.Generator,
-                             value_choices=None, size_choices=None,
-                             capacity_fraction: float = 0.5) -> KnapsackInstance:
+                             value_choices=None, size_choices=None) -> KnapsackInstance:
     values = rng.choice(np.asarray(value_choices if value_choices is not None
                                    else np.arange(1, 13), dtype=float), size=n)
     sizes = rng.choice(np.asarray(size_choices if size_choices is not None
                                   else np.arange(1, 9), dtype=float), size=n)
-    return KnapsackInstance(values, sizes, max(1.0, capacity_fraction * float(sizes.sum())))
+    return KnapsackInstance(values, sizes, max(1.0, _KNAPSACK_CAPACITY_SHARE * float(sizes.sum())))
 
 
 def save_mwis(instance: MwisInstance, path: str) -> None:

@@ -65,8 +65,11 @@ class HardInstanceParams:
     s: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "s", Fraction(self.s))
+        try:
+            object.__setattr__(self, "r", Fraction(self.r))
+            object.__setattr__(self, "s", Fraction(self.s))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"r and s must be finite rationals, got {self.r!r}, {self.s!r}") from exc
         if not isinstance(self.m, numbers.Integral) or self.m < 3:
             raise ValueError(f"need an integer m >= 3, got {self.m!r}")
         if not 0 < self.r < self.s < 1:
@@ -511,6 +514,9 @@ class RegretTrace:
         return "\n".join(lines) + "\n"
 
 
+# Most points of the theoretical net `run_smoothed_online` builds for net=None.
+_THEORETICAL_NET_LIMIT = 10**7
+
 # Steps whose step functions are computed together.  A block is cut shorter
 # when its candidate roots (pairs x denominators per step) would pass
 # _BLOCK_ROOTS, so large graphs cost no more memory than one step at a time.
@@ -548,11 +554,11 @@ def _step_functions(weights: np.ndarray, edges: np.ndarray,
     return functions, float(gaps.min()) if gaps.size else math.inf
 
 
-def _run_hedge(net_arr: np.ndarray, step_gains, T: int, eta, seed: int) -> RegretTrace:
+def _run_hedge(net_arr: np.ndarray, step_gains, T: int, seed: int) -> RegretTrace:
     """Hedge over `net_arr` for T steps of gains from `step_gains`: an array, or
     a float when every point gains the same (a pure shift of the log weights,
     so no update).  The caller fills in the reference comparator."""
-    learner = HedgeLearner(net_arr, T, eta)
+    learner = HedgeLearner(net_arr, T)
     rng_learner = labeled_rng(seed, "mw-learner")
     chosen_rho, costs, cum_cost, cum_best = (np.empty(T) for _ in range(4))
     net_totals = np.zeros(net_arr.size)
@@ -579,8 +585,6 @@ def run_smoothed_online(
     d_exp: int,
     seed: int,
     net=None,
-    net_cap: int = 10**7,
-    eta="auto",
 ) -> RegretTrace:
     """Hedge over a parameter net against a smoothed instance sequence.
 
@@ -603,9 +607,9 @@ def run_smoothed_online(
     q = theoretical_q(n, spec.sigma, d_exp)
     if net is None:
         required = math.floor(1.0 / q) + 2
-        if required > net_cap:
+        if required > _THEORETICAL_NET_LIMIT:
             raise ValueError(
-                f"theoretical net needs {required} points (> cap {net_cap}); "
+                f"theoretical net needs {required} points (> cap {_THEORETICAL_NET_LIMIT}); "
                 "shrink n or d_exp, or pass a practical net size"
             )
         net_arr = np.unique(np.concatenate([np.arange(0.0, 1.0, q), [1.0]]))
@@ -629,42 +633,32 @@ def run_smoothed_online(
             gaps.append(gap)
             yield from (float(f.values[0]) if f.points.size == 0 else f.at(net_arr) for f in block)
 
-    trace = _run_hedge(net_arr, step_gains(), T, eta, seed)
+    trace = _run_hedge(net_arr, step_gains(), T, seed)
     trace.best_ref_rho, trace.best_ref_total = argmax_sum(functions, 0.0, 1.0)
     trace.q_theoretical = q
     trace.min_comparator_gap = None if min(gaps) == math.inf else min(gaps)
     return trace
 
 
-def run_adversary_online(n_budget: int, T: int, seed: int, net=None, eta="auto") -> RegretTrace:
-    """Hedge over a uniform grid against the nested-window adversary.
+def run_adversary_online(n_budget: int, T: int, seed: int) -> RegretTrace:
+    """Hedge over the grid k/n, k = 0..n, against the nested-window adversary.
 
     Per-step costs come from the closed-form window evaluation with exact
-    rational containment tests.  The reference comparator is any parameter in
-    the final window, which scores the inside value at every step.
+    rational containment tests: k/n lies in (r, s] iff floor(r n) < k <=
+    floor(s n).  The reference comparator is any parameter in the final
+    window, which scores the inside value at every step.
     """
     params_list = adversary_sequence(n_budget, T, seed)
     n = params_list[0].n
-    net_fracs = ([Fraction(k, n) for k in range(n + 1)] if net is None
-                 else [Fraction(x) for x in net])
-    net_arr = np.asarray([float(f) for f in net_fracs])
+    net_arr = np.arange(n + 1) / n
 
     def step_gains():
         for params in params_list:
-            inside = params.inside_cost()
             gains = np.full(net_arr.size, params.outside_cost())
-            if net is None:
-                k_min = math.floor(params.r * n) + 1
-                k_max = math.floor(params.s * n)
-                if k_min <= k_max:
-                    gains[max(k_min, 0):min(k_max, n) + 1] = inside
-            else:
-                for i, f in enumerate(net_fracs):
-                    if params.r < f <= params.s:
-                        gains[i] = inside
+            gains[math.floor(params.r * n) + 1:math.floor(params.s * n) + 1] = params.inside_cost()
             yield gains
 
-    trace = _run_hedge(net_arr, step_gains(), T, eta, seed)
+    trace = _run_hedge(net_arr, step_gains(), T, seed)
     final = params_list[-1]
     trace.best_ref_rho = float((final.r + final.s) / 2)
     # cumsum adds in step order, like a running total.
@@ -693,7 +687,7 @@ def instance_to_jsonl(obj) -> str:
 def instance_from_jsonl(line: str):
     payload = json.loads(line)
     if payload["kind"] == "hard":
-        return HardInstanceParams(payload["m"], Fraction(payload["r"]), Fraction(payload["s"]))
+        return HardInstanceParams(payload["m"], payload["r"], payload["s"])
     if payload["kind"] == "mwis":
         return MwisInstance(payload["n"], payload["edges"], payload["weights"])
     raise ValueError(f"unknown instance kind {payload['kind']!r}")

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algoselect.cli import main
+from algoselect.cli import build_parser, main
 from algoselect.core import shatter_probe
 from algoselect.greedy import (
     KnapsackInstance,
@@ -82,6 +84,17 @@ class TestErmGreedy:
         payload = json.loads(line)
         assert payload["type"] == "ValueError"
         assert "whole numbers" in payload["error"]
+
+    @pytest.mark.parametrize("frac", ["inf", "nan", "1.5", "1.0", "-0.25"])
+    def test_holdout_fraction_outside_unit_interval_rejected(self, frac, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run_cli("erm-greedy", "--instances", mwis_dir(tmp_path), "--holdout-frac", frac,
+                       "--out", out) == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        payload = json.loads(line)
+        assert payload["type"] == "ValueError"
+        assert "--holdout-frac" in payload["error"]
 
 
 class TestGdTune:
@@ -329,3 +342,16 @@ def test_error_payload_is_machine_readable(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload["type"] == "ValueError"
+
+
+def test_readme_command_lines_parse():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("algoselect ")]
+    parser = build_parser()
+    # parse_args exits on an unknown flag or a bad value; every subcommand is shown.
+    shown = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert shown == set(subcommands.choices)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from algoselect.core import merge_close
 from algoselect.gdtune import (
     GdFamily,
     GdInstance,
@@ -116,16 +117,6 @@ class TestRunGd:
         with pytest.raises(ValueError):
             run_gd(fam, 0.5, GdInstance([1.0], [2.0]))  # start norm above Z
 
-    def test_gradient_stop_variant(self):
-        fam = LEMMA_FAMILY
-        inst = GdInstance([2.0], [1.0])
-        # Gradient norm is 2|z| here, so the gradient rule stops later.
-        assert run_gd(fam, 0.3, inst, stop="grad") >= run_gd(fam, 0.3, inst)
-
-    def test_unknown_stop_rule(self):
-        with pytest.raises(ValueError):
-            run_gd(unit_family(), 0.5, GdInstance([1.0], [1.0]), stop="energy")
-
 
 class TestKnet:
     def test_hand_evaluated_uniform_grid(self):
@@ -149,9 +140,17 @@ class TestKnet:
         assert fine.K < coarse.K
         assert knet(fine).size > knet(coarse).size
 
+    @staticmethod
+    def _sequential_merge(points, rtol):
+        # Reference: keep each sorted point farther than rtol (relative) from the last kept one.
+        kept = []
+        for p in points:
+            if not kept or p - kept[-1] > rtol * max(1.0, abs(p)):
+                kept.append(p)
+        return kept
+
     def test_matches_sequential_merge(self):
-        # Reference: sort, then keep each point farther than 1e-9 (relative)
-        # from the last kept one.  Aligned endpoints make near-duplicates.
+        # Aligned endpoints make near-duplicates in the K-net.
         families = [LEMMA_FAMILY, unit_family(), unit_family(rho_l=0.75, rho_u=0.75)]
         families += [GdFamily(rho_l=0.5 + k * 0.025, rho_u=2.0, L=1.0, m_sc=1.0, c=0.5, Z=1.0,
                               nu=0.1) for k in range(12)]
@@ -159,16 +158,22 @@ class TestKnet:
             k_lo = math.ceil(fam.rho_l / fam.K - 1e-9)
             k_hi = math.floor(fam.rho_u / fam.K + 1e-9)
             multiples = [min(max(k * fam.K, fam.rho_l), fam.rho_u) for k in range(k_lo, k_hi + 1)]
-            kept = []
-            for p in sorted([fam.rho_l, fam.rho_u] + multiples):
-                if not kept or p - kept[-1] > 1e-9 * max(1.0, abs(p)):
-                    kept.append(p)
+            kept = self._sequential_merge(sorted([fam.rho_l, fam.rho_u] + multiples), 1e-9)
             assert knet(fam).tolist() == kept
+        # The shared helper on chains of points 1e-13 apart at the breakpoint
+        # tolerance 1e-12: a dropped point must not become the next reference.
+        rng = np.random.default_rng(7)
+        for start in (0.0, 0.37, 1.0, 250.0):
+            gaps = rng.choice([1e-13, 2e-13, 7e-13, 3e-12, 1e-3], size=80, p=[.5, .1, .1, .2, .1])
+            points = start + np.cumsum(np.concatenate([[0.0], gaps]))
+            for rtol in (1e-12, 1e-9):
+                assert merge_close(points, rtol).tolist() == self._sequential_merge(points.tolist(), rtol)
+        assert merge_close(np.empty(0), 1e-12).size == 0
 
     def test_size_guard(self):
         fam = GdFamily(rho_l=0.5, rho_u=2.0, L=1.0, m_sc=1.0, c=0.5, Z=1.0, nu=1e-9)
         with pytest.raises(ValueError, match="rescale"):
-            knet(fam, max_points=1000)
+            knet(fam)
 
 
 class TestErmStepsize:

@@ -9,6 +9,7 @@ from algoselect.core import shatter_probe
 from algoselect.greedy import (
     KnapsackInstance,
     MwisInstance,
+    ParamGreedyFamily,
     best_of_q,
     breakpoints,
     erm_best_of_q,
@@ -69,6 +70,18 @@ class TestRunGreedy:
     def test_instance_kind_mismatch_rejected(self):
         with pytest.raises(TypeError):
             run_greedy(mwis_family(2), 0.5, two_item_knapsack())
+
+    @pytest.mark.parametrize("kind,interval,n", [
+        ("value-only", (0.0, 1.0), 3),
+        ("mwis", (0.0, math.inf), 3),
+        ("mwis", (math.nan, 1.0), 3),
+        ("knapsack", (1.0, 0.5), 3),
+        ("mwis-adaptive", (-0.5, 1.0), 3),
+        ("knapsack", (0.0, 1.0), 0),
+    ], ids=["unknown-kind", "inf-hi", "nan-lo", "lo-above-hi", "lo-below-0", "n-0"])
+    def test_family_validation(self, kind, interval, n):
+        with pytest.raises(ValueError):
+            ParamGreedyFamily(kind, interval, n)
 
     def test_tie_break_is_lexicographic(self):
         # Equal weights and degrees: ids win, so vertex 0 blocks vertex 1.
@@ -260,19 +273,14 @@ class TestBreakpoints:
         # One open piece: both endpoints and its midpoint.
         assert bset.representatives.tolist() == [0.0, 1.0, 2.0]
 
-    def test_value_only_scoring_never_crosses(self):
-        rng = np.random.default_rng(3)
-        fam = knapsack_family(6, value_only=True)
-        assert breakpoints(fam, [random_knapsack_instance(6, rng)]).count == 0
-
     def test_count_bound(self):
         rng = np.random.default_rng(29)
         samples = [random_mwis_instance(7, 0.5, rng) for _ in range(4)]
         for adaptive in (False, True):
-            fam = mwis_family(7, adaptive=adaptive)
-            bset = breakpoints(fam, samples)
-            s, n, beta = len(samples), 7, fam.assignment.beta(7)
-            assert bset.count <= (s * n * beta) ** 2 * fam.scoring.kappa
+            bset = breakpoints(mwis_family(7, adaptive=adaptive), samples)
+            # kappa = 1 crossing per attribute pair; only residual degrees churn (beta = n).
+            s, n, beta = len(samples), 7, 7 if adaptive else 1
+            assert bset.count <= (s * n * beta) ** 2
 
     def test_representatives_strictly_inside_subintervals(self):
         rng = np.random.default_rng(31)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -106,6 +107,15 @@ class TestHardInstance:
             HardInstanceParams(5, Fraction(3, 4), Fraction(1, 4))
         with pytest.raises(ValueError):
             HardInstanceParams(5, Fraction(0), Fraction(3, 4))
+
+    @pytest.mark.parametrize("r,s", [(None, "3/4"), ([1], "3/4"), ("1/4", "x"),
+                                     (float("inf"), "3/4"), ("1/4", float("nan"))])
+    def test_rejects_non_rational_window(self, r, s):
+        with pytest.raises(ValueError, match="rationals"):
+            HardInstanceParams(5, r, s)
+        line = json.dumps({"kind": "hard", "m": 5, "r": r, "s": s})
+        with pytest.raises(ValueError, match="rationals"):
+            instance_from_jsonl(line)
 
     @pytest.mark.parametrize("m", [3.5, "3", 4.0, None])
     def test_rejects_non_integer_m(self, m):
@@ -589,7 +599,7 @@ class TestBlockedRunner:
     def test_rejects_empty_horizon(self):
         with pytest.raises(ValueError, match="T >= 1"):
             run_smoothed_online(uniform_smooth_spec(4, 0.5), erdos_renyi_generator(4, 0.5),
-                                T=0, d_exp=1, seed=0, net=8, eta=0.1)
+                                T=0, d_exp=1, seed=0, net=8)
 
     def test_duplicate_weights_mid_block_rejected(self):
         class RepeatsOnFifthDraw:
