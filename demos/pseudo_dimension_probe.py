@@ -30,11 +30,11 @@ family = mwis_family(6)
 reps = breakpoints(family, [first, second]).representatives
 finite = representative_family(family, reps)
 print(f"\nprobing a 2-instance set with {reps.size} candidate parameters:")
-(report,) = shatter_probe(finite, [[first, second]])
+costs = finite.cost_matrix([first, second])
+(report,) = shatter_probe(costs, [[0, 1]])
 print(f"  shattered: {report.shattered} ({report.labeling_count}/4 labelings)")
 print(f"  witness thresholds: {np.round(report.witnesses, 4)}")
 
-costs = finite.cost_matrix([first, second])
 print("  labelings realized at those witnesses:")
 for pattern in sorted({tuple(row) for row in (costs > np.asarray(report.witnesses))}):
     print(f"    {tuple(int(b) for b in pattern)}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import epm as epm_mod
 from . import gdtune, greedy, online, sorter
-from .core import MAXIMIZE, FiniteFamily, shatter_probe
+from .core import MAXIMIZE, shatter_probe
 from .utils import atomic_write_text, labeled_rng
 
 
@@ -97,9 +97,8 @@ def cmd_online(args) -> int:
     )
     spec = online.uniform_smooth_spec(args.n, args.sigma, intervals)
     generator = online.erdos_renyi_generator(args.n, args.p_er)
-    trace = online.run_smoothed_online(
-        spec, generator, args.T, args.d_exp, args.seed, net=args.net_size
-    )
+    trace = online.run_smoothed_online(spec, generator, args.T, d_exp=1, seed=args.seed,
+                                       net=args.net_size)
     atomic_write_text(args.out, trace.to_csv())
     return 0
 
@@ -111,30 +110,25 @@ def cmd_adversary(args) -> int:
     return 0
 
 
-def _probe_family(args):
-    rng = labeled_rng(args.seed, "pdim-instances")
+def _probe_costs(args, count: int) -> np.ndarray:
+    """(candidates x instances) costs of the probed family on `count` random instances."""
     if args.family == "constant":
-        indices = tuple(range(4))
-        instances = [int(i) for i in range(args.sets * args.set_size)]
-        return FiniteFamily(indices, lambda i, x: 0.5, orientation=MAXIMIZE), instances
+        return np.full((4, count), 0.5)
+    rng = labeled_rng(args.seed, "pdim-instances")
     if args.family == "mwis":
         fam = greedy.mwis_family(args.n)
-        instances = [greedy.random_mwis_instance(args.n, 0.5, rng) for _ in range(args.sets * args.set_size)]
+        instances = [greedy.random_mwis_instance(args.n, 0.5, rng) for _ in range(count)]
     else:
         fam = greedy.knapsack_family(args.n, (0.0, 2.0))
-        instances = [greedy.random_knapsack_instance(args.n, rng) for _ in range(args.sets * args.set_size)]
-    # Each probe's costs are read off the instances' step functions; the
-    # probed "instances" are then column numbers of that matrix.
-    reps = greedy.breakpoints(fam, instances).representatives
-    costs = greedy.breakpoint_costs(fam, instances, reps)
-    finite = FiniteFamily(tuple(range(reps.size)), lambda k, j: costs[k, j], orientation=MAXIMIZE)
-    return finite, list(range(len(instances)))
+        instances = [greedy.random_knapsack_instance(args.n, rng) for _ in range(count)]
+    # One candidate per piece of the instances' step functions.
+    return greedy.breakpoint_costs(fam, instances, greedy.breakpoints(fam, instances).representatives)
 
 
 def cmd_pdim_probe(args) -> int:
-    finite, instances = _probe_family(args)
-    sets = [instances[i * args.set_size:(i + 1) * args.set_size] for i in range(args.sets)]
-    reports = shatter_probe(finite, sets, size_cap=args.set_size_cap)
+    costs = _probe_costs(args, args.sets * args.set_size)
+    sets = [range(i * args.set_size, (i + 1) * args.set_size) for i in range(args.sets)]
+    reports = shatter_probe(costs, sets)
     payload = [
         {
             "set_size": r.set_size,
@@ -190,7 +184,7 @@ def cmd_sort_bench(args) -> int:
 
         train = draw(args.train)
         tests = draw(args.test)
-    trained = sorter.train_sorter(train, c_cap=args.c_cap, fallback_constant=args.fallback_constant)
+    trained = sorter.train_sorter(train)
     rows = []
     for i, arr in enumerate(tests):
         out, stats = sorter.sort(trained, arr)
@@ -251,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-er", type=float, default=0.3)
     p.add_argument("--intervals", default="0:1", help="weight support, e.g. 0.6:0.65,0.82:0.87")
     p.add_argument("--net-size", type=int, default=10000)
-    p.add_argument("--d-exp", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_online)
 
@@ -266,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6, help="instance size")
     p.add_argument("--sets", type=int, default=3, help="number of instance sets to probe")
     p.add_argument("--set-size", type=int, default=2)
-    p.add_argument("--set-size-cap", type=int, default=4)
     common(p)
     p.set_defaults(func=cmd_pdim_probe)
 
@@ -284,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", type=int, default=200)
     p.add_argument("--test", type=int, default=100)
     p.add_argument("--dist", choices=["uniform", "skewed"], default="skewed")
-    p.add_argument("--c-cap", type=float, default=0.5)
-    p.add_argument("--fallback-constant", type=float, default=4.0)
     p.add_argument("--train-csv", help="training arrays CSV (overrides generation)")
     p.add_argument("--test-csv", help="test arrays CSV")
     common(p)

@@ -22,14 +22,11 @@ MINIMIZE = "minimize"
 
 @dataclass(frozen=True)
 class CostValue:
-    """A single performance measurement, tagged with its orientation."""
+    """A single performance measurement."""
 
     value: float
-    orientation: str = MAXIMIZE
 
     def __post_init__(self) -> None:
-        if self.orientation not in (MAXIMIZE, MINIMIZE):
-            raise ValueError(f"bad orientation: {self.orientation!r}")
         if not math.isfinite(self.value) or self.value < 0:
             raise ValueError(f"cost must be finite and >= 0, got {self.value!r}")
 
@@ -39,16 +36,13 @@ class LearnSpec:
     """Inputs to the uniform-convergence sample-size bound.
 
     `d` is the pseudo-dimension of the family (or log2 of its size for a
-    finite family), `H` the cost range bound, and `c_const` the leading
-    constant of the bound, which theory leaves unspecified; it defaults to 1
-    and only scales the reported sample size.
+    finite family) and `H` the cost range bound.
     """
 
     epsilon: float
     delta: float
     H: float
     d: float
-    c_const: float = 1.0
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -59,16 +53,15 @@ class LearnSpec:
             raise ValueError("H must be > 0")
         if self.d < 0:
             raise ValueError("d must be >= 0")
-        if self.c_const <= 0:
-            raise ValueError("c_const must be > 0")
 
 
 def sample_size(spec: LearnSpec) -> int:
     """Number of samples sufficient for uniform convergence to error epsilon.
 
-    Evaluates ceil(c * (H / epsilon)^2 * (d + ln(1/delta))), clamped to >= 1.
+    Evaluates ceil((H / epsilon)^2 * (d + ln(1/delta))), clamped to >= 1; the
+    leading constant, which theory leaves unspecified, is taken as 1.
     """
-    raw = spec.c_const * (spec.H / spec.epsilon) ** 2 * (spec.d + math.log(1.0 / spec.delta))
+    raw = (spec.H / spec.epsilon) ** 2 * (spec.d + math.log(1.0 / spec.delta))
     return max(1, math.ceil(raw))
 
 
@@ -83,7 +76,6 @@ class FiniteFamily:
     indices: tuple
     evaluate: Callable[[object, object], float]
     orientation: str = MAXIMIZE
-    H: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.indices) == 0:
@@ -254,26 +246,28 @@ def realized_labelings(costs: np.ndarray, witnesses: Sequence[float]) -> int:
 # Most witness vectors `shatter_probe` tries on one instance set.
 _WITNESS_SEARCH_LIMIT = 5_000_000
 
+# Largest instance set `shatter_probe` probes.
+_SET_SIZE_CAP = 4
 
-def shatter_probe(
-    family: FiniteFamily,
-    sample_sets: Sequence[Sequence],
-    size_cap: int = 4,
-) -> list[ShatterReport]:
+
+def shatter_probe(costs: np.ndarray, column_sets: Sequence[Sequence[int]]) -> list[ShatterReport]:
     """Search witness vectors certifying that each instance set is shattered.
 
-    A set of size s is shattered when some witness vector makes the candidate
-    indices realize all 2^s labelings.  The search runs over the finite grid
-    of per-instance cost midpoints, which is exhaustive for this purpose.
-    Reported witnesses can be re-verified with `realized_labelings`.
+    `costs` is the (candidates x instances) cost matrix of a finite candidate
+    set, and each instance set is a list of its column indices.  A set of size
+    s is shattered when some witness vector makes the candidates realize all
+    2^s labelings.  The search runs over the finite grid of per-instance cost
+    midpoints, which is exhaustive for this purpose.  Reported witnesses can
+    be re-verified with `realized_labelings`.
     """
+    costs = np.asarray(costs, dtype=float)
     reports = []
-    for sample_set in sample_sets:
-        s = len(sample_set)
-        if s > size_cap:
-            raise ValueError(f"instance set of size {s} exceeds the cap of {size_cap}")
-        costs = family.cost_matrix(sample_set)
-        grids = _witness_grids(costs)
+    for columns in column_sets:
+        s = len(columns)
+        if s > _SET_SIZE_CAP:
+            raise ValueError(f"instance set of size {s} exceeds the cap of {_SET_SIZE_CAP}")
+        sub = costs[:, np.asarray(columns, dtype=np.intp)]
+        grids = _witness_grids(sub)
         total = math.prod(len(g) for g in grids)
         if total > _WITNESS_SEARCH_LIMIT:
             raise ValueError(f"witness search space of {total} combinations exceeds the cap of "
@@ -281,7 +275,7 @@ def shatter_probe(
         target = 2**s
         best_count, best_wit, shattered = 0, None, False
         for wit in product(*grids):
-            count = realized_labelings(costs, wit)
+            count = realized_labelings(sub, wit)
             if count > best_count:
                 best_count, best_wit = count, tuple(float(w) for w in wit)
             if count == target:

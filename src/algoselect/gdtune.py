@@ -65,6 +65,8 @@ class GdFamily:
     nu: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in vars(self).values()):
+            raise ValueError(f"family parameters must be finite, got {self}")
         if not 0 < self.rho_l <= self.rho_u:
             raise ValueError("need 0 < rho_l <= rho_u")
         if not 0 < self.m_sc <= self.L:
@@ -282,6 +284,8 @@ def knet(family: GdFamily) -> np.ndarray:
     for the continuum.
     """
     K = family.K
+    if not K > 0:  # D(rho_u)^-H underflows to 0 for a large L, Z or iteration bound
+        raise ValueError(f"net spacing K={K} is not > 0; rescale L, Z, nu, c, or the interval")
     k_lo = math.ceil(family.rho_l / K - 1e-9)
     k_hi = math.floor(family.rho_u / K + 1e-9)
     count = max(0, k_hi - k_lo + 1)
@@ -311,21 +315,11 @@ def erm_stepsize(family: GdFamily, samples: Sequence[GdInstance], net=None, hold
     return report.chosen, report
 
 
-@dataclass(frozen=True)
-class DriftBound:
+def drift_bound(family: GdFamily, rho: float, eta: float, steps: int) -> float:
     """Worst-case distance of the rho- and eta-paths after `steps` steps."""
-
-    rho: float
-    eta: float
-    steps: int
-    value: float
-
-
-def drift_bound(family: GdFamily, rho: float, eta: float, steps: int) -> DriftBound:
     if eta < rho:
         raise ValueError("need rho <= eta")
-    value = (eta - rho) * family.D(rho) ** steps * family.L * family.Z / family.c
-    return DriftBound(rho, eta, steps, value)
+    return (eta - rho) * family.D(rho) ** steps * family.L * family.Z / family.c
 
 
 @dataclass
@@ -402,7 +396,7 @@ def verify_lemmas(family: GdFamily, trials: int, seed: int = 0) -> LemmaReport:
             norms_r.append(float(_norm(z_r)))
             norms_e.append(float(_norm(z_e)))
             drift = float(np.linalg.norm(z_r - z_e))
-            bound = drift_bound(family, rho, eta, j).value
+            bound = drift_bound(family, rho, eta, j)
             if bound > 0:
                 report.max_drift_ratio = max(report.max_drift_ratio, drift / bound)
             if drift > bound * (1 + rtol) + 1e-15:

@@ -339,7 +339,7 @@ def run_greedy(family: ParamGreedyFamily, rho, instance):
             mask = _greedy_mwis_adaptive(instance, rho)
         value = mask_cost(mask, instance.weights)
     solution = tuple(int(v) for v in np.flatnonzero(mask))
-    return solution, CostValue(value, MAXIMIZE)
+    return solution, CostValue(value)
 
 
 def greedy_cost(family: ParamGreedyFamily, rho, instance) -> float:
@@ -583,7 +583,7 @@ def best_of_q(family: ParamGreedyFamily, rhos, instance) -> CostValue:
     """Best solution value over q greedy runs with the given parameters."""
     if len(rhos) == 0:
         raise ValueError("need at least one rho")
-    return CostValue(max(greedy_cost(family, r, instance) for r in rhos), MAXIMIZE)
+    return CostValue(max(greedy_cost(family, r, instance) for r in rhos))
 
 
 _BEST_OF_Q_CAP = 3
@@ -661,26 +661,25 @@ def random_knapsack_instance(n: int, rng: np.random.Generator,
     return KnapsackInstance(values, sizes, max(1.0, _KNAPSACK_CAPACITY_SHARE * float(sizes.sum())))
 
 
-def save_mwis(instance: MwisInstance, path: str) -> None:
-    payload = {
-        "n": instance.n,
-        "edges": instance.edges.tolist(),
-        "weights": instance.weights.tolist(),
-    }
+def mwis_to_dict(instance: MwisInstance) -> dict:
+    """The JSON record of an instance, exact weight exponents (as strings) included."""
+    payload = {"n": instance.n, "edges": instance.edges.tolist(), "weights": instance.weights.tolist()}
     if instance.exact_base is not None:
         payload["exact_base"] = instance.exact_base
         payload["exact_exponents"] = [str(e) for e in instance.exact_exponents]
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    return payload
 
 
 def mwis_from_dict(payload: dict) -> MwisInstance:
-    exact_base = payload.get("exact_base")
     exponents = payload.get("exact_exponents")
-    if exponents is not None:
-        exponents = tuple(Fraction(e) for e in exponents)
     return MwisInstance(payload["n"], payload["edges"], payload["weights"],
-                        exact_base=exact_base, exact_exponents=exponents)
+                        exact_base=payload.get("exact_base"),
+                        exact_exponents=None if exponents is None else tuple(map(Fraction, exponents)))
+
+
+def save_mwis(instance: MwisInstance, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(mwis_to_dict(instance), fh)
 
 
 def load_mwis(path: str) -> MwisInstance:

@@ -38,8 +38,8 @@ import numpy as np
 
 from .core import StepFunction, argmax_sum
 # `erdos_renyi_generator` is re-exported as the graph model of smoothed runs.
-from .greedy import (MwisInstance, _ErdosRenyi, _graph_lanes, _nonadaptive_masks,  # noqa: F401
-                     erdos_renyi_generator)
+from .greedy import (_GRID_MAX_N, MwisInstance, _ErdosRenyi, _graph_lanes,  # noqa: F401
+                     _nonadaptive_masks, erdos_renyi_generator, mwis_from_dict, mwis_to_dict)
 from .utils import labeled_rng
 
 
@@ -283,13 +283,9 @@ def _instances(spec: SmoothSpec, graph_generator, rng) -> Iterator[MwisInstance]
         yield MwisInstance(spec.n, edges, weights)
 
 
-def smooth_stream(spec: SmoothSpec, graph_generator, T: int, seed: int) -> Iterator[MwisInstance]:
-    yield from islice(_instances(spec, graph_generator, labeled_rng(seed, "smooth-sequence")), T)
-
-
 def smooth_sequence(spec: SmoothSpec, graph_generator, T: int, seed: int) -> list[MwisInstance]:
-    """Materialized `smooth_stream`; identical seeds give identical sequences."""
-    return list(smooth_stream(spec, graph_generator, T, seed))
+    """The first T smoothed instances of `seed`; identical seeds give identical sequences."""
+    return list(islice(_instances(spec, graph_generator, labeled_rng(seed, "smooth-sequence")), T))
 
 
 def _draw_block(spec: SmoothSpec, graph_generator, rng: np.random.Generator, steps: int):
@@ -400,22 +396,17 @@ def theoretical_m(n: int, sigma: float, d_exp: int) -> int:
     return math.ceil(n**d_exp * math.log(1.0 / sigma))
 
 
-def theoretical_q(n: int, sigma: float, d_exp: int, m: int | None = None) -> float:
+def theoretical_q(n: int, sigma: float, d_exp: int) -> float:
     if n < 2:
         raise ValueError(f"theoretical q needs n >= 2 (it divides by ln n), got n={n}")
-    default_m = theoretical_m(n, sigma, d_exp)  # rejects d_exp < 1 whatever m is
-    m = default_m if m is None else m
+    m = theoretical_m(n, sigma, d_exp)
     return 1.0 / (n**d_exp * 4.0 * (1.0 / sigma) * m**2 * n**8 * math.log(n))
 
 
-def collision_probability_bound(n: int, sigma: float, d_exp: int, q: float | None = None,
-                                m: int | None = None) -> float:
+def collision_probability_bound(n: int, sigma: float, d_exp: int) -> float:
     """Upper bound on the chance that two transition points land within q."""
-    if m is None:
-        m = theoretical_m(n, sigma, d_exp)
-    if q is None:
-        q = theoretical_q(n, sigma, d_exp, m)
-    return 4.0 * q * (1.0 / sigma) * m**2 * n**8 * math.log(n)
+    m = theoretical_m(n, sigma, d_exp)
+    return 4.0 * theoretical_q(n, sigma, d_exp) * (1.0 / sigma) * m**2 * n**8 * math.log(n)
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +588,15 @@ def run_smoothed_online(
 
     The instance sequence does not depend on the learner, so it is drawn in
     blocks of up to `BLOCK_STEPS` steps (`_draw_block`, bit-equal to
-    `smooth_stream`) whose step functions come from one vectorized pass; only
+    `smooth_sequence`) whose step functions come from one vectorized pass; only
     Hedge runs per step, and a constant step skips its update.  `best_ref_*`
     is the exact best piece of the sum of all step functions (`argmax_sum`).
     """
     if T < 1:
         raise ValueError("need T >= 1")
     n = spec.n
+    if n > _GRID_MAX_N:  # checked before the first block is drawn and cut
+        raise ValueError(f"smoothed runs support n <= {_GRID_MAX_N} (vertex bitmasks), got n={n}")
     q = theoretical_q(n, spec.sigma, d_exp)
     if net is None:
         required = math.floor(1.0 / q) + 2
@@ -675,12 +668,7 @@ def instance_to_jsonl(obj) -> str:
     if isinstance(obj, HardInstanceParams):
         return json.dumps({"kind": "hard", "m": obj.m, "r": str(obj.r), "s": str(obj.s)})
     if isinstance(obj, MwisInstance):
-        return json.dumps({
-            "kind": "mwis",
-            "n": obj.n,
-            "edges": obj.edges.tolist(),
-            "weights": obj.weights.tolist(),
-        })
+        return json.dumps({"kind": "mwis", **mwis_to_dict(obj)})
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -689,5 +677,5 @@ def instance_from_jsonl(line: str):
     if payload["kind"] == "hard":
         return HardInstanceParams(payload["m"], payload["r"], payload["s"])
     if payload["kind"] == "mwis":
-        return MwisInstance(payload["n"], payload["edges"], payload["weights"])
+        return mwis_from_dict(payload)
     raise ValueError(f"unknown instance kind {payload['kind']!r}")

@@ -10,7 +10,7 @@ in far fewer comparisons than a comparison-optimal oblivious sort.
 
 Trees are capped in size; searches the capped tree cannot resolve fall back
 to plain binary search over the remaining boundary range.  A global
-comparison budget of `fallback_constant * n * log2(n)` guards against inputs
+comparison budget of `_BUDGET_FACTOR * n * log2(n)` guards against inputs
 from a different distribution: when exceeded, the partial work is abandoned
 and the original input is mergesorted (output correctness never depends on
 the learned structure).
@@ -25,6 +25,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+# A trained tree has at most n**_NODE_CAP_EXPONENT interior nodes, and a sort
+# falls back to mergesort after _BUDGET_FACTOR * n * log2(n) comparisons.
+_NODE_CAP_EXPONENT = 0.5
+_BUDGET_FACTOR = 4.0
 
 
 @dataclass
@@ -67,19 +72,20 @@ def _weight_balanced_tree(weights: np.ndarray, node_cap: int) -> dict:
     distributions.
     """
     prefix = np.concatenate([[0.0], np.cumsum(weights)])
+    heap = []
 
-    def range_weight(lo, hi):
-        return prefix[hi + 1] - prefix[lo]
+    def leaf(lo, hi):
+        """A bucket leaf, or a range leaf queued for splitting by weight."""
+        if lo == hi:
+            return {"bucket": lo}
+        node = {"range": [lo, hi]}
+        heapq.heappush(heap, (-(prefix[hi + 1] - prefix[lo]), lo, hi, node))
+        return node
 
-    root = {"range": [0, weights.size - 1]}
-    heap = [(-range_weight(0, weights.size - 1), 0, weights.size - 1, root)]
+    root = leaf(0, weights.size - 1)
     budget = node_cap
     while heap and budget > 0:
         _, lo, hi, node = heapq.heappop(heap)
-        if lo == hi:
-            node.clear()
-            node["bucket"] = lo
-            continue
         # Split at the boundary that best balances the two halves.
         target = (prefix[lo] + prefix[hi + 1]) / 2.0
         first_right = int(np.searchsorted(prefix[lo + 1:hi + 1], target) + lo + 1)
@@ -88,22 +94,12 @@ def _weight_balanced_tree(weights: np.ndarray, node_cap: int) -> dict:
         # Left subtree holds buckets lo..first_right-1, i.e. keys below
         # boundaries[first_right - 1].
         node["split"] = first_right - 1
-        left = {"range": [lo, first_right - 1]}
-        right = {"range": [first_right, hi]}
-        node["left"], node["right"] = left, right
+        node["left"], node["right"] = leaf(lo, first_right - 1), leaf(first_right, hi)
         budget -= 1
-        heapq.heappush(heap, (-range_weight(lo, first_right - 1), lo, first_right - 1, left))
-        heapq.heappush(heap, (-range_weight(first_right, hi), first_right, hi, right))
-    # Singleton ranges that never got popped are already resolved buckets.
-    while heap:
-        _, lo, hi, node = heapq.heappop(heap)
-        if lo == hi:
-            node.clear()
-            node["bucket"] = lo
     return root
 
 
-def train_sorter(samples: Sequence, c_cap: float = 0.5, fallback_constant: float = 4.0) -> BucketSorter:
+def train_sorter(samples: Sequence) -> BucketSorter:
     """Learn boundaries and per-position trees from sample arrays.
 
     Boundaries are every s-th order statistic of the pooled values (s = number
@@ -119,14 +115,14 @@ def train_sorter(samples: Sequence, c_cap: float = 0.5, fallback_constant: float
     s = len(arrays)
     pooled = np.sort(np.concatenate(arrays), kind="stable")
     boundaries = np.unique(pooled[s - 1::s])
-    node_cap = max(1, int(n**c_cap))
+    node_cap = max(1, int(n**_NODE_CAP_EXPONENT))
     counts = np.ones((n, boundaries.size + 1))  # Laplace smoothing
     stacked = np.stack(arrays)
     for i in range(n):
         buckets = np.searchsorted(boundaries, stacked[:, i], side="right")
         counts[i] += np.bincount(buckets, minlength=boundaries.size + 1)
     trees = [_weight_balanced_tree(counts[i], node_cap) for i in range(n)]
-    threshold = fallback_constant * n * math.log2(max(n, 2))
+    threshold = _BUDGET_FACTOR * n * math.log2(max(n, 2))
     return BucketSorter(boundaries, trees, n, node_cap, threshold)
 
 

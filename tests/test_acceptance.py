@@ -18,7 +18,7 @@ from _fixtures import (
     crafted_shatter_pair,
 )
 from algoselect.cli import main as cli_main
-from algoselect.core import MAXIMIZE, MINIMIZE, FiniteFamily, realized_labelings, shatter_probe
+from algoselect.core import MINIMIZE, realized_labelings, shatter_probe
 from algoselect.epm import FeatureMap, fit_linear_epm, select_per_instance
 from algoselect.gdtune import GdFamily, GdInstance, erm_stepsize, knet, run_gd, verify_lemmas
 from algoselect.greedy import (
@@ -311,14 +311,13 @@ def test_11_shattering_probe():
     family = mwis_family(6)
     reps = breakpoints(family, [first, second]).representatives
     finite = representative_family(family, reps)
-    (pair_report,) = shatter_probe(finite, [[first, second]])
     matrix = finite.cost_matrix([first, second])
+    (pair_report,) = shatter_probe(matrix, [[0, 1]])
     reverified = (
         pair_report.shattered
         and realized_labelings(matrix, pair_report.witnesses) == 4
     )
-    constant = FiniteFamily(tuple(range(4)), lambda i, x: 0.5, orientation=MAXIMIZE)
-    const_reports = shatter_probe(constant, [list(range(size)) for size in (1, 2, 3, 4)])
+    const_reports = shatter_probe(np.full((4, 4), 0.5), [list(range(size)) for size in (1, 2, 3, 4)])
     never_shattered = all(not r.shattered and r.labeling_count == 1 for r in const_reports)
     elapsed = time.monotonic() - start
     ok = reverified and never_shattered

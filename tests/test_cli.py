@@ -210,7 +210,7 @@ class TestPdimProbe:
             fam = knapsack_family(6, (0.0, 2.0))
             instances = [random_knapsack_instance(6, rng) for _ in range(6)]
         finite = representative_family(fam, breakpoints(fam, instances).representatives)
-        reports = shatter_probe(finite, [instances[0:2], instances[2:4], instances[4:6]])
+        reports = shatter_probe(finite.cost_matrix(instances), [[0, 1], [2, 3], [4, 5]])
         got = json.loads(out.read_text())["reports"]
         assert [(r["set_size"], r["shattered"], r["labeling_count"], r["witnesses"]) for r in got] == \
             [(r.set_size, r.shattered, r.labeling_count, list(r.witnesses) if r.witnesses else None)
@@ -291,16 +291,6 @@ class TestOnlineCommand:
         assert payload["type"] == "ValueError"
         assert "n >= 2" in payload["error"]
 
-    @pytest.mark.parametrize("d_exp", [0, -3])
-    def test_d_exp_below_one_rejected(self, d_exp, tmp_path, capsys):
-        out = tmp_path / "trace.csv"
-        assert run_cli("online", "--d-exp", d_exp, "--T", 5, "--net-size", 8, "--out", out) == 1
-        assert not out.exists()
-        (line,) = capsys.readouterr().err.strip().split("\n")
-        payload = json.loads(line)
-        assert payload["type"] == "ValueError"
-        assert "d_exp must be >= 1" in payload["error"]
-
 
 @pytest.mark.parametrize("command,extra", [
     ("online", ["--p-er", 1.5, "--T", 5, "--net-size", 8]),
@@ -335,6 +325,29 @@ def test_reruns_are_byte_identical(command, extra, tmp_path):
     assert run_cli(command, *args, "--seed", 42, "--out", out_a) == 0
     assert run_cli(command, *args, "--seed", 42, "--out", out_b) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def numeric_edge_cases():
+    """Every int and float option of every subcommand, at each of its edge values."""
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    edges = {int: ["-1", "0"], float: ["nan", "inf", "1e308", "-1", "0"]}
+    for command, sub in subcommands.choices.items():
+        for action in sub._actions:
+            for value in edges.get(action.type, []):
+                option = f"{action.option_strings[0]}={value}"
+                yield pytest.param(command, option, id=f"{command}{option}")
+
+
+@pytest.mark.parametrize("command,option", numeric_edge_cases())
+def test_numeric_edge_values_keep_the_error_contract(command, option, tmp_path, capsys):
+    # Small sizes from ALL_COMMANDS, then the one option at its edge value.
+    code = run_cli(command, *dict(ALL_COMMANDS)[command](tmp_path), option, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 1:
+        (line,) = err.strip().split("\n")
+        assert set(json.loads(line)) == {"error", "type"}
 
 
 def test_error_payload_is_machine_readable(tmp_path, capsys):

@@ -49,7 +49,6 @@ class TestSampleSize:
             dict(epsilon=0.1, delta=1.5, H=1.0, d=1.0),
             dict(epsilon=0.1, delta=0.5, H=0.0, d=1.0),
             dict(epsilon=0.1, delta=0.5, H=1.0, d=-1.0),
-            dict(epsilon=0.1, delta=0.5, H=1.0, d=1.0, c_const=0.0),
         ],
     )
     def test_rejects_bad_specs(self, kwargs):
@@ -77,8 +76,6 @@ class TestCostValue:
             CostValue(-0.5)
         with pytest.raises(ValueError):
             CostValue(float("nan"))
-        with pytest.raises(ValueError):
-            CostValue(1.0, "sideways")
 
 
 class TestErmFinite:
@@ -143,14 +140,14 @@ class TestErmFinite:
 class TestShatterProbe:
     def test_equal_costs_not_shattered(self):
         costs = {(i, "x"): 0.5 for i in range(3)}
-        (report,) = shatter_probe(table_family(costs), [["x"]])
+        (report,) = shatter_probe(table_family(costs).cost_matrix(["x"]), [[0]])
         assert not report.shattered
         assert report.labeling_count == 1
 
     def test_two_distinct_costs_shattered(self):
         costs = {(0, "x"): 0.2, (1, "x"): 0.8}
         fam = table_family(costs)
-        (report,) = shatter_probe(fam, [["x"]])
+        (report,) = shatter_probe(fam.cost_matrix(["x"]), [[0]])
         assert report.shattered
         assert report.labeling_count == 2
         (witness,) = report.witnesses
@@ -166,7 +163,7 @@ class TestShatterProbe:
             (3, "x"): 0.9, (3, "y"): 0.9,
         }
         fam = table_family(costs)
-        (report,) = shatter_probe(fam, [["x", "y"]])
+        (report,) = shatter_probe(fam.cost_matrix(["x", "y"]), [[0, 1]])
         assert report.shattered and report.labeling_count == 4
         matrix = fam.cost_matrix(["x", "y"])
         assert realized_labelings(matrix, report.witnesses) == 4
@@ -178,18 +175,18 @@ class TestShatterProbe:
     def test_monotone_family_not_shattered_at_size_two(self):
         # Costs move together across both instances: (lo, lo) and (hi, hi) only.
         costs = {(i, x): 0.1 * (i + 1) for i in range(4) for x in ("x", "y")}
-        (report,) = shatter_probe(table_family(costs), [["x", "y"]])
+        (report,) = shatter_probe(table_family(costs).cost_matrix(["x", "y"]), [[0, 1]])
         assert not report.shattered
         assert report.labeling_count <= 3
 
     def test_size_cap_enforced(self):
         costs = {(0, x): float(x) for x in range(5)} | {(1, x): float(x) + 0.5 for x in range(5)}
         with pytest.raises(ValueError):
-            shatter_probe(table_family(costs), [list(range(5))], size_cap=4)
+            shatter_probe(table_family(costs).cost_matrix(range(5)), [list(range(5))])
 
     def test_reports_one_per_set(self):
         costs = {(0, "x"): 0.2, (1, "x"): 0.8, (0, "y"): 0.5, (1, "y"): 0.5}
-        reports = shatter_probe(table_family(costs), [["x"], ["y"]])
+        reports = shatter_probe(table_family(costs).cost_matrix(["x", "y"]), [[0], [1]])
         assert [r.shattered for r in reports] == [True, False]
 
 

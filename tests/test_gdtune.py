@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -45,6 +46,8 @@ class TestFamilyValidation:
             dict(c=1.0),
             dict(nu=0.0),
             dict(nu=2.0),  # nu >= Z
+            dict(L=math.inf),
+            dict(Z=math.inf),
         ],
     )
     def test_rejects_bad_parameters(self, overrides):
@@ -175,6 +178,13 @@ class TestKnet:
         with pytest.raises(ValueError, match="rescale"):
             knet(fam)
 
+    @pytest.mark.parametrize("overrides", [dict(L=1e308), dict(Z=1e308)])
+    def test_underflowing_spacing_rejected(self, overrides):
+        fam = dataclasses.replace(LEMMA_FAMILY, **overrides)
+        assert fam.K == 0.0
+        with pytest.raises(ValueError, match="K=0.0 is not > 0"):
+            knet(fam)
+
 
 class TestErmStepsize:
     def test_single_point_net(self):
@@ -270,12 +280,12 @@ class TestNetCosts:
 
 class TestDriftBound:
     def test_zero_gap_zero_bound(self):
-        assert drift_bound(LEMMA_FAMILY, 0.2, 0.2, 5).value == 0.0
+        assert drift_bound(LEMMA_FAMILY, 0.2, 0.2, 5) == 0.0
 
     def test_monotone_in_steps_and_gap(self):
         fam = GdFamily(rho_l=0.5, rho_u=2.0, L=2.0, m_sc=1.0, c=0.5, Z=1.0, nu=0.1)
-        assert drift_bound(fam, 1.5, 1.6, 3).value <= drift_bound(fam, 1.5, 1.6, 4).value
-        assert drift_bound(fam, 1.5, 1.55, 3).value <= drift_bound(fam, 1.5, 1.6, 3).value
+        assert drift_bound(fam, 1.5, 1.6, 3) <= drift_bound(fam, 1.5, 1.6, 4)
+        assert drift_bound(fam, 1.5, 1.55, 3) <= drift_bound(fam, 1.5, 1.6, 3)
 
     def test_requires_ordered_pair(self):
         with pytest.raises(ValueError):
@@ -296,7 +306,7 @@ class TestVerifyLemmas:
         inst = GdInstance([2.0, 3.0], [0.5, 0.5])
         w = np.array([0.3, -0.2])
         assert np.linalg.norm(step_map(0.2, w, inst) - step_map(0.2, w, inst)) == 0.0
-        assert drift_bound(fam, 0.25, 0.25, 7).value == 0.0
+        assert drift_bound(fam, 0.25, 0.25, 7) == 0.0
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):

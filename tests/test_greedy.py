@@ -468,7 +468,7 @@ class TestCraftedShatterPair:
         fam = mwis_family(6)
         bset = breakpoints(fam, [first, second])
         finite = representative_family(fam, bset.representatives)
-        (report,) = shatter_probe(finite, [[first, second]])
+        (report,) = shatter_probe(finite.cost_matrix([first, second]), [[0, 1]])
         assert report.shattered
         assert report.labeling_count == 4
         # Witnesses are re-verifiable against a fresh evaluation.
@@ -487,6 +487,11 @@ class TestInstanceFiles:
         assert loaded.n == inst.n
         assert np.array_equal(loaded.edges, inst.edges)
         assert np.array_equal(loaded.weights, inst.weights)
+
+    def test_plain_mwis_file_bytes(self, tmp_path):
+        path = tmp_path / "graph.json"
+        save_mwis(MwisInstance(3, [(1, 0)], [0.5, 0.25, 1.0]), str(path))
+        assert path.read_text() == '{"n": 3, "edges": [[0, 1]], "weights": [0.5, 0.25, 1.0]}'
 
     def test_knapsack_roundtrip(self, tmp_path):
         inst = KnapsackInstance([4.0, 3.0, 2.5], [4.0, 1.0, 2.0], 6.5)

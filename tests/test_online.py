@@ -596,6 +596,13 @@ class TestBlockedRunner:
         with pytest.raises(ValueError, match="net"):
             run_smoothed_online(uniform_smooth_spec(4, 0.5), gen, T=3, d_exp=1, seed=0, net=net)
 
+    def test_rejects_more_than_63_vertices_before_drawing(self):
+        def gen(rng):
+            raise AssertionError("an instance was drawn")
+
+        with pytest.raises(ValueError, match="n <= 63"):
+            run_smoothed_online(uniform_smooth_spec(64, 0.5), gen, T=3, d_exp=1, seed=0, net=8)
+
     def test_rejects_empty_horizon(self):
         with pytest.raises(ValueError, match="T >= 1"):
             run_smoothed_online(uniform_smooth_spec(4, 0.5), erdos_renyi_generator(4, 0.5),
@@ -855,8 +862,6 @@ class TestTheoreticalQuantities:
             theoretical_m(8, 0.25, d_exp)
         with pytest.raises(ValueError, match="d_exp must be >= 1"):
             theoretical_q(8, 0.25, d_exp)
-        with pytest.raises(ValueError, match="d_exp must be >= 1"):
-            theoretical_q(8, 0.25, d_exp, m=10)
 
     def test_min_gap_helper(self):
         assert min_pairwise_gap(np.array([0.1, 0.4, 0.45])) == pytest.approx(0.05)
@@ -902,3 +907,12 @@ class TestReplaySerialization:
         back = instance_from_jsonl(instance_to_jsonl(inst))
         assert np.array_equal(back.edges, inst.edges)
         assert np.array_equal(back.weights, inst.weights)
+
+    def test_exact_exponents_survive(self):
+        # The last window is 1.3e-24 wide: only the exact exponents resolve it.
+        params = adversary_sequence(100, 12, seed=0)[-1]
+        inst = build_hard_instance(params)
+        back = instance_from_jsonl(instance_to_jsonl(inst))
+        assert (back.exact_base, back.exact_exponents) == (inst.exact_base, inst.exact_exponents)
+        mid, fam = (params.r + params.s) / 2, mwis_family(inst.n)
+        assert run_greedy(fam, mid, inst)[1].value == run_greedy(fam, mid, back)[1].value == 1.0
