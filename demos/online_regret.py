@@ -21,6 +21,7 @@ from algoselect.online import (
     erdos_renyi_generator,
     run_adversary_online,
     run_smoothed_online,
+    theoretical_q,
     uniform_smooth_spec,
 )
 
@@ -43,13 +44,13 @@ print(f"  average regret vs the surviving window: {trace.avg_regret_ref:.3f}")
 print("\nsmoothed weights on random graphs (n = 8, T = 2000, net of 2000 points):")
 spec = uniform_smooth_spec(8, sigma=0.25)
 gen = erdos_renyi_generator(8, 0.3)
-trace = run_smoothed_online(spec, gen, T=2000, d_exp=1, seed=0, net=2000)
+trace = run_smoothed_online(spec, gen, T=2000, seed=0, net=2000)
 print(f"  best fixed net point in hindsight: rho = {trace.best_net_rho:.4f} "
       f"(total {trace.best_net_total:.1f})")
 print(f"  exact best piece of the summed step functions: rho = {trace.best_ref_rho:.4f} "
       f"(total {trace.best_ref_total:.1f})")
 print(f"  average regret vs the net: {trace.avg_regret:.4f}")
-print(f"  theoretical net spacing q for these parameters: {trace.q_theoretical:.2e}")
+print(f"  theoretical net spacing q for these parameters: {theoretical_q(8, 0.25, 1):.2e}")
 
 print("\nregret trace tail (CSV emitted by the `algoselect online` subcommand):")
 print("\n".join(trace.to_csv().strip().split("\n")[-3:]))

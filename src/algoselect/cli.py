@@ -97,8 +97,7 @@ def cmd_online(args) -> int:
     )
     spec = online.uniform_smooth_spec(args.n, args.sigma, intervals)
     generator = online.erdos_renyi_generator(args.n, args.p_er)
-    trace = online.run_smoothed_online(spec, generator, args.T, d_exp=1, seed=args.seed,
-                                       net=args.net_size)
+    trace = online.run_smoothed_online(spec, generator, args.T, args.seed, args.net_size)
     atomic_write_text(args.out, trace.to_csv())
     return 0
 

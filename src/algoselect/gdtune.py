@@ -299,19 +299,17 @@ def knet(family: GdFamily) -> np.ndarray:
     return merge_close(np.sort(np.concatenate([[family.rho_l], multiples, [family.rho_u]])), 1e-9)
 
 
-def erm_stepsize(family: GdFamily, samples: Sequence[GdInstance], net=None, holdout=None):
-    """Exhaustive ERM over the net (the K-net by default), minimizing mean iteration count.
+def erm_stepsize(family: GdFamily, samples: Sequence[GdInstance], net):
+    """Exhaustive ERM over the net (`knet` builds the K-net), minimizing mean iteration count.
 
     The net is scored by `net_costs`, one batched recurrence per sample, and
     reduced by `core.erm_costs`.  Returns (rho_star, ErrorReport); ties break
     toward the smaller step size.
     """
-    points = knet(family) if net is None else np.asarray(net, dtype=float)
-    if points.size == 0:
-        raise ValueError("empty net")
-    train = net_costs(family, points, samples)
-    held = net_costs(family, points, holdout) if holdout is not None else None
-    report = erm_costs(points.tolist(), train, held, MINIMIZE)
+    points = np.asarray(net, dtype=float)
+    if points.ndim != 1 or points.size == 0:
+        raise ValueError("net must be a nonempty 1-D array of step sizes")
+    report = erm_costs(points.tolist(), net_costs(family, points, samples), None, MINIMIZE)
     return report.chosen, report
 
 
@@ -340,13 +338,6 @@ class LemmaReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _iterations_from_norms(norms: list[float], nu: float) -> int:
-    for j, value in enumerate(norms):
-        if value <= nu:
-            return j
-    return len(norms) - 1
 
 
 def verify_lemmas(family: GdFamily, trials: int, seed: int = 0) -> LemmaReport:
@@ -386,29 +377,25 @@ def verify_lemmas(family: GdFamily, trials: int, seed: int = 0) -> LemmaReport:
         if lhs > rhs * (1 + rtol) + 1e-15:
             flag("single-step", lhs=lhs, bound=rhs)
 
-        # (b) + (c): run both trajectories to the cap, tracking drift and norms.
+        # (b) run both trajectories to the cap, tracking drift.
         z_r, z_e = inst.z0, inst.z0
-        norms_r = [float(_norm(z_r))]
-        norms_e = norms_r.copy()
         for j in range(1, cap + 1):
             z_r = step_map(rho, z_r, inst)
             z_e = step_map(eta, z_e, inst)
-            norms_r.append(float(_norm(z_r)))
-            norms_e.append(float(_norm(z_e)))
             drift = float(np.linalg.norm(z_r - z_e))
             bound = drift_bound(family, rho, eta, j)
             if bound > 0:
                 report.max_drift_ratio = max(report.max_drift_ratio, drift / bound)
             if drift > bound * (1 + rtol) + 1e-15:
                 flag("drift", steps=j, drift=drift, bound=bound)
-        cost_r = _iterations_from_norms(norms_r, family.nu)
-        cost_e = _iterations_from_norms(norms_e, family.nu)
+        # (c) the iteration counts ERM uses, by the batched recurrence.
+        cost_r, cost_e = (int(c) for c in _net_iterations(family, np.array([rho, eta]), inst))
         gap = abs(cost_r - cost_e)
         report.max_cost_gap = max(report.max_cost_gap, gap)
         if gap > 1:
             flag("cost-gap", cost_rho=cost_r, cost_eta=cost_e)
         if trial % 100 == 0:
-            # Spot-check that the trajectory-derived counts match run_gd.
+            # Spot-check the batched counts against the scalar run_gd.
             if cost_r != run_gd(family, rho, inst) or cost_e != run_gd(family, eta, inst):
                 flag("cost-accounting", cost_rho=cost_r, cost_eta=cost_e)
     return report

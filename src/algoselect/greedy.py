@@ -91,8 +91,8 @@ class MwisInstance:
     `edges` is an int64 array of shape (E, 2) owned by the instance: the
     unique (u, v) pairs with u < v, in increasing order of u * n + v.  Input
     already in that form is kept as given; any other order, reversed pairs
-    and repeats are canonicalized.  Endpoints must be whole numbers.  The
-    neighbour lists the greedy runs walk are sorted by vertex id.
+    and repeats are canonicalized.  `n` and the endpoints must be whole
+    numbers.  The neighbour lists the greedy runs walk are sorted by vertex id.
 
     Instances whose weights are exact powers of an integer base >= 2 may carry
     (`exact_base`, `exact_exponents`): weight_v proportional to
@@ -105,6 +105,9 @@ class MwisInstance:
                  "_indptr", "_indices", "_degrees", "_exact_classes")
 
     def __init__(self, n, edges, weights, exact_base=None, exact_exponents=None):
+        whole = isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()
+        if isinstance(n, bool) or not whole:
+            raise ValueError(f"vertex count must be a whole number, got {n!r}")
         n = int(n)
         if n < 1:
             raise ValueError("need at least one vertex")
@@ -589,7 +592,7 @@ def best_of_q(family: ParamGreedyFamily, rhos, instance) -> CostValue:
 _BEST_OF_Q_CAP = 3
 
 
-def erm_best_of_q(family: ParamGreedyFamily, samples, q: int, holdout=None):
+def erm_best_of_q(family: ParamGreedyFamily, samples, q: int):
     """Exhaustive ERM over q-subsets of the piece representatives.
 
     A subset's cost on an instance is the best of its members' costs.
@@ -602,14 +605,10 @@ def erm_best_of_q(family: ParamGreedyFamily, samples, q: int, holdout=None):
     if reps.size < q:
         raise ValueError(f"q={q} exceeds the {reps.size} probe(s) of the interval")
     combos = np.asarray(list(combinations(range(reps.size), q)))
-
-    def combo_costs(instances) -> np.ndarray:
-        costs = breakpoint_costs(family, instances, reps)
-        return reduce(np.maximum, (costs[column] for column in combos.T))
-
+    costs = breakpoint_costs(family, samples, reps)
+    combo_costs = reduce(np.maximum, (costs[column] for column in combos.T))
     chosen = [tuple(float(reps[i]) for i in c) for c in combos]
-    held = combo_costs(holdout) if holdout is not None else None
-    report = erm_costs(chosen, combo_costs(samples), held, MAXIMIZE)
+    report = erm_costs(chosen, combo_costs, None, MAXIMIZE)
     return report.chosen, report
 
 

@@ -48,6 +48,11 @@ from .utils import labeled_rng
 # ---------------------------------------------------------------------------
 
 
+def _hard_size(m: int) -> int:
+    """Vertex count of the m graph: the layer sizes m^2-2, m^3-1 and m^2+m+1 summed."""
+    return m**3 + 2 * m**2 + m - 2
+
+
 @dataclass(frozen=True)
 class HardInstanceParams:
     """Three-layer graph sizes and weights derived from (m, r, s).
@@ -89,7 +94,7 @@ class HardInstanceParams:
 
     @property
     def n(self) -> int:
-        return self.size_a + self.size_b + self.size_c
+        return _hard_size(self.m)
 
     @property
     def t(self) -> float:
@@ -151,9 +156,9 @@ def build_hard_instance(params: HardInstanceParams) -> MwisInstance:
 def largest_hard_size(n_budget: int) -> int:
     """Largest m >= 3 whose graph fits in n_budget vertices (at least half of it)."""
     m = 3
-    while (m + 1) ** 3 + 2 * (m + 1) ** 2 + (m + 1) <= n_budget:
+    while _hard_size(m + 1) <= n_budget:
         m += 1
-    size = m**3 + 2 * m**2 + m
+    size = _hard_size(m)
     if size > n_budget:
         raise ValueError(f"budget {n_budget} below the minimum construction size {size}")
     if 2 * size < n_budget:
@@ -180,7 +185,7 @@ def adversary_sequence(n_budget: int, T: int, seed: int) -> list[HardInstancePar
     if T < 1:
         raise ValueError("need T >= 1")
     m = largest_hard_size(n_budget)
-    n = (m**2 - 2) + (m**3 - 1) + (m**2 + m + 1)  # actual vertex count
+    n = _hard_size(m)
     rng = labeled_rng(seed, "adversary-intervals")
     lo, hi = Fraction(0), ADVERSARY_WINDOW_HI
     out = []
@@ -403,12 +408,6 @@ def theoretical_q(n: int, sigma: float, d_exp: int) -> float:
     return 1.0 / (n**d_exp * 4.0 * (1.0 / sigma) * m**2 * n**8 * math.log(n))
 
 
-def collision_probability_bound(n: int, sigma: float, d_exp: int) -> float:
-    """Upper bound on the chance that two transition points land within q."""
-    m = theoretical_m(n, sigma, d_exp)
-    return 4.0 * theoretical_q(n, sigma, d_exp) * (1.0 / sigma) * m**2 * n**8 * math.log(n)
-
-
 # ---------------------------------------------------------------------------
 # Multiplicative-weights learner (Hedge with gains)
 # ---------------------------------------------------------------------------
@@ -461,7 +460,8 @@ class HedgeLearner:
 
 @dataclass
 class RegretTrace:
-    """Per-step record of an online run plus two hindsight comparators.
+    """Per-step record of an online run over the learner's `net` plus two
+    hindsight comparators.
 
     `best_net_*` is the best fixed net point; `best_ref_*` is the reference
     comparator: the exact best piece of the summed step functions for
@@ -481,7 +481,6 @@ class RegretTrace:
     best_net_total: float
     best_ref_rho: float
     best_ref_total: float
-    q_theoretical: float | None = None
     min_comparator_gap: float | None = None
 
     @property
@@ -504,9 +503,6 @@ class RegretTrace:
             lines.append(f"{i + 1}," + ",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
 
-
-# Most points of the theoretical net `run_smoothed_online` builds for net=None.
-_THEORETICAL_NET_LIMIT = 10**7
 
 # Steps whose step functions are computed together.  A block is cut shorter
 # when its candidate roots (pairs x denominators per step) would pass
@@ -569,22 +565,15 @@ def _run_hedge(net_arr: np.ndarray, step_gains, T: int, seed: int) -> RegretTrac
                        float(net_totals[best]), best_ref_rho=math.nan, best_ref_total=math.nan)
 
 
-def run_smoothed_online(
-    spec: SmoothSpec,
-    graph_generator,
-    T: int,
-    d_exp: int,
-    seed: int,
-    net=None,
-) -> RegretTrace:
+def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, net) -> RegretTrace:
     """Hedge over a parameter net against a smoothed instance sequence.
 
-    With `net=None` the theoretical spacing q is used, which is astronomically
-    fine for realistic sizes; pass an int for a practical uniform net of that
-    many points, or the points themselves (finite, in [0, 1], any order).  The
-    trace reports the theoretical q either way, plus the smallest gap between
-    two transition points of one step (`min_comparator_gap`), so q-collisions
-    can be detected.
+    `net` is a point count (a uniform net on [0, 1]) or the points themselves
+    (finite, in [0, 1], any order).  The paper's net of spacing
+    `theoretical_q` is a proof device, about 2e8 points at n = 4, so it is
+    not built here.  The trace reports the smallest gap between two
+    transition points of one step (`min_comparator_gap`), so a net too coarse
+    to separate them can be detected.
 
     The instance sequence does not depend on the learner, so it is drawn in
     blocks of up to `BLOCK_STEPS` steps (`_draw_block`, bit-equal to
@@ -597,19 +586,9 @@ def run_smoothed_online(
     n = spec.n
     if n > _GRID_MAX_N:  # checked before the first block is drawn and cut
         raise ValueError(f"smoothed runs support n <= {_GRID_MAX_N} (vertex bitmasks), got n={n}")
-    q = theoretical_q(n, spec.sigma, d_exp)
-    if net is None:
-        required = math.floor(1.0 / q) + 2
-        if required > _THEORETICAL_NET_LIMIT:
-            raise ValueError(
-                f"theoretical net needs {required} points (> cap {_THEORETICAL_NET_LIMIT}); "
-                "shrink n or d_exp, or pass a practical net size"
-            )
-        net_arr = np.unique(np.concatenate([np.arange(0.0, 1.0, q), [1.0]]))
-    elif isinstance(net, int):
-        net_arr = np.linspace(0.0, 1.0, net)
-    else:
-        net_arr = np.asarray(net, dtype=float)
+    if isinstance(net, bool):
+        raise ValueError(f"net must be a point count or the points, got {net!r}")
+    net_arr = np.linspace(0.0, 1.0, net) if isinstance(net, numbers.Integral) else np.asarray(net, float)
     if net_arr.ndim != 1 or net_arr.size == 0:
         raise ValueError("net must be a nonempty 1-D array of parameters")
     if not (np.isfinite(net_arr).all() and (net_arr >= 0.0).all() and (net_arr <= 1.0).all()):
@@ -628,7 +607,6 @@ def run_smoothed_online(
 
     trace = _run_hedge(net_arr, step_gains(), T, seed)
     trace.best_ref_rho, trace.best_ref_total = argmax_sum(functions, 0.0, 1.0)
-    trace.q_theoretical = q
     trace.min_comparator_gap = None if min(gaps) == math.inf else min(gaps)
     return trace
 

@@ -196,7 +196,7 @@ def test_07_smoothed_online_regret():
     regrets = []
     comparators_consistent = True
     for seed in range(30):
-        trace = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=seed, net=net_size)
+        trace = run_smoothed_online(spec, gen, T=T, seed=seed, net=net_size)
         regrets.append(trace.avg_regret)
         no_collision = trace.min_comparator_gap is None or trace.min_comparator_gap >= spacing
         if no_collision:

@@ -14,7 +14,9 @@ from algoselect.core import shatter_probe
 from algoselect.greedy import (
     KnapsackInstance,
     breakpoints,
+    greedy_cost,
     knapsack_family,
+    load_mwis,
     mwis_family,
     random_knapsack_instance,
     random_mwis_instance,
@@ -84,6 +86,34 @@ class TestErmGreedy:
         payload = json.loads(line)
         assert payload["type"] == "ValueError"
         assert "whole numbers" in payload["error"]
+
+    @pytest.mark.parametrize("n", [3.5, '"3"', "true", "null"])
+    def test_vertex_count_not_whole_is_one_json_line(self, n, tmp_path, capsys):
+        d = tmp_path / "instances"
+        d.mkdir()
+        (d / "g.json").write_text(f'{{"n": {n}, "edges": [[0, 1]], "weights": [0.5, 0.4, 0.3]}}')
+        out = tmp_path / "o.csv"
+        assert run_cli("erm-greedy", "--instances", d, "--out", out) == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        payload = json.loads(line)
+        assert payload["type"] == "ValueError"
+        assert "whole number" in payload["error"]
+
+    def test_default_split_numbers_match_scalar_greedy(self, tmp_path):
+        d, out = mwis_dir(tmp_path, count=6, seed=4), tmp_path / "o.csv"
+        assert run_cli("erm-greedy", "--instances", d, "--out", out) == 0
+        row = dict(zip(*(line.split(",") for line in out.read_text().strip().split("\n"))))
+        items = [load_mwis(str(d / name)) for name in sorted(os.listdir(d))]
+        order = labeled_rng(0, "train-holdout-split").permutation(6)
+        train, holdout = [items[i] for i in order[:3]], [items[i] for i in order[3:]]
+        fam, rho = mwis_family(7), float(row["rho_star"])
+        held = [np.mean([greedy_cost(fam, r, x) for x in holdout])
+                for r in breakpoints(fam, train).representatives]
+        chosen = np.mean([greedy_cost(fam, rho, x) for x in holdout])
+        assert float(row["train_mean"]) == np.mean([greedy_cost(fam, rho, x) for x in train])
+        assert float(row["holdout_mean"]) == chosen
+        assert float(row["estimated_error"]) == abs(chosen - max(held)) > 0
 
     @pytest.mark.parametrize("frac", ["inf", "nan", "1.5", "1.0", "-0.25"])
     def test_holdout_fraction_outside_unit_interval_rejected(self, frac, tmp_path, capsys):
@@ -281,15 +311,14 @@ class TestOnlineCommand:
         assert lines[0] == "step,chosen_rho,cost,cum_cost,cum_best,avg_regret"
         assert len(lines) == 21
 
-    def test_single_vertex_rejected(self, tmp_path, capsys):
-        # The theoretical discretization q divides by ln n, which is 0 at n = 1.
+    def test_single_vertex_runs(self, tmp_path):
+        # One vertex is always selected: every step scores its whole weight.
         out = tmp_path / "trace.csv"
-        assert run_cli("online", "--n", 1, "--T", 5, "--net-size", 8, "--out", out) == 1
-        assert not out.exists()
-        (line,) = capsys.readouterr().err.strip().split("\n")
-        payload = json.loads(line)
-        assert payload["type"] == "ValueError"
-        assert "n >= 2" in payload["error"]
+        assert run_cli("online", "--n", 1, "--T", 5, "--net-size", 8, "--out", out) == 0
+        header, *rows = out.read_text().strip().split("\n")
+        assert header == "step,chosen_rho,cost,cum_cost,cum_best,avg_regret"
+        assert len(rows) == 5
+        assert all(float(r.split(",")[2]) == 1.0 and float(r.split(",")[5]) == 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("command,extra", [

@@ -212,6 +212,11 @@ class TestErmStepsize:
         assert report.train_mean == means.min()
         assert rho == net[int(np.argmin(means))]
 
+    @pytest.mark.parametrize("net", [[], [[0.6, 0.7], [0.8, 0.9]], 0.75], ids=["empty", "2-d", "0-d"])
+    def test_rejects_a_net_that_is_not_a_nonempty_vector(self, net):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            erm_stepsize(unit_family(), [GdInstance([1.0], [1.0])], net=net)
+
 
 def scalar_costs(family, net, samples):
     """The index-major run_gd loop that net_costs replaces."""

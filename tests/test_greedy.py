@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _fixtures import MWIS_WEIGHT_PALETTE, crafted_shatter_pair
+from _fixtures import (KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE,
+                       crafted_shatter_pair)
 from algoselect.core import shatter_probe
 from algoselect.greedy import (
     KnapsackInstance,
@@ -390,6 +391,39 @@ class TestErmBreakpoint:
         assert np.mean([greedy_cost(fam, rho, x) for x in (s1, s2)]) == 2.0
 
 
+def holdout_draws(kind, palette, rng):
+    """The family of `kind` on 7 objects and a draw of one instance: palette
+    (tie-heavy) attributes, or continuous ones."""
+    if kind == "knapsack":
+        values = KNAPSACK_VALUE_PALETTE if palette else rng.uniform(0.5, 12.0, 64)
+        sizes = KNAPSACK_SIZE_PALETTE if palette else rng.uniform(1.0, 8.0, 64)
+        return knapsack_family(7, (0.0, 2.0)), lambda: random_knapsack_instance(7, rng, values, sizes)
+    weights = MWIS_WEIGHT_PALETTE if palette else None
+    return (mwis_family(7, adaptive=kind == "mwis-adaptive"),
+            lambda: random_mwis_instance(7, 0.4, rng, weight_choices=weights))
+
+
+class TestErmBreakpointHoldout:
+    @pytest.mark.parametrize("palette", [False, True], ids=["continuous", "palette"])
+    @pytest.mark.parametrize("kind", ["mwis", "mwis-adaptive", "knapsack"])
+    def test_matches_scalar_greedy_on_the_holdout(self, kind, palette):
+        # The held-out mean at rho_star, and its gap to the best held-out mean
+        # over the training set's probes, from one scalar run per cell.
+        rng = np.random.default_rng(23)
+        fam, draw = holdout_draws(kind, palette, rng)
+        errors = []
+        for _ in range(6):
+            train, holdout = [draw() for _ in range(5)], [draw() for _ in range(4)]
+            rho, report = erm_breakpoint(fam, train, holdout=holdout)
+            reps = breakpoints(fam, train).representatives
+            held = np.array([[greedy_cost(fam, r, x) for x in holdout] for r in reps])
+            chosen = np.mean([greedy_cost(fam, rho, x) for x in holdout])
+            assert report.holdout_mean == chosen
+            assert report.estimated_error == abs(chosen - held.mean(axis=1).max())
+            errors.append(report.estimated_error)
+        assert max(errors) > 0  # some draw's training choice is not the held-out best
+
+
 class TestBestOfQ:
     def test_q1_equals_run_greedy(self):
         fam = knapsack_family(2)
@@ -525,6 +559,16 @@ class TestInstanceValidation:
     def test_rejects_fractional_endpoints(self, edges):
         with pytest.raises(ValueError, match="whole numbers"):
             MwisInstance(3, edges, [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("n", [3.5, "3", True, None, float("nan"), float("inf")])
+    def test_rejects_vertex_count_not_whole(self, n):
+        with pytest.raises(ValueError, match="whole number"):
+            MwisInstance(n, [], [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("n", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_whole_vertex_counts_accepted(self, n):
+        inst = MwisInstance(n, [(0, 2)], [0.1, 0.2, 0.3])
+        assert type(inst.n) is int and inst.n == 3
 
     def test_whole_float_endpoints_accepted(self):
         assert MwisInstance(3, [[2.0, 0.0]], [0.1, 0.2, 0.3]).edges.tolist() == [[0, 2]]

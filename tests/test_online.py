@@ -26,7 +26,6 @@ from algoselect.online import (
     UniformUnion,
     adversary_sequence,
     build_hard_instance,
-    collision_probability_bound,
     erdos_renyi_generator,
     instance_from_jsonl,
     instance_to_jsonl,
@@ -196,6 +195,23 @@ class TestAdversarySequence:
             largest_hard_size(40)  # below the m=3 construction
         with pytest.raises(ValueError):
             largest_hard_size(97)  # m=3 graph is less than half the budget
+
+    def test_sizing_is_the_largest_graph_within_a_factor_of_two(self):
+        sizes = {}
+        for m in range(3, 16):
+            params = HardInstanceParams(m, Fraction(1, 4), Fraction(1, 2))
+            assert params.n == params.size_a + params.size_b + params.size_c
+            sizes[m] = params.n
+        for budget in range(40, 3001):
+            fits = [m for m, n in sizes.items() if n <= budget <= 2 * n]
+            if fits:
+                assert largest_hard_size(budget) == max(fits), budget
+            else:
+                with pytest.raises(ValueError):
+                    largest_hard_size(budget)
+        assert [largest_hard_size(b) for b in (200, 1500, 2500, 12000)] == [5, 10, 12, 22]
+        # A budget of exactly one graph's size gets that graph.
+        assert all(adversary_sequence(n, 1, seed=0)[0].n == n for n in sizes.values())
 
     def test_nested_exact_widths(self):
         seq = adversary_sequence(200, 10, seed=3)
@@ -405,8 +421,8 @@ class TestSmoothedOnlineRun:
     def test_trace_consistency_and_determinism(self):
         spec = uniform_smooth_spec(6, 0.5)
         gen = erdos_renyi_generator(6, 0.4)
-        trace = run_smoothed_online(spec, gen, T=40, d_exp=1, seed=21, net=400)
-        again = run_smoothed_online(spec, gen, T=40, d_exp=1, seed=21, net=400)
+        trace = run_smoothed_online(spec, gen, T=40, seed=21, net=400)
+        again = run_smoothed_online(spec, gen, T=40, seed=21, net=400)
         assert np.array_equal(trace.chosen_rho, again.chosen_rho)
         assert np.array_equal(trace.costs, again.costs)
         assert trace.best_net_total == again.best_net_total
@@ -419,7 +435,7 @@ class TestSmoothedOnlineRun:
         spec = uniform_smooth_spec(5, 0.5)
         gen = erdos_renyi_generator(5, 0.5)
         T, net_size, seed = 25, 151, 33
-        trace = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=seed, net=net_size)
+        trace = run_smoothed_online(spec, gen, T=T, seed=seed, net=net_size)
         net = np.linspace(0, 1, net_size)
         fam = mwis_family(5)
         totals = np.zeros(net_size)
@@ -434,23 +450,17 @@ class TestSmoothedOnlineRun:
         # point ties the best continuum parameter exactly.
         spec = uniform_smooth_spec(4, 0.5)
         gen = erdos_renyi_generator(4, 0.6)
-        probe = run_smoothed_online(spec, gen, T=5, d_exp=1, seed=41, net=64)
+        probe = run_smoothed_online(spec, gen, T=5, seed=41, net=64)
         gap = probe.min_comparator_gap
         assert gap is not None and gap > 0
         net_size = int(2.0 / gap) + 2
-        trace = run_smoothed_online(spec, gen, T=5, d_exp=1, seed=41, net=net_size)
+        trace = run_smoothed_online(spec, gen, T=5, seed=41, net=net_size)
         assert trace.best_net_total == trace.best_ref_total
-
-    def test_theoretical_net_cap_error(self):
-        spec = uniform_smooth_spec(8, 0.25)
-        gen = erdos_renyi_generator(8, 0.3)
-        with pytest.raises(ValueError, match="net needs"):
-            run_smoothed_online(spec, gen, T=5, d_exp=1, seed=1, net=None)
 
     def test_csv_shape_and_plain_floats(self):
         spec = uniform_smooth_spec(5, 0.5)
         gen = erdos_renyi_generator(5, 0.4)
-        trace = run_smoothed_online(spec, gen, T=8, d_exp=1, seed=2, net=32)
+        trace = run_smoothed_online(spec, gen, T=8, seed=2, net=32)
         text = trace.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "step,chosen_rho,cost,cum_cost,cum_best,avg_regret"
@@ -561,14 +571,14 @@ class TestBlockedRunner:
         T = blocks * online._block_steps(n) + extra
         spec = uniform_smooth_spec(n, 0.5)
         gen = erdos_renyi_generator(n, 0.4)
-        got = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=n + T, net=257)
+        got = run_smoothed_online(spec, gen, T=T, seed=n + T, net=257)
         assert_same_trace(got, reference_smoothed_run(spec, gen, T, n + T, 257))
 
     @pytest.mark.parametrize("T", [1, online.BLOCK_STEPS + 1, 3 * online.BLOCK_STEPS + 5])
     def test_interval_union_spec(self, T):
         spec = uniform_smooth_spec(8, 0.05, ((0.6, 0.65), (0.82, 0.87)))
         gen = erdos_renyi_generator(8, 0.3)
-        got = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=3, net=1001)
+        got = run_smoothed_online(spec, gen, T=T, seed=3, net=1001)
         assert_same_trace(got, reference_smoothed_run(spec, gen, T, 3, 1001))
 
     def test_shuffled_net_with_repeats_keeps_gains(self):
@@ -581,32 +591,38 @@ class TestBlockedRunner:
         net = np.concatenate([np.linspace(0.0, 1.0, 200), [0.0, 1.0, 0.5, 0.5],
                               on_points, on_points])
         net = np.random.default_rng(9).permutation(net)
-        got = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=seed, net=net)
+        got = run_smoothed_online(spec, gen, T=T, seed=seed, net=net)
         assert_same_trace(got, reference_smoothed_run(spec, gen, T, seed, net))
 
     @pytest.mark.parametrize("net", [np.array([np.nan, -0.5, 0.3, 1.7]), np.array([0.2, 1.5]),
                                      np.array([-1e-12, 0.5]), np.array([0.1, np.inf]),
-                                     np.array([]), np.zeros((2, 2)), 0],
+                                     np.array([]), np.zeros((2, 2)), 0, True],
                              ids=["nan-and-outside", "above-1", "below-0", "inf", "empty",
-                                  "2-d", "size-0"])
+                                  "2-d", "size-0", "bool"])
     def test_rejects_bad_net_before_drawing(self, net):
         def gen(rng):
             raise AssertionError("an instance was drawn")
 
         with pytest.raises(ValueError, match="net"):
-            run_smoothed_online(uniform_smooth_spec(4, 0.5), gen, T=3, d_exp=1, seed=0, net=net)
+            run_smoothed_online(uniform_smooth_spec(4, 0.5), gen, T=3, seed=0, net=net)
+
+    def test_numpy_integer_net_size(self):
+        spec, gen = uniform_smooth_spec(5, 0.5), erdos_renyi_generator(5, 0.4)
+        got = run_smoothed_online(spec, gen, T=6, seed=4, net=np.int64(16))
+        assert np.array_equal(got.net, np.linspace(0.0, 1.0, 16))
+        assert_same_trace(got, reference_smoothed_run(spec, gen, 6, 4, got.net))
 
     def test_rejects_more_than_63_vertices_before_drawing(self):
         def gen(rng):
             raise AssertionError("an instance was drawn")
 
         with pytest.raises(ValueError, match="n <= 63"):
-            run_smoothed_online(uniform_smooth_spec(64, 0.5), gen, T=3, d_exp=1, seed=0, net=8)
+            run_smoothed_online(uniform_smooth_spec(64, 0.5), gen, T=3, seed=0, net=8)
 
     def test_rejects_empty_horizon(self):
         with pytest.raises(ValueError, match="T >= 1"):
             run_smoothed_online(uniform_smooth_spec(4, 0.5), erdos_renyi_generator(4, 0.5),
-                                T=0, d_exp=1, seed=0, net=8)
+                                T=0, seed=0, net=8)
 
     def test_duplicate_weights_mid_block_rejected(self):
         class RepeatsOnFifthDraw:
@@ -625,7 +641,7 @@ class TestBlockedRunner:
         dists = (RepeatsOnFifthDraw(), RepeatsOnFifthDraw()) + (UniformUnion(((0.0, 1.0),)),) * 4
         with pytest.raises(ValueError, match="distinct"):
             run_smoothed_online(SmoothSpec(0.5, dists), erdos_renyi_generator(6, 0.4),
-                                T=online.BLOCK_STEPS, d_exp=1, seed=0, net=33)
+                                T=online.BLOCK_STEPS, seed=0, net=33)
 
     def test_large_graphs_get_short_blocks(self):
         assert online._block_steps(2) == online._block_steps(12) == online.BLOCK_STEPS
@@ -721,7 +737,7 @@ class TestBlockStream:
             return rng
 
         monkeypatch.setattr(online, "labeled_rng", patched)
-        got = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=seed, net=129)
+        got = run_smoothed_online(spec, gen, T=T, seed=seed, net=129)
         assert rngs[0].blocks == 4  # the zero forced one redraw; blocks 3 and 4 went whole
         assert_same_trace(got, reference)
 
@@ -731,7 +747,7 @@ class TestBlockStream:
         T = online._block_steps(5) + 3
         reference = reference_smoothed_run(spec, gen, T, 2, 65)
         dists[0].draws = 0
-        got = run_smoothed_online(spec, gen, T=T, d_exp=1, seed=2, net=65)
+        got = run_smoothed_online(spec, gen, T=T, seed=2, net=65)
         assert dists[0].draws == T
         assert_same_trace(got, reference)
 
@@ -851,10 +867,6 @@ class TestTheoreticalQuantities:
         m = theoretical_m(8, 0.25, 1)
         expected_q = 1.0 / (8 * 4 * 4 * m**2 * 8**8 * math.log(8))
         assert theoretical_q(8, 0.25, 1) == pytest.approx(expected_q, rel=1e-12)
-
-    def test_collision_bound_consistency(self):
-        # With the theoretical q, the bound collapses to n^-d by construction.
-        assert collision_probability_bound(8, 0.25, 1) == pytest.approx(1.0 / 8)
 
     @pytest.mark.parametrize("d_exp", [0, -3])
     def test_d_exp_below_one_rejected(self, d_exp):
