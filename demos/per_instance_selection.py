@@ -9,9 +9,9 @@
 
 import numpy as np
 
-from algoselect.core import MAXIMIZE, erm_finite
+from algoselect.core import MAXIMIZE, erm_costs
 from algoselect.epm import fit_linear_epm, fit_selection_table, mwis_feature_map, select_per_instance
-from algoselect.greedy import greedy_cost, mwis_family, random_mwis_instance, representative_family
+from algoselect.greedy import greedy_cost, mwis_family, random_mwis_instance, scalar_costs
 
 rng = np.random.default_rng(11)
 portfolio = [0.0, 0.5, 1.0]  # value-greedy, mixed, density-greedy
@@ -25,16 +25,13 @@ def draw(count):
     return [random_mwis_instance(12, rng.choice([0.04, 0.7]), rng) for _ in range(count)]
 
 train, holdout = draw(250), draw(300)
-epms = [
-    fit_linear_epm(rho, train, [greedy_cost(fam, rho, x) for x in train], fmap)
-    for rho in portfolio
-]
+costs = scalar_costs(fam, train, portfolio)
+epms = [fit_linear_epm(rho, train, row, fmap) for rho, row in zip(portfolio, costs)]
 for epm in epms:
     print(f"rho={epm.algorithm_index}: training MSE {epm.train_loss:.5f}, "
           f"coefficients {np.round(epm.coef, 3)}")
 
-single = representative_family(fam, portfolio)
-best_fixed = erm_finite(single, train).chosen
+best_fixed = erm_costs(portfolio, costs, None, MAXIMIZE).chosen
 fixed_total = np.mean([greedy_cost(fam, best_fixed, x) for x in holdout])
 epm_total = np.mean([
     greedy_cost(fam, select_per_instance(epms, x, fmap, MAXIMIZE), x) for x in holdout
@@ -46,8 +43,8 @@ print(f"                      per-instance oracle       = {oracle_total:.4f}")
 
 # The table route with an explicit binary feature (sparse vs dense).
 table = fit_selection_table(
-    ["sparse", "dense"], train,
-    lambda x: "sparse" if x.edges.shape[0] < 20 else "dense",
-    single,
+    ["sparse", "dense"],
+    ["sparse" if x.edges.shape[0] < 20 else "dense" for x in train],
+    portfolio, costs, MAXIMIZE,
 )
 print(f"\nselection table: {table.mapping} (unobserved values defaulted: {list(table.defaulted)})")

@@ -14,13 +14,13 @@ sys.path.insert(0, "tests")
 import numpy as np
 
 from _fixtures import crafted_shatter_pair
-from algoselect.core import LearnSpec, sample_size, shatter_probe
-from algoselect.greedy import breakpoints, mwis_family, representative_family
+from algoselect.core import sample_size, shatter_probe
+from algoselect.greedy import breakpoints, mwis_family, scalar_costs
 
 print("uniform-convergence sample sizes, cost range H=1, failure probability 1%:")
 for d in (1, 4, 16):
     for eps in (0.1, 0.05):
-        m = sample_size(LearnSpec(epsilon=eps, delta=0.01, H=1.0, d=d))
+        m = sample_size(epsilon=eps, delta=0.01, H=1.0, d=d)
         print(f"  dimension proxy d={d:>2}, target error {eps}: m = {m}")
 
 # Two hand-built 6-vertex graphs whose greedy values step up and down on
@@ -28,9 +28,8 @@ for d in (1, 4, 16):
 first, second = crafted_shatter_pair()
 family = mwis_family(6)
 reps = breakpoints(family, [first, second]).representatives
-finite = representative_family(family, reps)
 print(f"\nprobing a 2-instance set with {reps.size} candidate parameters:")
-costs = finite.cost_matrix([first, second])
+costs = scalar_costs(family, [first, second], reps)
 (report,) = shatter_probe(costs, [[0, 1]])
 print(f"  shattered: {report.shattered} ({report.labeling_count}/4 labelings)")
 print(f"  witness thresholds: {np.round(report.witnesses, 4)}")

@@ -6,10 +6,8 @@ from .core import (
     MINIMIZE,
     CostValue,
     ErrorReport,
-    FiniteFamily,
-    LearnSpec,
     ShatterReport,
-    erm_finite,
+    erm_costs,
     sample_size,
     shatter_probe,
 )

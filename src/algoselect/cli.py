@@ -148,10 +148,8 @@ def cmd_epm(args) -> int:
     rng = labeled_rng(args.seed, "epm-instances")
     train = [greedy.random_mwis_instance(args.n, args.p_er, rng) for _ in range(args.samples)]
     holdout = [greedy.random_mwis_instance(args.n, args.p_er, rng) for _ in range(args.holdout)]
-    epms = [
-        epm_mod.fit_linear_epm(rho, train, [greedy.greedy_cost(fam, rho, x) for x in train], fmap)
-        for rho in rhos
-    ]
+    costs = greedy.scalar_costs(fam, train, rhos)
+    epms = [epm_mod.fit_linear_epm(rho, train, row, fmap) for rho, row in zip(rhos, costs)]
     hits = 0
     for x in holdout:
         predicted = epm_mod.select_per_instance(epms, x, fmap, MAXIMIZE)

@@ -1,10 +1,13 @@
 """Learning model core: cost values, sample-size bounds, step functions, finite ERM,
 and shattering probes.
 
-An algorithm family is a deterministic map (index, instance) -> cost, with a
-fixed optimization orientation shared by all indices.  Everything here treats
-costs as plain floats in [0, H]; the heavier machinery for specific families
-(greedy heuristics, gradient descent, sorters) lives in the sibling modules.
+A finite candidate set is its cost matrix: one row per candidate (an
+algorithm index), one column per instance, with one optimization orientation
+shared by all rows.  ERM (`erm_costs`) and the shattering probe
+(`shatter_probe`) reduce such matrices; over a continuous parameter, one
+instance's cost is a `StepFunction`.  Everything here treats costs as plain
+floats in [0, H]; the families that produce the matrices (greedy heuristics,
+gradient descent) and the sorter live in the sibling modules.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,63 +34,23 @@ class CostValue:
             raise ValueError(f"cost must be finite and >= 0, got {self.value!r}")
 
 
-@dataclass(frozen=True)
-class LearnSpec:
-    """Inputs to the uniform-convergence sample-size bound.
-
-    `d` is the pseudo-dimension of the family (or log2 of its size for a
-    finite family) and `H` the cost range bound.
-    """
-
-    epsilon: float
-    delta: float
-    H: float
-    d: float
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if not 0 < self.delta <= 1:
-            raise ValueError("delta must be in (0, 1]")
-        if self.H <= 0:
-            raise ValueError("H must be > 0")
-        if self.d < 0:
-            raise ValueError("d must be >= 0")
-
-
-def sample_size(spec: LearnSpec) -> int:
+def sample_size(epsilon: float, delta: float, H: float, d: float) -> int:
     """Number of samples sufficient for uniform convergence to error epsilon.
 
-    Evaluates ceil((H / epsilon)^2 * (d + ln(1/delta))), clamped to >= 1; the
-    leading constant, which theory leaves unspecified, is taken as 1.
+    `d` is the pseudo-dimension of the family (or log2 of its size for a
+    finite family) and `H` the cost range bound.  Evaluates
+    ceil((H / epsilon)^2 * (d + ln(1/delta))), clamped to >= 1; the leading
+    constant, which theory leaves unspecified, is taken as 1.
     """
-    raw = (spec.H / spec.epsilon) ** 2 * (spec.d + math.log(1.0 / spec.delta))
-    return max(1, math.ceil(raw))
-
-
-@dataclass(frozen=True)
-class FiniteFamily:
-    """A finite set of algorithms with a deterministic cost evaluator.
-
-    `evaluate(index, instance)` must be pure: identical arguments yield
-    identical costs and the instance is never mutated.
-    """
-
-    indices: tuple
-    evaluate: Callable[[object, object], float]
-    orientation: str = MAXIMIZE
-
-    def __post_init__(self) -> None:
-        if len(self.indices) == 0:
-            raise ValueError("family needs at least one index")
-        if self.orientation not in (MAXIMIZE, MINIMIZE):
-            raise ValueError(f"bad orientation: {self.orientation!r}")
-
-    def cost_matrix(self, samples: Sequence) -> np.ndarray:
-        """Costs of every index on every sample, shape (len(indices), len(samples))."""
-        return np.asarray(
-            [[float(self.evaluate(i, x)) for x in samples] for i in self.indices], dtype=float
-        )
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    if not 0 < delta <= 1:
+        raise ValueError("delta must be in (0, 1]")
+    if H <= 0:
+        raise ValueError("H must be > 0")
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    return max(1, math.ceil((H / epsilon) ** 2 * (d + math.log(1.0 / delta))))
 
 
 @dataclass(frozen=True)
@@ -106,6 +69,8 @@ class ErrorReport:
 
 
 def _best_index(means: np.ndarray, orientation: str) -> int:
+    if orientation not in (MAXIMIZE, MINIMIZE):
+        raise ValueError(f"bad orientation: {orientation!r}")
     # argmax/argmin return the first optimum, which is the smallest index.
     return int(np.argmax(means) if orientation == MAXIMIZE else np.argmin(means))
 
@@ -173,35 +138,35 @@ def argmax_sum(functions: Sequence[StepFunction], lo: float, hi: float) -> tuple
     return float((edges[best] + edges[best + 1]) / 2.0), float(totals[best])
 
 
-def erm_finite(family: FiniteFamily, samples: Sequence, holdout: Sequence | None = None) -> ErrorReport:
-    """Pick the index with the best average cost on `samples`.
-
-    Ties are broken toward the smallest index so runs are deterministic.  If
-    `holdout` is given, the report estimates the error of the choice against
-    the empirically best index on the held-out set.
-    """
-    train = family.cost_matrix(samples)
-    held = family.cost_matrix(holdout) if holdout is not None else None
-    return erm_costs(family.indices, train, held, family.orientation)
+def _checked_costs(indices: Sequence, matrix) -> np.ndarray:
+    matrix = np.asarray(matrix, dtype=float)
+    if len(indices) == 0 or matrix.ndim != 2 or matrix.shape[0] != len(indices):
+        raise ValueError(f"need at least one index and one cost row per index, got shape "
+                         f"{matrix.shape} for {len(indices)} indices")
+    if not np.isfinite(matrix).all():
+        raise ValueError("costs must be finite")
+    return matrix
 
 
 def erm_costs(
     indices: Sequence, train: np.ndarray, holdout: np.ndarray | None, orientation: str
 ) -> ErrorReport:
-    """The ERM reduction over cost matrices of shape (len(indices), samples).
+    """ERM over a finite candidate set, given as cost matrices (len(indices) x samples).
 
     Means are taken over axis 1 of each C-ordered matrix; the first optimum
-    (the smallest index) wins.  With a nonempty holdout matrix the report
-    estimates the error of the choice against the best index on the held-out
-    samples.
+    (the smallest index) wins.  With a holdout matrix of at least one column
+    the report estimates the error of the choice against the best index on
+    the held-out samples.
     """
+    train = _checked_costs(indices, train)
+    held = None if holdout is None else _checked_costs(indices, holdout)
     if train.shape[1] == 0:
         raise ValueError("need at least one sample")
     train_means = train.mean(axis=1)
     best = _best_index(train_means, orientation)
     chosen = indices[best]
-    if holdout is not None and holdout.shape[1] > 0:
-        hold_means = holdout.mean(axis=1)
+    if held is not None and held.shape[1] > 0:
+        hold_means = held.mean(axis=1)
         chosen_hold = float(hold_means[best])
         best_hold = float(hold_means[_best_index(hold_means, orientation)])
         return ErrorReport(chosen, float(train_means[best]), chosen_hold, abs(chosen_hold - best_hold))

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MAXIMIZE, MINIMIZE, FiniteFamily, erm_finite
+from .core import MINIMIZE, _best_index, erm_costs
 
 
 @dataclass(frozen=True)
@@ -100,19 +100,16 @@ def select_per_instance(epms: Sequence[LinearEpm], instance, feature_map: Featur
     earliest predictor in the list."""
     if len(epms) == 0:
         raise ValueError("need at least one predictor")
-    if orientation not in (MAXIMIZE, MINIMIZE):
-        raise ValueError(f"bad orientation: {orientation!r}")
     features = feature_map(instance)
     predictions = np.array([epm.predict(features) for epm in epms])
-    best = int(np.argmin(predictions) if orientation == MINIMIZE else np.argmax(predictions))
-    return epms[best].algorithm_index
+    return epms[_best_index(predictions, orientation)].algorithm_index
 
 
 @dataclass
 class SelectionTable:
     """Best algorithm per value of a finite feature.
 
-    Values never observed during fitting fall back to the family's first
+    Values never observed during fitting fall back to the first candidate
     index and are flagged in `defaulted`.
     """
 
@@ -126,25 +123,26 @@ class SelectionTable:
         return self.mapping[feature_value]
 
 
-def fit_selection_table(domain, samples, feature_of: Callable, family: FiniteFamily) -> SelectionTable:
-    """Independent ERM over the samples sharing each finite feature value."""
+def fit_selection_table(domain, features, indices, costs, orientation: str) -> SelectionTable:
+    """Independent ERM over the samples sharing each finite feature value.
+
+    `features[j]` is sample j's feature value and `costs` the (len(indices) x
+    samples) cost matrix; each value's choice is `erm_costs` on its columns.
+    """
     domain = tuple(domain)
     if len(domain) == 0:
         raise ValueError("empty feature domain")
     groups = {value: [] for value in domain}
-    for x in samples:
-        value = feature_of(x)
+    for j, value in enumerate(features):
         if value not in groups:
             raise ValueError(f"sample feature {value!r} outside the declared domain")
-        groups[value].append(x)
-    mapping, defaulted = {}, []
-    for value in domain:
-        if groups[value]:
-            mapping[value] = erm_finite(family, groups[value]).chosen
-        else:
-            mapping[value] = family.indices[0]
-            defaulted.append(value)
-    return SelectionTable(domain, mapping, tuple(defaulted))
+        groups[value].append(j)
+    costs = np.asarray(costs, dtype=float)
+    if len(indices) == 0 or costs.shape != (len(indices), len(features)):
+        raise ValueError(f"need a cost matrix of shape (indices, samples), got {costs.shape}")
+    mapping = {value: erm_costs(indices, costs[:, cols], None, orientation).chosen if cols else indices[0]
+               for value, cols in groups.items()}
+    return SelectionTable(domain, mapping, tuple(value for value in domain if not groups[value]))
 
 
 def epm_to_dict(epm: LinearEpm) -> dict:

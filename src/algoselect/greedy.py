@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MAXIMIZE, CostValue, FiniteFamily, StepFunction, erm_costs, merge_close
+from .core import MAXIMIZE, CostValue, StepFunction, erm_costs, merge_close
 
 # Exact float dedup of coincident crossing points, relative to magnitude.
 _BREAKPOINT_MERGE_RTOL = 1e-12
@@ -545,8 +545,8 @@ def breakpoint_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
 
     A rho inside the interval is read off the sample's `step_function`; a rho
     at an endpoint gets a run there, since a crossing can sit on an endpoint.
-    Equals `representative_family(family, rhos).cost_matrix(samples)` where
-    no rho lies on a crossing point.
+    Equals `scalar_costs(family, samples, rhos)` where no rho lies on a
+    crossing point.
     """
     rhos = np.asarray(rhos, dtype=float)
     costs = np.empty((rhos.size, len(samples)))
@@ -557,13 +557,11 @@ def breakpoint_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
     return costs
 
 
-def representative_family(family: ParamGreedyFamily, rhos) -> FiniteFamily:
-    """The family restricted to `rhos`, each member costed by the scalar `greedy_cost`."""
-    return FiniteFamily(
-        tuple(float(r) for r in rhos),
-        lambda rho, x: greedy_cost(family, rho, x),
-        orientation=MAXIMIZE,
-    )
+def scalar_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
+    """`greedy_cost` of every rho on every sample, shape (len(rhos), len(samples)):
+    one scalar run per cell, the oracle for `breakpoint_costs`."""
+    costs = [[greedy_cost(family, r, x) for x in samples] for r in rhos]
+    return np.asarray(costs, dtype=float).reshape(len(rhos), len(samples))
 
 
 def erm_breakpoint(family: ParamGreedyFamily, samples, holdout=None, bset: BreakpointSet | None = None):

@@ -416,22 +416,19 @@ def theoretical_q(n: int, sigma: float, d_exp: int) -> float:
 class HedgeLearner:
     """Full-information exponential weights over a finite net of parameters.
 
-    Gains in [0, 1]; update multiplies each weight by exp(eta * gain).
+    Gains in [0, 1]; update multiplies each weight by exp(eta * gain), with
+    the rate eta = sqrt(8 ln K / T) set by the net size K and the horizon T.
     Weights are kept in log space and renormalized, so they stay positive and
     finite at any horizon.  `sample` keeps its CDF until the next `update`.
     """
 
-    def __init__(self, net, T: int | None = None, eta="auto"):
+    def __init__(self, net, T: int):
         self.net = np.asarray(net, dtype=float)
         if self.net.size == 0:
             raise ValueError("empty net")
-        if eta == "auto":
-            if T is None or T < 1:
-                raise ValueError("auto eta needs the horizon T")
-            eta = math.sqrt(8.0 * math.log(max(self.net.size, 2)) / T)
-        if not (eta > 0 and math.isfinite(eta)):
-            raise ValueError(f"eta must be finite and positive, got {eta}")
-        self.eta = float(eta)
+        if T < 1:
+            raise ValueError(f"the rate needs a horizon T >= 1, got {T}")
+        self.eta = math.sqrt(8.0 * math.log(max(self.net.size, 2)) / T)
         self._log_w = np.zeros(self.net.size)
         self._cdf = None
 

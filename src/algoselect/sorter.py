@@ -66,20 +66,19 @@ class BucketSorter:
 def _weight_balanced_tree(weights: np.ndarray, node_cap: int) -> dict:
     """Top-down weight-balanced tree over the bucket range, hot ranges first.
 
-    Interior nodes test key < boundaries[split]; leaves either name a single
-    bucket or an unresolved [lo, hi] range.  The budget is spent on the
-    heaviest ranges, which bounds expected routing depth for skewed
-    distributions.
+    Interior nodes test key < boundaries[split]; leaves are [lo, hi] bucket
+    ranges left to binary search (a single bucket is [k, k]).  The budget is
+    spent on the heaviest ranges, which bounds expected routing depth for
+    skewed distributions.
     """
     prefix = np.concatenate([[0.0], np.cumsum(weights)])
     heap = []
 
     def leaf(lo, hi):
-        """A bucket leaf, or a range leaf queued for splitting by weight."""
-        if lo == hi:
-            return {"bucket": lo}
+        """A range leaf, queued for splitting by weight if it holds two or more buckets."""
         node = {"range": [lo, hi]}
-        heapq.heappush(heap, (-(prefix[hi + 1] - prefix[lo]), lo, hi, node))
+        if lo < hi:
+            heapq.heappush(heap, (-(prefix[hi + 1] - prefix[lo]), lo, hi, node))
         return node
 
     root = leaf(0, weights.size - 1)
@@ -134,8 +133,6 @@ def _route(tree: dict, key: float, boundaries: np.ndarray) -> tuple[int, int]:
     while "split" in node:
         comparisons += 1
         node = node["left"] if key < boundaries[node["split"]] else node["right"]
-    if "bucket" in node:
-        return node["bucket"], comparisons
     lo, hi = node["range"]
     # Bucket k holds keys with boundaries[k-1] <= key < boundaries[k].
     low, high = lo, hi
@@ -241,8 +238,6 @@ def expected_route_depth(sorter: BucketSorter, position: int, weights: np.ndarra
     weights = weights / weights.sum()
 
     def walk(node, depth):
-        if "bucket" in node:
-            return weights[node["bucket"]] * depth
         if "split" in node:
             return walk(node["left"], depth + 1) + walk(node["right"], depth + 1)
         lo, hi = node["range"]

@@ -30,8 +30,8 @@ from algoselect.greedy import (
     mwis_family,
     random_knapsack_instance,
     random_mwis_instance,
-    representative_family,
     run_greedy,
+    scalar_costs,
 )
 from algoselect.online import (
     HardInstanceParams,
@@ -310,8 +310,7 @@ def test_11_shattering_probe():
     first, second = crafted_shatter_pair()
     family = mwis_family(6)
     reps = breakpoints(family, [first, second]).representatives
-    finite = representative_family(family, reps)
-    matrix = finite.cost_matrix([first, second])
+    matrix = scalar_costs(family, [first, second], reps)
     (pair_report,) = shatter_probe(matrix, [[0, 1]])
     reverified = (
         pair_report.shattered

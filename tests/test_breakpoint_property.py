@@ -20,7 +20,7 @@ from algoselect.greedy import (
     grid_costs,
     knapsack_family,
     mwis_family,
-    representative_family,
+    scalar_costs,
 )
 
 VALUES = (1.0, 2.0)
@@ -93,5 +93,5 @@ def test_step_function_costs_match_scalar_probes(kind, data):
     # scalar greedy run at every probe of the union.
     family, samples = data.draw(family_and_samples(kind))
     reps = breakpoints(family, samples).representatives
-    want = representative_family(family, reps).cost_matrix(samples)
+    want = scalar_costs(family, samples, reps)
     assert np.array_equal(breakpoint_costs(family, samples, reps), want)

@@ -20,10 +20,10 @@ from algoselect.greedy import (
     mwis_family,
     random_knapsack_instance,
     random_mwis_instance,
-    representative_family,
     run_greedy,
     save_knapsack,
     save_mwis,
+    scalar_costs,
 )
 from algoselect.online import build_hard_instance, instance_from_jsonl
 from algoselect.gdtune import GdInstance, save_gd_instance
@@ -239,8 +239,8 @@ class TestPdimProbe:
         else:
             fam = knapsack_family(6, (0.0, 2.0))
             instances = [random_knapsack_instance(6, rng) for _ in range(6)]
-        finite = representative_family(fam, breakpoints(fam, instances).representatives)
-        reports = shatter_probe(finite.cost_matrix(instances), [[0, 1], [2, 3], [4, 5]])
+        costs = scalar_costs(fam, instances, breakpoints(fam, instances).representatives)
+        reports = shatter_probe(costs, [[0, 1], [2, 3], [4, 5]])
         got = json.loads(out.read_text())["reports"]
         assert [(r["set_size"], r["shattered"], r["labeling_count"], r["witnesses"]) for r in got] == \
             [(r.set_size, r.shattered, r.labeling_count, list(r.witnesses) if r.witnesses else None)

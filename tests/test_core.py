@@ -7,38 +7,40 @@ from algoselect.core import (
     MAXIMIZE,
     MINIMIZE,
     CostValue,
-    FiniteFamily,
-    LearnSpec,
     StepFunction,
     argmax_sum,
-    erm_finite,
+    erm_costs,
     realized_labelings,
     sample_size,
     shatter_probe,
 )
 
 
-def table_family(costs, orientation=MAXIMIZE):
-    """Family whose evaluator reads a dict[(index, instance)] -> cost table."""
-    indices = tuple(sorted({i for i, _ in costs}))
-    return FiniteFamily(indices, lambda i, x: costs[(i, x)], orientation=orientation)
+def table_costs(costs, samples):
+    """Cost matrix (indices x samples) read from a dict[(index, instance)] -> cost table."""
+    indices = sorted({i for i, _ in costs})
+    return np.array([[costs[(i, x)] for x in samples] for i in indices], dtype=float)
+
+
+def table_erm(costs, samples, holdout=None, orientation=MAXIMIZE):
+    matrix = table_costs(costs, samples)
+    held = None if holdout is None else table_costs(costs, holdout)
+    return erm_costs(range(matrix.shape[0]), matrix, held, orientation)
 
 
 class TestSampleSize:
     def test_unit_case(self):
         # (1)^2 * (0 + ln e) = 1
-        assert sample_size(LearnSpec(1.0, 1.0 / math.e, 1.0, 0.0)) == 1
+        assert sample_size(1.0, 1.0 / math.e, 1.0, 0.0) == 1
 
     def test_hand_evaluated_case(self):
         # 100 * (10 + ln 100) = 1460.517..., ceil -> 1461
-        assert sample_size(LearnSpec(0.1, 0.01, 1.0, 10.0)) == 1461
+        assert sample_size(0.1, 0.01, 1.0, 10.0) == 1461
 
     def test_doubling_H_quadruples_m(self):
-        base = LearnSpec(0.05, 0.1, 1.0, 3.0)
-        doubled = LearnSpec(0.05, 0.1, 2.0, 3.0)
         m = 1.0 * (1.0 / 0.05) ** 2 * (3.0 + math.log(10.0))
-        assert sample_size(base) == math.ceil(m)
-        assert sample_size(doubled) == math.ceil(4.0 * m)
+        assert sample_size(0.05, 0.1, 1.0, 3.0) == math.ceil(m)
+        assert sample_size(0.05, 0.1, 2.0, 3.0) == math.ceil(4.0 * m)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -53,21 +55,21 @@ class TestSampleSize:
     )
     def test_rejects_bad_specs(self, kwargs):
         with pytest.raises(ValueError):
-            LearnSpec(**kwargs)
+            sample_size(**kwargs)
 
     def test_monotonicity(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             eps, delta = rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
             H, d = rng.uniform(0.1, 10.0), rng.uniform(0.0, 20.0)
-            m = sample_size(LearnSpec(eps, delta, H, d))
-            assert sample_size(LearnSpec(eps, delta, H, d + 1.0)) >= m
-            assert sample_size(LearnSpec(eps, delta, H * 1.5, d)) >= m
-            assert sample_size(LearnSpec(eps * 1.5, delta, H, d)) <= m
-            assert sample_size(LearnSpec(eps, min(1.0, delta * 1.5), H, d)) <= m
+            m = sample_size(eps, delta, H, d)
+            assert sample_size(eps, delta, H, d + 1.0) >= m
+            assert sample_size(eps, delta, H * 1.5, d) >= m
+            assert sample_size(eps * 1.5, delta, H, d) <= m
+            assert sample_size(eps, min(1.0, delta * 1.5), H, d) <= m
 
     def test_result_at_least_one(self):
-        assert sample_size(LearnSpec(10.0, 1.0, 0.1, 0.0)) == 1
+        assert sample_size(10.0, 1.0, 0.1, 0.0) == 1
 
 
 class TestCostValue:
@@ -80,34 +82,32 @@ class TestCostValue:
 
 class TestErmFinite:
     def test_single_index(self):
-        fam = table_family({(0, "x"): 0.3})
-        report = erm_finite(fam, ["x"])
+        report = table_erm({(0, "x"): 0.3}, ["x"])
         assert report.chosen == 0
         assert report.estimated_error == 0.0
         assert report.train_mean == pytest.approx(0.3)
 
     def test_two_indices_maximize(self):
         costs = {(0, s): 1.0 for s in "abc"} | {(1, s): 0.5 for s in "abc"}
-        report = erm_finite(table_family(costs), list("abc"))
+        report = table_erm(costs, "abc")
         assert report.chosen == 0
         assert report.train_mean == 1.0
 
     def test_two_indices_minimize(self):
         costs = {(0, s): 1.0 for s in "abc"} | {(1, s): 0.5 for s in "abc"}
-        report = erm_finite(table_family(costs, orientation=MINIMIZE), list("abc"))
+        report = table_erm(costs, "abc", orientation=MINIMIZE)
         assert report.chosen == 1
 
     def test_tie_breaks_to_smallest_index(self):
         costs = {(i, s): 0.7 for i in range(4) for s in "ab"}
-        assert erm_finite(table_family(costs), list("ab")).chosen == 0
+        assert table_erm(costs, "ab").chosen == 0
 
     def test_matches_exhaustive_recomputation(self):
         rng = np.random.default_rng(123)
         indices = list(range(5))
         samples = list(range(20))
         table = {(i, x): float(rng.uniform(0, 1)) for i in indices for x in samples}
-        fam = table_family(table)
-        report = erm_finite(fam, samples)
+        report = table_erm(table, samples)
         # Independent brute-force oracle: plain Python means, no numpy reuse.
         means = [sum(table[(i, x)] for x in samples) / len(samples) for i in indices]
         best = max(range(5), key=lambda i: (means[i], -i))
@@ -122,37 +122,55 @@ class TestErmFinite:
             (0, "h"): 0.5,
             (1, "h"): 0.7,
         }
-        report = erm_finite(table_family(costs), ["t"], holdout=["h"])
+        report = table_erm(costs, ["t"], holdout=["h"])
         assert report.chosen == 0
         assert report.holdout_mean == pytest.approx(0.5)
         assert report.estimated_error == pytest.approx(0.2)
 
     def test_empty_samples_rejected(self):
-        fam = table_family({(0, "x"): 0.0})
         with pytest.raises(ValueError):
-            erm_finite(fam, [])
+            table_erm({(0, "x"): 0.0}, [])
 
     def test_empty_index_list_rejected(self):
         with pytest.raises(ValueError):
-            FiniteFamily((), lambda i, x: 0.0)
+            erm_costs((), np.empty((0, 1)), None, MAXIMIZE)
+
+    @pytest.mark.parametrize(
+        "indices, train, holdout, orientation",
+        [
+            ((0, 1), [[1.0, 1.0], [0.0, 0.0]], None, "maximise"),
+            ((0, 1), [1.0, 0.0], None, MAXIMIZE),
+            ((0, 1), [[[1.0], [0.0]]], None, MAXIMIZE),
+            ((0, 1), [[1.0], [0.0], [0.5]], None, MAXIMIZE),
+            ((0, 1), [[1.0], [0.0]], [[1.0]], MAXIMIZE),
+            ((0, 1), [[1.0], [0.0]], np.empty((3, 0)), MAXIMIZE),
+            ((0, 1), [[np.nan], [0.0]], None, MAXIMIZE),
+            ((0, 1), [[1.0], [0.0]], [[np.inf], [0.0]], MINIMIZE),
+        ],
+        ids=["orientation", "1-d", "3-d", "train-rows", "holdout-rows", "empty-holdout-rows",
+             "nan", "inf-holdout"],
+    )
+    def test_rejects_bad_input(self, indices, train, holdout, orientation):
+        with pytest.raises(ValueError):
+            erm_costs(indices, np.asarray(train, dtype=float),
+                      None if holdout is None else np.asarray(holdout, dtype=float), orientation)
 
 
 class TestShatterProbe:
     def test_equal_costs_not_shattered(self):
         costs = {(i, "x"): 0.5 for i in range(3)}
-        (report,) = shatter_probe(table_family(costs).cost_matrix(["x"]), [[0]])
+        (report,) = shatter_probe(table_costs(costs, ["x"]), [[0]])
         assert not report.shattered
         assert report.labeling_count == 1
 
     def test_two_distinct_costs_shattered(self):
         costs = {(0, "x"): 0.2, (1, "x"): 0.8}
-        fam = table_family(costs)
-        (report,) = shatter_probe(fam.cost_matrix(["x"]), [[0]])
+        (report,) = shatter_probe(table_costs(costs, ["x"]), [[0]])
         assert report.shattered
         assert report.labeling_count == 2
         (witness,) = report.witnesses
         assert 0.2 < witness < 0.8
-        assert realized_labelings(fam.cost_matrix(["x"]), report.witnesses) == 2
+        assert realized_labelings(table_costs(costs, ["x"]), report.witnesses) == 2
 
     def test_pair_set_shattered_with_reverifiable_witnesses(self):
         # Four indices realizing all four (above/below, above/below) patterns.
@@ -162,10 +180,9 @@ class TestShatterProbe:
             (2, "x"): 0.1, (2, "y"): 0.9,
             (3, "x"): 0.9, (3, "y"): 0.9,
         }
-        fam = table_family(costs)
-        (report,) = shatter_probe(fam.cost_matrix(["x", "y"]), [[0, 1]])
+        matrix = table_costs(costs, ["x", "y"])
+        (report,) = shatter_probe(matrix, [[0, 1]])
         assert report.shattered and report.labeling_count == 4
-        matrix = fam.cost_matrix(["x", "y"])
         assert realized_labelings(matrix, report.witnesses) == 4
         # Re-verify each subset is picked out by some index.
         wit = np.asarray(report.witnesses)
@@ -175,18 +192,18 @@ class TestShatterProbe:
     def test_monotone_family_not_shattered_at_size_two(self):
         # Costs move together across both instances: (lo, lo) and (hi, hi) only.
         costs = {(i, x): 0.1 * (i + 1) for i in range(4) for x in ("x", "y")}
-        (report,) = shatter_probe(table_family(costs).cost_matrix(["x", "y"]), [[0, 1]])
+        (report,) = shatter_probe(table_costs(costs, ["x", "y"]), [[0, 1]])
         assert not report.shattered
         assert report.labeling_count <= 3
 
     def test_size_cap_enforced(self):
         costs = {(0, x): float(x) for x in range(5)} | {(1, x): float(x) + 0.5 for x in range(5)}
         with pytest.raises(ValueError):
-            shatter_probe(table_family(costs).cost_matrix(range(5)), [list(range(5))])
+            shatter_probe(table_costs(costs, range(5)), [list(range(5))])
 
     def test_reports_one_per_set(self):
         costs = {(0, "x"): 0.2, (1, "x"): 0.8, (0, "y"): 0.5, (1, "y"): 0.5}
-        reports = shatter_probe(table_family(costs).cost_matrix(["x", "y"]), [[0], [1]])
+        reports = shatter_probe(table_costs(costs, ["x", "y"]), [[0], [1]])
         assert [r.shattered for r in reports] == [True, False]
 
 

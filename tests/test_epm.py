@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from algoselect.core import MAXIMIZE, MINIMIZE, FiniteFamily, erm_finite
+from algoselect.core import MAXIMIZE, MINIMIZE, erm_costs
 from algoselect.epm import (
     FeatureMap,
     fit_linear_epm,
@@ -104,35 +104,32 @@ class TestSelectPerInstance:
     def test_constant_features_reduce_to_erm(self):
         rng = np.random.default_rng(6)
         table = {(i, x): float(rng.uniform()) for i in range(4) for x in range(30)}
-        family = FiniteFamily(tuple(range(4)), lambda i, x: table[(i, x)], orientation=MINIMIZE)
         samples = list(range(30))
-        epms = [
-            fit_linear_epm(i, samples, [table[(i, x)] for x in samples], intercept1)
-            for i in family.indices
-        ]
+        costs = np.array([[table[(i, x)] for x in samples] for i in range(4)])
+        epms = [fit_linear_epm(i, samples, costs[i], intercept1) for i in range(4)]
         chosen = select_per_instance(epms, samples[0], intercept1, MINIMIZE)
-        assert chosen == erm_finite(family, samples).chosen
+        assert chosen == erm_costs(range(4), costs, None, MINIMIZE).chosen
 
 
 class TestSelectionTable:
-    def make_family(self, table):
-        return FiniteFamily((0, 1), lambda i, x: table[(i, x)], orientation=MAXIMIZE)
+    def table_costs(self, table, samples):
+        return np.array([[table[(i, x)] for x in samples] for i in (0, 1)])
 
     def test_single_value_equals_plain_erm(self):
         rng = np.random.default_rng(7)
         table = {(i, x): float(rng.uniform()) for i in range(2) for x in range(20)}
-        family = self.make_family(table)
-        samples = list(range(20))
-        fitted = fit_selection_table(["all"], samples, lambda x: "all", family)
-        assert fitted.mapping["all"] == erm_finite(family, samples).chosen
+        costs = self.table_costs(table, range(20))
+        fitted = fit_selection_table(["all"], ["all"] * 20, (0, 1), costs, MAXIMIZE)
+        assert fitted.mapping["all"] == erm_costs((0, 1), costs, None, MAXIMIZE).chosen
         assert fitted.defaulted == ()
 
     def test_disjoint_best_algorithms(self):
         # Algorithm 0 wins on even samples, algorithm 1 on odd ones.
         table = {(i, x): float(i == x % 2) for i in range(2) for x in range(40)}
-        family = self.make_family(table)
         samples = list(range(40))
-        fitted = fit_selection_table(["even", "odd"], samples, lambda x: "even" if x % 2 == 0 else "odd", family)
+        features = ["even" if x % 2 == 0 else "odd" for x in samples]
+        fitted = fit_selection_table(["even", "odd"], features, (0, 1),
+                                     self.table_costs(table, samples), MAXIMIZE)
         assert fitted.mapping == {"even": 0, "odd": 1}
         # Refinement never hurts on the training set.
         per_value_total = sum(table[(fitted.mapping["even" if x % 2 == 0 else "odd"], x)] for x in samples)
@@ -141,23 +138,23 @@ class TestSelectionTable:
 
     def test_unobserved_value_defaults_and_flags(self):
         table = {(i, x): 0.5 for i in range(2) for x in range(4)}
-        family = self.make_family(table)
-        fitted = fit_selection_table(["seen", "unseen"], list(range(4)), lambda x: "seen", family)
+        fitted = fit_selection_table(["seen", "unseen"], ["seen"] * 4, (0, 1),
+                                     self.table_costs(table, range(4)), MAXIMIZE)
         assert fitted.mapping["unseen"] == 0
         assert fitted.defaulted == ("unseen",)
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
-            fit_selection_table([], [], lambda x: 0, self.make_family({}))
+            fit_selection_table([], [], (0, 1), np.empty((2, 0)), MAXIMIZE)
 
     def test_sample_outside_domain_rejected(self):
         table = {(i, x): 0.5 for i in range(2) for x in range(4)}
         with pytest.raises(ValueError):
-            fit_selection_table(["a"], [0], lambda x: "b", self.make_family(table))
+            fit_selection_table(["a"], ["b"], (0, 1), self.table_costs(table, [0]), MAXIMIZE)
 
     def test_lookup_outside_domain_raises(self):
         table = {(i, x): 0.5 for i in range(2) for x in range(4)}
-        fitted = fit_selection_table(["a"], [0], lambda x: "a", self.make_family(table))
+        fitted = fit_selection_table(["a"], ["a"], (0, 1), self.table_costs(table, [0]), MAXIMIZE)
         with pytest.raises(KeyError):
             fitted.algorithm_for("zzz")
 

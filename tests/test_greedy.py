@@ -26,10 +26,10 @@ from algoselect.greedy import (
     mwis_family,
     random_knapsack_instance,
     random_mwis_instance,
-    representative_family,
     run_greedy,
     save_knapsack,
     save_mwis,
+    scalar_costs,
 )
 
 
@@ -501,12 +501,11 @@ class TestCraftedShatterPair:
         first, second = crafted_shatter_pair()
         fam = mwis_family(6)
         bset = breakpoints(fam, [first, second])
-        finite = representative_family(fam, bset.representatives)
-        (report,) = shatter_probe(finite.cost_matrix([first, second]), [[0, 1]])
+        (report,) = shatter_probe(scalar_costs(fam, [first, second], bset.representatives), [[0, 1]])
         assert report.shattered
         assert report.labeling_count == 4
         # Witnesses are re-verifiable against a fresh evaluation.
-        matrix = finite.cost_matrix([first, second])
+        matrix = scalar_costs(fam, [first, second], bset.representatives)
         wit = np.asarray(report.witnesses)
         assert len({tuple(row) for row in (matrix > wit[None, :])}) == 4
 

@@ -401,20 +401,16 @@ class TestHedgeLearner:
         assert np.mean(regrets) <= bound + 0.01
 
     def test_update_drops_the_cached_distribution(self):
-        learner = HedgeLearner(np.linspace(0, 1, 4), eta=50.0)
+        learner = HedgeLearner(np.linspace(0, 1, 4), T=1)  # eta = sqrt(8 ln 4) per update
         rng = np.random.default_rng(0)
         assert len({learner.sample(rng) for _ in range(40)}) > 1  # uniform at the start
-        learner.update(np.array([0.0, 0.0, 0.0, 1.0]))  # index 3 now has all but e^-50
+        for _ in range(20):  # index 3 now has all but about e^-47
+            learner.update(np.array([0.0, 0.0, 0.0, 1.0]))
         assert {learner.sample(rng) for _ in range(40)} == {3}
 
     def test_auto_eta_needs_horizon(self):
         with pytest.raises(ValueError):
-            HedgeLearner([0.1, 0.2])
-
-    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -0.5])
-    def test_rejects_eta_not_finite_and_positive(self, eta):
-        with pytest.raises(ValueError, match="eta"):
-            HedgeLearner([0.1, 0.2], T=10, eta=eta)
+            HedgeLearner([0.1, 0.2], T=0)
 
 
 class TestSmoothedOnlineRun:
