@@ -50,7 +50,7 @@ print(f"  best fixed net point in hindsight: rho = {trace.best_net_rho:.4f} "
 print(f"  exact best piece of the summed step functions: rho = {trace.best_ref_rho:.4f} "
       f"(total {trace.best_ref_total:.1f})")
 print(f"  average regret vs the net: {trace.avg_regret:.4f}")
-print(f"  theoretical net spacing q for these parameters: {theoretical_q(8, 0.25, 1):.2e}")
+print(f"  theoretical net spacing q for these parameters: {theoretical_q(8, 0.25):.2e}")
 
 print("\nregret trace tail (CSV emitted by the `algoselect online` subcommand):")
 print("\n".join(trace.to_csv().strip().split("\n")[-3:]))

@@ -100,6 +100,10 @@ def select_per_instance(epms: Sequence[LinearEpm], instance, feature_map: Featur
     earliest predictor in the list."""
     if len(epms) == 0:
         raise ValueError("need at least one predictor")
+    for epm in epms:
+        if epm.schema_id != feature_map.schema_id:
+            raise ValueError(f"predictor fit with feature schema {epm.schema_id!r} "
+                             f"applied with {feature_map.schema_id!r}")
     features = feature_map(instance)
     predictions = np.array([epm.predict(features) for epm in epms])
     return epms[_best_index(predictions, orientation)].algorithm_index

@@ -395,17 +395,15 @@ def min_pairwise_gap(points: np.ndarray) -> float:
     return float(np.diff(pts).min())
 
 
-def theoretical_m(n: int, sigma: float, d_exp: int) -> int:
-    if d_exp < 1:
-        raise ValueError(f"d_exp must be >= 1 (the collision bound is n^-d_exp), got {d_exp}")
-    return math.ceil(n**d_exp * math.log(1.0 / sigma))
+def theoretical_m(n: int, sigma: float) -> int:
+    return math.ceil(n * math.log(1.0 / sigma))
 
 
-def theoretical_q(n: int, sigma: float, d_exp: int) -> float:
+def theoretical_q(n: int, sigma: float) -> float:
     if n < 2:
         raise ValueError(f"theoretical q needs n >= 2 (it divides by ln n), got n={n}")
-    m = theoretical_m(n, sigma, d_exp)
-    return 1.0 / (n**d_exp * 4.0 * (1.0 / sigma) * m**2 * n**8 * math.log(n))
+    m = theoretical_m(n, sigma)
+    return 1.0 / (n * 4.0 * (1.0 / sigma) * m**2 * n**8 * math.log(n))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +470,6 @@ class RegretTrace:
     net: np.ndarray
     chosen_rho: np.ndarray
     costs: np.ndarray
-    cum_cost: np.ndarray
     cum_best: np.ndarray
     best_net_rho: float
     best_net_total: float
@@ -485,6 +482,10 @@ class RegretTrace:
         return int(self.costs.size)
 
     @property
+    def cum_cost(self) -> np.ndarray:
+        return np.cumsum(self.costs)
+
+    @property
     def avg_regret(self) -> float:
         return (self.best_net_total - float(self.cum_cost[-1])) / self.T
 
@@ -494,9 +495,10 @@ class RegretTrace:
 
     def to_csv(self) -> str:
         lines = ["step,chosen_rho,cost,cum_cost,cum_best,avg_regret"]
+        cum_cost = self.cum_cost
         for i in range(self.T):
-            regret = (self.cum_best[i] - self.cum_cost[i]) / (i + 1)
-            row = (self.chosen_rho[i], self.costs[i], self.cum_cost[i], self.cum_best[i], regret)
+            regret = (self.cum_best[i] - cum_cost[i]) / (i + 1)
+            row = (self.chosen_rho[i], self.costs[i], cum_cost[i], self.cum_best[i], regret)
             lines.append(f"{i + 1}," + ",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
 
@@ -544,9 +546,8 @@ def _run_hedge(net_arr: np.ndarray, step_gains, T: int, seed: int) -> RegretTrac
     so no update).  The caller fills in the reference comparator."""
     learner = HedgeLearner(net_arr, T)
     rng_learner = labeled_rng(seed, "mw-learner")
-    chosen_rho, costs, cum_cost, cum_best = (np.empty(T) for _ in range(4))
+    chosen_rho, costs, cum_best = (np.empty(T) for _ in range(3))
     net_totals = np.zeros(net_arr.size)
-    running = 0.0
     for t, gains in enumerate(step_gains):
         idx = learner.sample(rng_learner)
         if not isinstance(gains, float):
@@ -554,11 +555,9 @@ def _run_hedge(net_arr: np.ndarray, step_gains, T: int, seed: int) -> RegretTrac
         costs[t] = gains if isinstance(gains, float) else gains[idx]
         net_totals += gains
         chosen_rho[t] = net_arr[idx]
-        running += costs[t]
-        cum_cost[t] = running
         cum_best[t] = net_totals.max()
     best = int(np.argmax(net_totals))
-    return RegretTrace(net_arr, chosen_rho, costs, cum_cost, cum_best, float(net_arr[best]),
+    return RegretTrace(net_arr, chosen_rho, costs, cum_best, float(net_arr[best]),
                        float(net_totals[best]), best_ref_rho=math.nan, best_ref_total=math.nan)
 
 

@@ -8,12 +8,12 @@ buckets, and concatenates.  Positions whose distribution the training data
 pinned down well are routed in O(1) comparisons, so well-matched inputs sort
 in far fewer comparisons than a comparison-optimal oblivious sort.
 
-Trees are capped in size; searches the capped tree cannot resolve fall back
-to plain binary search over the remaining boundary range.  A global
-comparison budget of `_BUDGET_FACTOR * n * log2(n)` guards against inputs
-from a different distribution: when exceeded, the partial work is abandoned
-and the original input is mergesorted (output correctness never depends on
-the learned structure).
+A trained sorter is its boundaries and its trees' splits; n, the tree size
+cap and the comparison budget follow from the number of trees.  A leaf is
+`{}`: the splits above it fix a bucket range, which routing binary-searches.
+When a sort passes the budget of `_BUDGET_FACTOR * n * log2(n)` comparisons
+(an input from another distribution), the learned path stops and the input
+is mergesorted: output correctness never depends on the learned structure.
 """
 
 from __future__ import annotations
@@ -36,47 +36,60 @@ _BUDGET_FACTOR = 4.0
 class SortStats:
     """Comparison accounting for one sort call."""
 
-    comparisons: int
     routing_comparisons: int
     insertion_comparisons: int
     merge_comparisons: int
     fallback: bool
     occupancy: np.ndarray
 
+    @property
+    def comparisons(self) -> int:
+        return self.routing_comparisons + self.insertion_comparisons + self.merge_comparisons
+
 
 class BucketSorter:
-    """Immutable trained sorter; each `sort` call owns its counters."""
+    """Immutable trained sorter: boundaries plus one search tree per position."""
 
-    def __init__(self, boundaries, trees, n, node_cap, fallback_threshold):
+    def __init__(self, boundaries, trees):
         self.boundaries = np.asarray(boundaries, dtype=float)
-        if (np.diff(self.boundaries) <= 0).any():
-            raise ValueError("boundaries must be strictly increasing")
+        if np.isnan(self.boundaries).any() or (np.diff(self.boundaries) <= 0).any():
+            raise ValueError("boundaries must be strictly increasing and not NaN")
         self.trees = list(trees)
-        self.n = int(n)
-        self.node_cap = int(node_cap)
-        self.fallback_threshold = float(fallback_threshold)
-        if len(self.trees) != self.n:
-            raise ValueError("need one search tree per array position")
+        self.n = len(self.trees)
+
+    @property
+    def node_cap(self) -> int:
+        return _node_cap(self.n)
+
+    @property
+    def fallback_threshold(self) -> float:
+        return _BUDGET_FACTOR * self.n * math.log2(max(self.n, 2))
 
     @property
     def bucket_count(self) -> int:
         return self.boundaries.size + 1
 
 
+def _node_cap(n: int) -> int:
+    return max(1, int(n**_NODE_CAP_EXPONENT))
+
+
 def _weight_balanced_tree(weights: np.ndarray, node_cap: int) -> dict:
     """Top-down weight-balanced tree over the bucket range, hot ranges first.
 
-    Interior nodes test key < boundaries[split]; leaves are [lo, hi] bucket
-    ranges left to binary search (a single bucket is [k, k]).  The budget is
-    spent on the heaviest ranges, which bounds expected routing depth for
-    skewed distributions.
+    Interior nodes `{"split": k, "left": ..., "right": ...}` test
+    key < boundaries[k]: the left subtree holds the node's buckets up to k,
+    the right one those from k + 1.  A leaf is `{}`; the splits above it fix
+    its bucket range, which routing binary-searches.  The budget is spent on
+    the heaviest ranges, which bounds expected routing depth for skewed
+    distributions.
     """
     prefix = np.concatenate([[0.0], np.cumsum(weights)])
     heap = []
 
     def leaf(lo, hi):
-        """A range leaf, queued for splitting by weight if it holds two or more buckets."""
-        node = {"range": [lo, hi]}
+        """A leaf over buckets lo..hi, queued for splitting by weight if it holds two or more."""
+        node = {}
         if lo < hi:
             heapq.heappush(heap, (-(prefix[hi + 1] - prefix[lo]), lo, hi, node))
         return node
@@ -89,9 +102,6 @@ def _weight_balanced_tree(weights: np.ndarray, node_cap: int) -> dict:
         target = (prefix[lo] + prefix[hi + 1]) / 2.0
         first_right = int(np.searchsorted(prefix[lo + 1:hi + 1], target) + lo + 1)
         first_right = min(max(first_right, lo + 1), hi)
-        node.clear()
-        # Left subtree holds buckets lo..first_right-1, i.e. keys below
-        # boundaries[first_right - 1].
         node["split"] = first_right - 1
         node["left"], node["right"] = leaf(lo, first_right - 1), leaf(first_right, hi)
         budget -= 1
@@ -111,58 +121,51 @@ def train_sorter(samples: Sequence) -> BucketSorter:
     n = arrays[0].size
     if any(a.shape != (n,) for a in arrays):
         raise ValueError("all sample arrays must share one length")
-    s = len(arrays)
-    pooled = np.sort(np.concatenate(arrays), kind="stable")
-    boundaries = np.unique(pooled[s - 1::s])
-    node_cap = max(1, int(n**_NODE_CAP_EXPONENT))
-    counts = np.ones((n, boundaries.size + 1))  # Laplace smoothing
     stacked = np.stack(arrays)
-    for i in range(n):
-        buckets = np.searchsorted(boundaries, stacked[:, i], side="right")
-        counts[i] += np.bincount(buckets, minlength=boundaries.size + 1)
-    trees = [_weight_balanced_tree(counts[i], node_cap) for i in range(n)]
-    threshold = _BUDGET_FACTOR * n * math.log2(max(n, 2))
-    return BucketSorter(boundaries, trees, n, node_cap, threshold)
+    if np.isnan(stacked).any():
+        raise ValueError("sample values must not be NaN")
+    s = len(arrays)
+    boundaries = np.unique(np.sort(stacked, axis=None, kind="stable")[s - 1::s])
+    width = boundaries.size + 1
+    cells = np.arange(n) * width + np.searchsorted(boundaries, stacked, side="right")
+    counts = 1.0 + np.bincount(cells.ravel(), minlength=n * width).reshape(n, width)  # Laplace
+    return BucketSorter(boundaries, [_weight_balanced_tree(row, _node_cap(n)) for row in counts])
 
 
 def _route(tree: dict, key: float, boundaries: np.ndarray) -> tuple[int, int]:
-    """Walk the tree, then binary-search any unresolved range; returns
-    (bucket, comparisons)."""
+    """Walk the tree, narrowing the bucket range at each split, then
+    binary-search the range; returns (bucket, comparisons)."""
     comparisons = 0
+    lo, hi = 0, boundaries.size
     node = tree
-    while "split" in node:
+    while node:
         comparisons += 1
-        node = node["left"] if key < boundaries[node["split"]] else node["right"]
-    lo, hi = node["range"]
+        if key < boundaries[node["split"]]:
+            node, hi = node["left"], node["split"]
+        else:
+            node, lo = node["right"], node["split"] + 1
     # Bucket k holds keys with boundaries[k-1] <= key < boundaries[k].
-    low, high = lo, hi
-    while low < high:
-        mid = (low + high) // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
         comparisons += 1
         if key < boundaries[mid]:
-            high = mid
+            hi = mid
         else:
-            low = mid + 1
-    return low, comparisons
+            lo = mid + 1
+    return lo, comparisons
 
 
-class _BudgetExceeded(Exception):
-    """Carries the comparisons spent before the abort."""
-
-    def __init__(self, comparisons: int):
-        super().__init__(comparisons)
-        self.comparisons = comparisons
-
-
-def _insertion_sort(bucket: list, abort_above: float = math.inf) -> int:
+def _insertion_sort(bucket: list, limit: float) -> int:
+    """Sort `bucket` in place and return the comparisons made; stops as soon
+    as they pass `limit`, leaving the bucket unsorted."""
     comparisons = 0
     for i in range(1, len(bucket)):
         key = bucket[i]
         j = i - 1
         while j >= 0:
             comparisons += 1
-            if comparisons > abort_above:
-                raise _BudgetExceeded(comparisons)
+            if comparisons > limit:
+                return comparisons
             if bucket[j] > key:
                 bucket[j + 1] = bucket[j]
                 j -= 1
@@ -205,62 +208,61 @@ def sort(sorter: BucketSorter, array) -> tuple[np.ndarray, SortStats]:
     values = np.asarray(array, dtype=float)
     if values.shape != (sorter.n,):
         raise ValueError(f"expected an array of length {sorter.n}")
+    if np.isnan(values).any():
+        raise ValueError("keys must not be NaN")
     buckets = [[] for _ in range(sorter.bucket_count)]
-    routing = insertion = merge = 0
-    occupancy = np.zeros(sorter.bucket_count, dtype=int)
-    fallback = False
     budget = sorter.fallback_threshold
-    try:
-        for i, key in enumerate(values):
-            bucket, comparisons = _route(sorter.trees[i], float(key), sorter.boundaries)
-            routing += comparisons
-            if routing > budget:
-                raise _BudgetExceeded(0)
-            buckets[bucket].append(float(key))
-            occupancy[bucket] += 1
-        output = []
-        for bucket in buckets:
-            insertion += _insertion_sort(bucket, abort_above=budget - routing - insertion)
-            output.extend(bucket)
-        result = np.asarray(output)
-    except _BudgetExceeded as stop:
-        insertion += stop.comparisons
-        fallback = True
-        merged, merge = mergesort_count(values.tolist())
-        result = np.asarray(merged)
-    total = routing + insertion + merge
-    return result, SortStats(total, routing, insertion, merge, fallback, occupancy)
+    routing = insertion = merge = 0
+    for tree, key in zip(sorter.trees, values.tolist()):
+        bucket, comparisons = _route(tree, key, sorter.boundaries)
+        routing += comparisons
+        if routing > budget:
+            break
+        buckets[bucket].append(key)
+    for bucket in buckets:
+        if routing + insertion > budget:
+            break
+        insertion += _insertion_sort(bucket, budget - routing - insertion)
+    fallback = routing + insertion > budget
+    if fallback:
+        output, merge = mergesort_count(values.tolist())
+    else:
+        output = [key for bucket in buckets for key in bucket]
+    occupancy = np.array([len(bucket) for bucket in buckets])
+    return np.asarray(output), SortStats(routing, insertion, merge, fallback, occupancy)
 
 
 def expected_route_depth(sorter: BucketSorter, position: int, weights: np.ndarray) -> float:
-    """Expected comparisons to route position `position` under bucket weights."""
+    """Expected comparisons to route position `position` under bucket weights.
+
+    Every key of a bucket compares alike with every boundary, so routing the
+    bucket's smallest key (-inf, then each boundary) gives its exact count.
+    """
     weights = np.asarray(weights, dtype=float)
-    weights = weights / weights.sum()
-
-    def walk(node, depth):
-        if "split" in node:
-            return walk(node["left"], depth + 1) + walk(node["right"], depth + 1)
-        lo, hi = node["range"]
-        span = hi - lo + 1
-        return weights[lo:hi + 1].sum() * (depth + math.ceil(math.log2(span)))
-
-    return walk(sorter.trees[position], 0.0)
+    keys = np.concatenate([[-math.inf], sorter.boundaries]).tolist()
+    counts = [_route(sorter.trees[position], key, sorter.boundaries)[1] for key in keys]
+    return float(np.dot(weights, counts) / weights.sum())
 
 
 def sorter_to_json(sorter: BucketSorter) -> str:
-    return json.dumps({
-        "n": sorter.n,
-        "boundaries": sorter.boundaries.tolist(),
-        "trees": sorter.trees,
-        "node_cap": sorter.node_cap,
-        "fallback_threshold": sorter.fallback_threshold,
-    })
+    return json.dumps({"boundaries": sorter.boundaries.tolist(), "trees": sorter.trees})
+
+
+def _check_tree(node, lo: int, hi: int) -> None:
+    """Raise unless `node` is `{}` or a split k, lo <= k < hi, over valid subtrees."""
+    if node != {}:
+        split = node.get("split") if isinstance(node, dict) else None
+        if type(split) is not int or set(node) != {"split", "left", "right"} or not lo <= split < hi:
+            raise ValueError(f"tree node over buckets {lo}..{hi} is not {{}} or a split inside them")
+        _check_tree(node["left"], lo, split)
+        _check_tree(node["right"], split + 1, hi)
 
 
 def sorter_from_json(text: str) -> BucketSorter:
     payload = json.loads(text)
-    return BucketSorter(payload["boundaries"], payload["trees"], payload["n"],
-                        payload["node_cap"], payload["fallback_threshold"])
+    for tree in payload["trees"]:
+        _check_tree(tree, 0, len(payload["boundaries"]))
+    return BucketSorter(payload["boundaries"], payload["trees"])
 
 
 def save_arrays_csv(arrays, path: str) -> None:

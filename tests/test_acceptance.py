@@ -169,8 +169,8 @@ def test_05_gd_erm_one_step_optimum():
 def test_06_smoothed_gap_lemma():
     start = time.monotonic()
     n, sigma, d_exp = 8, 0.25, 1
-    m = theoretical_m(n, sigma, d_exp)
-    q = theoretical_q(n, sigma, d_exp)
+    m = theoretical_m(n, sigma)
+    q = theoretical_q(n, sigma)
     bound = 1.0 / n**d_exp  # 4 q sigma^-1 m^2 n^8 ln n collapses to this
     spec = uniform_smooth_spec(n, sigma)
     gen = erdos_renyi_generator(n, 0.3)

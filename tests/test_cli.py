@@ -300,6 +300,17 @@ class TestSortBench:
         assert payload["type"] == "ValueError"
         assert "--n" in payload["error"]
 
+    def test_nan_key_in_csv_is_one_json_line(self, tmp_path, capsys):
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text("0.1,0.2\n0.3,nan\n")
+        out = tmp_path / "sort.csv"
+        assert run_cli("sort-bench", "--train-csv", train_csv, "--out", out) == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        payload = json.loads(line)
+        assert payload["type"] == "ValueError"
+        assert "NaN" in payload["error"]
+
 
 class TestOnlineCommand:
     def test_trace_csv(self, tmp_path):

@@ -101,6 +101,12 @@ class TestSelectPerInstance:
         epms = [fit_linear_epm(i, [np.ones(1)], [0.5], intercept1) for i in range(3)]
         assert select_per_instance(epms, None, intercept1) == 0
 
+    def test_other_feature_schema_rejected(self):
+        epm = fit_linear_epm("only", [np.ones(6)], [1.0], identity6)
+        other = FeatureMap("other-v1", 6, lambda x: x)
+        with pytest.raises(ValueError, match="'identity-6'.*'other-v1'"):
+            select_per_instance([epm], np.ones(6), other)
+
     def test_constant_features_reduce_to_erm(self):
         rng = np.random.default_rng(6)
         table = {(i, x): float(rng.uniform()) for i in range(4) for x in range(30)}

@@ -521,9 +521,9 @@ def reference_smoothed_run(spec, gen, T, seed, net):
     family = mwis_family(spec.n)
     learner = HedgeLearner(net_arr, T)
     rng = labeled_rng(seed, "mw-learner")
-    chosen, costs, cum_cost, cum_best = (np.empty(T) for _ in range(4))
+    chosen, costs, cum_best = (np.empty(T) for _ in range(3))
     net_totals = np.zeros(net_arr.size)
-    step_functions, min_gap, running = [], math.inf, 0.0
+    step_functions, min_gap = [], math.inf
     for t, inst in enumerate(smooth_sequence(spec, gen, T, seed)):
         tau = transition_points(inst)
         grid = np.concatenate([[0.0], tau, [1.0]])
@@ -537,11 +537,9 @@ def reference_smoothed_run(spec, gen, T, seed, net):
         net_totals += gains
         chosen[t] = net_arr[idx]
         costs[t] = gains[idx]
-        running += costs[t]
-        cum_cost[t] = running
         cum_best[t] = net_totals.max()
     best = int(np.argmax(net_totals))
-    trace = RegretTrace(net_arr, chosen, costs, cum_cost, cum_best, float(net_arr[best]),
+    trace = RegretTrace(net_arr, chosen, costs, cum_best, float(net_arr[best]),
                         float(net_totals[best]), math.nan, math.nan,
                         min_comparator_gap=None if min_gap == math.inf else min_gap)
     return trace, step_functions
@@ -859,17 +857,10 @@ class TestStackedPaths:
 
 class TestTheoreticalQuantities:
     def test_m_and_q_formulas(self):
-        assert theoretical_m(8, 0.25, 1) == math.ceil(8 * math.log(4))
-        m = theoretical_m(8, 0.25, 1)
+        assert theoretical_m(8, 0.25) == math.ceil(8 * math.log(4))
+        m = theoretical_m(8, 0.25)
         expected_q = 1.0 / (8 * 4 * 4 * m**2 * 8**8 * math.log(8))
-        assert theoretical_q(8, 0.25, 1) == pytest.approx(expected_q, rel=1e-12)
-
-    @pytest.mark.parametrize("d_exp", [0, -3])
-    def test_d_exp_below_one_rejected(self, d_exp):
-        with pytest.raises(ValueError, match="d_exp must be >= 1"):
-            theoretical_m(8, 0.25, d_exp)
-        with pytest.raises(ValueError, match="d_exp must be >= 1"):
-            theoretical_q(8, 0.25, d_exp)
+        assert theoretical_q(8, 0.25) == pytest.approx(expected_q, rel=1e-12)
 
     def test_min_gap_helper(self):
         assert min_pairwise_gap(np.array([0.1, 0.4, 0.45])) == pytest.approx(0.05)

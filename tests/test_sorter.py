@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -93,6 +94,41 @@ class TestSortCorrectness:
         budget = sorter.fallback_threshold
         assert stats.routing_comparisons + stats.insertion_comparisons <= budget + 1
 
+    def test_routing_abort_falls_back(self):
+        # Every tree is the chain of splits 0..10: a key above every boundary
+        # takes 11 comparisons, so the third such key passes the budget of 32.
+        def chain(k):
+            return {} if k == 11 else {"split": k, "left": {}, "right": chain(k + 1)}
+
+        sorter = BucketSorter(np.linspace(0.05, 0.55, 11), [chain(0) for _ in range(4)])
+        assert sorter.fallback_threshold == 32
+        arr = np.array([0.99, 0.98, 0.97, 0.96])
+        out, stats = sort(sorter, arr)
+        assert stats.fallback
+        assert stats.insertion_comparisons == 0
+        assert stats.routing_comparisons == 33
+        assert stats.occupancy.sum() == 2
+        assert np.array_equal(out, np.sort(arr))
+
+    def test_nan_rejected(self):
+        rng = np.random.default_rng(11)
+        with pytest.raises(ValueError, match="NaN"):
+            train_sorter([np.array([0.1, 0.2]), np.array([0.3, np.nan])])
+        sorter = train_sorter(uniform_samples(rng, 5, 4))
+        with pytest.raises(ValueError, match="NaN"):
+            sort(sorter, np.array([0.5, np.nan, 0.1, 0.2]))
+        with pytest.raises(ValueError, match="NaN"):
+            BucketSorter([0.2, np.nan, 0.5], [{}])
+        with pytest.raises(ValueError, match="NaN"):
+            BucketSorter([np.nan], [{}])
+
+    def test_infinite_keys_sort(self):
+        rng = np.random.default_rng(12)
+        sorter = train_sorter(uniform_samples(rng, 5, 4) + [np.array([-np.inf, 0.5, np.inf, 0.2])])
+        arr = np.array([np.inf, 0.3, -np.inf, 0.9])
+        out, _ = sort(sorter, arr)
+        assert np.array_equal(out, np.sort(arr))
+
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         sorter = train_sorter(uniform_samples(rng, 5, 16))
@@ -160,6 +196,18 @@ class TestSerialization:
         assert np.array_equal(out_a, out_b)
         assert stats_a.comparisons == stats_b.comparisons
 
+    @pytest.mark.parametrize("bad", [
+        {"bucket": 0},
+        {"range": [0, 4]},
+        {"split": 4, "left": {}, "right": {}},
+        {"split": -1, "left": {}, "right": {}},
+        {"split": 1, "left": {}},
+    ], ids=["bucket-leaf", "range-leaf", "split-out-of-range", "split-negative", "child-missing"])
+    def test_malformed_tree_rejected_at_load(self, bad):
+        payload = {"boundaries": [0.2, 0.4, 0.6, 0.8], "trees": [{}, bad]}
+        with pytest.raises(ValueError, match="tree node"):
+            sorter_from_json(json.dumps(payload))
+
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
         arrays = uniform_samples(rng, 5, 12)
@@ -172,4 +220,4 @@ class TestSerialization:
 
     def test_boundary_monotonicity_enforced(self):
         with pytest.raises(ValueError):
-            BucketSorter([0.5, 0.4], [{}, {}], 2, 4, 100.0)
+            BucketSorter([0.5, 0.4], [{}, {}])
