@@ -17,10 +17,18 @@ are within the net spacing K of each other; `knet` builds that net and
    after j steps,
 3. iteration counts of rho and eta differ by at most 1 when eta - rho <= K.
 
-`erm_stepsize` scores the whole net with one batched recurrence per sample
-(`net_costs`): every net point is a row of z <- z - rho * (lambda * z), and a
-row retires once its norm reaches nu.  Each row performs the float operations
-of the scalar `run_gd` in the same order, with the same norm (`_norm`), so the
+For a fixed instance the count is a step function of rho (`step_functions`):
+the squared norm after k steps, f_k(rho) = sum_i z0_i^2 (1 - rho*lambda_i)^(2k),
+is convex in rho and falls with k, so the count changes at most twice per k.
+Stacked searches on that closed form place the change points; the batched
+recurrence `_net_iterations` (z <- z - rho * (lambda * z), one row per step
+size and instance) values each piece at one step size inside it.
+`erm_stepsize` scores the net with `net_costs`, which reads the step
+functions at the net points and reruns the points within a rounding band of
+a change point.  When a sample does not contract by a margin over the whole
+interval, or a rerun fails, `net_costs` runs the recurrence at every net
+point instead.  Each recurrence row performs the float operations of the
+scalar `run_gd` in the same order, with the same norm (`_norm`), so the
 counts are identical; `run_gd` stays the independent oracle.
 """
 
@@ -33,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MINIMIZE, erm_costs, merge_close
+from .core import MINIMIZE, StepFunction, erm_costs, merge_close
 
 # Largest K-net `knet` builds.
 _KNET_LIMIT = 10**7
@@ -211,9 +219,10 @@ _CAP_EXCEEDED = -1.0
 _STALLED = -2.0
 
 
-def _net_iterations(family: GdFamily, rhos: np.ndarray, instance: GdInstance) -> np.ndarray:
-    """run_gd's count for every step size in `rhos`, as floats.
+def _net_iterations(family: GdFamily, rhos: np.ndarray, lambdas, z0) -> np.ndarray:
+    """run_gd's count at step size rhos[r] on the instance (lambdas[r], z0[r]), as floats.
 
+    `lambdas` and `z0` hold one row per step size, or one vector for them all.
     All rows step together through z <- z - rho * (lambda * z); a row retires
     with its count once its norm is at most nu, or with a failure code once it
     misses the guaranteed shrink or runs into the cap.  Per row the tests and
@@ -223,38 +232,222 @@ def _net_iterations(family: GdFamily, rhos: np.ndarray, instance: GdInstance) ->
     out = np.empty(rhos.size)
     rows = np.arange(rhos.size)
     r = rhos[:, None]
-    z = np.tile(instance.z0, (rhos.size, 1))
+    z = np.array(np.broadcast_to(z0, (rhos.size, np.shape(z0)[-1])))
+    lam = np.broadcast_to(lambdas, z.shape)
     norms = _norm(z)
     steps = 0
     while True:
         running = norms > nu
         if not running.all():
             out[rows[~running]] = steps
-            rows, r, z, norms = rows[running], r[running], z[running], norms[running]
+            rows, r, lam, z, norms = rows[running], r[running], lam[running], z[running], norms[running]
         if rows.size == 0:
             return out
         if steps >= cap:
             out[rows] = _CAP_EXCEEDED
             return out
-        z = z - r * (instance.lambdas * z)
+        z = z - r * (lam * z)
         next_norms = _norm(z)
         stalled = next_norms > shrink * norms * (1 + 1e-12)
         if stalled.any():
             out[rows[stalled]] = _STALLED
             keep = ~stalled
-            rows, r, z, next_norms = rows[keep], r[keep], z[keep], next_norms[keep]
+            rows, r, lam, z, next_norms = rows[keep], r[keep], lam[keep], z[keep], next_norms[keep]
         norms = next_norms
         steps += 1
+
+
+def _raise_failure(family: GdFamily, code: float, rho: float):
+    if code == _CAP_EXCEEDED:
+        raise _cap_error(family.iteration_cap)
+    raise _stall_error(family, rho)
+
+
+def _stack(samples: Sequence[GdInstance]):
+    """(lambdas, z0, dims): the samples as rows padded to the largest dimension.
+
+    A padded coordinate starts at 0 and repeats the row's last eigenvalue, so
+    it changes neither a norm nor the contraction max |1 - rho * lambda|.
+    """
+    dims = np.array([x.z0.size for x in samples], dtype=np.intp)
+    width = int(dims.max(initial=1))
+    lam, z0 = np.empty((dims.size, width)), np.zeros((dims.size, width))
+    for s, x in enumerate(samples):
+        lam[s], lam[s, :x.z0.size], z0[s, :x.z0.size] = x.lambdas[-1], x.lambdas, x.z0
+    return lam, z0, dims
+
+
+def _counts(family: GdFamily, rhos: np.ndarray, which: np.ndarray, lam, z0, dims) -> np.ndarray:
+    """`_net_iterations` at rhos[r] on stacked sample which[r]: one recurrence per
+    dimension, on unpadded rows, so every row's floats are run_gd's."""
+    out = np.empty(rhos.size)
+    for d in np.unique(dims[which]).tolist():
+        rows = np.flatnonzero(dims[which] == d)
+        out[rows] = _net_iterations(family, rhos[rows], lam[which[rows], :d], z0[which[rows], :d])
+    return out
+
+
+# `_advance` cuts each bracket into 8 cells per step, _SECTION_STEPS times:
+# down to 8^-14 = 2^-42 of its start.
+_SECTION_STEPS = 14
+_TICKS = np.arange(1, 8)
+
+
+def _advance(a: np.ndarray, span: np.ndarray, holds):
+    """Per row, the last point of an 8-adic grid on a + t * span, t in [0, 1),
+    where `holds` (a predicate true on a prefix of t) is true, and the final
+    signed cell length.  `holds` gets one row of 7 step sizes per row."""
+    for _ in range(_SECTION_STEPS):
+        span = span / 8.0
+        a = a + span * holds(a[:, None] + span[:, None] * _TICKS).sum(axis=1)
+    return a, span
+
+
+def _margin(family: GdFamily) -> float:
+    """Relative slack that the step-function path keeps from every float test.
+
+    After k steps rounding moves a recurrence row's norm by about 5k eps Z at
+    most, and the closed form's f_k by about 6k eps Z nu; the second term is
+    some 750 times either, relative to nu and nu^2.
+    """
+    return 1e-9 + 1e-12 * family.iteration_cap * family.Z / family.nu
+
+
+def _contracts(family: GdFamily, lam: np.ndarray) -> np.ndarray:
+    """Per stacked sample: whether every step of the interval shrinks each
+    coordinate by (1 - c)(1 - margin).  |1 - rho * lambda| is convex in rho,
+    so the two ends of the interval decide it."""
+    ends = np.array([family.rho_l, family.rho_u])[:, None, None]
+    worst = np.abs(1.0 - ends * lam).max(axis=(0, 2))
+    return worst <= (1.0 - family.c) * (1.0 - _margin(family))
+
+
+def _pieces(family: GdFamily, lam: np.ndarray, z0: np.ndarray, dims: np.ndarray):
+    """(step functions, bands, failure): each stacked sample's count as a
+    StepFunction of rho, the closed rho intervals (lo, hi) on which it is not
+    certain, and (code, rho) of the first piece the recurrence fails on.
+
+    f_k(rho) = sum_i z0_i^2 (1 - rho*lambda_i)^(2k), the squared norm after k
+    steps, is convex in rho and, under `_contracts`, falls with k; so the
+    count is k exactly where f_k <= nu^2 < f_(k-1), and each level k adds at
+    most two change points, one on each side of its minimiser.  Searches
+    stacked over samples, levels and sides (`_advance`) find them: first on
+    the sign of f_k' for the minimiser, then, on each side, for where f_k
+    crosses nu^2 + tau and nu^2 - tau.  Between those two crossings lies a
+    band where rounding could decide the count; everywhere else the
+    recurrence agrees with the closed form.  The minimiser's final cell,
+    2^-42 of the interval, is far too short for f_k to move by tau across
+    it.  Every gap between merged bands, and every band, is one piece,
+    valued by the recurrence at its midpoint: the step function is exact
+    off the bands and holds one sampled count on each.
+    """
+    lo_rho, hi_rho, nu2 = family.rho_l, family.rho_u, family.nu**2
+    tau = _margin(family) * nu2
+    # Coordinates on axis 0, so each sum over them adds whole slabs.
+    lam_t, w, e = lam.T[..., None], (z0.T**2)[..., None], 2.0 * np.arange(1, family.iteration_cap + 1)
+
+    def sq_norm(rho, lam, w, e):  # sum_i w_i |1 - rho * lam_i|^e, e even; a negative base makes ** slow
+        return (w * np.abs(1.0 - rho * lam) ** e).sum(axis=0)
+
+    def falling(rho, lam, w_lam, e):  # f_k' < 0: sum_i w_i lam_i b_i^(2k-1) > 0, b_i = 1 - rho lam_i
+        b = 1.0 - rho * lam
+        return (w_lam * b * np.abs(b) ** (e - 2.0)).sum(axis=0) > 0
+
+    # f_k at both ends, and a floor under f_k from each coordinate's least
+    # |1 - rho*lambda_i| on the interval.  Only a level that comes within tau
+    # of nu^2 somewhere can have a change point.
+    floor = np.where(family.contains(1.0 / lam_t), 0.0,
+                     np.minimum(np.abs(1.0 - lo_rho * lam_t), np.abs(1.0 - hi_rho * lam_t)))
+    ends = sq_norm(lo_rho, lam_t, w, e), sq_norm(hi_rho, lam_t, w, e)
+    sample, level = np.nonzero((np.maximum(*ends) > nu2 - tau) & ((w * floor**e).sum(axis=0) <= nu2 + tau))
+    lam_r, w_r, e_r = lam_t[:, sample], w[:, sample], e[level, None]
+    w_lam = w_r * lam_r
+    # A level still falling at rho_u has its minimiser there; one already rising at rho_l, at rho_l.
+    at_ends = falling(np.array([lo_rho, hi_rho]), lam_r, w_lam, e_r)
+    minimiser = np.where(at_ends[:, 1], hi_rho, lo_rho)
+    inner = np.flatnonzero(at_ends[:, 0] & ~at_ends[:, 1])
+    if inner.size:
+        rows = lam_r[:, inner], w_lam[:, inner], e_r[inner]
+        lo, width = _advance(np.full(inner.size, lo_rho), np.full(inner.size, hi_rho - lo_rho),
+                             lambda rho: falling(rho, *rows))
+        minimiser[inner] = lo + 0.5 * width
+    # A side (left: rho_l..minimiser, right: minimiser..rho_u) has a band when
+    # f_k - nu^2 runs from above -tau at its outer end to at most tau.
+    outer = np.stack([ends[0][sample, level], ends[1][sample, level]], axis=1)
+    low = sq_norm(minimiser[:, None], lam_r, w_r, e_r) <= nu2 + tau
+    row, side = np.nonzero((outer > nu2 - tau) & low)
+    # Per band: from the outer end towards the minimiser, the last grid point
+    # above nu^2 + tau and the first one at most nu^2 - tau.
+    row = np.repeat(row, 2)
+    a = np.array([lo_rho, hi_rho])[np.repeat(side, 2)]
+    threshold = np.tile([nu2 + tau, nu2 - tau], side.size)[:, None]
+    lam_b, w_b, e_b = lam_r[:, row], w_r[:, row], e_r[row]
+    a, step = _advance(a, minimiser[row] - a, lambda rho: sq_norm(rho, lam_b, w_b, e_b) > threshold)
+    b = a + step
+    band_lo, band_hi = np.minimum(a[0::2], b[1::2]), np.maximum(a[0::2], b[1::2])
+    band_sample = sample[row[0::2]]
+
+    merged, points, probes = [], [], []
+    for j in range(lam.shape[0]):
+        mine = band_sample == j
+        order = np.argsort(band_lo[mine])
+        blo, reach = band_lo[mine][order], np.maximum.accumulate(band_hi[mine][order])
+        first, last = np.ones(blo.size, dtype=bool), np.ones(blo.size, dtype=bool)
+        first[1:] = last[:-1] = blo[1:] > reach[:-1]  # overlapping bands merge
+        merged.append((blo[first], reach[last]))
+        # Pieces alternate between the certain gaps and the bands; each is
+        # valued at its midpoint.
+        edges = np.unique(np.concatenate([[lo_rho, hi_rho], blo[first], reach[last]]))
+        points.append(edges[1:-1])
+        probes.append(0.5 * (edges[:-1] + edges[1:]) if edges.size > 1 else edges)
+    rhos = np.concatenate(probes + [np.empty(0)])
+    values = _counts(family, rhos, np.repeat(np.arange(lam.shape[0]), [p.size for p in probes]),
+                     lam, z0, dims)
+    failed = np.flatnonzero(values < 0)
+    failure = (values[failed[0]], float(rhos[failed[0]])) if failed.size else None
+    split = np.cumsum([p.size for p in probes])[:-1]
+    functions = [StepFunction(p, v) for p, v in zip(points, np.split(values, split))]
+    return functions, merged, failure
+
+
+def step_functions(family: GdFamily, samples: Sequence[GdInstance]) -> list[StepFunction]:
+    """Each sample's run_gd count as a StepFunction of rho on [rho_l, rho_u].
+
+    Needs every step size of the interval to shrink each coordinate by a
+    little more than 1 - c (`_contracts`; `random_instance` draws such
+    samples) and raises GuaranteedProgressError otherwise.  The change points
+    come from the closed form of the squared norm after k steps; each piece's
+    value is run_gd's count at one point inside it, so `at(rho)` equals
+    run_gd(family, rho, x) except inside the narrow bands around change
+    points where rounding decides the count (`_pieces`).
+    """
+    for x in samples:
+        family.check_instance(x)
+    lam, z0, dims = _stack(samples)
+    short = np.flatnonzero(~_contracts(family, lam))
+    if short.size:
+        raise GuaranteedProgressError(
+            f"sample {int(short[0])} does not shrink by (1 - c)(1 - {_margin(family):.3g}) at "
+            f"every step size in [{family.rho_l}, {family.rho_u}]"
+        )
+    functions, _, failure = _pieces(family, lam, z0, dims)
+    if failure is not None:
+        _raise_failure(family, *failure)
+    return functions
 
 
 def net_costs(family: GdFamily, net, samples: Sequence[GdInstance]) -> np.ndarray:
     """Iteration counts of every net point on every sample, shape (net, samples).
 
     Equal to [[run_gd(family, rho, x) for x in samples] for rho in net] as
-    floats, computed by one batched recurrence per sample over the whole net.
-    Every net point and every sample is validated first, with run_gd's
-    messages.  A run that breaks guaranteed progress raises run_gd's error for
-    the smallest such net index, at the first sample that fails there.
+    floats.  Every net point and every sample is validated first, with
+    run_gd's messages.  When every sample contracts by a margin over the
+    whole interval (`_contracts`), the counts are read off the step
+    functions of `_pieces`, and the net points inside their uncertain bands
+    are rerun through the recurrence.  Otherwise, or if any of those runs
+    fails, one recurrence per sample runs the whole net; a run that breaks
+    guaranteed progress raises run_gd's error for the smallest such net
+    index, at the first sample that fails there.
     """
     rhos = np.asarray(net, dtype=float)
     outside = np.flatnonzero(~family.contains(rhos))
@@ -263,16 +456,29 @@ def net_costs(family: GdFamily, net, samples: Sequence[GdInstance]) -> np.ndarra
         raise ValueError(f"rho={rho} outside [{family.rho_l}, {family.rho_u}]")
     for x in samples:
         family.check_instance(x)
+    lam, z0, dims = _stack(samples)
     costs = np.empty((rhos.size, len(samples)))
-    for j, x in enumerate(samples):
-        costs[:, j] = _net_iterations(family, rhos, x)
+    fast = _contracts(family, lam).all()
+    if fast:
+        functions, bands, failure = _pieces(family, lam, z0, dims)
+        fast = failure is None
+    if fast:
+        near = []
+        for j, (f, (lo, hi)) in enumerate(zip(functions, bands)):
+            costs[:, j] = f.at(rhos)
+            edges = np.column_stack([lo, np.nextafter(hi, np.inf)]).ravel()
+            near.append(np.flatnonzero(np.searchsorted(edges, rhos, side="right") % 2))
+        i = np.concatenate(near + [np.empty(0, dtype=np.intp)])
+        j = np.repeat(np.arange(len(samples)), [n.size for n in near])
+        costs[i, j] = _counts(family, rhos[i], j, lam, z0, dims)
+    if not fast or (costs < 0).any():
+        for j, x in enumerate(samples):
+            costs[:, j] = _net_iterations(family, rhos, x.lambdas, x.z0)
     failed = costs < 0
     if failed.any():
         i = int(np.flatnonzero(failed.any(axis=1))[0])
         j = int(np.flatnonzero(failed[i])[0])
-        if costs[i, j] == _CAP_EXCEEDED:
-            raise _cap_error(family.iteration_cap)
-        raise _stall_error(family, float(rhos[i]))
+        _raise_failure(family, costs[i, j], float(rhos[i]))
     return costs
 
 
@@ -302,14 +508,18 @@ def knet(family: GdFamily) -> np.ndarray:
 def erm_stepsize(family: GdFamily, samples: Sequence[GdInstance], net):
     """Exhaustive ERM over the net (`knet` builds the K-net), minimizing mean iteration count.
 
-    The net is scored by `net_costs`, one batched recurrence per sample, and
-    reduced by `core.erm_costs`.  Returns (rho_star, ErrorReport); ties break
-    toward the smaller step size.
+    The net is scored by `net_costs` (the samples' step functions, read at
+    the net points, or the recurrence when they do not apply), with errors
+    naming net points in the order given.  `core.erm_costs` then reduces the
+    rows sorted by step size, so ties break toward the smaller step size.
+    Returns (rho_star, ErrorReport).
     """
     points = np.asarray(net, dtype=float)
     if points.ndim != 1 or points.size == 0:
         raise ValueError("net must be a nonempty 1-D array of step sizes")
-    report = erm_costs(points.tolist(), net_costs(family, points, samples), None, MINIMIZE)
+    costs = net_costs(family, points, samples)
+    order = np.argsort(points, kind="stable")
+    report = erm_costs(points[order].tolist(), costs[order], None, MINIMIZE)
     return report.chosen, report
 
 
@@ -389,7 +599,8 @@ def verify_lemmas(family: GdFamily, trials: int, seed: int = 0) -> LemmaReport:
             if drift > bound * (1 + rtol) + 1e-15:
                 flag("drift", steps=j, drift=drift, bound=bound)
         # (c) the iteration counts ERM uses, by the batched recurrence.
-        cost_r, cost_e = (int(c) for c in _net_iterations(family, np.array([rho, eta]), inst))
+        cost_r, cost_e = (int(c) for c in _net_iterations(family, np.array([rho, eta]),
+                                                                inst.lambdas, inst.z0))
         gap = abs(cost_r - cost_e)
         report.max_cost_gap = max(report.max_cost_gap, gap)
         if gap > 1:

@@ -136,6 +136,21 @@ class TestGdTune:
         assert float(row.split(",")[0]) == 0.25
         assert int(row.split(",")[2]) == 1
 
+    def test_default_output_bytes(self, tmp_path):
+        # The K-net at the defaults: 12,001 points, 50 generated samples.
+        out = tmp_path / "gd.csv"
+        assert run_cli("gd-tune", "--seed", 0, "--out", out) == 0
+        assert out.read_bytes() == (b"rho_star,mean_iterations,net_size,K,H\n"
+                                    b"0.39615000000000006,4.16,12001,2.5000000000000005e-05,"
+                                    b"43.70869065356567\n")
+
+    @pytest.mark.parametrize("net", ["0.2001,0.2", "0.2,0.2001"])
+    def test_tied_means_pick_the_smaller_step_in_either_order(self, net, tmp_path):
+        out = tmp_path / "gd.csv"
+        assert run_cli("gd-tune", "--seed", 0, "--net", net, "--out", out) == 0
+        row = out.read_text().strip().split("\n")[1].split(",")
+        assert (row[0], row[1], row[2]) == ("0.2", "8.22", "2")
+
     def test_instance_directory_input(self, tmp_path):
         d = tmp_path / "gd"
         d.mkdir()

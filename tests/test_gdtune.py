@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
-from algoselect.core import merge_close
+from algoselect.core import StepFunction, argmax_sum, merge_close
 from algoselect.gdtune import (
     GdFamily,
     GdInstance,
     GuaranteedProgressError,
+    _net_iterations,
     drift_bound,
     erm_stepsize,
     knet,
@@ -17,12 +21,16 @@ from algoselect.gdtune import (
     random_instance,
     run_gd,
     save_gd_instance,
+    step_functions,
     step_map,
     verify_lemmas,
 )
+from algoselect.utils import labeled_rng
 
-# The family used by the lemma-suite acceptance runs.
+# The family used by the lemma-suite acceptance runs, and the gd-tune defaults.
 LEMMA_FAMILY = GdFamily(rho_l=0.1, rho_u=0.4, L=4.0, m_sc=1.0, c=0.1, Z=1.0, nu=0.01)
+# The same family on [0.1, 0.105]: a 201-point K-net.
+NARROW_FAMILY = dataclasses.replace(LEMMA_FAMILY, rho_u=0.105)
 
 
 def unit_family(**overrides):
@@ -212,6 +220,15 @@ class TestErmStepsize:
         assert report.train_mean == means.min()
         assert rho == net[int(np.argmin(means))]
 
+    def test_ties_break_toward_the_smaller_step_in_any_order(self):
+        rng = labeled_rng(0, "gd-instances")  # the gd-tune --seed 0 samples
+        samples = [random_instance(LEMMA_FAMILY, 2, rng) for _ in range(50)]
+        costs = scalar_costs(LEMMA_FAMILY, [0.2, 0.2001], samples)
+        assert costs[0].mean() == costs[1].mean()
+        for net in ([0.2001, 0.2], [0.2, 0.2001], [0.2001, 0.2, 0.2001, 0.2]):
+            rho, report = erm_stepsize(LEMMA_FAMILY, samples, net=net)
+            assert rho == 0.2 and report.train_mean == costs[0].mean()
+
     @pytest.mark.parametrize("net", [[], [[0.6, 0.7], [0.8, 0.9]], 0.75], ids=["empty", "2-d", "0-d"])
     def test_rejects_a_net_that_is_not_a_nonempty_vector(self, net):
         with pytest.raises(ValueError, match="nonempty 1-D"):
@@ -221,6 +238,28 @@ class TestErmStepsize:
 def scalar_costs(family, net, samples):
     """The index-major run_gd loop that net_costs replaces."""
     return np.array([[float(run_gd(family, float(r), x)) for x in samples] for r in net])
+
+
+def per_sample_costs(family, net, samples):
+    """One batched recurrence per sample over the whole net."""
+    net = np.asarray(net, dtype=float)
+    return np.stack([_net_iterations(family, net, x.lambdas, x.z0) for x in samples], axis=1)
+
+
+def assert_matches_oracles(family, net, samples):
+    costs = net_costs(family, net, samples)
+    assert np.array_equal(costs, scalar_costs(family, net, samples))
+    assert np.array_equal(costs, per_sample_costs(family, net, samples))
+    return costs
+
+
+def near_change_points(family, samples):
+    """Step sizes at, one ulp from, and 1e-15..1e-6 (relative) from every change point."""
+    points = np.concatenate([f.points for f in step_functions(family, samples)])
+    scale = 1.0 + np.array([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+    near = np.concatenate([np.outer(points, scale).ravel(), np.nextafter(points, 0.0),
+                           np.nextafter(points, 1.0)])
+    return np.clip(near, family.rho_l, family.rho_u)
 
 
 class TestNetCosts:
@@ -234,9 +273,32 @@ class TestNetCosts:
             samples = [random_instance(fam, dim, rng) for _ in range(3)]
             inside = rng.normal(size=dim)
             samples.append(GdInstance(samples[0].lambdas, inside * 0.5 * fam.nu / np.linalg.norm(inside)))
-            costs = net_costs(fam, net, samples)
-            assert np.array_equal(costs, scalar_costs(fam, net, samples))
+            costs = assert_matches_oracles(fam, net, samples)
             assert (costs[:, -1] == 0).all()
+
+    @pytest.mark.parametrize("family", [LEMMA_FAMILY, NARROW_FAMILY], ids=["defaults", "narrow"])
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_random_instances_match_both_oracles_at_change_points(self, family, dim):
+        rng = np.random.default_rng(100 + dim)
+        samples = [random_instance(family, dim, rng) for _ in range(3)]
+        full = knet(family)
+        assert np.array_equal(net_costs(family, full, samples), per_sample_costs(family, full, samples))
+        net = np.concatenate([full[::40], near_change_points(family, samples)])
+        assert_matches_oracles(family, net, samples)
+
+    def test_mixed_dimensions_in_one_call(self):
+        rng = np.random.default_rng(5)
+        samples = [random_instance(LEMMA_FAMILY, dim, rng) for dim in (1, 5, 2, 6, 3, 2)]
+        net = np.concatenate([knet(LEMMA_FAMILY)[::60], near_change_points(LEMMA_FAMILY, samples)])
+        assert_matches_oracles(LEMMA_FAMILY, net, samples)
+
+    def test_unsorted_net_with_duplicates(self):
+        rng = np.random.default_rng(6)
+        samples = [random_instance(LEMMA_FAMILY, 2, rng) for _ in range(4)]
+        net = np.concatenate([knet(LEMMA_FAMILY)[::50], near_change_points(LEMMA_FAMILY, samples)[::3]])
+        net = np.concatenate([net, net[::4], [LEMMA_FAMILY.rho_u, LEMMA_FAMILY.rho_l]])
+        rng.shuffle(net)
+        assert_matches_oracles(LEMMA_FAMILY, net, samples)
 
     def test_matches_run_gd_on_coarse_family(self):
         # Few steps and large spacing: counts vary across the interval.
@@ -246,23 +308,67 @@ class TestNetCosts:
         # z0 = nu, and 0.25 halved twice at rho=0.5, meet the stop test exactly at nu.
         samples = [GdInstance([1.0], [z]) for z in (1.0, -0.5, 0.11, 0.04, 0.0625, 0.25)]
         samples += [random_instance(fam, int(rng.integers(1, 7)), rng) for _ in range(6)]
-        costs = net_costs(fam, net, samples)
-        assert np.array_equal(costs, scalar_costs(fam, net, samples))
+        costs = assert_matches_oracles(fam, net, samples)
         assert np.unique(costs).size > 2
         assert costs[0, 4] == 0 and costs[0, 5] == 2
+
+    def test_one_step_window(self):
+        # Acceptance 05: rho = 1 reaches the minimiser in one step; nearby
+        # step sizes take one step or two.
+        fam = GdFamily(rho_l=0.9, rho_u=1.1, L=1.0, m_sc=1.0, c=0.5, Z=1.0, nu=0.04)
+        samples = [GdInstance([1.0], [z]) for z in (1.0, -1.0, 1.0, -1.0)]
+        costs = assert_matches_oracles(fam, knet(fam), samples)
+        assert set(np.unique(costs)) == {1.0, 2.0}
+
+    @pytest.mark.parametrize("rel", [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+    def test_tangent_level(self, rel):
+        # A 2-D start scaled so that the smallest squared norm after k = 5
+        # steps is nu^2 (times 1 + rel): the level's two roots nearly meet.
+        fam, lam, direction, k = LEMMA_FAMILY, np.array([1.5, 4.0]), np.array([0.6, 0.8]), 5
+        poly = sum(u**2 * Polynomial([1.0, -l]) ** (2 * k) for u, l in zip(direction, lam))
+        rho_min = min((r.real for r in poly.deriv().roots()
+                       if abs(r.imag) < 1e-12 and fam.rho_l < r.real < fam.rho_u), key=poly)
+        x = GdInstance(lam, direction * fam.nu / math.sqrt(poly(rho_min)) * (1.0 + rel))
+        near = rho_min * (1.0 + np.concatenate([np.linspace(-1e-3, 1e-3, 401), [-1e-9, -1e-12, 1e-12, 1e-9]]))
+        net = np.concatenate([knet(fam)[::100], near, near_change_points(fam, [x])])
+        costs = assert_matches_oracles(fam, net, [x])
+        if rel <= -1e-9:
+            assert {k, k + 1} <= set(costs[:, 0])
 
     def test_stall_names_the_scalar_loops_rho(self):
         # Sample a stalls only at rho=0.5 and sample b from rho=0.49 on; the
         # index-major scalar loop meets (0.49, b) first.
         fam = GdFamily(rho_l=0.1, rho_u=0.5, L=4.0, m_sc=1.0, c=0.1, Z=1.0, nu=0.01)
-        samples = [GdInstance([3.85], [0.5]), GdInstance([4.0], [0.5])]
-        net = [0.1, 0.3, 0.49, 0.5]
-        with pytest.raises(GuaranteedProgressError) as scalar:
-            scalar_costs(fam, net, samples)
-        with pytest.raises(GuaranteedProgressError) as batched:
-            erm_stepsize(fam, samples, net=net)
-        assert str(batched.value) == str(scalar.value)
-        assert "rho=0.49" in str(batched.value)
+        a, b = GdInstance([3.85], [0.5]), GdInstance([4.0], [0.5])
+        # Sample a alone stalls only above rho = 1.9 / 3.85 = 0.4935: of this
+        # net, at 0.495 alone, strictly between the other points.
+        for samples, net, rho in (([a, b], [0.1, 0.3, 0.49, 0.5], 0.49),
+                                  ([a], [0.1, 0.2, 0.3, 0.45, 0.495, 0.4, 0.49], 0.495)):
+            with pytest.raises(GuaranteedProgressError) as scalar:
+                scalar_costs(fam, net, samples)
+            with pytest.raises(GuaranteedProgressError) as batched:
+                erm_stepsize(fam, samples, net=net)
+            assert str(batched.value) == str(scalar.value)
+            assert f"rho={rho} " in str(batched.value)
+        with pytest.raises(GuaranteedProgressError, match="does not shrink"):
+            step_functions(fam, [a])
+
+    def test_zero_margin_stays_exact(self):
+        # lambda = m_sc with c = rho_l * m_sc: the first step at rho_l shrinks
+        # by exactly 1 - c, so the step functions do not apply.
+        fam = LEMMA_FAMILY
+        assert fam.c == fam.rho_l * fam.m_sc
+        samples = [GdInstance([fam.m_sc, 2.5], [0.6, 0.3]), GdInstance([fam.m_sc], [-0.9])]
+        net = np.concatenate([knet(fam)[::30], [fam.rho_l, fam.rho_u]])
+        assert_matches_oracles(fam, net, samples)
+        with pytest.raises(GuaranteedProgressError, match="does not shrink"):
+            step_functions(fam, samples)
+
+    def test_empty_sample_list(self):
+        net = knet(NARROW_FAMILY)
+        assert net_costs(NARROW_FAMILY, net, []).shape == (net.size, 0)
+        with pytest.raises(ValueError, match="need at least one sample"):
+            erm_stepsize(NARROW_FAMILY, [], net)
 
     def test_point_outside_interval_same_error(self):
         fam = unit_family()
@@ -281,6 +387,35 @@ class TestNetCosts:
         with pytest.raises(ValueError) as batched:
             erm_stepsize(fam, [GdInstance([1.0], [1.0]), bad], net=[0.5, 1.0])
         assert str(batched.value) == str(scalar.value)
+
+
+class TestNetGuarantee:
+    """The paper's net claim: ERM over the K-net is within one iteration of the
+    best step size in the whole interval, found exactly from the step functions."""
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_knet_erm_is_within_one_of_the_continuum_minimum(self, seed, dim):
+        fam = LEMMA_FAMILY  # the gd-tune defaults
+        rng = labeled_rng(seed, "gd-instances")
+        samples = [random_instance(fam, dim, rng) for _ in range(50)]
+        functions = step_functions(fam, samples)
+        rho_exact, total = argmax_sum([StepFunction(f.points, -f.values) for f in functions],
+                                      fam.rho_l, fam.rho_u)
+        best = -total / len(samples)
+        assert np.mean([run_gd(fam, rho_exact, x) for x in samples]) == best
+        rho_net, report = erm_stepsize(fam, samples, knet(fam))
+        assert best <= report.train_mean <= best + 1
+        if (seed, dim) == (0, 2):
+            assert (rho_net, report.train_mean) == (0.39615000000000006, 4.16)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5),
+           rho=st.floats(LEMMA_FAMILY.rho_l, LEMMA_FAMILY.rho_u))
+    def test_step_function_equals_run_gd(self, seed, dim, rho):
+        x = random_instance(LEMMA_FAMILY, dim, np.random.default_rng(seed))
+        (f,) = step_functions(LEMMA_FAMILY, [x])
+        assert f.at(rho) == run_gd(LEMMA_FAMILY, rho, x)
 
 
 class TestDriftBound:
