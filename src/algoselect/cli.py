@@ -78,7 +78,7 @@ def cmd_gd_tune(args) -> int:
     else:
         rng = labeled_rng(args.seed, "gd-instances")
         samples = [gdtune.random_instance(family, args.dim, rng) for _ in range(args.samples)]
-    if args.net:
+    if args.net is not None:
         net = np.asarray([float(tok) for tok in args.net.split(",")])
     else:
         net = gdtune.knet(family)

@@ -19,6 +19,8 @@ These points cut the interval into open pieces on which every run is fixed,
 so each sample's value is a step function of rho (`step_function`).  ERM
 probes both endpoints and every open piece of the union, the two boundary
 pieces included, off those step functions (`breakpoints`, `erm_breakpoint`).
+For "mwis-adaptive", whose crossings range over all residual degrees, the
+step function takes one run per execution, not one per piece.
 """
 
 from __future__ import annotations
@@ -273,19 +275,32 @@ def _greedy_mwis_nonadaptive(instance: MwisInstance, rho) -> np.ndarray:
     return chosen
 
 
-def _greedy_mwis_adaptive(instance: MwisInstance, rho) -> np.ndarray:
+def _greedy_mwis_adaptive(instance: MwisInstance, rho) -> tuple[np.ndarray, tuple[float, float]]:
+    """Adaptive greedy at `rho`: (chosen mask, open window (a, b) where the run is fixed).
+
+    Each pick v beats every live rival u on a half-line of rho ending at
+    (ln w_v - ln w_u) / (ln(1 + d_v) - ln(1 + d_u)) for their residual
+    degrees, the float expression of `_own_crossings`; (a, b) intersects them.
+    """
     instance._build_csr()
     indptr, indices = instance._indptr, instance._indices
     n = instance.n
     rho_f = float(rho)
-    deg = instance.degrees.astype(float)
+    deg = instance.degrees.copy()
     logw = np.log(instance.weights)
+    logd = np.log(1.0 + np.arange(deg.max() + 1, dtype=float))
     alive = np.ones(n, dtype=bool)
     chosen = np.zeros(n, dtype=bool)
     masked = logw - rho_f * np.log1p(deg)
+    a, b = -math.inf, math.inf
     remaining = n
     while remaining:
         v = int(np.argmax(masked))
+        live = np.flatnonzero(alive)
+        dd, dp = logd[deg[v]] - logd[deg[live]], logw[v] - logw[live]
+        up, down = dd > 0, dd < 0
+        b = min(b, float(np.min(dp[up] / dd[up], initial=b)))
+        a = max(a, float(np.max(dp[down] / dd[down], initial=a)))
         chosen[v] = True
         nbrs = indices[indptr[v]:indptr[v + 1]]
         removed = np.concatenate([[v], nbrs[alive[nbrs]]])
@@ -301,10 +316,10 @@ def _greedy_mwis_adaptive(instance: MwisInstance, rho) -> np.ndarray:
             affected = np.concatenate([indices[indptr[r]:indptr[r + 1]] for r in removed])
         affected = affected[alive[affected]]
         if affected.size:
-            np.subtract.at(deg, affected, 1.0)
+            np.subtract.at(deg, affected, 1)
             touched = np.unique(affected)
             masked[touched] = logw[touched] - rho_f * np.log1p(deg[touched])
-    return chosen
+    return chosen, (a, b)
 
 
 def _greedy_knapsack(instance: KnapsackInstance, rho) -> np.ndarray:
@@ -339,7 +354,7 @@ def run_greedy(family: ParamGreedyFamily, rho, instance):
         if family.kind == "mwis":
             mask = _greedy_mwis_nonadaptive(instance, rho)
         else:
-            mask = _greedy_mwis_adaptive(instance, rho)
+            mask, _ = _greedy_mwis_adaptive(instance, rho)
         value = mask_cost(mask, instance.weights)
     solution = tuple(int(v) for v in np.flatnonzero(mask))
     return solution, CostValue(value)
@@ -485,7 +500,7 @@ def _sample_attributes(family: ParamGreedyFamily, x) -> tuple[np.ndarray, np.nda
 
     For the adaptive MWIS rule every vertex contributes one pair per residual
     degree 0..deg(v): a superset of what executions can reach, which is sound
-    for crossing enumeration.
+    for crossing enumeration; most of its pieces share an execution.
     """
     if family.kind == "knapsack":
         return x.values, x.sizes
@@ -533,11 +548,27 @@ def breakpoints(family: ParamGreedyFamily, samples) -> BreakpointSet:
 
 
 def step_function(family: ParamGreedyFamily, x) -> StepFunction:
-    """One sample's greedy value between its own crossings, one run per open piece."""
+    """One sample's greedy value between its own crossings, from runs at piece midpoints.
+
+    For "mwis-adaptive" one run serves every piece in its window (see
+    `_greedy_mwis_adaptive`) and the next run is at the first piece past it:
+    one run per distinct execution, not one per piece of the superset.
+    """
     lo, hi = family.interval
     points = _own_crossings(family, x)
     grid = np.concatenate([[lo], points, [hi]])
-    return StepFunction(points, [greedy_cost(family, r, x) for r in (grid[:-1] + grid[1:]) / 2.0])
+    mids = (grid[:-1] + grid[1:]) / 2.0
+    if family.kind != "mwis-adaptive":
+        return StepFunction(points, [greedy_cost(family, r, x) for r in mids])
+    values = np.empty(mids.size)
+    k = 0
+    while k < mids.size:
+        mask, (_, b) = _greedy_mwis_adaptive(x, mids[k])
+        # The run is fixed on the pieces k .. end - 1, which end at or before b.
+        end = max(k + 1, int(np.searchsorted(grid, b, side="right")) - 1)
+        values[k:end] = mask_cost(mask, x.weights)
+        k = end
+    return StepFunction(points, values)
 
 
 def breakpoint_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:

@@ -405,6 +405,16 @@ def test_numeric_edge_values_keep_the_error_contract(command, option, tmp_path, 
         assert set(json.loads(line)) == {"error", "type"}
 
 
+@pytest.mark.parametrize("net", ["", ","], ids=["empty", "comma"])
+def test_empty_net_is_one_json_line(net, tmp_path, capsys):
+    # An empty --net is an error, not a request for the default K-net.
+    out = tmp_path / "gd.csv"
+    assert run_cli("gd-tune", "--samples", 2, "--net", net, "--out", out) == 1
+    assert not out.exists()
+    (line,) = capsys.readouterr().err.strip().split("\n")
+    assert json.loads(line)["type"] == "ValueError"
+
+
 def test_error_payload_is_machine_readable(tmp_path, capsys):
     code = run_cli("erm-greedy", "--instances", tmp_path / "missing", "--out", tmp_path / "x.csv")
     assert code == 1

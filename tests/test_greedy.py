@@ -6,6 +6,7 @@ import pytest
 
 from _fixtures import (KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE,
                        crafted_shatter_pair)
+from algoselect import greedy
 from algoselect.core import shatter_probe
 from algoselect.greedy import (
     KnapsackInstance,
@@ -112,9 +113,7 @@ class TestRunGreedy:
             assert sol_a == sol_n == tuple(range(8))
 
 
-def first_fit_oracle(instance, rho, adaptive):
-    """Greedy MWIS over Python adjacency sets, scores w / (1 + deg)^rho in
-    log space, ties to the smaller id; residual degrees when adaptive."""
+def _oracle_graph(instance, rho):
     adj = [set() for _ in range(instance.n)]
     for u, v in instance.edges.tolist():
         adj[u].add(v)
@@ -124,12 +123,12 @@ def first_fit_oracle(instance, rho, adaptive):
     def score(v):
         return logw[v] - rho * math.log1p(len(adj[v]))
 
-    if not adaptive:
-        chosen = set()
-        for v in sorted(range(instance.n), key=lambda v: (-score(v), v)):
-            if not adj[v] & chosen:
-                chosen.add(v)
-        return tuple(sorted(chosen))
+    return adj, score
+
+
+def adaptive_picks(instance, rho):
+    """The adaptive greedy's picks in order, over Python adjacency sets."""
+    adj, score = _oracle_graph(instance, rho)
     chosen, alive = [], set(range(instance.n))
     while alive:
         v = min(alive, key=lambda v: (-score(v), v))
@@ -139,6 +138,19 @@ def first_fit_oracle(instance, rho, adaptive):
         for r in removed:
             for x in adj[r]:
                 adj[x].discard(r)
+    return chosen
+
+
+def first_fit_oracle(instance, rho, adaptive):
+    """Greedy MWIS over Python adjacency sets, scores w / (1 + deg)^rho in
+    log space, ties to the smaller id; residual degrees when adaptive."""
+    if adaptive:
+        return tuple(sorted(adaptive_picks(instance, rho)))
+    adj, score = _oracle_graph(instance, rho)
+    chosen = set()
+    for v in sorted(range(instance.n), key=lambda v: (-score(v), v)):
+        if not adj[v] & chosen:
+            chosen.add(v)
     return tuple(sorted(chosen))
 
 
@@ -325,6 +337,82 @@ class TestBreakpoints:
                 for inst in samples:
                     masks = grid_masks(fam, probes, inst)
                     assert (masks == masks[0]).all()
+
+
+def own_pieces(family, x):
+    """A sample's own crossing grid, its piece midpoints, and which pieces are
+    wider than the tolerance `breakpoints` merges points within."""
+    lo, hi = family.interval
+    grid = np.concatenate([[lo], greedy._own_crossings(family, x), [hi]])
+    tol = greedy._BREAKPOINT_MERGE_RTOL * np.maximum(1.0, np.abs(grid[1:]))
+    return grid, (grid[:-1] + grid[1:]) / 2.0, np.diff(grid) > tol
+
+
+ADAPTIVE_WEIGHTS = ("palette", "powers-of-two", "uniform", "continuous")
+
+
+def adaptive_weights(kind, n, rng):
+    if kind == "palette":
+        return rng.choice(MWIS_WEIGHT_PALETTE, n)
+    if kind == "powers-of-two":
+        return rng.choice(2.0 ** -np.arange(4), n)
+    if kind == "uniform":
+        return np.full(n, 0.5)
+    return rng.uniform(0.05, 1.0, n)
+
+
+class TestAdaptiveStepFunction:
+    """The adaptive step function takes one run per execution window, not one
+    per piece of the residual-degree superset; a scalar run is the oracle."""
+
+    @pytest.mark.parametrize("weights", ADAPTIVE_WEIGHTS)
+    def test_matches_scalar_runs_on_tie_heavy_inputs(self, weights):
+        rng = np.random.default_rng(ADAPTIVE_WEIGHTS.index(weights))
+        compared = 0
+        for n in range(2, 11):
+            for seed in range(12):
+                edges = greedy.erdos_renyi_generator(n, (0.2, 0.4, 0.6)[seed % 3])(rng)
+                x = MwisInstance(n, edges, adaptive_weights(weights, n, rng))
+                fam = mwis_family(n, ((0.0, 1.0), (0.0, 2.0), (0.25, 0.75))[seed // 4], adaptive=True)
+                lo, hi = fam.interval
+                grid, mids, wide = own_pieces(fam, x)
+                sf = greedy.step_function(fam, x)
+                # Pieces narrower than the merge tolerance are skipped: their
+                # midpoint is within float noise of a crossing.
+                for mid in mids[wide]:
+                    assert sf.at(mid) == greedy_cost(fam, mid, x)
+                compared += int(wide.sum())
+                crossings = set(grid.tolist())
+                for mid, is_wide in zip(mids, wide):
+                    a, b = greedy._greedy_mwis_adaptive(x, mid)[1]
+                    picks = adaptive_picks(x, mid)
+                    # Each window end with the pieces just inside and just outside it.
+                    for end, inside, outside in ((max(a, lo), 0, -1), (min(b, hi), -1, 0)):
+                        # An own crossing, an endpoint, or a root `_own_crossings`
+                        # drops as float noise beside an endpoint.
+                        assert end in crossings or min(end - lo, hi - end) <= 1e-9 * max(1.0, abs(end))
+                        if not is_wide or end not in crossings:
+                            continue
+                        i = int(np.searchsorted(grid, end))
+                        for piece, same in ((i + inside, True), (i + outside, False)):
+                            if 0 <= piece < mids.size and wide[piece]:
+                                assert (adaptive_picks(x, mids[piece]) == picks) == same
+        assert compared >= 9 * 12  # at least one piece per sample
+
+    def test_large_graph_needs_few_runs(self, monkeypatch):
+        # n > 63, beyond the grid evaluators: over 100k superset pieces.
+        rng = np.random.default_rng(41)
+        x = random_mwis_instance(100, 0.1, rng)
+        fam = mwis_family(100, adaptive=True)
+        runs = []
+        run = greedy._greedy_mwis_adaptive
+        monkeypatch.setattr(greedy, "_greedy_mwis_adaptive", lambda *args: runs.append(1) or run(*args))
+        sf = greedy.step_function(fam, x)
+        monkeypatch.undo()
+        grid, mids, wide = own_pieces(fam, x)
+        assert len(runs) < 0.01 * mids.size
+        for mid in rng.choice(mids[wide], 200, replace=False):
+            assert sf.at(mid) == run_greedy(fam, mid, x)[1].value
 
 
 class TestErmBreakpoint:
