@@ -4,7 +4,8 @@
 # interpolate between value-greedy (rho=0) and density-greedy behavior.  Two
 # parameters that differ by 1e-9 can produce totally different runs, so a grid
 # can silently miss the best region; instead we enumerate every parameter
-# where two item scores cross and test one representative per piece.
+# where two item scores cross, keep the points where some sample's value
+# changes, and test both endpoints plus one candidate per piece between them.
 #
 # Run: python3 demos/greedy_parameter_selection.py
 
@@ -16,6 +17,7 @@ from algoselect.greedy import (
     erm_breakpoint,
     knapsack_family,
     mwis_family,
+    piece_costs,
     random_mwis_instance,
     run_greedy,
 )
@@ -29,9 +31,10 @@ for rho in (0.0, 1.0):
     solution, cost = run_greedy(family, rho, instance)
     print(f"knapsack rho={rho}: picked items {solution}, value {cost.value}")
 
-bset = breakpoints(family, [instance])
-print(f"score crossings on this instance: {bset.points.round(6)}")
-print(f"representatives probed by ERM:    {bset.representatives.round(6)}")
+rhos, costs = piece_costs(family, [instance])
+print(f"score crossings on this instance: {breakpoints(family, [instance]).points.round(6)}")
+print(f"candidates probed by ERM:         {rhos.round(6)}")
+print(f"their values:                     {costs[:, 0]}")
 
 rho_star, report = erm_breakpoint(family, [instance])
 print(f"best parameter {rho_star:.4f} with mean value {report.train_mean}\n")
@@ -47,4 +50,4 @@ print(f"MWIS (adaptive degrees): {breakpoints(fam, train).count} breakpoints on 
 print(f"chosen rho = {rho_star:.4f}")
 print(f"training mean weight   = {report.train_mean:.4f}")
 print(f"held-out mean weight   = {report.holdout_mean:.4f}")
-print(f"estimated error vs best held-out candidate = {report.estimated_error:.4f}")
+print(f"estimated error vs the best rho on the held-out set = {report.estimated_error:.4f}")

@@ -31,7 +31,7 @@ for epm in epms:
     print(f"rho={epm.algorithm_index}: training MSE {epm.train_loss:.5f}, "
           f"coefficients {np.round(epm.coef, 3)}")
 
-best_fixed = erm_costs(portfolio, costs, None, MAXIMIZE).chosen
+best_fixed = erm_costs(portfolio, costs, MAXIMIZE).chosen
 fixed_total = np.mean([greedy_cost(fam, best_fixed, x) for x in holdout])
 epm_total = np.mean([
     greedy_cost(fam, select_per_instance(epms, x, fmap, MAXIMIZE), x) for x in holdout

@@ -15,7 +15,7 @@ import numpy as np
 
 from _fixtures import crafted_shatter_pair
 from algoselect.core import sample_size, shatter_probe
-from algoselect.greedy import breakpoints, mwis_family, scalar_costs
+from algoselect.greedy import mwis_family, piece_costs
 
 print("uniform-convergence sample sizes, cost range H=1, failure probability 1%:")
 for d in (1, 4, 16):
@@ -27,9 +27,9 @@ for d in (1, 4, 16):
 # different parameter windows; together they realize all four labelings.
 first, second = crafted_shatter_pair()
 family = mwis_family(6)
-reps = breakpoints(family, [first, second]).representatives
-print(f"\nprobing a 2-instance set with {reps.size} candidate parameters:")
-costs = scalar_costs(family, [first, second], reps)
+# One candidate parameter per piece of the two value step functions.
+rhos, costs = piece_costs(family, [first, second])
+print(f"\nprobing a 2-instance set with {rhos.size} candidate parameters: {rhos.round(4)}")
 (report,) = shatter_probe(costs, [[0, 1]])
 print(f"  shattered: {report.shattered} ({report.labeling_count}/4 labelings)")
 print(f"  witness thresholds: {np.round(report.witnesses, 4)}")

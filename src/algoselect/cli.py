@@ -61,11 +61,11 @@ def cmd_erm_greedy(args) -> int:
         instances = _load_instance_dir(args.instances, ".csv", greedy.load_knapsack)
         family = greedy.knapsack_family(max(x.n for x in instances), interval)
     train, holdout = _train_holdout_split(instances, args.seed, args.holdout_frac)
-    bset = greedy.breakpoints(family, train)
-    rho_star, report = greedy.erm_breakpoint(family, train, holdout=holdout, bset=bset)
+    rho_star, report = greedy.erm_breakpoint(family, train, holdout=holdout)
     text = _csv(
         "rho_star,breakpoint_count,train_mean,holdout_mean,estimated_error",
-        [(float(rho_star), bset.count, report.train_mean, report.holdout_mean, report.estimated_error)],
+        [(float(rho_star), greedy.breakpoints(family, train).count, report.train_mean,
+          report.holdout_mean, report.estimated_error)],
     )
     atomic_write_text(args.out, text)
     return 0
@@ -120,8 +120,7 @@ def _probe_costs(args, count: int) -> np.ndarray:
     else:
         fam = greedy.knapsack_family(args.n, (0.0, 2.0))
         instances = [greedy.random_knapsack_instance(args.n, rng) for _ in range(count)]
-    # One candidate per piece of the instances' step functions.
-    return greedy.breakpoint_costs(fam, instances, greedy.breakpoints(fam, instances).representatives)
+    return greedy.piece_costs(fam, instances)[1]
 
 
 def cmd_pdim_probe(args) -> int:

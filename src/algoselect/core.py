@@ -57,9 +57,10 @@ def sample_size(epsilon: float, delta: float, H: float, d: float) -> int:
 class ErrorReport:
     """Outcome of an ERM run: the chosen index and its empirical means.
 
-    `estimated_error` is |held-out mean of the chosen index - held-out mean of
-    the best candidate on the held-out set|; it is 0 when no held-out set was
-    supplied (the training set then doubles as the held-out set).
+    `erm_costs` has no held-out set: it reports the training mean as
+    `holdout_mean` and 0 as `estimated_error`.  A caller with held-out samples
+    fills both in (`greedy.erm_breakpoint`: the held-out mean at the choice
+    and its gap to the best held-out mean over the whole interval).
     """
 
     chosen: object
@@ -138,39 +139,23 @@ def argmax_sum(functions: Sequence[StepFunction], lo: float, hi: float) -> tuple
     return float((edges[best] + edges[best + 1]) / 2.0), float(totals[best])
 
 
-def _checked_costs(indices: Sequence, matrix) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
-    if len(indices) == 0 or matrix.ndim != 2 or matrix.shape[0] != len(indices):
-        raise ValueError(f"need at least one index and one cost row per index, got shape "
-                         f"{matrix.shape} for {len(indices)} indices")
-    if not np.isfinite(matrix).all():
-        raise ValueError("costs must be finite")
-    return matrix
+def erm_costs(indices: Sequence, train: np.ndarray, orientation: str) -> ErrorReport:
+    """ERM over a finite candidate set, given as its cost matrix (len(indices) x samples).
 
-
-def erm_costs(
-    indices: Sequence, train: np.ndarray, holdout: np.ndarray | None, orientation: str
-) -> ErrorReport:
-    """ERM over a finite candidate set, given as cost matrices (len(indices) x samples).
-
-    Means are taken over axis 1 of each C-ordered matrix; the first optimum
-    (the smallest index) wins.  With a holdout matrix of at least one column
-    the report estimates the error of the choice against the best index on
-    the held-out samples.
+    Means are taken over axis 1 of the C-ordered matrix; the first optimum
+    (the smallest index) wins.
     """
-    train = _checked_costs(indices, train)
-    held = None if holdout is None else _checked_costs(indices, holdout)
+    train = np.asarray(train, dtype=float)
+    if len(indices) == 0 or train.ndim != 2 or train.shape[0] != len(indices):
+        raise ValueError(f"need at least one index and one cost row per index, got shape "
+                         f"{train.shape} for {len(indices)} indices")
+    if not np.isfinite(train).all():
+        raise ValueError("costs must be finite")
     if train.shape[1] == 0:
         raise ValueError("need at least one sample")
     train_means = train.mean(axis=1)
     best = _best_index(train_means, orientation)
-    chosen = indices[best]
-    if held is not None and held.shape[1] > 0:
-        hold_means = held.mean(axis=1)
-        chosen_hold = float(hold_means[best])
-        best_hold = float(hold_means[_best_index(hold_means, orientation)])
-        return ErrorReport(chosen, float(train_means[best]), chosen_hold, abs(chosen_hold - best_hold))
-    return ErrorReport(chosen, float(train_means[best]), float(train_means[best]), 0.0)
+    return ErrorReport(indices[best], float(train_means[best]), float(train_means[best]), 0.0)
 
 
 @dataclass(frozen=True)

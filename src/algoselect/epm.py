@@ -144,7 +144,7 @@ def fit_selection_table(domain, features, indices, costs, orientation: str) -> S
     costs = np.asarray(costs, dtype=float)
     if len(indices) == 0 or costs.shape != (len(indices), len(features)):
         raise ValueError(f"need a cost matrix of shape (indices, samples), got {costs.shape}")
-    mapping = {value: erm_costs(indices, costs[:, cols], None, orientation).chosen if cols else indices[0]
+    mapping = {value: erm_costs(indices, costs[:, cols], orientation).chosen if cols else indices[0]
                for value, cols in groups.items()}
     return SelectionTable(domain, mapping, tuple(value for value in domain if not groups[value]))
 

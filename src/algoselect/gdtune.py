@@ -519,7 +519,7 @@ def erm_stepsize(family: GdFamily, samples: Sequence[GdInstance], net):
         raise ValueError("net must be a nonempty 1-D array of step sizes")
     costs = net_costs(family, points, samples)
     order = np.argsort(points, kind="stable")
-    report = erm_costs(points[order].tolist(), costs[order], None, MINIMIZE)
+    report = erm_costs(points[order].tolist(), costs[order], MINIMIZE)
     return report.chosen, report
 
 

@@ -16,11 +16,12 @@ family with arbitrarily close parameters can behave completely differently,
 ERM over the continuum is done constructively: on each sample, every parameter
 value at which two of its object scores cross is enumerated in closed form.
 These points cut the interval into open pieces on which every run is fixed,
-so each sample's value is a step function of rho (`step_function`).  ERM
-probes both endpoints and every open piece of the union, the two boundary
-pieces included, off those step functions (`breakpoints`, `erm_breakpoint`).
-For "mwis-adaptive", whose crossings range over all residual degrees, the
-step function takes one run per execution, not one per piece.
+so each sample's value is a step function of rho (`step_function`).  The
+offline candidates (`piece_costs`) are both endpoints and one rho inside every
+piece of the union of the samples' value-change points, read off those step
+functions; ERM, best-of-q and the shattering probe all reduce that one cost
+matrix.  For "mwis-adaptive", whose crossings range over all residual
+degrees, the step function takes one run per execution, not one per piece.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MAXIMIZE, CostValue, StepFunction, erm_costs, merge_close
+from .core import MAXIMIZE, CostValue, ErrorReport, StepFunction, erm_costs, merge_close
 
 # Exact float dedup of coincident crossing points, relative to magnitude.
 _BREAKPOINT_MERGE_RTOL = 1e-12
@@ -475,19 +476,14 @@ def grid_costs(family: ParamGreedyFamily, rhos, instance) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BreakpointSet:
-    """Parameter values where two object scores of one sample cross, plus probes.
+    """Parameter values where two object scores of one sample cross.
 
     `points` is the union over the samples of each sample's own crossings,
     strictly inside the open interval.  They cut the interval into open pieces
     on each of which every greedy member behaves identically on every sample.
-    `representatives` probe every piece once, in increasing order: the
-    endpoint `lo`, the midpoint of every open piece (the two boundary pieces
-    included) and the endpoint `hi`.  The crossing points themselves are not
-    probed.
     """
 
     points: np.ndarray
-    representatives: np.ndarray
     interval: tuple[float, float]
 
     @property
@@ -530,21 +526,14 @@ def breakpoints(family: ParamGreedyFamily, samples) -> BreakpointSet:
     is constant).  Only pairs within one sample are solved: a greedy run
     compares the objects of one instance, so a crossing between attributes of
     two samples cannot change any run.  Roots closer to an interval endpoint
-    than float noise can resolve are dropped; the endpoint probes and the
-    boundary-piece midpoints cover both sides of such a crossing.
-
-    The claim is about open pieces: the representatives probe both endpoints
-    and every open piece between the points.  A crossing point itself is not
-    probed; what a run does there rests on an exact float tie and the id order.
+    than float noise can resolve are dropped; the endpoint runs and the
+    boundary pieces of `piece_costs` cover both sides of such a crossing.
     """
     if len(samples) == 0:
         raise ValueError("need at least one sample")
-    lo, hi = family.interval
     points = merge_close(np.unique(np.concatenate([_own_crossings(family, x) for x in samples])),
                          _BREAKPOINT_MERGE_RTOL)
-    grid = np.concatenate([[lo], points, [hi]])
-    reps = np.unique(np.concatenate([[lo], (grid[:-1] + grid[1:]) / 2.0, [hi]]))
-    return BreakpointSet(points, reps, (lo, hi))
+    return BreakpointSet(points, family.interval)
 
 
 def step_function(family: ParamGreedyFamily, x) -> StepFunction:
@@ -571,44 +560,64 @@ def step_function(family: ParamGreedyFamily, x) -> StepFunction:
     return StepFunction(points, values)
 
 
-def breakpoint_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
-    """Greedy values at `rhos` on every sample, shape (len(rhos), len(samples)).
+def _piece_table(family: ParamGreedyFamily, samples, functions) -> tuple[np.ndarray, np.ndarray]:
+    lo, hi = family.interval
+    points = merge_close(np.unique(np.concatenate([f.points for f in functions] + [np.empty(0)])),
+                         _BREAKPOINT_MERGE_RTOL)
+    edges = np.concatenate([[lo], points, [hi]])
+    rhos = np.unique(np.concatenate([[lo], (edges[:-1] + edges[1:]) / 2.0, [hi]]))
+    costs = np.stack([f.at(rhos) for f in functions], axis=1)
+    for end in (lo, hi):  # a crossing can sit on an endpoint: run there
+        costs[rhos == end] = [greedy_cost(family, end, x) for x in samples]
+    return rhos, costs
 
-    A rho inside the interval is read off the sample's `step_function`; a rho
-    at an endpoint gets a run there, since a crossing can sit on an endpoint.
-    Equals `scalar_costs(family, samples, rhos)` where no rho lies on a
-    crossing point.
+
+def piece_costs(family: ParamGreedyFamily, samples) -> tuple[np.ndarray, np.ndarray]:
+    """The offline candidate set and its cost matrix: (rhos, costs), with costs
+    of shape (len(rhos), len(samples)).
+
+    The union of the samples' value-change points (`step_function(...).points`,
+    near-duplicates merged as in `breakpoints`) cuts the interval into open
+    pieces on which every sample's value is constant.  `rhos` holds, in
+    increasing order, the endpoint `lo`, the midpoint of every piece and the
+    endpoint `hi`; each column is read off one sample's step function, with a
+    real run at each endpoint.  The claim is about open pieces: a change point
+    itself is not a candidate, since what a run does there rests on an exact
+    float tie and the id order.
     """
-    rhos = np.asarray(rhos, dtype=float)
-    costs = np.empty((rhos.size, len(samples)))
-    for j, x in enumerate(samples):
-        costs[:, j] = step_function(family, x).at(rhos)
-        for end in family.interval:
-            costs[rhos == end, j] = greedy_cost(family, end, x)
-    return costs
+    if len(samples) == 0:
+        raise ValueError("need at least one sample")
+    return _piece_table(family, samples, [step_function(family, x) for x in samples])
 
 
 def scalar_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
     """`greedy_cost` of every rho on every sample, shape (len(rhos), len(samples)):
-    one scalar run per cell, the oracle for `breakpoint_costs`."""
+    one scalar run per cell, the oracle for `piece_costs`."""
     costs = [[greedy_cost(family, r, x) for x in samples] for r in rhos]
     return np.asarray(costs, dtype=float).reshape(len(rhos), len(samples))
 
 
-def erm_breakpoint(family: ParamGreedyFamily, samples, holdout=None, bset: BreakpointSet | None = None):
-    """Best single parameter on the samples over the probes of `breakpoints`.
+def erm_breakpoint(family: ParamGreedyFamily, samples, holdout=None):
+    """Best single parameter on the samples over the candidates of `piece_costs`.
 
-    Exact over every rho outside the finite set of crossing points (open-piece
-    semantics, see `breakpoints`).  Returns (rho_star, ErrorReport); ties
-    break toward the smaller rho.
+    Exact over every rho outside the finite set of value-change points
+    (open-piece semantics).  With a nonempty holdout, `holdout_mean` is the
+    held-out mean at rho_star and `estimated_error` its gap to the best
+    held-out mean over the interval (the best row of the holdout's own
+    `piece_costs`).  Returns (rho_star, ErrorReport); ties break toward the
+    smaller rho.
     """
-    if bset is None:
-        bset = breakpoints(family, samples)
-    reps = bset.representatives
-    held = breakpoint_costs(family, holdout, reps) if holdout is not None else None
-    report = erm_costs(tuple(float(r) for r in reps), breakpoint_costs(family, samples, reps),
-                       held, MAXIMIZE)
-    return report.chosen, report
+    rhos, costs = piece_costs(family, samples)
+    report = erm_costs(rhos.tolist(), costs, MAXIMIZE)
+    rho = report.chosen
+    if not holdout:
+        return rho, report
+    functions = [step_function(family, x) for x in holdout]
+    held_rhos, held = _piece_table(family, holdout, functions)
+    # An endpoint's row holds real runs; inside, the step functions give the value.
+    at_rho = held[held_rhos == rho][0] if rho in family.interval else [f.at(rho) for f in functions]
+    chosen, best = float(np.mean(at_rho)), float(held.mean(axis=1).max())
+    return rho, ErrorReport(rho, report.train_mean, chosen, abs(chosen - best))
 
 
 def best_of_q(family: ParamGreedyFamily, rhos, instance) -> CostValue:
@@ -622,22 +631,21 @@ _BEST_OF_Q_CAP = 3
 
 
 def erm_best_of_q(family: ParamGreedyFamily, samples, q: int):
-    """Exhaustive ERM over q-subsets of the piece representatives.
+    """Exhaustive ERM over q-subsets of the `piece_costs` candidates.
 
     A subset's cost on an instance is the best of its members' costs.
     Returns (rho_tuple, ErrorReport).  `q` is capped to keep the subset
-    enumeration tractable and may not exceed the number of representatives.
+    enumeration tractable and may not exceed the number of candidates.
     """
     if not 1 <= q <= _BEST_OF_Q_CAP:
         raise ValueError(f"q must be in 1..{_BEST_OF_Q_CAP}")
-    reps = breakpoints(family, samples).representatives
-    if reps.size < q:
-        raise ValueError(f"q={q} exceeds the {reps.size} probe(s) of the interval")
-    combos = np.asarray(list(combinations(range(reps.size), q)))
-    costs = breakpoint_costs(family, samples, reps)
+    rhos, costs = piece_costs(family, samples)
+    if rhos.size < q:
+        raise ValueError(f"q={q} exceeds the {rhos.size} probe(s) of the interval")
+    combos = np.asarray(list(combinations(range(rhos.size), q)))
     combo_costs = reduce(np.maximum, (costs[column] for column in combos.T))
-    chosen = [tuple(float(reps[i]) for i in c) for c in combos]
-    report = erm_costs(chosen, combo_costs, None, MAXIMIZE)
+    chosen = [tuple(float(rhos[i]) for i in c) for c in combos]
+    report = erm_costs(chosen, combo_costs, MAXIMIZE)
     return report.chosen, report
 
 

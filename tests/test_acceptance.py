@@ -28,6 +28,7 @@ from algoselect.greedy import (
     grid_masks,
     knapsack_family,
     mwis_family,
+    piece_costs,
     random_knapsack_instance,
     random_mwis_instance,
     run_greedy,
@@ -104,7 +105,7 @@ def test_02_and_03_breakpoint_erm_oracle_and_piecewise_constancy():
         for family, samples in problems:
             lo, hi = family.interval
             bset = breakpoints(family, samples)
-            _, erm_report = erm_breakpoint(family, samples, bset=bset)
+            _, erm_report = erm_breakpoint(family, samples)
             grid_edges = np.concatenate([[lo], bset.points, [hi]])
             spacing = 0.45 * min(np.diff(grid_edges).min(), 0.01)
             grid = np.concatenate([np.arange(lo, hi, spacing), [hi]])
@@ -309,7 +310,7 @@ def test_11_shattering_probe():
     start = time.monotonic()
     first, second = crafted_shatter_pair()
     family = mwis_family(6)
-    reps = breakpoints(family, [first, second]).representatives
+    reps = piece_costs(family, [first, second])[0]
     matrix = scalar_costs(family, [first, second], reps)
     (pair_report,) = shatter_probe(matrix, [[0, 1]])
     reverified = (

@@ -11,15 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fixtures import KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE
+
 from algoselect.greedy import (
     KnapsackInstance,
     MwisInstance,
-    breakpoint_costs,
     breakpoints,
     erm_breakpoint,
     grid_costs,
     knapsack_family,
     mwis_family,
+    piece_costs,
+    random_knapsack_instance,
+    random_mwis_instance,
     scalar_costs,
 )
 
@@ -59,6 +63,20 @@ def family_and_samples(draw, kind):
     return mwis_family(n, interval, adaptive=kind == "mwis-adaptive"), samples
 
 
+@st.composite
+def palette_family_and_samples(draw, kind):
+    """Random instances with attributes drawn from the geometric palettes,
+    whose crossings coincide across samples up to float rounding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, count = draw(st.integers(2, 7)), draw(st.integers(1, 3))
+    if kind == "knapsack":
+        samples = [random_knapsack_instance(n, rng, KNAPSACK_VALUE_PALETTE, KNAPSACK_SIZE_PALETTE)
+                   for _ in range(count)]
+        return knapsack_family(n, (0.0, 2.0)), samples
+    samples = [random_mwis_instance(n, 0.4, rng, MWIS_WEIGHT_PALETTE) for _ in range(count)]
+    return mwis_family(n, adaptive=kind == "mwis-adaptive"), samples
+
+
 def oracle_best_mean(family, samples, points) -> float:
     """Best mean over both endpoints and a grid at 0.45 times the smallest
     gap between crossing points, so every open piece holds two grid points.
@@ -79,10 +97,9 @@ def oracle_best_mean(family, samples, points) -> float:
 @given(data=st.data())
 def test_erm_matches_dense_grid_oracle(kind, data):
     family, samples = data.draw(family_and_samples(kind))
-    bset = breakpoints(family, samples)
-    rho, report = erm_breakpoint(family, samples, bset=bset)
+    rho, report = erm_breakpoint(family, samples)
     assert family.contains(rho)
-    assert report.train_mean == oracle_best_mean(family, samples, bset.points)
+    assert report.train_mean == oracle_best_mean(family, samples, breakpoints(family, samples).points)
 
 
 @pytest.mark.parametrize("kind", ["knapsack", "mwis-nonadaptive", "mwis-adaptive"])
@@ -90,8 +107,7 @@ def test_erm_matches_dense_grid_oracle(kind, data):
 @given(data=st.data())
 def test_step_function_costs_match_scalar_probes(kind, data):
     # The ERM matrix read off each sample's own step function equals a
-    # scalar greedy run at every probe of the union.
-    family, samples = data.draw(family_and_samples(kind))
-    reps = breakpoints(family, samples).representatives
-    want = scalar_costs(family, samples, reps)
-    assert np.array_equal(breakpoint_costs(family, samples, reps), want)
+    # scalar greedy run at every candidate of the union.
+    family, samples = data.draw(st.one_of(family_and_samples(kind), palette_family_and_samples(kind)))
+    rhos, costs = piece_costs(family, samples)
+    assert np.array_equal(costs, scalar_costs(family, samples, rhos))

@@ -13,11 +13,11 @@ from algoselect.cli import build_parser, main
 from algoselect.core import shatter_probe
 from algoselect.greedy import (
     KnapsackInstance,
-    breakpoints,
     greedy_cost,
     knapsack_family,
     load_mwis,
     mwis_family,
+    piece_costs,
     random_knapsack_instance,
     random_mwis_instance,
     run_greedy,
@@ -109,7 +109,7 @@ class TestErmGreedy:
         train, holdout = [items[i] for i in order[:3]], [items[i] for i in order[3:]]
         fam, rho = mwis_family(7), float(row["rho_star"])
         held = [np.mean([greedy_cost(fam, r, x) for x in holdout])
-                for r in breakpoints(fam, train).representatives]
+                for r in piece_costs(fam, holdout)[0]]
         chosen = np.mean([greedy_cost(fam, rho, x) for x in holdout])
         assert float(row["train_mean"]) == np.mean([greedy_cost(fam, rho, x) for x in train])
         assert float(row["holdout_mean"]) == chosen
@@ -254,7 +254,7 @@ class TestPdimProbe:
         else:
             fam = knapsack_family(6, (0.0, 2.0))
             instances = [random_knapsack_instance(6, rng) for _ in range(6)]
-        costs = scalar_costs(fam, instances, breakpoints(fam, instances).representatives)
+        costs = scalar_costs(fam, instances, piece_costs(fam, instances)[0])
         reports = shatter_probe(costs, [[0, 1], [2, 3], [4, 5]])
         got = json.loads(out.read_text())["reports"]
         assert [(r["set_size"], r["shattered"], r["labeling_count"], r["witnesses"]) for r in got] == \

@@ -22,10 +22,9 @@ def table_costs(costs, samples):
     return np.array([[costs[(i, x)] for x in samples] for i in indices], dtype=float)
 
 
-def table_erm(costs, samples, holdout=None, orientation=MAXIMIZE):
+def table_erm(costs, samples, orientation=MAXIMIZE):
     matrix = table_costs(costs, samples)
-    held = None if holdout is None else table_costs(costs, holdout)
-    return erm_costs(range(matrix.shape[0]), matrix, held, orientation)
+    return erm_costs(range(matrix.shape[0]), matrix, orientation)
 
 
 class TestSampleSize:
@@ -114,46 +113,28 @@ class TestErmFinite:
         assert report.chosen == best
         assert report.train_mean == pytest.approx(means[best], abs=1e-12)
 
-    def test_holdout_error(self):
-        # Index 0 wins on training, index 1 wins on holdout by 0.2.
-        costs = {
-            (0, "t"): 1.0,
-            (1, "t"): 0.0,
-            (0, "h"): 0.5,
-            (1, "h"): 0.7,
-        }
-        report = table_erm(costs, ["t"], holdout=["h"])
-        assert report.chosen == 0
-        assert report.holdout_mean == pytest.approx(0.5)
-        assert report.estimated_error == pytest.approx(0.2)
-
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             table_erm({(0, "x"): 0.0}, [])
 
     def test_empty_index_list_rejected(self):
         with pytest.raises(ValueError):
-            erm_costs((), np.empty((0, 1)), None, MAXIMIZE)
+            erm_costs((), np.empty((0, 1)), MAXIMIZE)
 
     @pytest.mark.parametrize(
-        "indices, train, holdout, orientation",
+        "indices, train, orientation",
         [
-            ((0, 1), [[1.0, 1.0], [0.0, 0.0]], None, "maximise"),
-            ((0, 1), [1.0, 0.0], None, MAXIMIZE),
-            ((0, 1), [[[1.0], [0.0]]], None, MAXIMIZE),
-            ((0, 1), [[1.0], [0.0], [0.5]], None, MAXIMIZE),
-            ((0, 1), [[1.0], [0.0]], [[1.0]], MAXIMIZE),
-            ((0, 1), [[1.0], [0.0]], np.empty((3, 0)), MAXIMIZE),
-            ((0, 1), [[np.nan], [0.0]], None, MAXIMIZE),
-            ((0, 1), [[1.0], [0.0]], [[np.inf], [0.0]], MINIMIZE),
+            ((0, 1), [[1.0, 1.0], [0.0, 0.0]], "maximise"),
+            ((0, 1), [1.0, 0.0], MAXIMIZE),
+            ((0, 1), [[[1.0], [0.0]]], MAXIMIZE),
+            ((0, 1), [[1.0], [0.0], [0.5]], MAXIMIZE),
+            ((0, 1), [[np.nan], [0.0]], MAXIMIZE),
         ],
-        ids=["orientation", "1-d", "3-d", "train-rows", "holdout-rows", "empty-holdout-rows",
-             "nan", "inf-holdout"],
+        ids=["orientation", "1-d", "3-d", "train-rows", "nan"],
     )
-    def test_rejects_bad_input(self, indices, train, holdout, orientation):
+    def test_rejects_bad_input(self, indices, train, orientation):
         with pytest.raises(ValueError):
-            erm_costs(indices, np.asarray(train, dtype=float),
-                      None if holdout is None else np.asarray(holdout, dtype=float), orientation)
+            erm_costs(indices, np.asarray(train, dtype=float), orientation)
 
 
 class TestShatterProbe:

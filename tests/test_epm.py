@@ -114,7 +114,7 @@ class TestSelectPerInstance:
         costs = np.array([[table[(i, x)] for x in samples] for i in range(4)])
         epms = [fit_linear_epm(i, samples, costs[i], intercept1) for i in range(4)]
         chosen = select_per_instance(epms, samples[0], intercept1, MINIMIZE)
-        assert chosen == erm_costs(range(4), costs, None, MINIMIZE).chosen
+        assert chosen == erm_costs(range(4), costs, MINIMIZE).chosen
 
 
 class TestSelectionTable:
@@ -126,7 +126,7 @@ class TestSelectionTable:
         table = {(i, x): float(rng.uniform()) for i in range(2) for x in range(20)}
         costs = self.table_costs(table, range(20))
         fitted = fit_selection_table(["all"], ["all"] * 20, (0, 1), costs, MAXIMIZE)
-        assert fitted.mapping["all"] == erm_costs((0, 1), costs, None, MAXIMIZE).chosen
+        assert fitted.mapping["all"] == erm_costs((0, 1), costs, MAXIMIZE).chosen
         assert fitted.defaulted == ()
 
     def test_disjoint_best_algorithms(self):

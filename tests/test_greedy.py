@@ -25,6 +25,7 @@ from algoselect.greedy import (
     load_knapsack,
     load_mwis,
     mwis_family,
+    piece_costs,
     random_knapsack_instance,
     random_mwis_instance,
     run_greedy,
@@ -281,10 +282,10 @@ class TestBreakpoints:
 
     def test_identical_attributes_no_breakpoint(self):
         inst = KnapsackInstance([4.0, 4.0], [4.0, 4.0], 10.0)
-        bset = breakpoints(knapsack_family(2, interval=(0.0, 2.0)), [inst])
-        assert bset.count == 0
+        fam = knapsack_family(2, interval=(0.0, 2.0))
+        assert breakpoints(fam, [inst]).count == 0
         # One open piece: both endpoints and its midpoint.
-        assert bset.representatives.tolist() == [0.0, 1.0, 2.0]
+        assert piece_costs(fam, [inst])[0].tolist() == [0.0, 1.0, 2.0]
 
     def test_count_bound(self):
         rng = np.random.default_rng(29)
@@ -298,12 +299,13 @@ class TestBreakpoints:
     def test_representatives_strictly_inside_subintervals(self):
         rng = np.random.default_rng(31)
         fam = mwis_family(8)
-        bset = breakpoints(fam, [random_mwis_instance(8, 0.4, rng) for _ in range(3)])
-        assert bset.count > 0
-        lo, hi = bset.interval
-        grid = np.concatenate([[lo], bset.points, [hi]])
+        samples = [random_mwis_instance(8, 0.4, rng) for _ in range(3)]
+        points = np.unique(np.concatenate([greedy.step_function(fam, x).points for x in samples]))
+        assert points.size > 0
+        lo, hi = fam.interval
+        grid = np.concatenate([[lo], points, [hi]])
         assert (np.diff(grid) > 0).all()
-        reps = bset.representatives
+        reps = piece_costs(fam, samples)[0]
         assert reps[0] == lo and reps[-1] == hi
         # One probe strictly inside every open piece, the boundary pieces included.
         assert reps.size == grid.size + 1
@@ -312,9 +314,9 @@ class TestBreakpoints:
 
     def test_degenerate_interval_single_probe(self):
         inst = KnapsackInstance([4.0, 2.0], [4.0, 1.0], 4.0)
-        bset = breakpoints(knapsack_family(2, interval=(0.5, 0.5)), [inst])
-        assert bset.count == 0
-        assert bset.representatives.tolist() == [0.5]
+        fam = knapsack_family(2, interval=(0.5, 0.5))
+        assert breakpoints(fam, [inst]).count == 0
+        assert piece_costs(fam, [inst])[0].tolist() == [0.5]
 
     def test_cross_sample_pairs_are_not_crossings(self):
         # Each sample alone has no crossing; pairing attributes across the
@@ -491,25 +493,73 @@ def holdout_draws(kind, palette, rng):
             lambda: random_mwis_instance(7, 0.4, rng, weight_choices=weights))
 
 
+def dense_probes(family, samples):
+    """Both endpoints and three probes inside every piece of the samples'
+    crossing union (`breakpoints`), which no step function is read to build:
+    every piece of `piece_costs` holds some of them."""
+    lo, hi = family.interval
+    edges = np.concatenate([[lo], breakpoints(family, samples).points, [hi]])
+    inner = edges[:-1, None] + np.diff(edges)[:, None] * np.array([0.25, 0.5, 0.75])
+    return np.concatenate([[lo], inner.ravel(), [hi]])
+
+
 class TestErmBreakpointHoldout:
     @pytest.mark.parametrize("palette", [False, True], ids=["continuous", "palette"])
     @pytest.mark.parametrize("kind", ["mwis", "mwis-adaptive", "knapsack"])
     def test_matches_scalar_greedy_on_the_holdout(self, kind, palette):
         # The held-out mean at rho_star, and its gap to the best held-out mean
-        # over the training set's probes, from one scalar run per cell.
+        # over the whole interval, from one scalar run per cell.
         rng = np.random.default_rng(23)
         fam, draw = holdout_draws(kind, palette, rng)
         errors = []
         for _ in range(6):
             train, holdout = [draw() for _ in range(5)], [draw() for _ in range(4)]
             rho, report = erm_breakpoint(fam, train, holdout=holdout)
-            reps = breakpoints(fam, train).representatives
-            held = np.array([[greedy_cost(fam, r, x) for x in holdout] for r in reps])
+            held = scalar_costs(fam, holdout, dense_probes(fam, holdout))
             chosen = np.mean([greedy_cost(fam, rho, x) for x in holdout])
             assert report.holdout_mean == chosen
             assert report.estimated_error == abs(chosen - held.mean(axis=1).max())
             errors.append(report.estimated_error)
         assert max(errors) > 0  # some draw's training choice is not the held-out best
+
+    def test_empty_holdout_reports_the_training_mean(self):
+        fam, samples = knapsack_family(2), [two_item_knapsack()]
+        assert erm_breakpoint(fam, samples, holdout=[]) == erm_breakpoint(fam, samples)
+
+
+# Weights under which two of three 7-vertex samples (`default_rng(19)`, edge
+# probability 0.4) share a value-change point near 0.192645 up to one ulp.
+SHARED_CROSSING_PALETTE = (0.9, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05, 0.6, 0.4, 0.8)
+
+
+class TestPieceCosts:
+    def test_shared_crossing_leaves_no_phantom_piece(self):
+        # Without merging, the two copies of the shared point bound a 1-ulp
+        # piece whose midpoint is one of them: its row mixes the two sides
+        # and no rho realizes it (ERM chose it with mean 1.8833; runs there
+        # average 1.5167).
+        rng = np.random.default_rng(19)
+        fam = mwis_family(7)
+        samples = [random_mwis_instance(7, 0.4, rng, SHARED_CROSSING_PALETTE) for _ in range(3)]
+        points = np.unique(np.concatenate([greedy.step_function(fam, x).points for x in samples]))
+        assert (np.diff(points) <= 2 * np.spacing(points[1:])).any()
+        rhos, costs = piece_costs(fam, samples)
+        assert np.array_equal(costs.mean(axis=1), scalar_costs(fam, samples, rhos).mean(axis=1))
+        rho, report = erm_breakpoint(fam, samples)
+        assert np.mean([greedy_cost(fam, rho, x) for x in samples]) == report.train_mean
+
+    @pytest.mark.parametrize("palette", [False, True], ids=["continuous", "palette"])
+    @pytest.mark.parametrize("kind", ["mwis", "knapsack"])
+    def test_distinct_rows_are_what_scalar_runs_realize(self, kind, palette):
+        # The shattering probe depends only on the set of distinct cost rows:
+        # the candidates must realize exactly the cost vectors that scalar
+        # runs do over a dense grid plus both endpoints.
+        rng = np.random.default_rng(59)
+        fam, draw = holdout_draws(kind, palette, rng)
+        for _ in range(5):
+            samples = [draw() for _ in range(3)]
+            want = {tuple(row) for row in scalar_costs(fam, samples, dense_probes(fam, samples))}
+            assert {tuple(row) for row in piece_costs(fam, samples)[1]} == want
 
 
 class TestBestOfQ:
@@ -549,7 +599,7 @@ class TestErmBestOfQ:
         density_wins = KnapsackInstance([5.0, 3.2, 3.2], [5.0, 2.5, 2.5], 5.0)
         samples = [value_wins, density_wins]
         combo, report = erm_best_of_q(fam, samples, q=2)
-        reps = breakpoints(fam, samples).representatives
+        reps = piece_costs(fam, samples)[0]
         singleton_best = max(
             np.mean([greedy_cost(fam, r, x) for x in samples]) for r in reps
         )
@@ -588,12 +638,12 @@ class TestCraftedShatterPair:
     def test_all_four_labelings_shattered(self):
         first, second = crafted_shatter_pair()
         fam = mwis_family(6)
-        bset = breakpoints(fam, [first, second])
-        (report,) = shatter_probe(scalar_costs(fam, [first, second], bset.representatives), [[0, 1]])
+        rhos = piece_costs(fam, [first, second])[0]
+        (report,) = shatter_probe(scalar_costs(fam, [first, second], rhos), [[0, 1]])
         assert report.shattered
         assert report.labeling_count == 4
         # Witnesses are re-verifiable against a fresh evaluation.
-        matrix = scalar_costs(fam, [first, second], bset.representatives)
+        matrix = scalar_costs(fam, [first, second], rhos)
         wit = np.asarray(report.witnesses)
         assert len({tuple(row) for row in (matrix > wit[None, :])}) == 4
 
