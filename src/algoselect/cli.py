@@ -2,8 +2,9 @@
 
 All randomness derives from one root --seed via fixed labeled streams, so any
 subcommand rerun with the same flags reproduces its output files byte for
-byte.  Output files are written atomically; failures print one machine
-readable JSON object to stderr and exit nonzero.
+byte.  Each subcommand returns the text of its one output file, which is written
+atomically; failures, usage errors too, print one machine readable JSON object
+to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -29,6 +30,22 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _numbers(text: str, sep: str = ",") -> list[float]:
+    """A `sep`-separated list of numbers, as an argparse type."""
+    try:
+        return [float(tok) for tok in text.split(sep)]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
+def _intervals(text: str) -> list[list[float]]:
+    """`lo:hi` pairs separated by commas, as an argparse type."""
+    pairs = [_numbers(chunk, ":") for chunk in text.split(",")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of lo:hi pairs")
+    return pairs
+
+
 def _load_instance_dir(path: str, suffix: str, loader):
     if not os.path.isdir(path):
         raise ValueError(f"instance directory not found: {path}")
@@ -49,7 +66,7 @@ def _train_holdout_split(instances, seed: int, frac: float):
     return train, holdout or None
 
 
-def cmd_erm_greedy(args) -> int:
+def cmd_erm_greedy(args) -> str:
     if not 0.0 <= args.holdout_frac < 1.0:  # NaN fails the comparison too
         raise ValueError(f"--holdout-frac must be in [0, 1), got {args.holdout_frac}")
     interval = (args.rho_lo, args.rho_hi)
@@ -62,51 +79,39 @@ def cmd_erm_greedy(args) -> int:
         family = greedy.knapsack_family(max(x.n for x in instances), interval)
     train, holdout = _train_holdout_split(instances, args.seed, args.holdout_frac)
     rho_star, report = greedy.erm_breakpoint(family, train, holdout=holdout)
-    text = _csv(
+    return _csv(
         "rho_star,breakpoint_count,train_mean,holdout_mean,estimated_error",
         [(float(rho_star), greedy.breakpoints(family, train).count, report.train_mean,
           report.holdout_mean, report.estimated_error)],
     )
-    atomic_write_text(args.out, text)
-    return 0
 
 
-def cmd_gd_tune(args) -> int:
+def cmd_gd_tune(args) -> str:
     family = gdtune.GdFamily(args.rho_lo, args.rho_hi, args.L, args.m_sc, args.c, args.Z, args.nu)
     if args.instances:
         samples = _load_instance_dir(args.instances, ".json", gdtune.load_gd_instance)
     else:
         rng = labeled_rng(args.seed, "gd-instances")
         samples = [gdtune.random_instance(family, args.dim, rng) for _ in range(args.samples)]
-    if args.net is not None:
-        net = np.asarray([float(tok) for tok in args.net.split(",")])
-    else:
-        net = gdtune.knet(family)
+    net = gdtune.knet(family) if args.net is None else np.asarray(args.net)
     rho_star, report = gdtune.erm_stepsize(family, samples, net=net)
-    text = _csv(
+    return _csv(
         "rho_star,mean_iterations,net_size,K,H",
         [(float(rho_star), report.train_mean, int(net.size), family.K, family.H)],
     )
-    atomic_write_text(args.out, text)
-    return 0
 
 
-def cmd_online(args) -> int:
-    intervals = tuple(
-        tuple(float(v) for v in chunk.split(":")) for chunk in args.intervals.split(",")
-    )
-    spec = online.uniform_smooth_spec(args.n, args.sigma, intervals)
+def cmd_online(args) -> str:
+    spec = online.uniform_smooth_spec(args.n, args.sigma, args.intervals)
     generator = online.erdos_renyi_generator(args.n, args.p_er)
     trace = online.run_smoothed_online(spec, generator, args.T, args.seed, args.net_size)
-    atomic_write_text(args.out, trace.to_csv())
-    return 0
+    return trace.to_csv()
 
 
-def cmd_adversary(args) -> int:
+def cmd_adversary(args) -> str:
     params = online.adversary_sequence(args.n_budget, args.T, args.seed)
     lines = [online.instance_to_jsonl(p) for p in params]
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _probe_costs(args, count: int) -> np.ndarray:
@@ -123,7 +128,10 @@ def _probe_costs(args, count: int) -> np.ndarray:
     return greedy.piece_costs(fam, instances)[1]
 
 
-def cmd_pdim_probe(args) -> int:
+def cmd_pdim_probe(args) -> str:
+    for option, value in (("--sets", args.sets), ("--set-size", args.set_size)):
+        if value < 1:
+            raise ValueError(f"{option} must be >= 1, got {value}")
     costs = _probe_costs(args, args.sets * args.set_size)
     sets = [range(i * args.set_size, (i + 1) * args.set_size) for i in range(args.sets)]
     reports = shatter_probe(costs, sets)
@@ -136,34 +144,31 @@ def cmd_pdim_probe(args) -> int:
         }
         for r in reports
     ]
-    atomic_write_text(args.out, json.dumps({"family": args.family, "reports": payload}, indent=2) + "\n")
-    return 0
+    return json.dumps({"family": args.family, "reports": payload}, indent=2) + "\n"
 
 
-def cmd_epm(args) -> int:
-    rhos = [float(tok) for tok in args.rhos.split(",")]
+def cmd_epm(args) -> str:
     fam = greedy.mwis_family(args.n)
     fmap = epm_mod.mwis_feature_map()
     rng = labeled_rng(args.seed, "epm-instances")
     train = [greedy.random_mwis_instance(args.n, args.p_er, rng) for _ in range(args.samples)]
     holdout = [greedy.random_mwis_instance(args.n, args.p_er, rng) for _ in range(args.holdout)]
-    costs = greedy.scalar_costs(fam, train, rhos)
-    epms = [epm_mod.fit_linear_epm(rho, train, row, fmap) for rho, row in zip(rhos, costs)]
+    costs = greedy.scalar_costs(fam, train, args.rhos)
+    epms = [epm_mod.fit_linear_epm(rho, train, row, fmap) for rho, row in zip(args.rhos, costs)]
     hits = 0
     for x in holdout:
         predicted = epm_mod.select_per_instance(epms, x, fmap, MAXIMIZE)
-        truth = max(rhos, key=lambda rho: (greedy.greedy_cost(fam, rho, x), -rho))
+        truth = max(args.rhos, key=lambda rho: (greedy.greedy_cost(fam, rho, x), -rho))
         hits += predicted == truth
     payload = {
         "epms": [epm_mod.epm_to_dict(e) for e in epms],
         "holdout_instances": len(holdout),
         "selection_matches_true_best": hits,
     }
-    atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    return 0
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_sort_bench(args) -> int:
+def cmd_sort_bench(args) -> str:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     rng = labeled_rng(args.seed, "sort-bench")
@@ -190,36 +195,42 @@ def cmd_sort_bench(args) -> int:
             stats.merge_comparisons, int(stats.fallback), int(list(out) == reference),
             merge_comparisons,
         ))
-    text = _csv(
+    return _csv(
         "array_index,comparisons,routing,insertion,merge,fallback,matches_reference,mergesort_comparisons",
         rows,
     )
-    atomic_write_text(args.out, text)
-    return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so `main` reports them as one JSON line too."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="algoselect",
         description="Seeded experiment harness for data-driven algorithm selection",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
         p.add_argument("--out", required=True, help="output file path")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("erm-greedy", help="best greedy parameter via breakpoint ERM")
+    p = command("erm-greedy", cmd_erm_greedy, "best greedy parameter via breakpoint ERM")
     p.add_argument("--problem", choices=["mwis", "knapsack"], default="mwis")
     p.add_argument("--variant", choices=["nonadaptive", "adaptive"], default="nonadaptive")
     p.add_argument("--instances", required=True, help="directory of instance files")
     p.add_argument("--rho-lo", type=float, default=0.0)
     p.add_argument("--rho-hi", type=float, default=1.0)
     p.add_argument("--holdout-frac", type=float, default=0.5)
-    common(p)
-    p.set_defaults(func=cmd_erm_greedy)
 
-    p = sub.add_parser("gd-tune", help="best gradient descent step size over the net")
+    p = command("gd-tune", cmd_gd_tune, "best gradient descent step size over the net")
     p.add_argument("--rho-lo", type=float, default=0.1)
     p.add_argument("--rho-hi", type=float, default=0.4)
     p.add_argument("--L", type=float, default=4.0)
@@ -230,60 +241,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", help="directory of instance JSON files (default: generate)")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--net", help="explicit comma-separated net (default: the K-net)")
-    common(p)
-    p.set_defaults(func=cmd_gd_tune)
+    p.add_argument("--net", type=_numbers, help="explicit comma-separated net (default: the K-net)")
 
-    p = sub.add_parser("online", help="no-regret selection on smoothed instances")
+    p = command("online", cmd_online, "no-regret selection on smoothed instances")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--sigma", type=float, default=0.25)
     p.add_argument("--T", type=int, default=1000)
     p.add_argument("--p-er", type=float, default=0.3)
-    p.add_argument("--intervals", default="0:1", help="weight support, e.g. 0.6:0.65,0.82:0.87")
+    p.add_argument("--intervals", type=_intervals, default="0:1",
+                   help="weight support, e.g. 0.6:0.65,0.82:0.87")
     p.add_argument("--net-size", type=int, default=10000)
-    common(p)
-    p.set_defaults(func=cmd_online)
 
-    p = sub.add_parser("adversary", help="nested-window instance sequence (JSON lines)")
+    p = command("adversary", cmd_adversary, "nested-window instance sequence (JSON lines)")
     p.add_argument("--n-budget", type=int, default=1500)
     p.add_argument("--T", type=int, default=10)
-    common(p)
-    p.set_defaults(func=cmd_adversary)
 
-    p = sub.add_parser("pdim-probe", help="brute-force shattering probe")
+    p = command("pdim-probe", cmd_pdim_probe, "brute-force shattering probe")
     p.add_argument("--family", choices=["mwis", "knapsack", "constant"], default="mwis")
     p.add_argument("--n", type=int, default=6, help="instance size")
     p.add_argument("--sets", type=int, default=3, help="number of instance sets to probe")
     p.add_argument("--set-size", type=int, default=2)
-    common(p)
-    p.set_defaults(func=cmd_pdim_probe)
 
-    p = sub.add_parser("epm", help="fit per-algorithm linear performance models")
+    p = command("epm", cmd_epm, "fit per-algorithm linear performance models")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--p-er", type=float, default=0.3)
-    p.add_argument("--rhos", default="0.0,0.5,1.0")
+    p.add_argument("--rhos", type=_numbers, default="0.0,0.5,1.0")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--holdout", type=int, default=100)
-    common(p)
-    p.set_defaults(func=cmd_epm)
 
-    p = sub.add_parser("sort-bench", help="train a bucket sorter and benchmark it")
+    p = command("sort-bench", cmd_sort_bench, "train a bucket sorter and benchmark it")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--train", type=int, default=200)
     p.add_argument("--test", type=int, default=100)
     p.add_argument("--dist", choices=["uniform", "skewed"], default="skewed")
     p.add_argument("--train-csv", help="training arrays CSV (overrides generation)")
     p.add_argument("--test-csv", help="test arrays CSV")
-    common(p)
-    p.set_defaults(func=cmd_sort_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        atomic_write_text(args.out, args.func(args))
+        return 0
     except (ValueError, KeyError, OSError, TypeError, gdtune.GuaranteedProgressError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "type": type(exc).__name__}) + "\n")
         return 1

@@ -14,10 +14,11 @@ are provided:
   over [0, 1] on arbitrary graphs.  Costs are then piecewise constant in rho
   with pieces delimited by the closed-form `transition_points`, which is what
   makes a finite net competitive with the whole continuum.  Because this
-  sequence does not depend on the learner, `run_smoothed_online` works in
-  blocks: one `rng.random` call draws a block, one vectorized pass finds each
+  sequence does not depend on the learner, `run_smoothed_online` builds the
+  run's step functions before Hedge starts, in blocks sized by one memory
+  budget: one `rng.random` call draws a block, one vectorized pass finds each
   step's own crossings and greedy value per piece (one `StepFunction` per
-  step), and only Hedge runs per step, skipping the update on constant steps.
+  step).  Only Hedge runs per step, skipping the update on constant steps.
 
 Costs are normalized to [0, 1] (smoothed instances divide by total vertex
 weight, which preserves the per-instance ranking of parameters).
@@ -503,16 +504,15 @@ class RegretTrace:
         return "\n".join(lines) + "\n"
 
 
-# Steps whose step functions are computed together.  A block is cut shorter
-# when its candidate roots (pairs x denominators per step) would pass
-# _BLOCK_ROOTS, so large graphs cost no more memory than one step at a time.
-BLOCK_STEPS = 32
+# Floats in a block's largest arrays: per step, its vertex-pair draws, its
+# weights and its candidate roots (pairs x denominators).  A block has at least
+# one step, so large graphs cost no more memory than one step at a time.
 _BLOCK_ROOTS = 1 << 18
 
 
 def _block_steps(n: int) -> int:
-    roots = n * (n - 1) // 2 * len(_canonical_denominators(n))
-    return max(1, min(BLOCK_STEPS, _BLOCK_ROOTS // max(roots, 1)))
+    pairs = n * (n - 1) // 2
+    return max(1, _BLOCK_ROOTS // (pairs * (len(_canonical_denominators(n)) + 1) + n))
 
 
 def _step_functions(weights: np.ndarray, edges: np.ndarray,
@@ -571,11 +571,12 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
     transition points of one step (`min_comparator_gap`), so a net too coarse
     to separate them can be detected.
 
-    The instance sequence does not depend on the learner, so it is drawn in
-    blocks of up to `BLOCK_STEPS` steps (`_draw_block`, bit-equal to
-    `smooth_sequence`) whose step functions come from one vectorized pass; only
-    Hedge runs per step, and a constant step skips its update.  `best_ref_*`
-    is the exact best piece of the sum of all step functions (`argmax_sum`).
+    The instance sequence does not depend on the learner, so the whole run is
+    drawn and cut first, in blocks as long as `_BLOCK_ROOTS` allows
+    (`_draw_block`, bit-equal to `smooth_sequence`), each block's step
+    functions from one vectorized pass.  Then Hedge runs over their gains, one
+    step at a time, and a constant step skips its update.  `best_ref_*` is the
+    exact best piece of the sum of all step functions (`argmax_sum`).
     """
     if T < 1:
         raise ValueError("need T >= 1")
@@ -585,25 +586,18 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
     if isinstance(net, bool):
         raise ValueError(f"net must be a point count or the points, got {net!r}")
     net_arr = np.linspace(0.0, 1.0, net) if isinstance(net, numbers.Integral) else np.asarray(net, float)
-    if net_arr.ndim != 1 or net_arr.size == 0:
-        raise ValueError("net must be a nonempty 1-D array of parameters")
-    if not (np.isfinite(net_arr).all() and (net_arr >= 0.0).all() and (net_arr <= 1.0).all()):
-        raise ValueError("net points must be finite and lie in [0, 1]")
-    functions, gaps = [], [math.inf]
-
-    def step_gains():
-        rng = labeled_rng(seed, "smooth-sequence")
-        block_size = _block_steps(n)
-        for start in range(0, T, block_size):
-            steps = min(block_size, T - start)
-            block, gap = _step_functions(*_draw_block(spec, graph_generator, rng, steps))
-            functions.extend(block)
-            gaps.append(gap)
-            yield from (float(f.values[0]) if f.points.size == 0 else f.at(net_arr) for f in block)
-
-    trace = _run_hedge(net_arr, step_gains(), T, seed)
+    # NaN and inf fail the range test too.
+    if net_arr.ndim != 1 or net_arr.size == 0 or not ((net_arr >= 0.0) & (net_arr <= 1.0)).all():
+        raise ValueError("net must be a nonempty 1-D array of points in [0, 1]")
+    rng = labeled_rng(seed, "smooth-sequence")
+    size = _block_steps(n)
+    blocks = [_step_functions(*_draw_block(spec, graph_generator, rng, min(size, T - start)))
+              for start in range(0, T, size)]
+    functions = [f for block, _ in blocks for f in block]
+    gains = (float(f.values[0]) if f.points.size == 0 else f.at(net_arr) for f in functions)
+    trace = _run_hedge(net_arr, gains, T, seed)
     trace.best_ref_rho, trace.best_ref_total = argmax_sum(functions, 0.0, 1.0)
-    trace.min_comparator_gap = None if min(gaps) == math.inf else min(gaps)
+    trace.min_comparator_gap = min((gap for _, gap in blocks if gap < math.inf), default=None)
     return trace
 
 

@@ -405,6 +405,77 @@ def test_numeric_edge_values_keep_the_error_contract(command, option, tmp_path, 
         assert set(json.loads(line)) == {"error", "type"}
 
 
+def one_json_error(capsys):
+    """The payload of the one JSON line a failed call printed, with nothing on stdout."""
+    out, err = capsys.readouterr()
+    (line,) = err.strip().split("\n")
+    payload = json.loads(line)
+    assert set(payload) == {"error", "type"} and out == ""
+    return payload
+
+
+def typed_options():
+    """Every option of every subcommand that takes a number, a list or a choice."""
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subcommands.choices.items():
+        for action in sub._actions:
+            if action.option_strings and (action.type or action.choices):
+                yield pytest.param(command, action.option_strings[0],
+                                   id=f"{command}{action.option_strings[0]}")
+
+
+@pytest.mark.parametrize("command,option", typed_options())
+def test_non_numeric_value_is_one_json_line(command, option, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, *dict(ALL_COMMANDS)[command](tmp_path), option, "abc", "--out", out]
+    assert run_cli(*argv) == 1
+    assert not out.exists()
+    payload = one_json_error(capsys)
+    assert payload["type"] == "ValueError"
+    assert option in payload["error"] and "abc" in payload["error"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["online", "--T", "abc", "--out", "x"], "--T"),
+    (["erm-greedy", "--problem", "tsp", "--instances", "d", "--out", "x"], "--problem"),
+    (["online"], "--out"),
+    (["no-such-command", "--out", "x"], "no-such-command"),
+    ([], "command"),
+], ids=["bad-int", "bad-choice", "missing-out", "unknown-command", "no-command"])
+def test_usage_errors_are_one_json_line(argv, named, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 1
+    assert named in one_json_error(capsys)["error"]
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["online", "--help"]], ids=["top", "online"])
+def test_help_prints_usage_and_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        run_cli(*argv)
+    assert done.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: algoselect") and err == ""
+
+
+@pytest.mark.parametrize("command,option,value,token", [
+    ("online", "--intervals", "0.5", "'0.5'"),
+    ("online", "--intervals", "0.1:x", "'x'"),
+    ("pdim-probe", "--sets", "0", "got 0"),
+    ("pdim-probe", "--set-size", "0", "got 0"),
+    ("epm", "--rhos", "", "''"),
+    ("gd-tune", "--net", "0.2,a", "'a'"),
+], ids=["intervals-one-bound", "intervals-not-a-number", "sets-0", "set-size-0", "rhos-empty",
+        "net-not-a-number"])
+def test_bad_values_name_their_option(command, option, value, token, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(command, *dict(ALL_COMMANDS)[command](tmp_path), option, value, "--out", out) == 1
+    assert not out.exists()
+    error = one_json_error(capsys)["error"]
+    assert option in error and token in error
+
+
 @pytest.mark.parametrize("net", ["", ","], ids=["empty", "comma"])
 def test_empty_net_is_one_json_line(net, tmp_path, capsys):
     # An empty --net is an error, not a request for the default K-net.
@@ -429,7 +500,7 @@ def test_readme_command_lines_parse():
     block = section.split("```bash", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("algoselect ")]
     parser = build_parser()
-    # parse_args exits on an unknown flag or a bad value; every subcommand is shown.
+    # parse_args raises on an unknown flag or a bad value; every subcommand is shown.
     shown = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert shown == set(subcommands.choices)

@@ -553,23 +553,43 @@ def assert_same_trace(got, reference):
     assert_exact_comparator(got, step_functions)
 
 
+# Steps per block in the block-boundary tests, which shrink the block budget
+# to it so that a small T crosses block boundaries.
+TEST_BLOCK = 32
+
+
+def step_floats(n):
+    """The floats one step adds to a block: its vertex-pair draws, its weights
+    and its candidate roots (pairs x denominators)."""
+    pairs = n * (n - 1) // 2
+    return pairs + n + pairs * len(online._canonical_denominators(n))
+
+
+def use_blocks(monkeypatch, n, steps=TEST_BLOCK):
+    """Set the block budget so that n-vertex runs take `steps` steps per block."""
+    monkeypatch.setattr(online, "_BLOCK_ROOTS", steps * step_floats(n))
+    assert online._block_steps(n) == steps
+    return steps
+
+
 class TestBlockedRunner:
     """The blocked runner against the per-step reference loop, byte for byte."""
 
     @pytest.mark.parametrize("n", [2, 5, 8, 12])
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
                              ids=["1", "B-1", "B", "B+1", "3B+5"])
-    def test_matches_per_step_loop(self, n, blocks, extra):
+    def test_matches_per_step_loop(self, n, blocks, extra, monkeypatch):
         # T = blocks * B + extra for the block size B; n = 2 has no
         # denominators, so each of its steps is a single piece.
-        T = blocks * online._block_steps(n) + extra
+        T = blocks * use_blocks(monkeypatch, n) + extra
         spec = uniform_smooth_spec(n, 0.5)
         gen = erdos_renyi_generator(n, 0.4)
         got = run_smoothed_online(spec, gen, T=T, seed=n + T, net=257)
         assert_same_trace(got, reference_smoothed_run(spec, gen, T, n + T, 257))
 
-    @pytest.mark.parametrize("T", [1, online.BLOCK_STEPS + 1, 3 * online.BLOCK_STEPS + 5])
-    def test_interval_union_spec(self, T):
+    @pytest.mark.parametrize("T", [1, TEST_BLOCK + 1, 3 * TEST_BLOCK + 5])
+    def test_interval_union_spec(self, T, monkeypatch):
+        use_blocks(monkeypatch, 8)
         spec = uniform_smooth_spec(8, 0.05, ((0.6, 0.65), (0.82, 0.87)))
         gen = erdos_renyi_generator(8, 0.3)
         got = run_smoothed_online(spec, gen, T=T, seed=3, net=1001)
@@ -618,7 +638,7 @@ class TestBlockedRunner:
             run_smoothed_online(uniform_smooth_spec(4, 0.5), erdos_renyi_generator(4, 0.5),
                                 T=0, seed=0, net=8)
 
-    def test_duplicate_weights_mid_block_rejected(self):
+    def test_duplicate_weights_mid_block_rejected(self, monkeypatch):
         class RepeatsOnFifthDraw:
             # Uniform draws, except that the fifth is 0.5; two vertices with
             # this distribution tie at step 5, inside the first block.
@@ -635,11 +655,30 @@ class TestBlockedRunner:
         dists = (RepeatsOnFifthDraw(), RepeatsOnFifthDraw()) + (UniformUnion(((0.0, 1.0),)),) * 4
         with pytest.raises(ValueError, match="distinct"):
             run_smoothed_online(SmoothSpec(0.5, dists), erdos_renyi_generator(6, 0.4),
-                                T=online.BLOCK_STEPS, seed=0, net=33)
+                                T=use_blocks(monkeypatch, 6), seed=0, net=33)
 
     def test_large_graphs_get_short_blocks(self):
-        assert online._block_steps(2) == online._block_steps(12) == online.BLOCK_STEPS
-        assert online._block_steps(63) == 1
+        # The longest block whose arrays fit the budget, one step when even
+        # one step does not fit; draws and weights count, so n <= 2 is bounded.
+        for n in range(1, 64):
+            B, per_step = online._block_steps(n), step_floats(n)
+            assert B == 1 or B * per_step <= online._BLOCK_ROOTS
+            assert (B + 1) * per_step > online._BLOCK_ROOTS
+        assert (online._block_steps(2), online._block_steps(8)) == (87381, 265)
+        assert online._block_steps(27) == online._block_steps(63) == 1
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("T", [1, 37, 300])
+    def test_trace_is_the_same_for_any_block_length(self, n, T, monkeypatch):
+        spec, gen = uniform_smooth_spec(n, 0.5), erdos_renyi_generator(n, 0.4)
+        want = run_smoothed_online(spec, gen, T=T, seed=T, net=129)
+        # 1-step blocks, 7-step blocks, then one block for the whole run.
+        for budget in (1, 7 * step_floats(n), T * step_floats(n)):
+            monkeypatch.setattr(online, "_BLOCK_ROOTS", budget)
+            got = run_smoothed_online(spec, gen, T=T, seed=T, net=129)
+            assert got.to_csv() == want.to_csv()
+            assert got.min_comparator_gap == want.min_comparator_gap
+            assert (got.best_ref_rho, got.best_ref_total) == (want.best_ref_rho, want.best_ref_total)
 
 
 class ZeroInSecondBlock:
@@ -700,7 +739,7 @@ class TestBlockStream:
 
     @pytest.mark.parametrize("n", [2, 5, 8, 12])
     def test_uniform_spec(self, n, monkeypatch):
-        B = online._block_steps(n)
+        B = use_blocks(monkeypatch, n)
         spec, gen = uniform_smooth_spec(n, 0.5), erdos_renyi_generator(n, 0.4)
         want = smooth_sequence(spec, gen, 2 * B + 2, n)
         self.forbid_per_step_draws(monkeypatch)
@@ -712,14 +751,14 @@ class TestBlockStream:
                  UniformUnion(((0.05, 0.1), (0.4, 0.45))), UniformUnion(((0.0, 0.02), (0.6, 0.65),
                                                                         (0.82, 0.87))))
         spec, gen = SmoothSpec(0.05, dists * 2), erdos_renyi_generator(8, 0.3)
-        B = online._block_steps(8)
+        B = use_blocks(monkeypatch, 8)
         want = smooth_sequence(spec, gen, 2 * B + 2, 4)
         self.forbid_per_step_draws(monkeypatch)
         self.assert_blocks_match(spec, gen, [1, B, B + 1], 4, want)
 
     def test_zero_weight_redraws_the_block_per_step(self, monkeypatch):
         spec, gen = uniform_smooth_spec(6, 0.5), erdos_renyi_generator(6, 0.4)
-        T, seed = 3 * online._block_steps(6) + 2, 13
+        T, seed = 3 * use_blocks(monkeypatch, 6) + 2, 13
         reference = reference_smoothed_run(spec, gen, T, seed, 129)
         rngs = []
 
@@ -735,10 +774,10 @@ class TestBlockStream:
         assert rngs[0].blocks == 4  # the zero forced one redraw; blocks 3 and 4 went whole
         assert_same_trace(got, reference)
 
-    def test_other_distributions_draw_per_step(self):
+    def test_other_distributions_draw_per_step(self, monkeypatch):
         dists = (CountingUniform(),) + (UniformUnion(((0.0, 1.0),)),) * 4
         spec, gen = SmoothSpec(0.5, dists), erdos_renyi_generator(5, 0.4)
-        T = online._block_steps(5) + 3
+        T = use_blocks(monkeypatch, 5) + 3
         reference = reference_smoothed_run(spec, gen, T, 2, 65)
         dists[0].draws = 0
         got = run_smoothed_online(spec, gen, T=T, seed=2, net=65)
