@@ -121,19 +121,41 @@ def merge_close(points: np.ndarray, rtol: float) -> np.ndarray:
     return points[keep]
 
 
+def _rows_at(grid: np.ndarray, points: np.ndarray, offsets: np.ndarray, values: np.ndarray):
+    """Row by row, `values_i[np.searchsorted(points_i, grid, side="right")]` (a
+    float for a row without change points) for the flat batch whose row i has
+    the points `points[offsets[i]:offsets[i + 1]]` and the values
+    `values[offsets[i] + i:offsets[i + 1] + i + 1]`; `grid` in any order."""
+    order = np.argsort(grid, kind="stable")
+    rank = None if (order[1:] > order[:-1]).all() else np.argsort(order)
+    ends = np.searchsorted(grid[order], points)  # one search; a row repeats a value per grid point
+    runs = np.insert(ends, offsets[1:], grid.size) - np.insert(ends, offsets[:-1], 0)
+    bounds = (offsets + np.arange(offsets.size)).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        row = float(values[a]) if b - a == 1 else np.repeat(values[a:b], runs[a:b])
+        yield row if rank is None or b - a == 1 else row[rank]
+
+
 def argmax_sum(functions: Sequence[StepFunction], lo: float, hi: float) -> tuple[float, float]:
-    """Exact best piece of [lo, hi] for the sum of step functions.
+    """`argmax_sum_rows` of a list of step functions."""
+    offsets = np.cumsum([0] + [f.points.size for f in functions])
+    return argmax_sum_rows(np.concatenate([f.points for f in functions] + [np.empty(0)]), offsets,
+                           np.concatenate([f.values for f in functions] + [np.empty(0)]), lo, hi)
+
+
+def argmax_sum_rows(points, offsets, values, lo: float, hi: float) -> tuple[float, float]:
+    """Exact best piece of [lo, hi] for the sum of the rows of a `_rows_at` batch.
 
     The union of the change points cuts [lo, hi] into pieces, each totalled
-    over `functions` in list order: bit-equal to a running `+=` of the same
+    over the rows in row order: bit-equal to a running `+=` of the same
     values at any rho inside the piece.  The first maximum (the smallest rho)
     wins.  Returns (midpoint of the best piece, its total).
     """
-    union = np.unique(np.concatenate([f.points for f in functions] + [np.empty(0)]))
+    union = np.unique(points)
     left_ends = np.concatenate([[-np.inf], union])
     totals = np.zeros(left_ends.size)
-    for f in functions:
-        totals += f.at(left_ends)
+    for row in _rows_at(left_ends, points, offsets, values):
+        totals += row
     best = int(np.argmax(totals))
     edges = np.concatenate([[lo], union, [hi]])
     return float((edges[best] + edges[best + 1]) / 2.0), float(totals[best])

@@ -17,8 +17,8 @@ are provided:
   sequence does not depend on the learner, `run_smoothed_online` builds the
   run's step functions before Hedge starts, in blocks sized by one memory
   budget: one `rng.random` call draws a block, one vectorized pass finds each
-  step's own crossings and greedy value per piece (one `StepFunction` per
-  step).  Only Hedge runs per step, skipping the update on constant steps.
+  step's own crossings and greedy value per piece, into one flat batch for the
+  run.  Only Hedge runs per step, skipping the update on constant steps.
 
 Costs are normalized to [0, 1] (smoothed instances divide by total vertex
 weight, which preserves the per-instance ranking of parameters).
@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import StepFunction, argmax_sum
+from .core import _rows_at, argmax_sum_rows
 # `erdos_renyi_generator` is re-exported as the graph model of smoothed runs.
 from .greedy import (_GRID_MAX_N, MwisInstance, _ErdosRenyi, _graph_lanes,  # noqa: F401
                      _nonadaptive_masks, erdos_renyi_generator, mwis_from_dict, mwis_to_dict)
@@ -461,7 +461,7 @@ class RegretTrace:
 
     `best_net_*` is the best fixed net point; `best_ref_*` is the reference
     comparator: the exact best piece of the summed step functions for
-    smoothed runs (`core.argmax_sum`), the surviving-window optimum for
+    smoothed runs (`core.argmax_sum_rows`), the surviving-window optimum for
     adversarial runs.  Average regret is (comparator total - collected total) / T.
     For smoothed runs `min_comparator_gap` is the smallest distance between
     two transition points of the same step (None when no step has two);
@@ -495,12 +495,12 @@ class RegretTrace:
         return (self.best_ref_total - float(self.cum_cost[-1])) / self.T
 
     def to_csv(self) -> str:
-        lines = ["step,chosen_rho,cost,cum_cost,cum_best,avg_regret"]
         cum_cost = self.cum_cost
-        for i in range(self.T):
-            regret = (self.cum_best[i] - cum_cost[i]) / (i + 1)
-            row = (self.chosen_rho[i], self.costs[i], cum_cost[i], self.cum_best[i], regret)
-            lines.append(f"{i + 1}," + ",".join(repr(float(v)) for v in row))
+        regret = (self.cum_best - cum_cost) / np.arange(1, self.T + 1)
+        columns = (self.chosen_rho, self.costs, cum_cost, self.cum_best, regret)
+        rows = zip(range(1, self.T + 1), *(np.asarray(c, float).tolist() for c in columns))
+        lines = ["step,chosen_rho,cost,cum_cost,cum_best,avg_regret"]
+        lines.extend(f"{i},{rho!r},{cost!r},{cum!r},{best!r},{r!r}" for i, rho, cost, cum, best, r in rows)
         return "\n".join(lines) + "\n"
 
 
@@ -515,13 +515,13 @@ def _block_steps(n: int) -> int:
     return max(1, _BLOCK_ROOTS // (pairs * (len(_canonical_denominators(n)) + 1) + n))
 
 
-def _step_functions(weights: np.ndarray, edges: np.ndarray,
-                    edge_step: np.ndarray) -> tuple[list[StepFunction], float]:
-    """Step functions of a block of instances as `_draw_block` gives them, plus
-    the smallest gap between two `_transition_rows` points of one step (inf
-    when no step has two).  Pieces are cut by `_cut_rows`, valued by the
-    non-adaptive greedy at their midpoint over the total vertex weight (in
-    [0, 1]) and merged when equal by `StepFunction`."""
+def _step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarray):
+    """Step functions of a block of instances as `_draw_block` gives them, as
+    flat points, offsets and values (`core._rows_at`'s layout), plus the
+    smallest gap between two `_transition_rows` points of one step (inf when no
+    step has two).  Pieces are cut by `_cut_rows`, valued by the non-adaptive
+    greedy at their midpoint over the total vertex weight (in [0, 1]) and
+    merged with their left neighbour when equal."""
     steps, n = weights.shape
     points, offsets = _transition_rows(weights)
     step_of = np.repeat(np.arange(steps), np.diff(offsets))
@@ -535,9 +535,10 @@ def _step_functions(weights: np.ndarray, edges: np.ndarray,
     masks = _nonadaptive_masks(logw, degrees, adj_bits, owner, (lefts + rights) / 2.0)
     totals = np.array([math.fsum(w) for w in weights])
     pieces = np.where(masks, weights[owner], 0.0).sum(axis=1) / totals[owner]
-    functions = [StepFunction(points[a:b], pieces[a + i:b + i + 1])
-                 for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))]
-    return functions, float(gaps.min()) if gaps.size else math.inf
+    change, inner = pieces[1:] != pieces[:-1], owner[1:] == owner[:-1]  # inner: within one step
+    offsets = np.concatenate([[0], np.cumsum(change[inner])])[offsets]
+    pieces = pieces[np.concatenate([[True], change | ~inner])]
+    return points[change[inner]], offsets, pieces, float(gaps.min()) if gaps.size else math.inf
 
 
 def _run_hedge(net_arr: np.ndarray, step_gains, T: int, seed: int) -> RegretTrace:
@@ -574,9 +575,10 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
     The instance sequence does not depend on the learner, so the whole run is
     drawn and cut first, in blocks as long as `_BLOCK_ROOTS` allows
     (`_draw_block`, bit-equal to `smooth_sequence`), each block's step
-    functions from one vectorized pass.  Then Hedge runs over their gains, one
-    step at a time, and a constant step skips its update.  `best_ref_*` is the
-    exact best piece of the sum of all step functions (`argmax_sum`).
+    functions from one vectorized pass into one flat batch.  Then Hedge runs
+    over their gains (`core._rows_at`), one step at a time, and a constant step
+    skips its update.  `best_ref_*` is the exact best piece of their sum
+    (`argmax_sum_rows`).
     """
     if T < 1:
         raise ValueError("need T >= 1")
@@ -591,13 +593,14 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
         raise ValueError("net must be a nonempty 1-D array of points in [0, 1]")
     rng = labeled_rng(seed, "smooth-sequence")
     size = _block_steps(n)
-    blocks = [_step_functions(*_draw_block(spec, graph_generator, rng, min(size, T - start)))
-              for start in range(0, T, size)]
-    functions = [f for block, _ in blocks for f in block]
-    gains = (float(f.values[0]) if f.points.size == 0 else f.at(net_arr) for f in functions)
-    trace = _run_hedge(net_arr, gains, T, seed)
-    trace.best_ref_rho, trace.best_ref_total = argmax_sum(functions, 0.0, 1.0)
-    trace.min_comparator_gap = min((gap for _, gap in blocks if gap < math.inf), default=None)
+    points, offsets, values, gaps = zip(*(
+        _step_functions(*_draw_block(spec, graph_generator, rng, min(size, T - start)))
+        for start in range(0, T, size)))
+    points, values = np.concatenate(points), np.concatenate(values)
+    offsets = np.cumsum(np.concatenate([[0]] + [np.diff(o) for o in offsets]))
+    trace = _run_hedge(net_arr, _rows_at(net_arr, points, offsets, values), T, seed)
+    trace.best_ref_rho, trace.best_ref_total = argmax_sum_rows(points, offsets, values, 0.0, 1.0)
+    trace.min_comparator_gap = min((gap for gap in gaps if gap < math.inf), default=None)
     return trace
 
 

@@ -9,6 +9,7 @@ from algoselect.core import (
     CostValue,
     StepFunction,
     argmax_sum,
+    argmax_sum_rows,
     erm_costs,
     realized_labelings,
     sample_size,
@@ -199,6 +200,19 @@ def brute_at(points, values, rho):
     return values[sum(p <= rho for p in points)]
 
 
+def list_argmax_sum(functions, lo, hi):
+    """`argmax_sum` by one search of each function into the union's left ends,
+    totals added function by function."""
+    union = np.unique(np.concatenate([f.points for f in functions] + [np.empty(0)]))
+    left_ends = np.concatenate([[-np.inf], union])
+    totals = np.zeros(left_ends.size)
+    for f in functions:
+        totals += f.at(left_ends)
+    best = int(np.argmax(totals))
+    edges = np.concatenate([[lo], union, [hi]])
+    return float((edges[best] + edges[best + 1]) / 2.0), float(totals[best])
+
+
 class TestStepFunction:
     def test_merging_and_right_continuous_evaluation(self):
         rng = np.random.default_rng(61)
@@ -241,6 +255,33 @@ class TestStepFunction:
             best = max(totals)
             assert total == best
             assert rho == mids[totals.index(best)]  # the first (smallest) best piece
+
+    def test_flat_sweep_matches_oracles_on_ties(self):
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            raw = [random_step(rng) for _ in range(rng.integers(1, 6))]
+            raw += [raw[i] for i in rng.integers(len(raw), size=rng.integers(0, 4))]  # identical rows
+            raw = [raw[i] for i in rng.permutation(len(raw))]
+            raw.insert(rng.integers(len(raw) + 1), (np.empty(0), np.array([0.2])))  # an empty row
+            functions = [StepFunction(p, v) for p, v in raw]
+            flat = (np.concatenate([f.points for f in functions]),
+                    np.cumsum([0] + [f.points.size for f in functions]),
+                    np.concatenate([f.values for f in functions]))
+            got = argmax_sum_rows(*flat, 0.0, 1.0)
+            assert got == argmax_sum(functions, 0.0, 1.0) == list_argmax_sum(functions, 0.0, 1.0)
+            edges = sorted({0.0, 1.0} | set(flat[0].tolist()))
+            mids = [(a + b) / 2.0 for a, b in zip(edges[:-1], edges[1:])]
+            totals = []
+            for mid in mids:
+                running = 0.0
+                for points, values in raw:
+                    running += brute_at(points, values, mid)
+                totals.append(running)
+            assert got == (mids[totals.index(max(totals))], max(totals))  # the first best piece
+
+    def test_tied_best_pieces_keep_the_first(self):
+        rows = (np.array([0.25, 0.75]), np.array([0, 1]), np.array([1.0, 0.0, 0.0, 1.0]))
+        assert argmax_sum_rows(*rows, 0.0, 1.0) == (0.125, 1.0)
 
     def test_argmax_sum_without_change_points(self):
         rho, total = argmax_sum([StepFunction([], [0.1])] * 3, 0.0, 2.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from algoselect import online
-from algoselect.core import StepFunction
+from algoselect.core import StepFunction, _rows_at
 from algoselect.greedy import (
     MwisInstance,
     _exact_order,
@@ -467,6 +467,12 @@ class TestSmoothedOnlineRun:
         assert float(cum) == pytest.approx(trace.cum_cost[2])
         assert float(regret) == pytest.approx((trace.cum_best[2] - trace.cum_cost[2]) / 3)
 
+    def test_csv_matches_the_per_row_loop(self):
+        spec, gen = uniform_smooth_spec(8, 0.25), erdos_renyi_generator(8, 0.3)
+        for trace in (run_smoothed_online(spec, gen, T=300, seed=5, net=1000),
+                      run_adversary_online(60, 5, 2)):
+            assert trace.to_csv() == reference_csv(trace)
+
 
 def _reference_transition_points(x):
     """Transition points by the per-instance formula: every pair's roots
@@ -545,9 +551,20 @@ def reference_smoothed_run(spec, gen, T, seed, net):
     return trace, step_functions
 
 
+def reference_csv(trace):
+    """`RegretTrace.to_csv` one row at a time, each value formatted on its own."""
+    lines = ["step,chosen_rho,cost,cum_cost,cum_best,avg_regret"]
+    cum_cost = trace.cum_cost
+    for i in range(trace.T):
+        regret = (trace.cum_best[i] - cum_cost[i]) / (i + 1)
+        row = (trace.chosen_rho[i], trace.costs[i], cum_cost[i], trace.cum_best[i], regret)
+        lines.append(f"{i + 1}," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def assert_same_trace(got, reference):
     want, step_functions = reference
-    assert got.to_csv() == want.to_csv()
+    assert got.to_csv() == reference_csv(want)
     assert (got.best_net_rho, got.best_net_total) == (want.best_net_rho, want.best_net_total)
     assert got.min_comparator_gap == want.min_comparator_gap
     assert_exact_comparator(got, step_functions)
@@ -799,6 +816,13 @@ def _reference_own_crossings(x):
     return np.array(sorted(roots))
 
 
+def batch_row(batch, i):
+    """Row i of a flat step-function batch (points, offsets, values), as its
+    change points and its piece values."""
+    points, offsets, values = batch
+    return points[offsets[i]:offsets[i + 1]], values[offsets[i] + i:offsets[i + 1] + i + 1]
+
+
 class TestStackedPaths:
     """The stacked transition-point and bitmask paths, row by row."""
 
@@ -848,7 +872,7 @@ class TestStackedPaths:
         for _ in range(4):
             block = self.mixed_block(rng)
             points, offsets = online._transition_rows(np.stack([x.weights for x in block]))
-            functions, min_gap = online._step_functions(*self.block_arrays(block))
+            *batch, min_gap = online._step_functions(*self.block_arrays(block))
             gaps = []
             for i, x in enumerate(block):
                 tau = points[offsets[i]:offsets[i + 1]]
@@ -857,8 +881,8 @@ class TestStackedPaths:
                 grid = np.concatenate([[0.0], tau, [1.0]])
                 mids = (grid[:-1] + grid[1:]) / 2.0
                 want = [run_greedy(fam, r, x)[1].value / x.total_weight() for r in mids]
-                assert functions[i].at(mids).tolist() == want
-                assert np.isin(functions[i].points, tau).all()
+                assert StepFunction(*batch_row(batch, i)).at(mids).tolist() == want
+                assert np.isin(batch_row(batch, i)[0], tau).all()
                 gaps.extend(np.diff(tau))
             assert min_gap == min(gaps)
 
@@ -874,7 +898,7 @@ class TestStackedPaths:
             points, offsets = online._transition_rows(weights)
             degrees, _ = _graph_lanes(n, len(block), edges, step)
             own, own_offsets = online._cut_rows(np.log(weights), degrees, points, offsets)
-            functions, _ = online._step_functions(weights, edges, step)
+            *batch, _ = online._step_functions(weights, edges, step)
             for i, x in enumerate(block):
                 tau = points[offsets[i]:offsets[i + 1]]
                 mine = own[own_offsets[i]:own_offsets[i + 1]]
@@ -883,8 +907,29 @@ class TestStackedPaths:
                 grid = np.concatenate([[0.0], tau, [1.0]])
                 pieces = grid_costs(fam, (grid[:-1] + grid[1:]) / 2.0, x) / x.total_weight()
                 superset = StepFunction(tau, pieces)
-                assert np.array_equal(functions[i].points, superset.points)
-                assert np.array_equal(functions[i].values, superset.values)
+                assert np.array_equal(batch_row(batch, i)[0], superset.points)
+                assert np.array_equal(batch_row(batch, i)[1], superset.values)
+
+    def test_batch_gains_match_each_row(self):
+        # A block's rows (the edgeless graph's has no change point) and rows
+        # with points at 0 and 1, on a sorted net, a shuffled net with
+        # repeats, and a net of the change points themselves.
+        rng = np.random.default_rng(7)
+        block = online._step_functions(*self.block_arrays(self.mixed_block(rng)))[:3]
+        rows = [batch_row(block, i) for i in range(5)]
+        assert {p.size == 0 for p, _ in rows} == {True, False}
+        rows += [(np.empty(0), np.array([0.3])), (np.array([0.0, 0.25, 1.0]), np.array([0.1, 0.2, 0.1, 0.4]))]
+        points = np.concatenate([p for p, _ in rows])
+        offsets = np.cumsum([0] + [p.size for p, _ in rows])
+        values = np.concatenate([v for _, v in rows])
+        uniform = np.linspace(0.0, 1.0, 101)
+        for net in (uniform, rng.permutation(np.concatenate([uniform, uniform[::3], [0.0, 1.0]])),
+                    rng.permutation(np.concatenate([points, points]))):
+            gains = list(_rows_at(net, points, offsets, values))
+            assert len(gains) == len(rows)
+            for g, (p, v) in zip(gains, rows):
+                assert isinstance(g, float) == (p.size == 0)
+                assert np.array_equal(np.broadcast_to(g, net.shape), StepFunction(p, v).at(net))
 
     def test_bitmask_lane_limit_kept(self):
         x = MwisInstance(64, [(0, 1)], np.linspace(0.01, 1.0, 64))
