@@ -8,8 +8,9 @@
 # Run: python3 demos/pseudo_dimension_probe.py
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import numpy as np
 

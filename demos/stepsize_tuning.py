@@ -12,7 +12,7 @@
 
 import numpy as np
 
-from algoselect.core import StepFunction, argmax_sum
+from algoselect.core import StepFunctions
 from algoselect.gdtune import (GdFamily, erm_stepsize, knet, random_instance, run_gd, step_functions,
                                verify_lemmas)
 
@@ -26,11 +26,10 @@ rng = np.random.default_rng(0)
 samples = [random_instance(family, dim=3, rng=rng) for _ in range(40)]
 rho_star, report = erm_stepsize(family, samples, net=net)
 print(f"best net step size {rho_star:.4f}: mean iterations {report.train_mean:.2f}")
-functions = step_functions(family, samples)
-rho_exact, total = argmax_sum([StepFunction(f.points, -f.values) for f in functions],
-                              family.rho_l, family.rho_u)
+f = step_functions(family, samples)
+rho_exact, total = StepFunctions(f.points, f.offsets, -f.values).argmax_sum(family.rho_l, family.rho_u)
 print(f"best step size in [{family.rho_l}, {family.rho_u}] {rho_exact:.4f}: mean iterations "
-      f"{-total / len(samples):.2f} ({sum(f.points.size for f in functions)} change points)")
+      f"{-total / len(samples):.2f} ({f.points.size} change points)")
 print(f"smallest admissible step {family.rho_l}: mean iterations "
       f"{np.mean([run_gd(family, family.rho_l, x) for x in samples]):.2f}")
 

@@ -4,10 +4,12 @@ and shattering probes.
 A finite candidate set is its cost matrix: one row per candidate (an
 algorithm index), one column per instance, with one optimization orientation
 shared by all rows.  ERM (`erm_costs`) and the shattering probe
-(`shatter_probe`) reduce such matrices; over a continuous parameter, one
-instance's cost is a `StepFunction`.  Everything here treats costs as plain
-floats in [0, H]; the families that produce the matrices (greedy heuristics,
-gradient descent) and the sorter live in the sibling modules.
+(`shatter_probe`) reduce such matrices.  Over a continuous parameter, each
+instance's cost is piecewise constant, and a batch of instances is one
+`StepFunctions`: `at` reads it into such a matrix on a grid, and
+`argmax_sum` finds the best piece of its sum.  Everything here treats costs
+as plain floats in [0, H]; the families that produce the matrices (greedy
+heuristics, gradient descent) and the sorter live in the sibling modules.
 """
 
 from __future__ import annotations
@@ -77,34 +79,78 @@ def _best_index(means: np.ndarray, orientation: str) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class StepFunction:
-    """Cost on one fixed instance as a piecewise-constant function of rho.
+class StepFunctions:
+    """Costs on a batch of fixed instances, each a piecewise-constant function of rho.
 
-    `values[k]` holds on the open piece between the sorted change points
-    `points[k - 1]` and `points[k]` (the end pieces are unbounded); equal
-    neighbouring pieces are merged when built.  `at` is right-continuous.  A
-    value taken only exactly at a change point is not represented: claims
-    built on this type are about the open pieces.
+    Row i has the sorted change points `points[offsets[i]:offsets[i + 1]]` and
+    the values `values[offsets[i] + i:offsets[i + 1] + i + 1]`, one per open
+    piece between them (the end pieces are unbounded).  Equal neighbouring
+    pieces of a row are merged when built, never across rows.  Reads are
+    right-continuous.  A value taken only exactly at a change point is not
+    represented: claims built on this type are about the open pieces.
     """
 
     points: np.ndarray
+    offsets: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
         points = np.asarray(self.points, dtype=float)
+        offsets = np.asarray(self.offsets, dtype=np.intp)
         values = np.asarray(self.values, dtype=float)
-        if points.ndim != 1 or values.shape != (points.size + 1,):
-            raise ValueError("need 1-D points and one value per piece (len(points) + 1)")
-        if (np.diff(points) <= 0).any():
-            raise ValueError("change points must be strictly increasing")
-        change = values[1:] != values[:-1]
+        rows = offsets.size - 1
+        if (points.ndim != 1 or offsets.ndim != 1 or rows < 0 or offsets[0] != 0
+                or offsets[-1] != points.size or (np.diff(offsets) < 0).any()):
+            raise ValueError("need 1-D points and nondecreasing offsets from 0 to len(points)")
+        if values.shape != (points.size + rows,):
+            raise ValueError("need one value per piece (len(points) + rows)")
+        owner = np.repeat(np.arange(rows), np.diff(offsets))  # the row of each change point
+        if (np.diff(points)[owner[1:] == owner[:-1]] <= 0).any():
+            raise ValueError("change points must be strictly increasing within a row")
+        right = np.arange(points.size) + owner + 1  # the value just right of each change point
+        change = values[right] != values[right - 1]
         object.__setattr__(self, "points", points[change])
-        object.__setattr__(self, "values", values[np.concatenate([[True], change])])
+        object.__setattr__(self, "offsets", np.concatenate([[0], np.cumsum(change)])[offsets])
+        # Each row's first value is kept; it lands at offsets[i] + i.
+        object.__setattr__(self, "values", values[np.insert(change, offsets[:-1], True)])
 
-    def at(self, rhos) -> np.ndarray:
-        if self.points.size == 0:  # most instances' costs never change; skip the search
-            return np.full(np.shape(rhos), self.values[0])
-        return self.values[np.searchsorted(self.points, rhos, side="right")]
+    def _rows(self, grid: np.ndarray):
+        """Row by row, `values_i[np.searchsorted(points_i, grid, side="right")]`
+        (a float for a row without change points); `grid` in any order."""
+        offsets, values = self.offsets, self.values
+        order = np.argsort(grid, kind="stable")
+        rank = None if (order[1:] > order[:-1]).all() else np.argsort(order)
+        ends = np.searchsorted(grid[order], self.points)  # one search; a row repeats a value per grid point
+        runs = np.insert(ends, offsets[1:], grid.size) - np.insert(ends, offsets[:-1], 0)
+        bounds = (offsets + np.arange(offsets.size)).tolist()
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            row = float(values[a]) if b - a == 1 else np.repeat(values[a:b], runs[a:b])
+            yield row if rank is None or b - a == 1 else row[rank]
+
+    def at(self, grid) -> np.ndarray:
+        """Every row at every grid point: a C-ordered (len(grid), rows) matrix."""
+        grid = np.asarray(grid, dtype=float)
+        costs = np.empty((grid.size, self.offsets.size - 1))
+        for i, row in enumerate(self._rows(grid)):
+            costs[:, i] = row
+        return costs
+
+    def argmax_sum(self, lo: float, hi: float) -> tuple[float, float]:
+        """Exact best piece of [lo, hi] for the sum of the rows.
+
+        The union of the change points cuts [lo, hi] into pieces, each totalled
+        over the rows in row order: bit-equal to a running `+=` of the same
+        values at any rho inside the piece.  The first maximum (the smallest
+        rho) wins.  Returns (midpoint of the best piece, its total).
+        """
+        union = np.unique(self.points)
+        left_ends = np.concatenate([[-np.inf], union])
+        totals = np.zeros(left_ends.size)
+        for row in self._rows(left_ends):
+            totals += row
+        best = int(np.argmax(totals))
+        edges = np.concatenate([[lo], union, [hi]])
+        return float((edges[best] + edges[best + 1]) / 2.0), float(totals[best])
 
 
 def merge_close(points: np.ndarray, rtol: float) -> np.ndarray:
@@ -119,46 +165,6 @@ def merge_close(points: np.ndarray, rtol: float) -> np.ndarray:
             last -= 1
         keep[i] = points[i] - points[last] > tol[i]
     return points[keep]
-
-
-def _rows_at(grid: np.ndarray, points: np.ndarray, offsets: np.ndarray, values: np.ndarray):
-    """Row by row, `values_i[np.searchsorted(points_i, grid, side="right")]` (a
-    float for a row without change points) for the flat batch whose row i has
-    the points `points[offsets[i]:offsets[i + 1]]` and the values
-    `values[offsets[i] + i:offsets[i + 1] + i + 1]`; `grid` in any order."""
-    order = np.argsort(grid, kind="stable")
-    rank = None if (order[1:] > order[:-1]).all() else np.argsort(order)
-    ends = np.searchsorted(grid[order], points)  # one search; a row repeats a value per grid point
-    runs = np.insert(ends, offsets[1:], grid.size) - np.insert(ends, offsets[:-1], 0)
-    bounds = (offsets + np.arange(offsets.size)).tolist()
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        row = float(values[a]) if b - a == 1 else np.repeat(values[a:b], runs[a:b])
-        yield row if rank is None or b - a == 1 else row[rank]
-
-
-def argmax_sum(functions: Sequence[StepFunction], lo: float, hi: float) -> tuple[float, float]:
-    """`argmax_sum_rows` of a list of step functions."""
-    offsets = np.cumsum([0] + [f.points.size for f in functions])
-    return argmax_sum_rows(np.concatenate([f.points for f in functions] + [np.empty(0)]), offsets,
-                           np.concatenate([f.values for f in functions] + [np.empty(0)]), lo, hi)
-
-
-def argmax_sum_rows(points, offsets, values, lo: float, hi: float) -> tuple[float, float]:
-    """Exact best piece of [lo, hi] for the sum of the rows of a `_rows_at` batch.
-
-    The union of the change points cuts [lo, hi] into pieces, each totalled
-    over the rows in row order: bit-equal to a running `+=` of the same
-    values at any rho inside the piece.  The first maximum (the smallest rho)
-    wins.  Returns (midpoint of the best piece, its total).
-    """
-    union = np.unique(points)
-    left_ends = np.concatenate([[-np.inf], union])
-    totals = np.zeros(left_ends.size)
-    for row in _rows_at(left_ends, points, offsets, values):
-        totals += row
-    best = int(np.argmax(totals))
-    edges = np.concatenate([[lo], union, [hi]])
-    return float((edges[best] + edges[best + 1]) / 2.0), float(totals[best])
 
 
 def erm_costs(indices: Sequence, train: np.ndarray, orientation: str) -> ErrorReport:

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MINIMIZE, StepFunction, erm_costs, merge_close
+from .core import MINIMIZE, StepFunctions, erm_costs, merge_close
 
 # Largest K-net `knet` builds.
 _KNET_LIMIT = 10**7
@@ -323,9 +323,9 @@ def _contracts(family: GdFamily, lam: np.ndarray) -> np.ndarray:
 
 
 def _pieces(family: GdFamily, lam: np.ndarray, z0: np.ndarray, dims: np.ndarray):
-    """(step functions, bands, failure): each stacked sample's count as a
-    StepFunction of rho, the closed rho intervals (lo, hi) on which it is not
-    certain, and (code, rho) of the first piece the recurrence fails on.
+    """(step functions, bands, failure): the stacked samples' counts as one
+    StepFunctions batch over rho, each sample's closed rho intervals (lo, hi)
+    where its count is not certain, and (code, rho) of the first failed piece.
 
     f_k(rho) = sum_i z0_i^2 (1 - rho*lambda_i)^(2k), the squared norm after k
     steps, is convex in rho and, under `_contracts`, falls with k; so the
@@ -405,19 +405,19 @@ def _pieces(family: GdFamily, lam: np.ndarray, z0: np.ndarray, dims: np.ndarray)
                      lam, z0, dims)
     failed = np.flatnonzero(values < 0)
     failure = (values[failed[0]], float(rhos[failed[0]])) if failed.size else None
-    split = np.cumsum([p.size for p in probes])[:-1]
-    functions = [StepFunction(p, v) for p, v in zip(points, np.split(values, split))]
+    functions = StepFunctions(np.concatenate(points + [np.empty(0)]),
+                              np.cumsum([0] + [p.size for p in points]), values)
     return functions, merged, failure
 
 
-def step_functions(family: GdFamily, samples: Sequence[GdInstance]) -> list[StepFunction]:
-    """Each sample's run_gd count as a StepFunction of rho on [rho_l, rho_u].
+def step_functions(family: GdFamily, samples: Sequence[GdInstance]) -> StepFunctions:
+    """Each sample's run_gd count over [rho_l, rho_u] as a row of one StepFunctions batch.
 
     Needs every step size of the interval to shrink each coordinate by a
     little more than 1 - c (`_contracts`; `random_instance` draws such
     samples) and raises GuaranteedProgressError otherwise.  The change points
     come from the closed form of the squared norm after k steps; each piece's
-    value is run_gd's count at one point inside it, so `at(rho)` equals
+    value is run_gd's count at one point inside it, so a row's value at rho equals
     run_gd(family, rho, x) except inside the narrow bands around change
     points where rounding decides the count (`_pieces`).
     """
@@ -457,15 +457,14 @@ def net_costs(family: GdFamily, net, samples: Sequence[GdInstance]) -> np.ndarra
     for x in samples:
         family.check_instance(x)
     lam, z0, dims = _stack(samples)
-    costs = np.empty((rhos.size, len(samples)))
     fast = _contracts(family, lam).all()
     if fast:
         functions, bands, failure = _pieces(family, lam, z0, dims)
         fast = failure is None
+    costs = functions.at(rhos) if fast else np.empty((rhos.size, len(samples)))
     if fast:
         near = []
-        for j, (f, (lo, hi)) in enumerate(zip(functions, bands)):
-            costs[:, j] = f.at(rhos)
+        for lo, hi in bands:
             edges = np.column_stack([lo, np.nextafter(hi, np.inf)]).ravel()
             near.append(np.flatnonzero(np.searchsorted(edges, rhos, side="right") % 2))
         i = np.concatenate(near + [np.empty(0, dtype=np.intp)])

@@ -16,12 +16,13 @@ family with arbitrarily close parameters can behave completely differently,
 ERM over the continuum is done constructively: on each sample, every parameter
 value at which two of its object scores cross is enumerated in closed form.
 These points cut the interval into open pieces on which every run is fixed,
-so each sample's value is a step function of rho (`step_function`).  The
-offline candidates (`piece_costs`) are both endpoints and one rho inside every
-piece of the union of the samples' value-change points, read off those step
-functions; ERM, best-of-q and the shattering probe all reduce that one cost
-matrix.  For "mwis-adaptive", whose crossings range over all residual
-degrees, the step function takes one run per execution, not one per piece.
+so each sample's value is a step function of rho, and the samples' values
+form one `core.StepFunctions` batch (`step_functions`).  The offline
+candidates (`piece_costs`) are both endpoints and one rho inside every piece
+of the union of the samples' value-change points, read off that batch; ERM,
+best-of-q and the shattering probe all reduce that one cost matrix.  For
+"mwis-adaptive", whose crossings range over all residual degrees, a sample's
+step function takes one run per execution, not one per piece.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MAXIMIZE, CostValue, ErrorReport, StepFunction, erm_costs, merge_close
+from .core import MAXIMIZE, CostValue, ErrorReport, StepFunctions, erm_costs, merge_close
 
 # Exact float dedup of coincident crossing points, relative to magnitude.
 _BREAKPOINT_MERGE_RTOL = 1e-12
@@ -366,7 +367,7 @@ def greedy_cost(family: ParamGreedyFamily, rho, instance) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation over many parameter values (independent fast path)
+# Vectorized non-adaptive MWIS over many graphs and parameter values
 # ---------------------------------------------------------------------------
 
 _GRID_MAX_N = 63  # vertex bitmasks live in one uint64 lane
@@ -404,69 +405,6 @@ def _nonadaptive_masks(logw: np.ndarray, degrees: np.ndarray, adj_bits: np.ndarr
         taken_bits |= np.where(feasible, vertex_bit[cur], np.uint64(0))
         chosen[rows[feasible], cur[feasible]] = True
     return chosen
-
-
-def mwis_grid_masks(instance: MwisInstance, rhos, adaptive: bool) -> np.ndarray:
-    """Greedy solutions for every rho at once, shape (len(rhos), n) bool.
-
-    Dense small-graph implementation (n <= 63), kept deliberately separate
-    from `run_greedy` so the two can cross-check each other.
-    """
-    if instance.n > _GRID_MAX_N:
-        raise ValueError(f"grid evaluator supports n <= {_GRID_MAX_N}")
-    rhos = np.asarray(rhos, dtype=float).ravel()
-    n, m = instance.n, rhos.size
-    if not adaptive:
-        lanes = _graph_lanes(n, 1, instance.edges, np.zeros(len(instance.edges), dtype=np.intp))
-        return _nonadaptive_masks(np.log(instance.weights)[None], *lanes, np.zeros(m, np.intp), rhos)
-    logw = np.log(instance.weights)
-    adj = instance.adjacency_matrix()
-    adj_f = adj.astype(float)
-    alive = np.ones((m, n), dtype=bool)
-    deg = np.broadcast_to(instance.degrees.astype(float), (m, n)).copy()
-    chosen = np.zeros((m, n), dtype=bool)
-    rows = np.arange(m)
-    for _ in range(n):
-        active = alive.any(axis=1)
-        if not active.any():
-            break
-        keys = np.where(alive, logw[None, :] - rhos[:, None] * np.log1p(deg), -np.inf)
-        pick = np.argmax(keys, axis=1)
-        pick_hot = np.zeros((m, n), dtype=bool)
-        pick_hot[rows[active], pick[active]] = True
-        chosen |= pick_hot
-        removed = alive & (pick_hot | pick_hot @ adj)
-        deg -= removed.astype(float) @ adj_f
-        alive &= ~removed
-    return chosen
-
-
-def knapsack_grid_masks(instance: KnapsackInstance, rhos) -> np.ndarray:
-    rhos = np.asarray(rhos, dtype=float).ravel()
-    keys = np.log(instance.values)[None, :] - rhos[:, None] * np.log(instance.sizes)[None, :]
-    order = np.argsort(-keys, axis=1, kind="stable")
-    m = rhos.size
-    resid = np.full(m, instance.capacity)
-    chosen = np.zeros((m, instance.n), dtype=bool)
-    rows = np.arange(m)
-    for pos in range(instance.n):
-        cur = order[:, pos]
-        fits = instance.sizes[cur] <= resid
-        resid -= np.where(fits, instance.sizes[cur], 0.0)
-        chosen[rows[fits], cur[fits]] = True
-    return chosen
-
-
-def grid_masks(family: ParamGreedyFamily, rhos, instance) -> np.ndarray:
-    if family.kind == "knapsack":
-        return knapsack_grid_masks(instance, rhos)
-    return mwis_grid_masks(instance, rhos, family.kind == "mwis-adaptive")
-
-
-def grid_costs(family: ParamGreedyFamily, rhos, instance) -> np.ndarray:
-    masks = grid_masks(family, rhos, instance)
-    payload = instance.values if family.kind == "knapsack" else instance.weights
-    return np.where(masks, payload, 0.0).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -536,37 +474,41 @@ def breakpoints(family: ParamGreedyFamily, samples) -> BreakpointSet:
     return BreakpointSet(points, family.interval)
 
 
-def step_function(family: ParamGreedyFamily, x) -> StepFunction:
-    """One sample's greedy value between its own crossings, from runs at piece midpoints.
+def step_functions(family: ParamGreedyFamily, samples) -> StepFunctions:
+    """Each sample's greedy value between its own crossings, from runs at piece
+    midpoints, as a row of one batch.
 
     For "mwis-adaptive" one run serves every piece in its window (see
     `_greedy_mwis_adaptive`) and the next run is at the first piece past it:
     one run per distinct execution, not one per piece of the superset.
     """
     lo, hi = family.interval
-    points = _own_crossings(family, x)
-    grid = np.concatenate([[lo], points, [hi]])
-    mids = (grid[:-1] + grid[1:]) / 2.0
-    if family.kind != "mwis-adaptive":
-        return StepFunction(points, [greedy_cost(family, r, x) for r in mids])
-    values = np.empty(mids.size)
-    k = 0
-    while k < mids.size:
-        mask, (_, b) = _greedy_mwis_adaptive(x, mids[k])
-        # The run is fixed on the pieces k .. end - 1, which end at or before b.
-        end = max(k + 1, int(np.searchsorted(grid, b, side="right")) - 1)
-        values[k:end] = mask_cost(mask, x.weights)
-        k = end
-    return StepFunction(points, values)
+    points = [_own_crossings(family, x) for x in samples]
+    values = []
+    for x, own in zip(samples, points):
+        grid = np.concatenate([[lo], own, [hi]])
+        mids = (grid[:-1] + grid[1:]) / 2.0
+        if family.kind != "mwis-adaptive":
+            values.append([greedy_cost(family, r, x) for r in mids])
+            continue
+        row, k = np.empty(mids.size), 0
+        while k < mids.size:
+            mask, (_, b) = _greedy_mwis_adaptive(x, mids[k])
+            # The run is fixed on the pieces k .. end - 1, which end at or before b.
+            end = max(k + 1, int(np.searchsorted(grid, b, side="right")) - 1)
+            row[k:end] = mask_cost(mask, x.weights)
+            k = end
+        values.append(row)
+    return StepFunctions(np.concatenate(points + [np.empty(0)]), np.cumsum([0] + [p.size for p in points]),
+                         np.concatenate(values + [np.empty(0)]))
 
 
 def _piece_table(family: ParamGreedyFamily, samples, functions) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = family.interval
-    points = merge_close(np.unique(np.concatenate([f.points for f in functions] + [np.empty(0)])),
-                         _BREAKPOINT_MERGE_RTOL)
+    points = merge_close(np.unique(functions.points), _BREAKPOINT_MERGE_RTOL)
     edges = np.concatenate([[lo], points, [hi]])
     rhos = np.unique(np.concatenate([[lo], (edges[:-1] + edges[1:]) / 2.0, [hi]]))
-    costs = np.stack([f.at(rhos) for f in functions], axis=1)
+    costs = functions.at(rhos)
     for end in (lo, hi):  # a crossing can sit on an endpoint: run there
         costs[rhos == end] = [greedy_cost(family, end, x) for x in samples]
     return rhos, costs
@@ -576,18 +518,18 @@ def piece_costs(family: ParamGreedyFamily, samples) -> tuple[np.ndarray, np.ndar
     """The offline candidate set and its cost matrix: (rhos, costs), with costs
     of shape (len(rhos), len(samples)).
 
-    The union of the samples' value-change points (`step_function(...).points`,
+    The union of the samples' value-change points (`step_functions(...).points`,
     near-duplicates merged as in `breakpoints`) cuts the interval into open
     pieces on which every sample's value is constant.  `rhos` holds, in
     increasing order, the endpoint `lo`, the midpoint of every piece and the
-    endpoint `hi`; each column is read off one sample's step function, with a
+    endpoint `hi`; each column is read off one sample's row of the batch, with a
     real run at each endpoint.  The claim is about open pieces: a change point
     itself is not a candidate, since what a run does there rests on an exact
     float tie and the id order.
     """
     if len(samples) == 0:
         raise ValueError("need at least one sample")
-    return _piece_table(family, samples, [step_function(family, x) for x in samples])
+    return _piece_table(family, samples, step_functions(family, samples))
 
 
 def scalar_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
@@ -612,10 +554,10 @@ def erm_breakpoint(family: ParamGreedyFamily, samples, holdout=None):
     rho = report.chosen
     if not holdout:
         return rho, report
-    functions = [step_function(family, x) for x in holdout]
+    functions = step_functions(family, holdout)
     held_rhos, held = _piece_table(family, holdout, functions)
     # An endpoint's row holds real runs; inside, the step functions give the value.
-    at_rho = held[held_rhos == rho][0] if rho in family.interval else [f.at(rho) for f in functions]
+    at_rho = held[held_rhos == rho][0] if rho in family.interval else functions.at([rho])[0]
     chosen, best = float(np.mean(at_rho)), float(held.mean(axis=1).max())
     return rho, ErrorReport(rho, report.train_mean, chosen, abs(chosen - best))
 

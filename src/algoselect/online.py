@@ -17,8 +17,8 @@ are provided:
   sequence does not depend on the learner, `run_smoothed_online` builds the
   run's step functions before Hedge starts, in blocks sized by one memory
   budget: one `rng.random` call draws a block, one vectorized pass finds each
-  step's own crossings and greedy value per piece, into one flat batch for the
-  run.  Only Hedge runs per step, skipping the update on constant steps.
+  step's own crossings and greedy value per piece, into one `StepFunctions`
+  batch for the run.  Only Hedge runs per step, skipping constant updates.
 
 Costs are normalized to [0, 1] (smoothed instances divide by total vertex
 weight, which preserves the per-instance ranking of parameters).
@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import _rows_at, argmax_sum_rows
+from .core import StepFunctions
 # `erdos_renyi_generator` is re-exported as the graph model of smoothed runs.
 from .greedy import (_GRID_MAX_N, MwisInstance, _ErdosRenyi, _graph_lanes,  # noqa: F401
                      _nonadaptive_masks, erdos_renyi_generator, mwis_from_dict, mwis_to_dict)
@@ -461,7 +461,7 @@ class RegretTrace:
 
     `best_net_*` is the best fixed net point; `best_ref_*` is the reference
     comparator: the exact best piece of the summed step functions for
-    smoothed runs (`core.argmax_sum_rows`), the surviving-window optimum for
+    smoothed runs (`StepFunctions.argmax_sum`), the surviving-window optimum for
     adversarial runs.  Average regret is (comparator total - collected total) / T.
     For smoothed runs `min_comparator_gap` is the smallest distance between
     two transition points of the same step (None when no step has two);
@@ -517,11 +517,10 @@ def _block_steps(n: int) -> int:
 
 def _step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarray):
     """Step functions of a block of instances as `_draw_block` gives them, as
-    flat points, offsets and values (`core._rows_at`'s layout), plus the
-    smallest gap between two `_transition_rows` points of one step (inf when no
-    step has two).  Pieces are cut by `_cut_rows`, valued by the non-adaptive
-    greedy at their midpoint over the total vertex weight (in [0, 1]) and
-    merged with their left neighbour when equal."""
+    unmerged flat points, offsets and values (`core.StepFunctions`' layout),
+    plus the smallest gap between two `_transition_rows` points of one step
+    (inf when no step has two).  Pieces are cut by `_cut_rows` and valued by the
+    non-adaptive greedy at their midpoint over the total vertex weight (in [0, 1])."""
     steps, n = weights.shape
     points, offsets = _transition_rows(weights)
     step_of = np.repeat(np.arange(steps), np.diff(offsets))
@@ -535,10 +534,7 @@ def _step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarra
     masks = _nonadaptive_masks(logw, degrees, adj_bits, owner, (lefts + rights) / 2.0)
     totals = np.array([math.fsum(w) for w in weights])
     pieces = np.where(masks, weights[owner], 0.0).sum(axis=1) / totals[owner]
-    change, inner = pieces[1:] != pieces[:-1], owner[1:] == owner[:-1]  # inner: within one step
-    offsets = np.concatenate([[0], np.cumsum(change[inner])])[offsets]
-    pieces = pieces[np.concatenate([[True], change | ~inner])]
-    return points[change[inner]], offsets, pieces, float(gaps.min()) if gaps.size else math.inf
+    return points, offsets, pieces, float(gaps.min()) if gaps.size else math.inf
 
 
 def _run_hedge(net_arr: np.ndarray, step_gains, T: int, seed: int) -> RegretTrace:
@@ -575,10 +571,10 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
     The instance sequence does not depend on the learner, so the whole run is
     drawn and cut first, in blocks as long as `_BLOCK_ROOTS` allows
     (`_draw_block`, bit-equal to `smooth_sequence`), each block's step
-    functions from one vectorized pass into one flat batch.  Then Hedge runs
-    over their gains (`core._rows_at`), one step at a time, and a constant step
-    skips its update.  `best_ref_*` is the exact best piece of their sum
-    (`argmax_sum_rows`).
+    functions from one vectorized pass, and the run's steps form one
+    `core.StepFunctions` batch.  Then Hedge runs over its rows' gains, one step
+    at a time, and a constant step skips its update.  `best_ref_*` is the
+    exact best piece of their sum (`StepFunctions.argmax_sum`).
     """
     if T < 1:
         raise ValueError("need T >= 1")
@@ -596,10 +592,10 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
     points, offsets, values, gaps = zip(*(
         _step_functions(*_draw_block(spec, graph_generator, rng, min(size, T - start)))
         for start in range(0, T, size)))
-    points, values = np.concatenate(points), np.concatenate(values)
     offsets = np.cumsum(np.concatenate([[0]] + [np.diff(o) for o in offsets]))
-    trace = _run_hedge(net_arr, _rows_at(net_arr, points, offsets, values), T, seed)
-    trace.best_ref_rho, trace.best_ref_total = argmax_sum_rows(points, offsets, values, 0.0, 1.0)
+    functions = StepFunctions(np.concatenate(points), offsets, np.concatenate(values))
+    trace = _run_hedge(net_arr, functions._rows(net_arr), T, seed)
+    trace.best_ref_rho, trace.best_ref_total = functions.argmax_sum(0.0, 1.0)
     trace.min_comparator_gap = min((gap for gap in gaps if gap < math.inf), default=None)
     return trace
 

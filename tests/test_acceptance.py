@@ -17,6 +17,7 @@ from _fixtures import (
     MWIS_WEIGHT_PALETTE,
     crafted_shatter_pair,
 )
+from _grid_oracles import grid_costs, grid_masks
 from algoselect.cli import main as cli_main
 from algoselect.core import MINIMIZE, realized_labelings, shatter_probe
 from algoselect.epm import FeatureMap, fit_linear_epm, select_per_instance
@@ -24,8 +25,6 @@ from algoselect.gdtune import GdFamily, GdInstance, erm_stepsize, knet, run_gd, 
 from algoselect.greedy import (
     breakpoints,
     erm_breakpoint,
-    grid_costs,
-    grid_masks,
     knapsack_family,
     mwis_family,
     piece_costs,

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _fixtures import KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE
+from _grid_oracles import grid_costs
 
 from algoselect.greedy import (
     KnapsackInstance,
     MwisInstance,
     breakpoints,
     erm_breakpoint,
-    grid_costs,
     knapsack_family,
     mwis_family,
     piece_costs,

@@ -7,9 +7,7 @@ from algoselect.core import (
     MAXIMIZE,
     MINIMIZE,
     CostValue,
-    StepFunction,
-    argmax_sum,
-    argmax_sum_rows,
+    StepFunctions,
     erm_costs,
     realized_labelings,
     sample_size,
@@ -200,14 +198,33 @@ def brute_at(points, values, rho):
     return values[sum(p <= rho for p in points)]
 
 
-def list_argmax_sum(functions, lo, hi):
-    """`argmax_sum` by one search of each function into the union's left ends,
-    totals added function by function."""
-    union = np.unique(np.concatenate([f.points for f in functions] + [np.empty(0)]))
+def merged_step(points, values):
+    """One step function with equal neighbouring pieces merged, as (points, values)."""
+    points, values = np.asarray(points, dtype=float), np.asarray(values, dtype=float)
+    change = values[1:] != values[:-1]
+    return points[change], values[np.concatenate([[True], change])]
+
+
+def one_row(points, values):
+    return StepFunctions(points, [0, len(points)], values)
+
+
+def batch_of(raw):
+    """The `StepFunctions` batch of a list of (points, values) rows."""
+    return StepFunctions(np.concatenate([p for p, _ in raw] + [np.empty(0)]),
+                         np.cumsum([0] + [len(p) for p, _ in raw]),
+                         np.concatenate([v for _, v in raw] + [np.empty(0)]))
+
+
+def list_argmax_sum(raw, lo, hi):
+    """`argmax_sum` by one search of each merged row into the union's left ends,
+    totals added row by row."""
+    rows = [merged_step(p, v) for p, v in raw]
+    union = np.unique(np.concatenate([p for p, _ in rows] + [np.empty(0)]))
     left_ends = np.concatenate([[-np.inf], union])
     totals = np.zeros(left_ends.size)
-    for f in functions:
-        totals += f.at(left_ends)
+    for points, values in rows:
+        totals += values[np.searchsorted(points, left_ends, side="right")]
     best = int(np.argmax(totals))
     edges = np.concatenate([[lo], union, [hi]])
     return float((edges[best] + edges[best + 1]) / 2.0), float(totals[best])
@@ -219,32 +236,79 @@ class TestStepFunction:
         probes = np.unique(np.concatenate([np.linspace(0.0, 1.0, 97), np.arange(9) / 8.0]))
         for _ in range(300):
             points, values = random_step(rng)
-            f = StepFunction(points, values)
+            f = one_row(points, values)
             assert np.isin(f.points, points).all()
             assert (f.values[1:] != f.values[:-1]).all()
             assert f.values.size == f.points.size + 1
             # Probes include every change point exactly, 0 and 1.
-            assert f.at(probes).tolist() == [brute_at(points, values, r) for r in probes]
+            assert f.at(probes)[:, 0].tolist() == [brute_at(points, values, r) for r in probes]
 
     def test_constant_and_validation(self):
-        f = StepFunction([0.25, 0.5], [3.0, 3.0, 3.0])
+        f = one_row([0.25, 0.5], [3.0, 3.0, 3.0])
         assert f.points.size == 0 and f.values.tolist() == [3.0]
-        assert f.at([0.0, 0.25, 1.0]).tolist() == [3.0, 3.0, 3.0]
+        assert f.at([0.0, 0.25, 1.0])[:, 0].tolist() == [3.0, 3.0, 3.0]
         with pytest.raises(ValueError, match="increasing"):
-            StepFunction([0.5, 0.25], [1.0, 2.0, 3.0])
+            one_row([0.5, 0.25], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="increasing"):
-            StepFunction([0.5, 0.5], [1.0, 2.0, 3.0])
+            one_row([0.5, 0.5], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="one value per piece"):
-            StepFunction([0.5], [1.0])
+            one_row([0.5], [1.0])
+
+    @pytest.mark.parametrize("offsets, message", [
+        ([1, 2], "from 0 to len"), ([0, 1], "from 0 to len"), ([0, 3], "from 0 to len"),
+        ([], "from 0 to len"), ([0, 2, 1, 2], "nondecreasing"),
+    ])
+    def test_rejects_a_bad_layout(self, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            StepFunctions([0.25, 0.5], offsets, np.zeros(2 + max(len(offsets) - 1, 0)))
+
+    def test_rejects_a_bad_row(self):
+        with pytest.raises(ValueError, match="one value per piece"):
+            StepFunctions([0.25, 0.5], [0, 1, 2], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="one value per piece"):
+            StepFunctions([0.25, 0.5], [0, 1, 2], np.zeros(5))
+        with pytest.raises(ValueError, match="increasing within a row"):
+            StepFunctions([0.1, 0.5, 0.5], [0, 1, 3], np.arange(5.0))
+        with pytest.raises(ValueError, match="increasing within a row"):
+            StepFunctions([0.1, 0.5, 0.3], [0, 1, 3], np.arange(5.0))
+
+    def test_accepts_a_decrease_across_rows_and_rows_without_points(self):
+        f = StepFunctions([0.5, 0.25, 0.75], [0, 0, 1, 1, 3, 3], np.arange(8.0))
+        assert f.points.tolist() == [0.5, 0.25, 0.75]
+        assert f.offsets.tolist() == [0, 0, 1, 1, 3, 3]
+        assert f.at([0.0, 0.5, 1.0]).tolist() == [[0.0, 1.0, 3.0, 4.0, 7.0],
+                                                   [0.0, 2.0, 3.0, 5.0, 7.0],
+                                                   [0.0, 2.0, 3.0, 6.0, 7.0]]
+        empty = StepFunctions([], [0], [])
+        assert empty.at([0.5]).shape == (1, 0)
+        assert empty.argmax_sum(0.0, 1.0) == (0.5, 0.0)
+
+    def test_merges_within_a_row_but_never_across_rows(self):
+        # Row 0 ends in 2.0 and row 1 starts in 2.0; row 1 is constant, row 2 steps down then back.
+        f = StepFunctions([0.5, 0.5, 0.25, 0.5, 0.75], [0, 1, 2, 5],
+                          [1.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 2.0])
+        assert f.points.tolist() == [0.5, 0.25, 0.75]
+        assert f.offsets.tolist() == [0, 1, 1, 3]
+        assert f.values.tolist() == [1.0, 2.0, 2.0, 2.0, 1.0, 2.0]
+
+    def test_at_on_an_unsorted_grid_with_repeats(self):
+        rng = np.random.default_rng(73)
+        for _ in range(100):
+            raw = [random_step(rng) for _ in range(rng.integers(0, 6))]
+            grid = rng.choice(np.arange(17) / 16.0, size=rng.integers(0, 40))
+            got = batch_of(raw).at(grid)
+            want = np.array([v[np.searchsorted(p, grid, side="right")] for p, v in raw]).T
+            assert got.shape == (grid.size, len(raw)) and got.flags.c_contiguous
+            assert np.array_equal(got, want.reshape(grid.size, len(raw)))
 
     def test_argmax_sum_matches_brute_force(self):
         rng = np.random.default_rng(67)
         for _ in range(300):
             raw = [random_step(rng) for _ in range(rng.integers(1, 6))]
-            functions = [StepFunction(p, v) for p, v in raw]
-            rho, total = argmax_sum(functions, 0.0, 1.0)
+            functions = batch_of(raw)
+            rho, total = functions.argmax_sum(0.0, 1.0)
             # Pieces between the merged change points, valued from the raw pieces.
-            edges = sorted({0.0, 1.0} | {float(p) for f in functions for p in f.points})
+            edges = sorted({0.0, 1.0} | {float(p) for p in functions.points})
             mids = [(a + b) / 2.0 for a, b in zip(edges[:-1], edges[1:])]
             totals = []
             for mid in mids:
@@ -263,13 +327,10 @@ class TestStepFunction:
             raw += [raw[i] for i in rng.integers(len(raw), size=rng.integers(0, 4))]  # identical rows
             raw = [raw[i] for i in rng.permutation(len(raw))]
             raw.insert(rng.integers(len(raw) + 1), (np.empty(0), np.array([0.2])))  # an empty row
-            functions = [StepFunction(p, v) for p, v in raw]
-            flat = (np.concatenate([f.points for f in functions]),
-                    np.cumsum([0] + [f.points.size for f in functions]),
-                    np.concatenate([f.values for f in functions]))
-            got = argmax_sum_rows(*flat, 0.0, 1.0)
-            assert got == argmax_sum(functions, 0.0, 1.0) == list_argmax_sum(functions, 0.0, 1.0)
-            edges = sorted({0.0, 1.0} | set(flat[0].tolist()))
+            functions = batch_of(raw)
+            got = functions.argmax_sum(0.0, 1.0)
+            assert got == list_argmax_sum(raw, 0.0, 1.0)
+            edges = sorted({0.0, 1.0} | set(functions.points.tolist()))
             mids = [(a + b) / 2.0 for a, b in zip(edges[:-1], edges[1:])]
             totals = []
             for mid in mids:
@@ -280,9 +341,9 @@ class TestStepFunction:
             assert got == (mids[totals.index(max(totals))], max(totals))  # the first best piece
 
     def test_tied_best_pieces_keep_the_first(self):
-        rows = (np.array([0.25, 0.75]), np.array([0, 1]), np.array([1.0, 0.0, 0.0, 1.0]))
-        assert argmax_sum_rows(*rows, 0.0, 1.0) == (0.125, 1.0)
+        rows = (np.array([0.25, 0.75]), np.array([0, 1, 2]), np.array([1.0, 0.0, 0.0, 1.0]))
+        assert StepFunctions(*rows).argmax_sum(0.0, 1.0) == (0.125, 1.0)
 
     def test_argmax_sum_without_change_points(self):
-        rho, total = argmax_sum([StepFunction([], [0.1])] * 3, 0.0, 2.0)
+        rho, total = StepFunctions([], [0, 0, 0, 0], [0.1] * 3).argmax_sum(0.0, 2.0)
         assert (rho, total) == (1.0, 0.1 + 0.1 + 0.1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from algoselect.core import StepFunction, argmax_sum, merge_close
+from algoselect.core import StepFunctions, merge_close
 from algoselect.gdtune import (
     GdFamily,
     GdInstance,
@@ -255,7 +255,7 @@ def assert_matches_oracles(family, net, samples):
 
 def near_change_points(family, samples):
     """Step sizes at, one ulp from, and 1e-15..1e-6 (relative) from every change point."""
-    points = np.concatenate([f.points for f in step_functions(family, samples)])
+    points = step_functions(family, samples).points
     scale = 1.0 + np.array([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
     near = np.concatenate([np.outer(points, scale).ravel(), np.nextafter(points, 0.0),
                            np.nextafter(points, 1.0)])
@@ -399,9 +399,8 @@ class TestNetGuarantee:
         fam = LEMMA_FAMILY  # the gd-tune defaults
         rng = labeled_rng(seed, "gd-instances")
         samples = [random_instance(fam, dim, rng) for _ in range(50)]
-        functions = step_functions(fam, samples)
-        rho_exact, total = argmax_sum([StepFunction(f.points, -f.values) for f in functions],
-                                      fam.rho_l, fam.rho_u)
+        f = step_functions(fam, samples)
+        rho_exact, total = StepFunctions(f.points, f.offsets, -f.values).argmax_sum(fam.rho_l, fam.rho_u)
         best = -total / len(samples)
         assert np.mean([run_gd(fam, rho_exact, x) for x in samples]) == best
         rho_net, report = erm_stepsize(fam, samples, knet(fam))
@@ -414,8 +413,8 @@ class TestNetGuarantee:
            rho=st.floats(LEMMA_FAMILY.rho_l, LEMMA_FAMILY.rho_u))
     def test_step_function_equals_run_gd(self, seed, dim, rho):
         x = random_instance(LEMMA_FAMILY, dim, np.random.default_rng(seed))
-        (f,) = step_functions(LEMMA_FAMILY, [x])
-        assert f.at(rho) == run_gd(LEMMA_FAMILY, rho, x)
+        f = step_functions(LEMMA_FAMILY, [x])
+        assert f.at([rho])[0, 0] == run_gd(LEMMA_FAMILY, rho, x)
 
 
 class TestDriftBound:

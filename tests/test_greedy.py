@@ -6,6 +6,7 @@ import pytest
 
 from _fixtures import (KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE,
                        crafted_shatter_pair)
+from _grid_oracles import grid_costs, grid_masks
 from algoselect import greedy
 from algoselect.core import shatter_probe
 from algoselect.greedy import (
@@ -17,8 +18,6 @@ from algoselect.greedy import (
     erm_best_of_q,
     erm_breakpoint,
     greedy_cost,
-    grid_costs,
-    grid_masks,
     is_independent_set,
     knapsack_family,
     knapsack_feasible,
@@ -300,7 +299,7 @@ class TestBreakpoints:
         rng = np.random.default_rng(31)
         fam = mwis_family(8)
         samples = [random_mwis_instance(8, 0.4, rng) for _ in range(3)]
-        points = np.unique(np.concatenate([greedy.step_function(fam, x).points for x in samples]))
+        points = np.unique(greedy.step_functions(fam, samples).points)
         assert points.size > 0
         lo, hi = fam.interval
         grid = np.concatenate([[lo], points, [hi]])
@@ -378,11 +377,11 @@ class TestAdaptiveStepFunction:
                 fam = mwis_family(n, ((0.0, 1.0), (0.0, 2.0), (0.25, 0.75))[seed // 4], adaptive=True)
                 lo, hi = fam.interval
                 grid, mids, wide = own_pieces(fam, x)
-                sf = greedy.step_function(fam, x)
+                sf = greedy.step_functions(fam, [x])
                 # Pieces narrower than the merge tolerance are skipped: their
                 # midpoint is within float noise of a crossing.
                 for mid in mids[wide]:
-                    assert sf.at(mid) == greedy_cost(fam, mid, x)
+                    assert sf.at([mid])[0, 0] == greedy_cost(fam, mid, x)
                 compared += int(wide.sum())
                 crossings = set(grid.tolist())
                 for mid, is_wide in zip(mids, wide):
@@ -409,12 +408,12 @@ class TestAdaptiveStepFunction:
         runs = []
         run = greedy._greedy_mwis_adaptive
         monkeypatch.setattr(greedy, "_greedy_mwis_adaptive", lambda *args: runs.append(1) or run(*args))
-        sf = greedy.step_function(fam, x)
+        sf = greedy.step_functions(fam, [x])
         monkeypatch.undo()
         grid, mids, wide = own_pieces(fam, x)
         assert len(runs) < 0.01 * mids.size
         for mid in rng.choice(mids[wide], 200, replace=False):
-            assert sf.at(mid) == run_greedy(fam, mid, x)[1].value
+            assert sf.at([mid])[0, 0] == run_greedy(fam, mid, x)[1].value
 
 
 class TestErmBreakpoint:
@@ -541,7 +540,7 @@ class TestPieceCosts:
         rng = np.random.default_rng(19)
         fam = mwis_family(7)
         samples = [random_mwis_instance(7, 0.4, rng, SHARED_CROSSING_PALETTE) for _ in range(3)]
-        points = np.unique(np.concatenate([greedy.step_function(fam, x).points for x in samples]))
+        points = np.unique(greedy.step_functions(fam, samples).points)
         assert (np.diff(points) <= 2 * np.spacing(points[1:])).any()
         rhos, costs = piece_costs(fam, samples)
         assert np.array_equal(costs.mean(axis=1), scalar_costs(fam, samples, rhos).mean(axis=1))

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from algoselect import online
-from algoselect.core import StepFunction, _rows_at
+from algoselect.core import StepFunctions
 from algoselect.greedy import (
     MwisInstance,
     _exact_order,
     _graph_lanes,
     _nonadaptive_masks,
-    grid_costs,
-    grid_masks,
     mask_cost,
     mwis_family,
     run_greedy,
@@ -42,6 +40,7 @@ from algoselect.online import (
 from algoselect.utils import labeled_rng
 
 from _fixtures import MWIS_WEIGHT_PALETTE
+from _grid_oracles import grid_costs, grid_masks
 
 
 class TestHardInstance:
@@ -817,10 +816,20 @@ def _reference_own_crossings(x):
 
 
 def batch_row(batch, i):
-    """Row i of a flat step-function batch (points, offsets, values), as its
-    change points and its piece values."""
-    points, offsets, values = batch
+    """Row i of a `StepFunctions` batch, as its change points and its piece values."""
+    points, offsets, values = batch.points, batch.offsets, batch.values
     return points[offsets[i]:offsets[i + 1]], values[offsets[i] + i:offsets[i + 1] + i + 1]
+
+
+def step_at(points, values, rhos):
+    """One step function's values at rhos, right-continuous."""
+    return values[np.searchsorted(points, rhos, side="right")]
+
+
+def merged_step(points, values):
+    """One step function with equal neighbouring pieces merged, as (points, values)."""
+    change = values[1:] != values[:-1]
+    return points[change], values[np.concatenate([[True], change])]
 
 
 class TestStackedPaths:
@@ -873,6 +882,7 @@ class TestStackedPaths:
             block = self.mixed_block(rng)
             points, offsets = online._transition_rows(np.stack([x.weights for x in block]))
             *batch, min_gap = online._step_functions(*self.block_arrays(block))
+            batch = StepFunctions(*batch)
             gaps = []
             for i, x in enumerate(block):
                 tau = points[offsets[i]:offsets[i + 1]]
@@ -881,7 +891,7 @@ class TestStackedPaths:
                 grid = np.concatenate([[0.0], tau, [1.0]])
                 mids = (grid[:-1] + grid[1:]) / 2.0
                 want = [run_greedy(fam, r, x)[1].value / x.total_weight() for r in mids]
-                assert StepFunction(*batch_row(batch, i)).at(mids).tolist() == want
+                assert step_at(*batch_row(batch, i), mids).tolist() == want
                 assert np.isin(batch_row(batch, i)[0], tau).all()
                 gaps.extend(np.diff(tau))
             assert min_gap == min(gaps)
@@ -898,7 +908,7 @@ class TestStackedPaths:
             points, offsets = online._transition_rows(weights)
             degrees, _ = _graph_lanes(n, len(block), edges, step)
             own, own_offsets = online._cut_rows(np.log(weights), degrees, points, offsets)
-            *batch, _ = online._step_functions(weights, edges, step)
+            batch = StepFunctions(*online._step_functions(weights, edges, step)[:3])
             for i, x in enumerate(block):
                 tau = points[offsets[i]:offsets[i + 1]]
                 mine = own[own_offsets[i]:own_offsets[i + 1]]
@@ -906,30 +916,31 @@ class TestStackedPaths:
                 assert np.isin(mine, tau).all()
                 grid = np.concatenate([[0.0], tau, [1.0]])
                 pieces = grid_costs(fam, (grid[:-1] + grid[1:]) / 2.0, x) / x.total_weight()
-                superset = StepFunction(tau, pieces)
-                assert np.array_equal(batch_row(batch, i)[0], superset.points)
-                assert np.array_equal(batch_row(batch, i)[1], superset.values)
+                superset = merged_step(tau, pieces)
+                assert np.array_equal(batch_row(batch, i)[0], superset[0])
+                assert np.array_equal(batch_row(batch, i)[1], superset[1])
 
     def test_batch_gains_match_each_row(self):
         # A block's rows (the edgeless graph's has no change point) and rows
         # with points at 0 and 1, on a sorted net, a shuffled net with
         # repeats, and a net of the change points themselves.
         rng = np.random.default_rng(7)
-        block = online._step_functions(*self.block_arrays(self.mixed_block(rng)))[:3]
+        block = StepFunctions(*online._step_functions(*self.block_arrays(self.mixed_block(rng)))[:3])
         rows = [batch_row(block, i) for i in range(5)]
         assert {p.size == 0 for p, _ in rows} == {True, False}
         rows += [(np.empty(0), np.array([0.3])), (np.array([0.0, 0.25, 1.0]), np.array([0.1, 0.2, 0.1, 0.4]))]
         points = np.concatenate([p for p, _ in rows])
         offsets = np.cumsum([0] + [p.size for p, _ in rows])
         values = np.concatenate([v for _, v in rows])
+        batch = StepFunctions(points, offsets, values)
         uniform = np.linspace(0.0, 1.0, 101)
         for net in (uniform, rng.permutation(np.concatenate([uniform, uniform[::3], [0.0, 1.0]])),
                     rng.permutation(np.concatenate([points, points]))):
-            gains = list(_rows_at(net, points, offsets, values))
+            gains = list(batch._rows(net))
             assert len(gains) == len(rows)
             for g, (p, v) in zip(gains, rows):
                 assert isinstance(g, float) == (p.size == 0)
-                assert np.array_equal(np.broadcast_to(g, net.shape), StepFunction(p, v).at(net))
+                assert np.array_equal(np.broadcast_to(g, net.shape), step_at(p, v, net))
 
     def test_bitmask_lane_limit_kept(self):
         x = MwisInstance(64, [(0, 1)], np.linspace(0.01, 1.0, 64))
