@@ -178,16 +178,19 @@ def _norm(z: np.ndarray):
     return np.sqrt((z * z).sum(axis=-1))
 
 
-def _cap_error(cap: int) -> GuaranteedProgressError:
-    return GuaranteedProgressError(
-        f"no convergence within {cap} iterations; guaranteed progress violated"
-    )
+# Failure codes: `_net_iterations` returns them for rows that fail instead of
+# counting, and `_raise_failure` turns one into run_gd's error.
+_CAP_EXCEEDED = -1.0
+_STALLED = -2.0
 
 
-def _stall_error(family: GdFamily, rho: float) -> GuaranteedProgressError:
-    return GuaranteedProgressError(
-        f"step at rho={rho} shrank ||z|| by less than the guaranteed factor {1 - family.c}"
-    )
+def _raise_failure(family: GdFamily, code: float, rho: float):
+    """Raise the GuaranteedProgressError of a run at rho that failed with `code`."""
+    if code == _CAP_EXCEEDED:
+        raise GuaranteedProgressError(f"no convergence within {family.iteration_cap} iterations; "
+                                      "guaranteed progress violated")
+    raise GuaranteedProgressError(f"step at rho={rho} shrank ||z|| by less than the guaranteed "
+                                  f"factor {1 - family.c}")
 
 
 def run_gd(family: GdFamily, rho: float, instance: GdInstance) -> int:
@@ -205,18 +208,13 @@ def run_gd(family: GdFamily, rho: float, instance: GdInstance) -> int:
     steps = 0
     while _norm(z) > family.nu:
         if steps >= cap:
-            raise _cap_error(cap)
+            _raise_failure(family, _CAP_EXCEEDED, rho)
         z_next = step_map(rho, z, instance)
         if _norm(z_next) > (1.0 - family.c) * _norm(z) * (1 + 1e-12):
-            raise _stall_error(family, rho)
+            _raise_failure(family, _STALLED, rho)
         z = z_next
         steps += 1
     return steps
-
-
-# Codes `_net_iterations` returns for rows that fail instead of counting.
-_CAP_EXCEEDED = -1.0
-_STALLED = -2.0
 
 
 def _net_iterations(family: GdFamily, rhos: np.ndarray, lambdas, z0) -> np.ndarray:
@@ -257,18 +255,15 @@ def _net_iterations(family: GdFamily, rhos: np.ndarray, lambdas, z0) -> np.ndarr
         steps += 1
 
 
-def _raise_failure(family: GdFamily, code: float, rho: float):
-    if code == _CAP_EXCEEDED:
-        raise _cap_error(family.iteration_cap)
-    raise _stall_error(family, rho)
-
-
-def _stack(samples: Sequence[GdInstance]):
-    """(lambdas, z0, dims): the samples as rows padded to the largest dimension.
+def _stack(family: GdFamily, samples: Sequence[GdInstance]):
+    """(lambdas, z0, dims): the samples, each checked against the family, as
+    rows padded to the largest dimension.
 
     A padded coordinate starts at 0 and repeats the row's last eigenvalue, so
     it changes neither a norm nor the contraction max |1 - rho * lambda|.
     """
+    for x in samples:
+        family.check_instance(x)
     dims = np.array([x.z0.size for x in samples], dtype=np.intp)
     width = int(dims.max(initial=1))
     lam, z0 = np.empty((dims.size, width)), np.zeros((dims.size, width))
@@ -421,9 +416,7 @@ def step_functions(family: GdFamily, samples: Sequence[GdInstance]) -> StepFunct
     run_gd(family, rho, x) except inside the narrow bands around change
     points where rounding decides the count (`_pieces`).
     """
-    for x in samples:
-        family.check_instance(x)
-    lam, z0, dims = _stack(samples)
+    lam, z0, dims = _stack(family, samples)
     short = np.flatnonzero(~_contracts(family, lam))
     if short.size:
         raise GuaranteedProgressError(
@@ -440,23 +433,23 @@ def net_costs(family: GdFamily, net, samples: Sequence[GdInstance]) -> np.ndarra
     """Iteration counts of every net point on every sample, shape (net, samples).
 
     Equal to [[run_gd(family, rho, x) for x in samples] for rho in net] as
-    floats.  Every net point and every sample is validated first, with
-    run_gd's messages.  When every sample contracts by a margin over the
-    whole interval (`_contracts`), the counts are read off the step
-    functions of `_pieces`, and the net points inside their uncertain bands
-    are rerun through the recurrence.  Otherwise, or if any of those runs
-    fails, one recurrence per sample runs the whole net; a run that breaks
-    guaranteed progress raises run_gd's error for the smallest such net
-    index, at the first sample that fails there.
+    floats.  The net must be 1-D; every net point and every sample is
+    validated first, with run_gd's messages.  When every sample contracts by
+    a margin over the whole interval (`_contracts`), the counts are read off
+    the step functions of `_pieces`, and the net points inside their
+    uncertain bands are rerun through the recurrence.  Otherwise, or if any
+    of those runs fails, one recurrence per sample runs the whole net; a run
+    that breaks guaranteed progress raises run_gd's error for the smallest
+    such net index, at the first sample that fails there.
     """
     rhos = np.asarray(net, dtype=float)
+    if rhos.ndim != 1:
+        raise ValueError(f"net must be a 1-D array of step sizes, got shape {rhos.shape}")
     outside = np.flatnonzero(~family.contains(rhos))
     if outside.size:
         rho = float(rhos[outside[0]])
         raise ValueError(f"rho={rho} outside [{family.rho_l}, {family.rho_u}]")
-    for x in samples:
-        family.check_instance(x)
-    lam, z0, dims = _stack(samples)
+    lam, z0, dims = _stack(family, samples)
     fast = _contracts(family, lam).all()
     if fast:
         functions, bands, failure = _pieces(family, lam, z0, dims)

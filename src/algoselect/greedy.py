@@ -293,12 +293,10 @@ def _greedy_mwis_adaptive(instance: MwisInstance, rho) -> tuple[np.ndarray, tupl
     logd = np.log(1.0 + np.arange(deg.max() + 1, dtype=float))
     alive = np.ones(n, dtype=bool)
     chosen = np.zeros(n, dtype=bool)
-    masked = logw - rho_f * np.log1p(deg)
     a, b = -math.inf, math.inf
-    remaining = n
-    while remaining:
-        v = int(np.argmax(masked))
-        live = np.flatnonzero(alive)
+    live = np.arange(n)
+    while live.size:
+        v = int(live[np.argmax(logw[live] - rho_f * np.log1p(deg[live]))])
         dd, dp = logd[deg[v]] - logd[deg[live]], logw[v] - logw[live]
         up, down = dd > 0, dd < 0
         b = min(b, float(np.min(dp[up] / dd[up], initial=b)))
@@ -307,20 +305,10 @@ def _greedy_mwis_adaptive(instance: MwisInstance, rho) -> tuple[np.ndarray, tupl
         nbrs = indices[indptr[v]:indptr[v + 1]]
         removed = np.concatenate([[v], nbrs[alive[nbrs]]])
         alive[removed] = False
-        masked[removed] = -np.inf
-        remaining -= removed.size
-        if remaining == 0:
-            break
-        # Residual degrees drop by the number of removed neighbors.
-        if removed.size == 1:
-            affected = nbrs
-        else:
-            affected = np.concatenate([indices[indptr[r]:indptr[r + 1]] for r in removed])
-        affected = affected[alive[affected]]
-        if affected.size:
-            np.subtract.at(deg, affected, 1)
-            touched = np.unique(affected)
-            masked[touched] = logw[touched] - rho_f * np.log1p(deg[touched])
+        live = np.flatnonzero(alive)
+        # Residual degrees drop by the number of removed neighbours.
+        lost = np.concatenate([indices[indptr[r]:indptr[r + 1]] for r in removed])
+        deg -= np.bincount(lost, minlength=n)
     return chosen, (a, b)
 
 
@@ -422,7 +410,6 @@ class BreakpointSet:
     """
 
     points: np.ndarray
-    interval: tuple[float, float]
 
     @property
     def count(self) -> int:
@@ -471,7 +458,7 @@ def breakpoints(family: ParamGreedyFamily, samples) -> BreakpointSet:
         raise ValueError("need at least one sample")
     points = merge_close(np.unique(np.concatenate([_own_crossings(family, x) for x in samples])),
                          _BREAKPOINT_MERGE_RTOL)
-    return BreakpointSet(points, family.interval)
+    return BreakpointSet(points)
 
 
 def step_functions(family: ParamGreedyFamily, samples) -> StepFunctions:
@@ -503,17 +490,6 @@ def step_functions(family: ParamGreedyFamily, samples) -> StepFunctions:
                          np.concatenate(values + [np.empty(0)]))
 
 
-def _piece_table(family: ParamGreedyFamily, samples, functions) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = family.interval
-    points = merge_close(np.unique(functions.points), _BREAKPOINT_MERGE_RTOL)
-    edges = np.concatenate([[lo], points, [hi]])
-    rhos = np.unique(np.concatenate([[lo], (edges[:-1] + edges[1:]) / 2.0, [hi]]))
-    costs = functions.at(rhos)
-    for end in (lo, hi):  # a crossing can sit on an endpoint: run there
-        costs[rhos == end] = [greedy_cost(family, end, x) for x in samples]
-    return rhos, costs
-
-
 def piece_costs(family: ParamGreedyFamily, samples) -> tuple[np.ndarray, np.ndarray]:
     """The offline candidate set and its cost matrix: (rhos, costs), with costs
     of shape (len(rhos), len(samples)).
@@ -529,7 +505,15 @@ def piece_costs(family: ParamGreedyFamily, samples) -> tuple[np.ndarray, np.ndar
     """
     if len(samples) == 0:
         raise ValueError("need at least one sample")
-    return _piece_table(family, samples, step_functions(family, samples))
+    lo, hi = family.interval
+    functions = step_functions(family, samples)
+    points = merge_close(np.unique(functions.points), _BREAKPOINT_MERGE_RTOL)
+    edges = np.concatenate([[lo], points, [hi]])
+    rhos = np.unique(np.concatenate([[lo], (edges[:-1] + edges[1:]) / 2.0, [hi]]))
+    costs = functions.at(rhos)
+    for end in (lo, hi):  # a crossing can sit on an endpoint: run there
+        costs[rhos == end] = [greedy_cost(family, end, x) for x in samples]
+    return rhos, costs
 
 
 def scalar_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
@@ -544,21 +528,19 @@ def erm_breakpoint(family: ParamGreedyFamily, samples, holdout=None):
 
     Exact over every rho outside the finite set of value-change points
     (open-piece semantics).  With a nonempty holdout, `holdout_mean` is the
-    held-out mean at rho_star and `estimated_error` its gap to the best
-    held-out mean over the interval (the best row of the holdout's own
-    `piece_costs`).  Returns (rho_star, ErrorReport); ties break toward the
-    smaller rho.
+    mean of real runs at rho_star on the holdout (`scalar_costs`), which holds
+    even where rho_star is a held-out change point, and `estimated_error` its
+    gap to the best held-out mean over the interval (the best row of the
+    holdout's own `piece_costs`).  Returns (rho_star, ErrorReport); ties break
+    toward the smaller rho.
     """
     rhos, costs = piece_costs(family, samples)
     report = erm_costs(rhos.tolist(), costs, MAXIMIZE)
     rho = report.chosen
     if not holdout:
         return rho, report
-    functions = step_functions(family, holdout)
-    held_rhos, held = _piece_table(family, holdout, functions)
-    # An endpoint's row holds real runs; inside, the step functions give the value.
-    at_rho = held[held_rhos == rho][0] if rho in family.interval else functions.at([rho])[0]
-    chosen, best = float(np.mean(at_rho)), float(held.mean(axis=1).max())
+    chosen = float(np.mean(scalar_costs(family, holdout, [rho])[0]))
+    best = float(piece_costs(family, holdout)[1].mean(axis=1).max())
     return rho, ErrorReport(rho, report.train_mean, chosen, abs(chosen - best))
 
 

@@ -180,6 +180,21 @@ class TestGdTune:
         assert payload["type"] == "GuaranteedProgressError"
         assert "rho=0.5" in payload["error"]
 
+    def test_iteration_cap_is_one_json_line(self, tmp_path, capsys):
+        # The family's iteration cap is 3, and three halvings of a start norm
+        # of Z (1 + 1e-12) stop just above nu.
+        d = tmp_path / "gd"
+        d.mkdir()
+        save_gd_instance(GdInstance([0.5], [1 + 1e-12]), str(d / "slow.json"))
+        out = tmp_path / "gd.csv"
+        code = run_cli("gd-tune", "--rho-lo", 1.0, "--rho-hi", 1.0, "--L", 0.5, "--m-sc", 0.5,
+                       "--c", 0.5, "--Z", 1.0, "--nu", 0.125, "--instances", d, "--out", out)
+        assert code == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        assert json.loads(line) == {"error": "no convergence within 3 iterations; guaranteed progress violated",
+                                    "type": "GuaranteedProgressError"}
+
     @pytest.mark.parametrize("source", ["generated", "file"])
     def test_zero_dimension_is_one_json_line(self, source, tmp_path, capsys):
         out = tmp_path / "gd.csv"

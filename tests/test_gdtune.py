@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ from algoselect.utils import labeled_rng
 LEMMA_FAMILY = GdFamily(rho_l=0.1, rho_u=0.4, L=4.0, m_sc=1.0, c=0.1, Z=1.0, nu=0.01)
 # The same family on [0.1, 0.105]: a 201-point K-net.
 NARROW_FAMILY = dataclasses.replace(LEMMA_FAMILY, rho_u=0.105)
+
+
+# H = log(nu / Z) / log(1 - c) = 3 exactly, and one step halves the norm: a
+# start at Z (1 + 1e-12) runs into the iteration cap.
+CAP_FAMILY = GdFamily(rho_l=1.0, rho_u=1.0, L=0.5, m_sc=0.5, c=0.5, Z=1.0, nu=0.125)
+CAP_SAMPLE = GdInstance([0.5], [1 + 1e-12])
+CAP_ERROR = "no convergence within 3 iterations; guaranteed progress violated"
 
 
 def unit_family(**overrides):
@@ -363,6 +371,24 @@ class TestNetCosts:
         assert_matches_oracles(fam, net, samples)
         with pytest.raises(GuaranteedProgressError, match="does not shrink"):
             step_functions(fam, samples)
+
+    def test_iteration_cap_is_one_error_on_every_path(self):
+        # The sample does not contract by a margin, so net_costs takes the recurrence.
+        cap = re.escape(CAP_ERROR)
+        with pytest.raises(GuaranteedProgressError, match=cap):
+            run_gd(CAP_FAMILY, 1.0, CAP_SAMPLE)
+        with pytest.raises(GuaranteedProgressError, match=cap):
+            net_costs(CAP_FAMILY, [1.0], [CAP_SAMPLE])
+        with pytest.raises(GuaranteedProgressError, match=cap):
+            erm_stepsize(CAP_FAMILY, [CAP_SAMPLE], net=knet(CAP_FAMILY))
+        with pytest.raises(GuaranteedProgressError, match="does not shrink"):
+            step_functions(CAP_FAMILY, [CAP_SAMPLE])
+
+    @pytest.mark.parametrize("net", [0.3, [[0.2, 0.3]]], ids=["scalar", "2-D"])
+    def test_rejects_a_net_that_is_not_1d(self, net):
+        shape = np.shape(net)
+        with pytest.raises(ValueError, match=re.escape(f"1-D array of step sizes, got shape {shape}")):
+            net_costs(LEMMA_FAMILY, net, [GdInstance([2.0], [0.5])])
 
     def test_empty_sample_list(self):
         net = knet(NARROW_FAMILY)

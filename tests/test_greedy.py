@@ -521,6 +521,35 @@ class TestErmBreakpointHoldout:
             errors.append(report.estimated_error)
         assert max(errors) > 0  # some draw's training choice is not the held-out best
 
+    def test_rho_star_on_a_held_out_change_point_repro(self):
+        # rho_star = 1.0 is where holdout sample 1's value changes; the step
+        # functions read 7.0 there (the piece to its right), the run gives 9.0.
+        rng = np.random.default_rng(132)
+        sets = [random_knapsack_instance(6, rng, value_choices=[1, 2, 3, 4], size_choices=[1, 2, 4])
+                for _ in range(8)]
+        fam = knapsack_family(6, (0, 2))
+        rho, report = erm_breakpoint(fam, sets[:4], holdout=sets[4:])
+        assert rho == 1.0
+        assert [greedy_cost(fam, rho, x) for x in sets[4:]] == [12.0, 9.0, 10.0, 13.0]
+        assert (report.holdout_mean, report.estimated_error) == (11.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["mwis", "mwis-adaptive", "knapsack"])
+    def test_holdout_mean_is_real_runs_on_small_palettes(self, kind):
+        # With few distinct attributes, rho_star lands on a held-out change point in some draws.
+        rng = np.random.default_rng(5)
+        if kind == "knapsack":
+            fam = knapsack_family(6, (0.0, 2.0))
+            def draw():
+                return random_knapsack_instance(6, rng, value_choices=[1, 2, 3, 4], size_choices=[1, 2, 4])
+        else:
+            fam = mwis_family(7, (0.0, 2.0), adaptive=kind == "mwis-adaptive")
+            def draw():
+                return random_mwis_instance(7, 0.4, rng, weight_choices=[0.25, 0.5, 0.75, 1.0] * 2)
+        for _ in range(40):
+            train, holdout = [draw() for _ in range(4)], [draw() for _ in range(4)]
+            rho, report = erm_breakpoint(fam, train, holdout=holdout)
+            assert report.holdout_mean == np.mean([greedy_cost(fam, rho, x) for x in holdout])
+
     def test_empty_holdout_reports_the_training_mean(self):
         fam, samples = knapsack_family(2), [two_item_knapsack()]
         assert erm_breakpoint(fam, samples, holdout=[]) == erm_breakpoint(fam, samples)
