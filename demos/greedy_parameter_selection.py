@@ -13,13 +13,13 @@ import numpy as np
 
 from algoselect.greedy import (
     KnapsackInstance,
-    breakpoints,
     erm_breakpoint,
     knapsack_family,
     mwis_family,
     piece_costs,
     random_mwis_instance,
     run_greedy,
+    step_functions,
 )
 
 # A two-item knapsack where the two orderings disagree: value order packs the
@@ -32,11 +32,11 @@ for rho in (0.0, 1.0):
     print(f"knapsack rho={rho}: picked items {solution}, value {cost.value}")
 
 rhos, costs = piece_costs(family, [instance])
-print(f"score crossings on this instance: {breakpoints(family, [instance]).points.round(6)}")
+print(f"value changes on this instance:  {step_functions(family, [instance]).points.round(6)}")
 print(f"candidates probed by ERM:         {rhos.round(6)}")
 print(f"their values:                     {costs[:, 0]}")
 
-rho_star, report = erm_breakpoint(family, [instance])
+rho_star, report = erm_breakpoint(family, rhos, costs)
 print(f"best parameter {rho_star:.4f} with mean value {report.train_mean}\n")
 
 # The same machinery on a batch of independent-set instances, with a held-out
@@ -45,8 +45,9 @@ rng = np.random.default_rng(7)
 train = [random_mwis_instance(10, 0.35, rng) for _ in range(12)]
 holdout = [random_mwis_instance(10, 0.35, rng) for _ in range(50)]
 fam = mwis_family(10, adaptive=True)
-rho_star, report = erm_breakpoint(fam, train, holdout=holdout)
-print(f"MWIS (adaptive degrees): {breakpoints(fam, train).count} breakpoints on 12 samples")
+rhos, costs = piece_costs(fam, train)  # lo, one rho inside every piece, hi
+rho_star, report = erm_breakpoint(fam, rhos, costs, holdout)
+print(f"MWIS (adaptive degrees): {rhos.size} candidate rhos for 12 samples")
 print(f"chosen rho = {rho_star:.4f}")
 print(f"training mean weight   = {report.train_mean:.4f}")
 print(f"held-out mean weight   = {report.holdout_mean:.4f}")

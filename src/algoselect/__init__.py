@@ -12,12 +12,10 @@ from .core import (
     shatter_probe,
 )
 from .greedy import (
-    BreakpointSet,
     KnapsackInstance,
     MwisInstance,
     ParamGreedyFamily,
     best_of_q,
-    breakpoints,
     erm_best_of_q,
     erm_breakpoint,
     knapsack_family,

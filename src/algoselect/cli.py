@@ -78,10 +78,11 @@ def cmd_erm_greedy(args) -> str:
         instances = _load_instance_dir(args.instances, ".csv", greedy.load_knapsack)
         family = greedy.knapsack_family(max(x.n for x in instances), interval)
     train, holdout = _train_holdout_split(instances, args.seed, args.holdout_frac)
-    rho_star, report = greedy.erm_breakpoint(family, train, holdout=holdout)
+    rhos, costs = greedy.piece_costs(family, train)
+    rho_star, report = greedy.erm_breakpoint(family, rhos, costs, holdout)
     return _csv(
         "rho_star,breakpoint_count,train_mean,holdout_mean,estimated_error",
-        [(float(rho_star), greedy.breakpoints(family, train).count, report.train_mean,
+        [(float(rho_star), max(rhos.size - 3, 0), report.train_mean,
           report.holdout_mean, report.estimated_error)],
     )
 

@@ -20,9 +20,10 @@ so each sample's value is a step function of rho, and the samples' values
 form one `core.StepFunctions` batch (`step_functions`).  The offline
 candidates (`piece_costs`) are both endpoints and one rho inside every piece
 of the union of the samples' value-change points, read off that batch; ERM,
-best-of-q and the shattering probe all reduce that one cost matrix.  For
-"mwis-adaptive", whose crossings range over all residual degrees, a sample's
-step function takes one run per execution, not one per piece.
+best-of-q and the shattering probe all reduce that one cost matrix.
+Non-adaptive MWIS step functions are made as in the online runner: one
+crossing expression and one vectorized evaluator of first fit at every piece
+midpoint of many graphs at once.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -359,6 +360,7 @@ def greedy_cost(family: ParamGreedyFamily, rho, instance) -> float:
 # ---------------------------------------------------------------------------
 
 _GRID_MAX_N = 63  # vertex bitmasks live in one uint64 lane
+_BLOCK_ROOTS = 1 << 18  # cells in the largest arrays of one batch of graphs
 
 
 def _graph_lanes(n: int, graphs: int, edges: np.ndarray, edge_graph: np.ndarray):
@@ -395,97 +397,125 @@ def _nonadaptive_masks(logw: np.ndarray, degrees: np.ndarray, adj_bits: np.ndarr
     return chosen
 
 
+@lru_cache(maxsize=None)
+def _log_ratios(n: int) -> np.ndarray:
+    """ln(k1) - ln(k2) at [k1, k2] for k1 != k2 in {2..n}, NaN elsewhere.  The
+    ratio is reduced first, so equal denominators are bitwise equal."""
+    table = np.full((n + 1, n + 1), np.nan)
+    for k1, k2 in permutations(range(2, n + 1), 2):
+        table[k1, k2] = math.log(k1 // math.gcd(k1, k2)) - math.log(k2 // math.gcd(k1, k2))
+    table.flags.writeable = False  # cached and shared by every caller
+    return table
+
+
+def _nonadaptive_crossings(logw: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Each row's own crossings (log w_i - log w_j) / (ln k_i - ln k_j), k = 1 +
+    degree, over the vertex pairs i < j: shape (rows, pairs), NaN where
+    k_i = k_j or a vertex is isolated (such a pair's order never changes a run)."""
+    i, j = np.triu_indices(logw.shape[1], k=1)
+    return (logw[:, i] - logw[:, j]) / _log_ratios(logw.shape[1])[degrees[:, i] + 1, degrees[:, j] + 1]
+
+
+def _rows_within(roots: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's distinct values in [lo, hi], sorted in place, as flat points
+    and offsets: row i owns `points[offsets[i]:offsets[i + 1]]`."""
+    roots[~((roots >= lo) & (roots <= hi))] = np.inf  # NaN too
+    roots.sort(axis=1)
+    keep = np.isfinite(roots)
+    keep[:, 1:] &= roots[:, 1:] != roots[:, :-1]
+    offsets = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return roots[keep], offsets
+
+
+def _piece_values(weights, logw, lanes, points, offsets, lo: float, hi: float) -> np.ndarray:
+    """Non-adaptive greedy value at the midpoint of every piece of [lo, hi] cut
+    by each row's points (`_rows_within` layout), row i on graph i of `lanes`
+    (`_graph_lanes`): the values of a `core.StepFunctions` batch."""
+    mids = (np.insert(points, offsets[:-1], lo) + np.insert(points, offsets[1:], hi)) / 2.0
+    owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets) + 1)
+    masks = _nonadaptive_masks(logw, *lanes, owner, mids)
+    return np.where(masks, weights[owner], 0.0).sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
-# Breakpoints and constructive ERM
+# Crossings, step functions and constructive ERM
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BreakpointSet:
-    """Parameter values where two object scores of one sample cross.
-
-    `points` is the union over the samples of each sample's own crossings,
-    strictly inside the open interval.  They cut the interval into open pieces
-    on each of which every greedy member behaves identically on every sample.
-    """
-
-    points: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.points.size)
-
-
-def _sample_attributes(family: ParamGreedyFamily, x) -> tuple[np.ndarray, np.ndarray]:
-    """One sample's (primary, denominator-base) attribute pairs.
-
-    For the adaptive MWIS rule every vertex contributes one pair per residual
-    degree 0..deg(v): a superset of what executions can reach, which is sound
-    for crossing enumeration; most of its pieces share an execution.
-    """
-    if family.kind == "knapsack":
-        return x.values, x.sizes
-    if family.kind == "mwis":
-        return x.weights, 1.0 + x.degrees.astype(float)
-    counts = x.degrees + 1
-    return np.repeat(x.weights, counts), np.concatenate([1.0 + np.arange(c, dtype=float) for c in counts])
+def _inside(interval) -> tuple[float, float]:
+    """Closed bounds for the roots inside the interval by more than float noise;
+    the endpoint runs of `piece_costs` cover both sides of the others."""
+    lo, hi = interval
+    return np.nextafter([lo + 1e-9 * max(1.0, lo), hi - 1e-9 * max(1.0, hi)], [np.inf, -np.inf])
 
 
 def _own_crossings(family: ParamGreedyFamily, x) -> np.ndarray:
-    """One sample's distinct crossing points strictly inside the interval, sorted."""
-    lo, hi = family.interval
-    logp, logd = (np.log(a) for a in _sample_attributes(family, x))
+    """One knapsack or adaptive MWIS sample's distinct crossings `_inside` the
+    interval, sorted: the curves p / d^rho of two attribute pairs cross at
+    rho = ln(p1/p2) / ln(d1/d2) when d1 != d2.  Adaptive MWIS takes one pair
+    per vertex and residual degree 0..deg(v), a superset of what runs reach."""
+    if family.kind == "knapsack":
+        p, d = x.values, x.sizes
+    else:
+        p = np.repeat(x.weights, x.degrees + 1)
+        d = np.concatenate([1.0 + np.arange(c + 1.0) for c in x.degrees])
+    logp, logd = np.log(p), np.log(d)
     i, j = np.triu_indices(logp.size, k=1)
-    dden = logd[i] - logd[j]
-    crossing = dden != 0
-    r = (logp[i] - logp[j])[crossing] / dden[crossing]
-    return np.unique(r[(r > lo + 1e-9 * max(1.0, abs(lo))) & (r < hi - 1e-9 * max(1.0, abs(hi)))])
+    crossing = logd[i] != logd[j]
+    roots = (logp[i] - logp[j])[crossing] / (logd[i] - logd[j])[crossing]
+    return _rows_within(roots[None], *_inside(family.interval))[0]
 
 
-def breakpoints(family: ParamGreedyFamily, samples) -> BreakpointSet:
-    """Closed-form crossing points of each sample's own attribute score curves.
-
-    For score p / d^rho the curves of two attributes cross where
-    rho = ln(p1/p2) / ln(d1/d2), defined only when d1 != d2; equal attributes
-    never cross (ties are broken lexicographically, so the comparison outcome
-    is constant).  Only pairs within one sample are solved: a greedy run
-    compares the objects of one instance, so a crossing between attributes of
-    two samples cannot change any run.  Roots closer to an interval endpoint
-    than float noise can resolve are dropped; the endpoint runs and the
-    boundary pieces of `piece_costs` cover both sides of such a crossing.
-    """
-    if len(samples) == 0:
-        raise ValueError("need at least one sample")
-    points = merge_close(np.unique(np.concatenate([_own_crossings(family, x) for x in samples])),
-                         _BREAKPOINT_MERGE_RTOL)
-    return BreakpointSet(points)
+def _nonadaptive_rows(family: ParamGreedyFamily, graphs) -> tuple:
+    """Own crossings `_inside` the interval of graphs on one number n of
+    vertices, as flat points and offsets, and the value of every piece between
+    them (`_piece_values`; None when n > 63).  At most n(n-1)/2 + 1 pieces each."""
+    n, weights = graphs[0].n, np.stack([x.weights for x in graphs])
+    logw, degrees = np.log(weights), np.stack([x.degrees for x in graphs])
+    points, offsets = _rows_within(_nonadaptive_crossings(logw, degrees), *_inside(family.interval))
+    if n > _GRID_MAX_N:
+        return points, offsets, None
+    edge_graph = np.repeat(np.arange(len(graphs)), [len(x.edges) for x in graphs])
+    lanes = _graph_lanes(n, len(graphs), np.concatenate([x.edges for x in graphs]), edge_graph)
+    return points, offsets, _piece_values(weights, logw, lanes, points, offsets, *family.interval)
 
 
 def step_functions(family: ParamGreedyFamily, samples) -> StepFunctions:
-    """Each sample's greedy value between its own crossings, from runs at piece
-    midpoints, as a row of one batch.
+    """Each sample's greedy value between its own crossings, as a row of one batch.
 
+    Non-adaptive MWIS graphs of one size go through `_nonadaptive_rows`
+    together, in batches of at most `_BLOCK_ROOTS` piece-vertex cells.
+    Knapsack and larger graphs take one scalar run per piece, at its midpoint.
     For "mwis-adaptive" one run serves every piece in its window (see
     `_greedy_mwis_adaptive`) and the next run is at the first piece past it:
-    one run per distinct execution, not one per piece of the superset.
+    one run per distinct execution.
     """
     lo, hi = family.interval
-    points = [_own_crossings(family, x) for x in samples]
-    values = []
-    for x, own in zip(samples, points):
-        grid = np.concatenate([[lo], own, [hi]])
+    points, values = [None] * len(samples), [None] * len(samples)
+    for n in {x.n for x in samples} if family.kind == "mwis" else ():
+        ks = [k for k, x in enumerate(samples) if x.n == n]
+        size = max(1, _BLOCK_ROOTS // (n * (n * (n - 1) // 2 + 1)))
+        for part in (ks[start:start + size] for start in range(0, len(ks), size)):
+            own, offsets, pieces = _nonadaptive_rows(family, [samples[k] for k in part])
+            for i, k in enumerate(part):
+                points[k] = own[offsets[i]:offsets[i + 1]]
+                values[k] = None if pieces is None else pieces[offsets[i] + i:offsets[i + 1] + i + 1]
+    for k, x in enumerate(samples):
+        points[k] = _own_crossings(family, x) if points[k] is None else points[k]
+        if values[k] is not None:
+            continue
+        grid = np.concatenate([[lo], points[k], [hi]])
         mids = (grid[:-1] + grid[1:]) / 2.0
         if family.kind != "mwis-adaptive":
-            values.append([greedy_cost(family, r, x) for r in mids])
+            values[k] = [greedy_cost(family, r, x) for r in mids]
             continue
-        row, k = np.empty(mids.size), 0
-        while k < mids.size:
-            mask, (_, b) = _greedy_mwis_adaptive(x, mids[k])
-            # The run is fixed on the pieces k .. end - 1, which end at or before b.
-            end = max(k + 1, int(np.searchsorted(grid, b, side="right")) - 1)
-            row[k:end] = mask_cost(mask, x.weights)
-            k = end
-        values.append(row)
+        values[k], i = np.empty(mids.size), 0
+        while i < mids.size:
+            mask, (_, b) = _greedy_mwis_adaptive(x, mids[i])
+            # The run is fixed on the pieces i .. end - 1, which end at or before b.
+            end = max(i + 1, int(np.searchsorted(grid, b, side="right")) - 1)
+            values[k][i:end] = mask_cost(mask, x.weights)
+            i = end
     return StepFunctions(np.concatenate(points + [np.empty(0)]), np.cumsum([0] + [p.size for p in points]),
                          np.concatenate(values + [np.empty(0)]))
 
@@ -495,13 +525,13 @@ def piece_costs(family: ParamGreedyFamily, samples) -> tuple[np.ndarray, np.ndar
     of shape (len(rhos), len(samples)).
 
     The union of the samples' value-change points (`step_functions(...).points`,
-    near-duplicates merged as in `breakpoints`) cuts the interval into open
-    pieces on which every sample's value is constant.  `rhos` holds, in
-    increasing order, the endpoint `lo`, the midpoint of every piece and the
-    endpoint `hi`; each column is read off one sample's row of the batch, with a
-    real run at each endpoint.  The claim is about open pieces: a change point
-    itself is not a candidate, since what a run does there rests on an exact
-    float tie and the id order.
+    near-duplicates merged) cuts the interval into open pieces on which every
+    sample's value is constant.  `rhos` holds, in increasing order, the
+    endpoint `lo`, the midpoint of every piece and the endpoint `hi` (so the
+    union has rhos.size - 3 points if lo < hi); each column is read off one
+    sample's row of the batch, with a real run at each endpoint.  The claim is
+    about open pieces: a change point itself is not a candidate, since what a
+    run does there rests on an exact float tie and the id order.
     """
     if len(samples) == 0:
         raise ValueError("need at least one sample")
@@ -523,8 +553,9 @@ def scalar_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
     return np.asarray(costs, dtype=float).reshape(len(rhos), len(samples))
 
 
-def erm_breakpoint(family: ParamGreedyFamily, samples, holdout=None):
-    """Best single parameter on the samples over the candidates of `piece_costs`.
+def erm_breakpoint(family: ParamGreedyFamily, rhos: np.ndarray, costs: np.ndarray, holdout=None):
+    """Best single parameter over the training candidates (rhos, costs) that
+    `piece_costs` gives for the samples.
 
     Exact over every rho outside the finite set of value-change points
     (open-piece semantics).  With a nonempty holdout, `holdout_mean` is the
@@ -534,7 +565,6 @@ def erm_breakpoint(family: ParamGreedyFamily, samples, holdout=None):
     holdout's own `piece_costs`).  Returns (rho_star, ErrorReport); ties break
     toward the smaller rho.
     """
-    rhos, costs = piece_costs(family, samples)
     report = erm_costs(rhos.tolist(), costs, MAXIMIZE)
     rho = report.chosen
     if not holdout:

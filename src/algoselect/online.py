@@ -16,9 +16,9 @@ are provided:
   makes a finite net competitive with the whole continuum.  Because this
   sequence does not depend on the learner, `run_smoothed_online` builds the
   run's step functions before Hedge starts, in blocks sized by one memory
-  budget: one `rng.random` call draws a block, one vectorized pass finds each
-  step's own crossings and greedy value per piece, into one `StepFunctions`
-  batch for the run.  Only Hedge runs per step, skipping constant updates.
+  budget: one `rng.random` call draws a block, and offline ERM's non-adaptive
+  MWIS code finds each step's own crossings and greedy value per piece, into
+  one `StepFunctions` batch.  Only Hedge runs per step, skipping constant updates.
 
 Costs are normalized to [0, 1] (smoothed instances divide by total vertex
 weight, which preserves the per-instance ranking of parameters).
@@ -32,15 +32,16 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 from .core import StepFunctions
 # `erdos_renyi_generator` is re-exported as the graph model of smoothed runs.
-from .greedy import (_GRID_MAX_N, MwisInstance, _ErdosRenyi, _graph_lanes,  # noqa: F401
-                     _nonadaptive_masks, erdos_renyi_generator, mwis_from_dict, mwis_to_dict)
+from .greedy import (_BLOCK_ROOTS, _GRID_MAX_N, MwisInstance, _ErdosRenyi, _graph_lanes,  # noqa: F401
+                     _log_ratios, _nonadaptive_crossings, _piece_values, _rows_within,
+                     erdos_renyi_generator, mwis_from_dict, mwis_to_dict)
 from .utils import labeled_rng
 
 
@@ -318,36 +319,14 @@ def _draw_block(spec: SmoothSpec, graph_generator, rng: np.random.Generator, ste
 
 
 @lru_cache(maxsize=None)
-def _log_ratios(n: int) -> np.ndarray:
-    """ln(k1) - ln(k2) at [k1, k2] for k1 != k2 in {2..n}, NaN elsewhere.  The
-    ratio is reduced first, so equal denominators are bitwise equal."""
-    table = np.full((n + 1, n + 1), np.nan)
-    for k1, k2 in permutations(range(2, n + 1), 2):
-        table[k1, k2] = math.log(k1 // math.gcd(k1, k2)) - math.log(k2 // math.gcd(k1, k2))
-    table.flags.writeable = False  # cached and shared by every caller
-    return table
-
-
-@lru_cache(maxsize=None)
 def _canonical_denominators(n: int) -> tuple:
     table = _log_ratios(n)
     return tuple(sorted(set(table[~np.isnan(table)].tolist())))
 
 
-def _unit_rows(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's distinct values in [0, 1], sorted in place, as flat points
-    and offsets: row i owns `points[offsets[i]:offsets[i + 1]]`."""
-    roots[~((roots >= 0.0) & (roots <= 1.0))] = np.inf  # NaN too
-    roots.sort(axis=1)
-    keep = np.isfinite(roots)
-    keep[:, 1:] &= roots[:, 1:] != roots[:, :-1]
-    offsets = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return roots[keep], offsets
-
-
 def _transition_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`transition_points` of every row of a (steps, n) weight matrix at once,
-    as the flat points and offsets of `_unit_rows`."""
+    as the flat points and offsets of `greedy._rows_within`."""
     steps, n = weights.shape
     ordered = np.sort(weights, axis=1)
     if (ordered[:, 1:] == ordered[:, :-1]).any():
@@ -355,20 +334,18 @@ def _transition_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     denoms = np.asarray(_canonical_denominators(n))
     logw = np.log(weights)
     i, j = np.triu_indices(n, k=1)
-    return _unit_rows(((logw[:, i] - logw[:, j])[:, :, None] / denoms).reshape(steps, -1))
+    return _rows_within(((logw[:, i] - logw[:, j])[:, :, None] / denoms).reshape(steps, -1), 0.0, 1.0)
 
 
 _SLIVER = 1e-9  # far above a crossing's rounding, 1e-16 |log w| / |ln(k_i / k_j)|
 
 
 def _cut_rows(logw, degrees, points, offsets) -> tuple[np.ndarray, np.ndarray]:
-    """`_unit_rows` of each row's own crossings (log w_i - log w_j) / (ln k_i -
-    ln k_j), k = 1 + degree, over pairs with k_i != k_j and no isolated vertex
-    (bitwise `_transition_rows` points), plus those `points` next to a piece
-    narrower than `_SLIVER`, where rounding may put a crossing either side."""
-    steps, n = logw.shape
-    i, j = np.triu_indices(n, k=1)
-    roots = (logw[:, i] - logw[:, j]) / _log_ratios(n)[degrees[:, i] + 1, degrees[:, j] + 1]
+    """Each row's own crossings in [0, 1] (`greedy._nonadaptive_crossings`,
+    bitwise `_transition_rows` points) as `_rows_within` gives them, plus
+    those `points` next to a piece narrower than `_SLIVER`, where rounding may
+    put a crossing either side."""
+    roots, steps = _nonadaptive_crossings(logw, degrees), len(logw)
     row, pos = np.repeat(np.arange(steps), np.diff(offsets)), np.arange(points.size)
     narrow = np.insert(points, offsets[1:], 1.0) - np.insert(points, offsets[:-1], 0.0) < _SLIVER
     near = narrow[pos + row] | narrow[pos + row + 1]  # the pieces left and right of a point
@@ -376,7 +353,7 @@ def _cut_rows(logw, degrees, points, offsets) -> tuple[np.ndarray, np.ndarray]:
         extra = np.full((steps, np.diff(offsets).max()), np.inf)
         extra[row[near], (pos - offsets[row])[near]] = points[near]
         roots = np.hstack([roots, extra])
-    return _unit_rows(roots)
+    return _rows_within(roots, 0.0, 1.0)
 
 
 def transition_points(instance: MwisInstance) -> np.ndarray:
@@ -504,13 +481,9 @@ class RegretTrace:
         return "\n".join(lines) + "\n"
 
 
-# Floats in a block's largest arrays: per step, its vertex-pair draws, its
-# weights and its candidate roots (pairs x denominators).  A block has at least
-# one step, so large graphs cost no more memory than one step at a time.
-_BLOCK_ROOTS = 1 << 18
-
-
 def _block_steps(n: int) -> int:
+    """Steps per block: at least one, and as many as `_BLOCK_ROOTS` floats hold
+    of each step's vertex-pair draws, weights and roots (pairs x denominators)."""
     pairs = n * (n - 1) // 2
     return max(1, _BLOCK_ROOTS // (pairs * (len(_canonical_denominators(n)) + 1) + n))
 
@@ -519,21 +492,17 @@ def _step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarra
     """Step functions of a block of instances as `_draw_block` gives them, as
     unmerged flat points, offsets and values (`core.StepFunctions`' layout),
     plus the smallest gap between two `_transition_rows` points of one step
-    (inf when no step has two).  Pieces are cut by `_cut_rows` and valued by the
-    non-adaptive greedy at their midpoint over the total vertex weight (in [0, 1])."""
+    (inf when no step has two).  Pieces are cut by `_cut_rows` and valued by
+    `greedy._piece_values` over the total vertex weight (in [0, 1])."""
     steps, n = weights.shape
     points, offsets = _transition_rows(weights)
     step_of = np.repeat(np.arange(steps), np.diff(offsets))
     gaps = np.diff(points)[step_of[1:] == step_of[:-1]]
-    degrees, adj_bits = _graph_lanes(n, steps, edges, edge_step)
+    lanes = _graph_lanes(n, steps, edges, edge_step)
     logw = np.log(weights)
-    points, offsets = _cut_rows(logw, degrees, points, offsets)
-    lefts = np.insert(points, offsets[:-1], 0.0)
-    rights = np.insert(points, offsets[1:], 1.0)
-    owner = np.repeat(np.arange(steps), np.diff(offsets) + 1)
-    masks = _nonadaptive_masks(logw, degrees, adj_bits, owner, (lefts + rights) / 2.0)
-    totals = np.array([math.fsum(w) for w in weights])
-    pieces = np.where(masks, weights[owner], 0.0).sum(axis=1) / totals[owner]
+    points, offsets = _cut_rows(logw, lanes[0], points, offsets)
+    totals = np.repeat([math.fsum(w) for w in weights], np.diff(offsets) + 1)
+    pieces = _piece_values(weights, logw, lanes, points, offsets, 0.0, 1.0) / totals
     return points, offsets, pieces, float(gaps.min()) if gaps.size else math.inf
 
 

@@ -1,11 +1,15 @@
-"""Dense-grid greedy evaluators, used by the tests as oracles.
+"""Dense-grid greedy evaluators and the crossing superset, used by the tests as oracles.
 
-Each gives the greedy solutions (or values) of one instance for a whole array
-of rho at once.  They share no code with the scalar `run_greedy`, so the two
-cross-check each other, and the library's step functions are checked against
-both.  The non-adaptive MWIS path is the library's `_nonadaptive_masks` on
-one graph; the adaptive one recomputes residual degrees with one matrix
-product per selection round.
+Each evaluator gives the greedy solutions (or values) of one instance for a
+whole array of rho at once.  They share no code with the scalar `run_greedy`,
+so the two cross-check each other, and the library's step functions are
+checked against both.  The non-adaptive MWIS path is the library's
+`_nonadaptive_masks` on one graph; the adaptive one recomputes residual
+degrees with one matrix product per selection round.
+
+`crossing_superset` enumerates every score crossing of each sample, pair by
+pair, without the library's enumerators, so oracle grids sized from it do not
+depend on the code they check.
 """
 
 import numpy as np
@@ -75,3 +79,32 @@ def grid_costs(family: ParamGreedyFamily, rhos, instance) -> np.ndarray:
     masks = grid_masks(family, rhos, instance)
     payload = instance.values if family.kind == "knapsack" else instance.weights
     return np.where(masks, payload, 0.0).sum(axis=1)
+
+
+def crossing_superset(family: ParamGreedyFamily, samples) -> np.ndarray:
+    """Every rho inside the family's interval where two object scores p / d^rho
+    of one sample cross, rho = ln(p_i / p_j) / ln(d_i / d_j) over all pairs
+    with d_i != d_j: (value, size) for knapsack, (weight, 1 + degree) for
+    MWIS, and (weight, 1 + r) for every residual degree r <= degree for the
+    adaptive rule.  Roots within 1e-9 (relative) of an endpoint are left out,
+    and a root within 1e-12 of the last one kept is merged into it, so an
+    oracle grid finer than the smallest gap stays finite."""
+    lo, hi = family.interval
+    roots = [np.empty(0)]
+    for x in samples:
+        if family.kind == "knapsack":
+            p, d = x.values, x.sizes
+        elif family.kind == "mwis":
+            p, d = x.weights, 1.0 + x.degrees
+        else:
+            p = np.repeat(x.weights, x.degrees + 1)
+            d = np.concatenate([1.0 + np.arange(k + 1) for k in x.degrees])
+        i, j = np.triu_indices(p.size, k=1)
+        dd = np.log(d[i]) - np.log(d[j])
+        r = (np.log(p[i]) - np.log(p[j]))[dd != 0] / dd[dd != 0]
+        roots.append(r[(r > lo + 1e-9 * max(1.0, abs(lo))) & (r < hi - 1e-9 * max(1.0, abs(hi)))])
+    kept = []
+    for r in np.unique(np.concatenate(roots)).tolist():
+        if not kept or r - kept[-1] > 1e-12 * max(1.0, abs(r)):
+            kept.append(r)
+    return np.array(kept)

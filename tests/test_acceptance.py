@@ -17,13 +17,12 @@ from _fixtures import (
     MWIS_WEIGHT_PALETTE,
     crafted_shatter_pair,
 )
-from _grid_oracles import grid_costs, grid_masks
+from _grid_oracles import crossing_superset, grid_costs, grid_masks
 from algoselect.cli import main as cli_main
 from algoselect.core import MINIMIZE, realized_labelings, shatter_probe
 from algoselect.epm import FeatureMap, fit_linear_epm, select_per_instance
 from algoselect.gdtune import GdFamily, GdInstance, erm_stepsize, knet, run_gd, verify_lemmas
 from algoselect.greedy import (
-    breakpoints,
     erm_breakpoint,
     knapsack_family,
     mwis_family,
@@ -103,9 +102,8 @@ def test_02_and_03_breakpoint_erm_oracle_and_piecewise_constancy():
     for problems in _erm_batches():
         for family, samples in problems:
             lo, hi = family.interval
-            bset = breakpoints(family, samples)
-            _, erm_report = erm_breakpoint(family, samples)
-            grid_edges = np.concatenate([[lo], bset.points, [hi]])
+            _, erm_report = erm_breakpoint(family, *piece_costs(family, samples))
+            grid_edges = np.concatenate([[lo], crossing_superset(family, samples), [hi]])
             spacing = 0.45 * min(np.diff(grid_edges).min(), 0.01)
             grid = np.concatenate([np.arange(lo, hi, spacing), [hi]])
             per_sample = np.stack([grid_costs(family, grid, x) for x in samples])

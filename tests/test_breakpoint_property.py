@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _fixtures import KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE
-from _grid_oracles import grid_costs
+from _grid_oracles import crossing_superset, grid_costs
 
 from algoselect.greedy import (
     KnapsackInstance,
     MwisInstance,
-    breakpoints,
     erm_breakpoint,
     knapsack_family,
     mwis_family,
@@ -97,9 +96,9 @@ def oracle_best_mean(family, samples, points) -> float:
 @given(data=st.data())
 def test_erm_matches_dense_grid_oracle(kind, data):
     family, samples = data.draw(family_and_samples(kind))
-    rho, report = erm_breakpoint(family, samples)
+    rho, report = erm_breakpoint(family, *piece_costs(family, samples))
     assert family.contains(rho)
-    assert report.train_mean == oracle_best_mean(family, samples, breakpoints(family, samples).points)
+    assert report.train_mean == oracle_best_mean(family, samples, crossing_superset(family, samples))
 
 
 @pytest.mark.parametrize("kind", ["knapsack", "mwis-nonadaptive", "mwis-adaptive"])

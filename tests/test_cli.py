@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from algoselect.cli import build_parser, main
-from algoselect.core import shatter_probe
+from algoselect import greedy
+from algoselect.core import merge_close, shatter_probe
 from algoselect.greedy import (
     KnapsackInstance,
     greedy_cost,
@@ -24,6 +25,7 @@ from algoselect.greedy import (
     save_knapsack,
     save_mwis,
     scalar_costs,
+    step_functions,
 )
 from algoselect.online import build_hard_instance, instance_from_jsonl
 from algoselect.gdtune import GdInstance, save_gd_instance
@@ -114,6 +116,18 @@ class TestErmGreedy:
         assert float(row["train_mean"]) == np.mean([greedy_cost(fam, rho, x) for x in train])
         assert float(row["holdout_mean"]) == chosen
         assert float(row["estimated_error"]) == abs(chosen - max(held)) > 0
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.1, 2.5), (0.3, 0.3)])
+    def test_breakpoint_count_is_the_merged_training_union(self, tmp_path, lo, hi):
+        d, out = mwis_dir(tmp_path, count=5, seed=9), tmp_path / "o.csv"
+        assert run_cli("erm-greedy", "--instances", d, "--out", out, "--holdout-frac", 0,
+                       "--rho-lo", lo, "--rho-hi", hi) == 0
+        row = dict(zip(*(line.split(",") for line in out.read_text().strip().split("\n"))))
+        train = [load_mwis(str(d / name)) for name in sorted(os.listdir(d))]
+        points = np.unique(step_functions(mwis_family(7, (lo, hi)), train).points)
+        union = merge_close(points, greedy._BREAKPOINT_MERGE_RTOL)
+        assert int(row["breakpoint_count"]) == union.size
+        assert (union.size > 0) == (lo < hi)
 
     @pytest.mark.parametrize("frac", ["inf", "nan", "1.5", "1.0", "-0.25"])
     def test_holdout_fraction_outside_unit_interval_rejected(self, frac, tmp_path, capsys):

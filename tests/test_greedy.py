@@ -6,15 +6,14 @@ import pytest
 
 from _fixtures import (KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE,
                        crafted_shatter_pair)
-from _grid_oracles import grid_costs, grid_masks
-from algoselect import greedy
+from _grid_oracles import crossing_superset, grid_costs, grid_masks
+from algoselect import greedy, online
 from algoselect.core import shatter_probe
 from algoselect.greedy import (
     KnapsackInstance,
     MwisInstance,
     ParamGreedyFamily,
     best_of_q,
-    breakpoints,
     erm_best_of_q,
     erm_breakpoint,
     greedy_cost,
@@ -269,20 +268,20 @@ class TestBreakpoints:
         # (v,s)=(4,4) vs (2,2): rho* = ln 2 / ln 2 = 1.
         fam = knapsack_family(2, interval=(0.0, 2.0))
         inst = KnapsackInstance([4.0, 2.0], [4.0, 2.0], 10.0)
-        bset = breakpoints(fam, [inst])
-        assert np.isclose(bset.points, 1.0).any()
+        assert np.isclose(greedy._own_crossings(fam, inst), 1.0).any()
 
     def test_mwis_closed_form(self):
         # (w, 1+deg) = (0.5, 8) vs (0.25, 2): rho* = ln 2 / ln 4 = 0.5.
         edges = [(0, i) for i in range(1, 8)]  # star: center degree 7, leaves degree 1
         weights = [0.5, 0.25] + [0.25] * 6
-        bset = breakpoints(mwis_family(8), [MwisInstance(8, edges, weights)])
-        assert np.isclose(bset.points, 0.5).any()
+        own, _, values = greedy._nonadaptive_rows(mwis_family(8), [MwisInstance(8, edges, weights)])
+        assert np.isclose(own, 0.5).any()
+        assert values.tolist() == [0.5, 1.75]  # the center below 0.5, the seven leaves above
 
     def test_identical_attributes_no_breakpoint(self):
         inst = KnapsackInstance([4.0, 4.0], [4.0, 4.0], 10.0)
         fam = knapsack_family(2, interval=(0.0, 2.0))
-        assert breakpoints(fam, [inst]).count == 0
+        assert greedy._own_crossings(fam, inst).size == 0
         # One open piece: both endpoints and its midpoint.
         assert piece_costs(fam, [inst])[0].tolist() == [0.0, 1.0, 2.0]
 
@@ -290,10 +289,15 @@ class TestBreakpoints:
         rng = np.random.default_rng(29)
         samples = [random_mwis_instance(7, 0.5, rng) for _ in range(4)]
         for adaptive in (False, True):
-            bset = breakpoints(mwis_family(7, adaptive=adaptive), samples)
+            fam = mwis_family(7, adaptive=adaptive)
+            own = [greedy._own_crossings(fam, x) if adaptive else greedy._nonadaptive_rows(fam, [x])[0]
+                   for x in samples]
             # kappa = 1 crossing per attribute pair; only residual degrees churn (beta = n).
             s, n, beta = len(samples), 7, 7 if adaptive else 1
-            assert bset.count <= (s * n * beta) ** 2
+            assert sum(p.size for p in own) <= (s * n * beta) ** 2
+            # Each enumerated point is a crossing of the test-side enumeration.
+            superset = crossing_superset(fam, samples)
+            assert all(np.abs(superset - r).min() <= 1e-9 for r in np.concatenate(own))
 
     def test_representatives_strictly_inside_subintervals(self):
         rng = np.random.default_rng(31)
@@ -312,18 +316,29 @@ class TestBreakpoints:
             assert left < rep < right
 
     def test_degenerate_interval_single_probe(self):
+        # The items cross at rho = ln 2 / ln 4 = 0.5 exactly, here lo = hi: an
+        # endpoint, which its own runs cover, so not a crossing of the interval.
         inst = KnapsackInstance([4.0, 2.0], [4.0, 1.0], 4.0)
+        assert greedy._own_crossings(knapsack_family(2), inst).tolist() == [0.5]
         fam = knapsack_family(2, interval=(0.5, 0.5))
-        assert breakpoints(fam, [inst]).count == 0
+        assert greedy._own_crossings(fam, inst).size == 0
         assert piece_costs(fam, [inst])[0].tolist() == [0.5]
+
+    @pytest.mark.parametrize("interval", [(0.5, 0.5), (0.0, 0.5), (0.5, 1.0),
+                                          (0.0, 0.5 + 1e-10), (0.5 - 1e-10, 1.0)])
+    def test_crossing_within_noise_of_an_endpoint_is_left_out(self, interval):
+        # The star's center and leaves cross at exactly 0.5 (`test_mwis_closed_form`).
+        star = MwisInstance(8, [(0, i) for i in range(1, 8)], [0.5, 0.25] + [0.25] * 6)
+        own, _, values = greedy._nonadaptive_rows(mwis_family(8, interval), [star])
+        assert own.size == 0 and values.size == 1
 
     def test_cross_sample_pairs_are_not_crossings(self):
         # Each sample alone has no crossing; pairing attributes across the
         # two samples would give rho = ln 2 / ln 2 = 1.
         fam = knapsack_family(1, interval=(0.0, 2.0))
-        bset = breakpoints(fam, [KnapsackInstance([4.0], [4.0], 5.0),
-                                 KnapsackInstance([2.0], [2.0], 5.0)])
-        assert bset.count == 0
+        samples = [KnapsackInstance([4.0], [4.0], 5.0), KnapsackInstance([2.0], [2.0], 5.0)]
+        assert greedy.step_functions(fam, samples).points.size == 0
+        assert piece_costs(fam, samples)[0].tolist() == [0.0, 1.0, 2.0]
 
     def test_piecewise_constancy(self):
         rng = np.random.default_rng(37)
@@ -331,8 +346,7 @@ class TestBreakpoints:
                    for _ in range(3)]
         for adaptive in (False, True):
             fam = mwis_family(7, adaptive=adaptive)
-            bset = breakpoints(fam, samples)
-            grid = np.concatenate([[0.0], bset.points, [1.0]])
+            grid = np.concatenate([[0.0], crossing_superset(fam, samples), [1.0]])
             for lo, hi in zip(grid[:-1], grid[1:]):
                 probes = lo + (hi - lo) * np.array([0.25, 0.5, 0.75])
                 for inst in samples:
@@ -342,7 +356,7 @@ class TestBreakpoints:
 
 def own_pieces(family, x):
     """A sample's own crossing grid, its piece midpoints, and which pieces are
-    wider than the tolerance `breakpoints` merges points within."""
+    wider than the tolerance `piece_costs` merges points within."""
     lo, hi = family.interval
     grid = np.concatenate([[lo], greedy._own_crossings(family, x), [hi]])
     tol = greedy._BREAKPOINT_MERGE_RTOL * np.maximum(1.0, np.abs(grid[1:]))
@@ -419,7 +433,8 @@ class TestAdaptiveStepFunction:
 class TestErmBreakpoint:
     def test_no_breakpoints_returns_midpoint(self):
         inst = KnapsackInstance([4.0, 4.0], [4.0, 4.0], 10.0)
-        rho, report = erm_breakpoint(knapsack_family(2, interval=(0.0, 2.0)), [inst])
+        fam = knapsack_family(2, interval=(0.0, 2.0))
+        rho, report = erm_breakpoint(fam, *piece_costs(fam, [inst]))
         assert rho == 0.0  # every probe ties; the smallest rho wins
         assert report.train_mean == 8.0
 
@@ -429,9 +444,8 @@ class TestErmBreakpoint:
         for _ in range(5):
             samples = [random_mwis_instance(8, 0.4, rng, weight_choices=MWIS_WEIGHT_PALETTE)
                        for _ in range(6)]
-            rho, report = erm_breakpoint(fam, samples)
-            bset = breakpoints(fam, samples)
-            gaps = np.diff(np.concatenate([[0.0], bset.points, [1.0]]))
+            rho, report = erm_breakpoint(fam, *piece_costs(fam, samples))
+            gaps = np.diff(np.concatenate([[0.0], crossing_superset(fam, samples), [1.0]]))
             spacing = 0.45 * gaps.min()
             grid = np.arange(0.0, 1.0 + spacing / 2, spacing)
             grid = np.concatenate([grid, [1.0]])
@@ -444,14 +458,16 @@ class TestErmBreakpoint:
 
         inst = interval_gadget(0.25, 0.75)
         for adaptive in (False, True):
-            rho, report = erm_breakpoint(mwis_family(6, adaptive=adaptive), [inst])
+            fam = mwis_family(6, adaptive=adaptive)
+            rho, report = erm_breakpoint(fam, *piece_costs(fam, [inst]))
             assert 0.25 < rho < 0.75
             assert report.train_mean == pytest.approx(1.5)
 
     def test_tie_breaks_to_smaller_rho(self):
         # Constant-cost family: every representative ties, the smallest wins.
         inst = MwisInstance(3, [], [0.3, 0.3, 0.3])
-        rho, _ = erm_breakpoint(mwis_family(3), [inst])
+        fam = mwis_family(3)
+        rho, _ = erm_breakpoint(fam, *piece_costs(fam, [inst]))
         assert rho == 0.0  # probes 0, 0.5 and 1 tie: the endpoint lo wins
 
     def test_open_piece_semantics_at_a_crossing(self):
@@ -460,8 +476,8 @@ class TestErmBreakpoint:
         # the open pieces and does not probe the crossing point itself.
         fam = knapsack_family(4, (0.0, 2.0))
         inst = KnapsackInstance([2, 2, 4, 3], [2, 2, 4, 3], 8)
-        assert breakpoints(fam, [inst]).points.tolist() == [1.0]
-        rho, report = erm_breakpoint(fam, [inst])
+        assert greedy._own_crossings(fam, inst).tolist() == [1.0]
+        rho, report = erm_breakpoint(fam, *piece_costs(fam, [inst]))
         assert report.train_mean == 7.0
         assert greedy_cost(fam, 1.0, inst) == 8.0
         assert greedy_cost(fam, rho, inst) == 7.0
@@ -474,7 +490,7 @@ class TestErmBreakpoint:
         fam = knapsack_family(3, interval=(0.0, 2.0))
         s1 = KnapsackInstance([1.0, 1.0, 1.0], [2.0, 1.0, 1.0], 2.0)
         s2 = KnapsackInstance([2.0, 1.5], [2.0, 1.0], 2.0)
-        rho, report = erm_breakpoint(fam, [s1, s2])
+        rho, report = erm_breakpoint(fam, *piece_costs(fam, [s1, s2]))
         assert report.train_mean == 2.0
         assert 0.0 < rho < math.log(2 / 1.5) / math.log(2)
         assert np.mean([greedy_cost(fam, rho, x) for x in (s1, s2)]) == 2.0
@@ -494,10 +510,10 @@ def holdout_draws(kind, palette, rng):
 
 def dense_probes(family, samples):
     """Both endpoints and three probes inside every piece of the samples'
-    crossing union (`breakpoints`), which no step function is read to build:
-    every piece of `piece_costs` holds some of them."""
+    crossing union (`crossing_superset`), which no step function is read to
+    build: every piece of `piece_costs` holds some of them."""
     lo, hi = family.interval
-    edges = np.concatenate([[lo], breakpoints(family, samples).points, [hi]])
+    edges = np.concatenate([[lo], crossing_superset(family, samples), [hi]])
     inner = edges[:-1, None] + np.diff(edges)[:, None] * np.array([0.25, 0.5, 0.75])
     return np.concatenate([[lo], inner.ravel(), [hi]])
 
@@ -513,7 +529,7 @@ class TestErmBreakpointHoldout:
         errors = []
         for _ in range(6):
             train, holdout = [draw() for _ in range(5)], [draw() for _ in range(4)]
-            rho, report = erm_breakpoint(fam, train, holdout=holdout)
+            rho, report = erm_breakpoint(fam, *piece_costs(fam, train), holdout=holdout)
             held = scalar_costs(fam, holdout, dense_probes(fam, holdout))
             chosen = np.mean([greedy_cost(fam, rho, x) for x in holdout])
             assert report.holdout_mean == chosen
@@ -528,7 +544,7 @@ class TestErmBreakpointHoldout:
         sets = [random_knapsack_instance(6, rng, value_choices=[1, 2, 3, 4], size_choices=[1, 2, 4])
                 for _ in range(8)]
         fam = knapsack_family(6, (0, 2))
-        rho, report = erm_breakpoint(fam, sets[:4], holdout=sets[4:])
+        rho, report = erm_breakpoint(fam, *piece_costs(fam, sets[:4]), holdout=sets[4:])
         assert rho == 1.0
         assert [greedy_cost(fam, rho, x) for x in sets[4:]] == [12.0, 9.0, 10.0, 13.0]
         assert (report.holdout_mean, report.estimated_error) == (11.0, 0.0)
@@ -547,33 +563,30 @@ class TestErmBreakpointHoldout:
                 return random_mwis_instance(7, 0.4, rng, weight_choices=[0.25, 0.5, 0.75, 1.0] * 2)
         for _ in range(40):
             train, holdout = [draw() for _ in range(4)], [draw() for _ in range(4)]
-            rho, report = erm_breakpoint(fam, train, holdout=holdout)
+            rho, report = erm_breakpoint(fam, *piece_costs(fam, train), holdout=holdout)
             assert report.holdout_mean == np.mean([greedy_cost(fam, rho, x) for x in holdout])
 
     def test_empty_holdout_reports_the_training_mean(self):
         fam, samples = knapsack_family(2), [two_item_knapsack()]
-        assert erm_breakpoint(fam, samples, holdout=[]) == erm_breakpoint(fam, samples)
-
-
-# Weights under which two of three 7-vertex samples (`default_rng(19)`, edge
-# probability 0.4) share a value-change point near 0.192645 up to one ulp.
-SHARED_CROSSING_PALETTE = (0.9, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05, 0.6, 0.4, 0.8)
+        candidates = piece_costs(fam, samples)
+        assert erm_breakpoint(fam, *candidates, holdout=[]) == erm_breakpoint(fam, *candidates)
 
 
 class TestPieceCosts:
     def test_shared_crossing_leaves_no_phantom_piece(self):
-        # Without merging, the two copies of the shared point bound a 1-ulp
-        # piece whose midpoint is one of them: its row mixes the two sides
-        # and no rho realizes it (ERM chose it with mean 1.8833; runs there
-        # average 1.5167).
-        rng = np.random.default_rng(19)
+        # Two of these three palette-weighted 7-vertex samples share a
+        # value-change point near 0.774438 up to one ulp.  Without merging,
+        # the two copies bound a 1-ulp piece whose midpoint is one of them:
+        # its row mixes the two sides and no rho realizes it (ERM chose it
+        # with mean 2.1789; runs there average 2.0889).
+        rng = np.random.default_rng(2121)
         fam = mwis_family(7)
-        samples = [random_mwis_instance(7, 0.4, rng, SHARED_CROSSING_PALETTE) for _ in range(3)]
+        samples = [random_mwis_instance(7, 0.4, rng, MWIS_WEIGHT_PALETTE) for _ in range(3)]
         points = np.unique(greedy.step_functions(fam, samples).points)
         assert (np.diff(points) <= 2 * np.spacing(points[1:])).any()
         rhos, costs = piece_costs(fam, samples)
         assert np.array_equal(costs.mean(axis=1), scalar_costs(fam, samples, rhos).mean(axis=1))
-        rho, report = erm_breakpoint(fam, samples)
+        rho, report = erm_breakpoint(fam, *piece_costs(fam, samples))
         assert np.mean([greedy_cost(fam, rho, x) for x in samples]) == report.train_mean
 
     @pytest.mark.parametrize("palette", [False, True], ids=["continuous", "palette"])
@@ -588,6 +601,80 @@ class TestPieceCosts:
             samples = [draw() for _ in range(3)]
             want = {tuple(row) for row in scalar_costs(fam, samples, dense_probes(fam, samples))}
             assert {tuple(row) for row in piece_costs(fam, samples)[1]} == want
+
+
+NONADAPTIVE_WEIGHTS = ("continuous", "palette", "repeated")
+
+
+def nonadaptive_set(weights, sizes, rng):
+    """G(n, p) graphs of the given sizes with continuous weights, distinct
+    palette weights, or weights repeated within a graph (equal weights at
+    equal and at different degrees)."""
+    samples = []
+    for k, n in enumerate(sizes):
+        edges = greedy.erdos_renyi_generator(n, (0.2, 0.4, 0.7)[k % 3])(rng)
+        if weights == "continuous":
+            w = 1.0 - rng.random(n)
+        else:
+            w = rng.choice(MWIS_WEIGHT_PALETTE if weights == "palette" else [0.25, 0.5, 1.0], n,
+                           replace=weights == "repeated")
+        samples.append(MwisInstance(n, edges, w))
+    return samples
+
+
+class TestNonadaptiveStepFunctions:
+    """Offline non-adaptive MWIS step functions come from the vectorized
+    crossings and piece values the online runner shares; one scalar run per
+    cell is the oracle."""
+
+    @staticmethod
+    def assert_rows_are_scalar_runs(fam, samples):
+        rhos, costs = piece_costs(fam, samples)
+        assert np.array_equal(costs, scalar_costs(fam, samples, rhos))
+        probes = dense_probes(fam, samples)[1:-1]  # open pieces: the endpoints are runs above
+        assert np.array_equal(greedy.step_functions(fam, samples).at(probes),
+                              scalar_costs(fam, samples, probes))
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.25, 0.75), (0.1, 3.0)])
+    @pytest.mark.parametrize("weights", NONADAPTIVE_WEIGHTS)
+    def test_rows_match_scalar_runs(self, weights, interval):
+        rng = np.random.default_rng(NONADAPTIVE_WEIGHTS.index(weights))
+        for _ in range(3):
+            self.assert_rows_are_scalar_runs(mwis_family(8, interval),
+                                             nonadaptive_set(weights, [8] * 5, rng))
+        # One set mixing several sizes, in no particular order.
+        mixed = nonadaptive_set(weights, [5, 12, 1, 8, 2, 12, 5, 3], rng)
+        self.assert_rows_are_scalar_runs(mwis_family(12, interval), mixed)
+
+    def test_repeated_weights_from_a_file(self, tmp_path):
+        # A loaded instance may repeat weights, which the online transition
+        # points reject; the offline step functions take them.
+        rng = np.random.default_rng(11)
+        samples = []
+        for k, x in enumerate(nonadaptive_set("repeated", [7] * 4, rng)):
+            save_mwis(x, str(tmp_path / f"g{k}.json"))
+            samples.append(load_mwis(str(tmp_path / f"g{k}.json")))
+        with pytest.raises(ValueError, match="distinct"):
+            online._transition_rows(np.stack([x.weights for x in samples]))
+        self.assert_rows_are_scalar_runs(mwis_family(7, (0.0, 2.0)), samples)
+
+    def test_beyond_the_lanes_takes_scalar_runs(self):
+        # n = 64 does not fit a uint64 lane: one scalar run per piece, beside
+        # graphs that do.
+        rng = np.random.default_rng(13)
+        samples = [random_mwis_instance(64, 0.1, rng)] + nonadaptive_set("continuous", [8, 8], rng)
+        self.assert_rows_are_scalar_runs(mwis_family(64, (0.1, 3.0)), samples)
+
+    @pytest.mark.parametrize("n, runs", [(63, False), (64, True)])
+    def test_no_scalar_runs_within_the_lanes(self, monkeypatch, n, runs):
+        calls = []
+        cost, run = greedy.greedy_cost, greedy.run_greedy
+        monkeypatch.setattr(greedy, "greedy_cost", lambda *a: calls.append(a) or cost(*a))
+        monkeypatch.setattr(greedy, "run_greedy", lambda *a: calls.append(a) or run(*a))
+        rng = np.random.default_rng(n)
+        samples = [random_mwis_instance(n, 0.05, rng), random_mwis_instance(8, 0.4, rng)]
+        greedy.step_functions(mwis_family(n), samples)
+        assert bool(calls) == runs
 
 
 class TestBestOfQ:
@@ -615,7 +702,7 @@ class TestErmBestOfQ:
         rng = np.random.default_rng(43)
         fam = knapsack_family(5, interval=(0.0, 2.0))
         samples = [random_knapsack_instance(5, rng) for _ in range(4)]
-        rho_single, report_single = erm_breakpoint(fam, samples)
+        rho_single, report_single = erm_breakpoint(fam, *piece_costs(fam, samples))
         combo, report = erm_best_of_q(fam, samples, q=1)
         assert combo == (rho_single,)
         assert report.train_mean == report_single.train_mean
@@ -640,13 +727,13 @@ class TestErmBestOfQ:
         assert report.train_mean == pytest.approx(pair_best)
         assert report.train_mean > singleton_best
         lo, hi = min(combo), max(combo)
-        assert any(lo < p < hi for p in breakpoints(fam, samples).points)
+        assert any(lo < p < hi for p in greedy.step_functions(fam, samples).points)
 
     def test_identical_samples_no_gain(self):
         rng = np.random.default_rng(47)
         fam = knapsack_family(5, interval=(0.0, 2.0))
         inst = random_knapsack_instance(5, rng)
-        _, single = erm_breakpoint(fam, [inst, inst])
+        _, single = erm_breakpoint(fam, *piece_costs(fam, [inst, inst]))
         _, pair = erm_best_of_q(fam, [inst, inst], q=2)
         assert pair.train_mean == single.train_mean
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from algoselect import online
+from algoselect import greedy, online
 from algoselect.core import StepFunctions
 from algoselect.greedy import (
     MwisInstance,
@@ -919,6 +919,20 @@ class TestStackedPaths:
                 superset = merged_step(tau, pieces)
                 assert np.array_equal(batch_row(batch, i)[0], superset[0])
                 assert np.array_equal(batch_row(batch, i)[1], superset[1])
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 12])
+    def test_offline_rows_over_total_weight_are_online_rows(self, n):
+        # The same graphs on [0, 1]: at every online piece midpoint the
+        # offline row (greedy weight) over the total weight is the online row.
+        rng = np.random.default_rng(100 + n)
+        block = [MwisInstance(n, x.edges, 1.0 - rng.random(n)) for x in self.mixed_block(rng, n)]
+        points, offsets, values, _ = online._step_functions(*self.block_arrays(block))
+        offline = greedy.step_functions(mwis_family(n), block)
+        for i, x in enumerate(block):
+            grid = np.concatenate([[0.0], points[offsets[i]:offsets[i + 1]], [1.0]])
+            mids = (grid[:-1] + grid[1:]) / 2.0
+            want = values[offsets[i] + i:offsets[i + 1] + i + 1]
+            assert (offline.at(mids)[:, i] / x.total_weight()).tolist() == want.tolist()
 
     def test_batch_gains_match_each_row(self):
         # A block's rows (the edgeless graph's has no change point) and rows
