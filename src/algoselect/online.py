@@ -19,6 +19,9 @@ are provided:
   budget: one `rng.random` call draws a block, and offline ERM's non-adaptive
   MWIS code finds each step's own crossings and greedy value per piece, into
   one `StepFunctions` batch.  Only Hedge runs per step, skipping constant updates.
+  It runs over cells, not net points: net points that no change point of the
+  run separates gain the same at every step, so they share one weight and one
+  total (`_cells` over the union of the batch's change points).
 
 Costs are normalized to [0, 1] (smoothed instances divide by total vertex
 weight, which preserves the per-instance ranking of parameters).
@@ -390,40 +393,68 @@ def theoretical_q(n: int, sigma: float) -> float:
 
 
 class HedgeLearner:
-    """Full-information exponential weights over a finite net of parameters.
+    """Full-information exponential weights over a finite net of parameters,
+    kept per cell: a group of net points whose gains are always equal.
 
-    Gains in [0, 1]; update multiplies each weight by exp(eta * gain), with
-    the rate eta = sqrt(8 ln K / T) set by the net size K and the horizon T.
-    Weights are kept in log space and renormalized, so they stay positive and
-    finite at any horizon.  `sample` keeps its CDF until the next `update`.
+    `cells` gives each net point's cell id (every id from 0 to the largest
+    used).  Gains in [0, 1], one per cell; update multiplies each weight by
+    exp(eta * gain), with the rate eta = sqrt(8 ln K / T) set by the net size
+    K (not the cell count) and the horizon T.  Weights are kept in log space
+    and renormalized, so they stay positive and finite at any horizon.
+    `sample` draws a net point by one uniform: first a run of consecutive net
+    points of one cell, by the run's total weight, then a point inside it from
+    the same uniform.  It keeps its CDF until the next `update`.
     """
 
-    def __init__(self, net, T: int):
-        self.net = np.asarray(net, dtype=float)
-        if self.net.size == 0:
+    def __init__(self, cells, T: int):
+        self.cells = np.asarray(cells)
+        if self.cells.ndim != 1 or self.cells.size == 0:
             raise ValueError("empty net")
         if T < 1:
             raise ValueError(f"the rate needs a horizon T >= 1, got {T}")
-        self.eta = math.sqrt(8.0 * math.log(max(self.net.size, 2)) / T)
-        self._log_w = np.zeros(self.net.size)
+        if (self.cells.dtype.kind not in "iu" or self.cells.min() < 0
+                or not np.bincount(self.cells).all()):
+            raise ValueError("cell ids must be integers from 0 up, every one used")
+        self.eta = math.sqrt(8.0 * math.log(max(self.cells.size, 2)) / T)
+        self._starts = np.flatnonzero(np.diff(self.cells, prepend=-1))  # one per run
+        self._run_cell = self.cells[self._starts]
+        self._run_size = np.diff(self._starts, append=self.cells.size)
+        self._log_w = np.zeros(int(self.cells.max()) + 1)
         self._cdf = None
 
     def probabilities(self) -> np.ndarray:
-        w = np.exp(self._log_w)  # the largest log weight is 0 (see `update`)
+        """One probability per net point."""
+        w = np.exp(self._log_w)[self.cells]  # the largest log weight is 0 (see `update`)
         return w / w.sum()
 
     def sample(self, rng: np.random.Generator) -> int:
         if self._cdf is None:
-            self._cdf = np.cumsum(self.probabilities())
-        return min(int(np.searchsorted(self._cdf, rng.random(), side="right")), self._cdf.size - 1)
+            w = np.exp(self._log_w)[self._run_cell]
+            self._cdf = w, np.cumsum(self._run_size * w)
+        w, cdf = self._cdf
+        x = rng.random() * cdf[-1]
+        run = int(np.searchsorted(cdf, x, side="right"))
+        if run == cdf.size:  # rounding put x at the very top
+            return self.cells.size - 1
+        inside = int((x - (cdf[run - 1] if run else 0.0)) / w[run])
+        return int(self._starts[run]) + min(inside, int(self._run_size[run]) - 1)
 
     def update(self, gains: np.ndarray) -> None:
         gains = np.asarray(gains, dtype=float)
         if gains.shape != self._log_w.shape:
-            raise ValueError("one gain per net point required")
+            raise ValueError("one gain per cell required")
         self._log_w += self.eta * gains
         self._log_w -= self._log_w.max()
         self._cdf = None
+
+
+def _cells(cuts: np.ndarray, net: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the net points that no cut separates, counting a point on a cut
+    as right of it: (the first net point of each cell, each point's cell id),
+    ids dense from 0 in the order of the cells along the line."""
+    _, first, cells = np.unique(np.searchsorted(cuts, net, side="right"),
+                                return_index=True, return_inverse=True)
+    return first, cells
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +537,27 @@ def _step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarra
     return points, offsets, pieces, float(gaps.min()) if gaps.size else math.inf
 
 
-def _run_hedge(net_arr: np.ndarray, step_gains, T: int, seed: int) -> RegretTrace:
-    """Hedge over `net_arr` for T steps of gains from `step_gains`: an array, or
-    a float when every point gains the same (a pure shift of the log weights,
-    so no update).  The caller fills in the reference comparator."""
-    learner = HedgeLearner(net_arr, T)
+def _run_hedge(net_arr: np.ndarray, cells: np.ndarray, step_gains, T: int, seed: int) -> RegretTrace:
+    """Hedge over `net_arr`, grouped into `cells` (see `HedgeLearner`), for T
+    steps of gains from `step_gains`: one per cell, or a float when every
+    point gains the same (a pure shift of the log weights, so no update).
+    Totals are kept per cell, and each is the same running sum as at any of
+    its points, so `cum_best` and `best_net_*` (the first best point in net
+    order) are those of a per-point run.  The caller fills in the reference
+    comparator."""
+    learner = HedgeLearner(cells, T)
     rng_learner = labeled_rng(seed, "mw-learner")
     chosen_rho, costs, cum_best = (np.empty(T) for _ in range(3))
-    net_totals = np.zeros(net_arr.size)
+    totals = np.zeros(cells.max() + 1)
     for t, gains in enumerate(step_gains):
         idx = learner.sample(rng_learner)
         if not isinstance(gains, float):
             learner.update(gains)
-        costs[t] = gains if isinstance(gains, float) else gains[idx]
-        net_totals += gains
+        costs[t] = gains if isinstance(gains, float) else gains[cells[idx]]
+        totals += gains
         chosen_rho[t] = net_arr[idx]
-        cum_best[t] = net_totals.max()
+        cum_best[t] = totals.max()
+    net_totals = totals[cells]
     best = int(np.argmax(net_totals))
     return RegretTrace(net_arr, chosen_rho, costs, cum_best, float(net_arr[best]),
                        float(net_totals[best]), best_ref_rho=math.nan, best_ref_total=math.nan)
@@ -541,9 +577,12 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
     drawn and cut first, in blocks as long as `_BLOCK_ROOTS` allows
     (`_draw_block`, bit-equal to `smooth_sequence`), each block's step
     functions from one vectorized pass, and the run's steps form one
-    `core.StepFunctions` batch.  Then Hedge runs over its rows' gains, one step
-    at a time, and a constant step skips its update.  `best_ref_*` is the
-    exact best piece of their sum (`StepFunctions.argmax_sum`).
+    `core.StepFunctions` batch.  The union of its change points cuts the net
+    into cells (`_cells`); every row reads the same value at every net point
+    of a cell, so each step's gains are read at one point per cell.  Then
+    Hedge runs over the cells, one step at a time, and a constant step skips
+    its update.  `best_ref_*` is the exact best piece of the rows' sum
+    (`StepFunctions.argmax_sum`).
     """
     if T < 1:
         raise ValueError("need T >= 1")
@@ -563,7 +602,8 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
         for start in range(0, T, size)))
     offsets = np.cumsum(np.concatenate([[0]] + [np.diff(o) for o in offsets]))
     functions = StepFunctions(np.concatenate(points), offsets, np.concatenate(values))
-    trace = _run_hedge(net_arr, functions._rows(net_arr), T, seed)
+    first, cells = _cells(np.unique(functions.points), net_arr)
+    trace = _run_hedge(net_arr, cells, functions._rows(net_arr[first]), T, seed)
     trace.best_ref_rho, trace.best_ref_total = functions.argmax_sum(0.0, 1.0)
     trace.min_comparator_gap = min((gap for gap in gaps if gap < math.inf), default=None)
     return trace
@@ -574,20 +614,19 @@ def run_adversary_online(n_budget: int, T: int, seed: int) -> RegretTrace:
 
     Per-step costs come from the closed-form window evaluation with exact
     rational containment tests: k/n lies in (r, s] iff floor(r n) < k <=
-    floor(s n).  The reference comparator is any parameter in the final
+    floor(s n).  The ends of all windows cut the grid into cells, so Hedge
+    gets one gain per cell.  The reference comparator is any parameter in the final
     window, which scores the inside value at every step.
     """
     params_list = adversary_sequence(n_budget, T, seed)
     n = params_list[0].n
-    net_arr = np.arange(n + 1) / n
-
-    def step_gains():
-        for params in params_list:
-            gains = np.full(net_arr.size, params.outside_cost())
-            gains[math.floor(params.r * n) + 1:math.floor(params.s * n) + 1] = params.inside_cost()
-            yield gains
-
-    trace = _run_hedge(net_arr, step_gains(), T, seed)
+    k = np.arange(n + 1)
+    # Window j holds the grid indices [floor(r n) + 1, floor(s n) + 1).
+    ends = np.array([[math.floor(p.r * n) + 1, math.floor(p.s * n) + 1] for p in params_list])
+    first, cells = _cells(np.unique(ends), k)
+    step_gains = (np.where((first >= a) & (first < b), p.inside_cost(), p.outside_cost())
+                  for p, (a, b) in zip(params_list, ends))
+    trace = _run_hedge(k / n, cells, step_gains, T, seed)
     final = params_list[-1]
     trace.best_ref_rho = float((final.r + final.s) / 2)
     # cumsum adds in step order, like a running total.

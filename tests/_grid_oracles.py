@@ -10,7 +10,12 @@ degrees with one matrix product per selection round.
 `crossing_superset` enumerates every score crossing of each sample, pair by
 pair, without the library's enumerators, so oracle grids sized from it do not
 depend on the code they check.
+
+`NetHedgeLearner` is Hedge with one weight per net point, the oracle for the
+library's learner, which keeps one weight per cell of equal-gain points.
 """
+
+import math
 
 import numpy as np
 
@@ -108,3 +113,40 @@ def crossing_superset(family: ParamGreedyFamily, samples) -> np.ndarray:
         if not kept or r - kept[-1] > 1e-12 * max(1.0, abs(r)):
             kept.append(r)
     return np.array(kept)
+
+
+class NetHedgeLearner:
+    """Full-information exponential weights over a finite net of parameters.
+
+    Gains in [0, 1]; update multiplies each weight by exp(eta * gain), with
+    the rate eta = sqrt(8 ln K / T) set by the net size K and the horizon T.
+    Weights are kept in log space and renormalized, so they stay positive and
+    finite at any horizon.  `sample` keeps its CDF until the next `update`.
+    """
+
+    def __init__(self, net, T: int):
+        self.net = np.asarray(net, dtype=float)
+        if self.net.size == 0:
+            raise ValueError("empty net")
+        if T < 1:
+            raise ValueError(f"the rate needs a horizon T >= 1, got {T}")
+        self.eta = math.sqrt(8.0 * math.log(max(self.net.size, 2)) / T)
+        self._log_w = np.zeros(self.net.size)
+        self._cdf = None
+
+    def probabilities(self) -> np.ndarray:
+        w = np.exp(self._log_w)  # the largest log weight is 0 (see `update`)
+        return w / w.sum()
+
+    def sample(self, rng: np.random.Generator) -> int:
+        if self._cdf is None:
+            self._cdf = np.cumsum(self.probabilities())
+        return min(int(np.searchsorted(self._cdf, rng.random(), side="right")), self._cdf.size - 1)
+
+    def update(self, gains: np.ndarray) -> None:
+        gains = np.asarray(gains, dtype=float)
+        if gains.shape != self._log_w.shape:
+            raise ValueError("one gain per net point required")
+        self._log_w += self.eta * gains
+        self._log_w -= self._log_w.max()
+        self._cdf = None

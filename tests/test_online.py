@@ -40,7 +40,7 @@ from algoselect.online import (
 from algoselect.utils import labeled_rng
 
 from _fixtures import MWIS_WEIGHT_PALETTE
-from _grid_oracles import grid_costs, grid_masks
+from _grid_oracles import NetHedgeLearner, grid_costs, grid_masks
 
 
 class TestHardInstance:
@@ -364,9 +364,21 @@ class TestTransitionPoints:
             assert (masks == masks[:, :1, :]).all()
 
 
+def learner_nets():
+    """Three 600-point nets and their cells, cut by the same 40 random points:
+    a sorted net, a shuffled one, and a shuffled one with repeated points."""
+    rng = np.random.default_rng(11)
+    cuts = np.sort(rng.random(40))
+    sorted_net = np.linspace(0.0, 1.0, 600)
+    with_repeats = np.concatenate([sorted_net[:400], rng.choice(sorted_net, 200), cuts[:5]])
+    nets = {"sorted": sorted_net, "shuffled": rng.permutation(sorted_net),
+            "repeats": rng.permutation(with_repeats)}
+    return {name: (net, online._cells(cuts, net)[1]) for name, net in nets.items()}
+
+
 class TestHedgeLearner:
     def test_single_point_net(self):
-        learner = HedgeLearner([0.3], T=10)
+        learner = HedgeLearner([0], T=10)
         rng = np.random.default_rng(0)
         for _ in range(5):
             assert learner.sample(rng) == 0
@@ -374,7 +386,7 @@ class TestHedgeLearner:
         assert learner.probabilities().tolist() == [1.0]
 
     def test_distribution_valid_after_many_updates(self):
-        learner = HedgeLearner(np.linspace(0, 1, 64), T=10**4)
+        learner = HedgeLearner(np.arange(64), T=10**4)
         rng = np.random.default_rng(4)
         for _ in range(2000):
             learner.update(rng.random(64))
@@ -388,7 +400,7 @@ class TestHedgeLearner:
         bound = math.sqrt(math.log(K) / (2 * T))
         regrets = []
         for seed in range(30):
-            learner = HedgeLearner(np.linspace(0, 1, K), T=T)
+            learner = HedgeLearner(np.arange(K), T=T)
             rng = np.random.default_rng(seed)
             gains = np.zeros(K)
             gains[5] = 1.0
@@ -400,7 +412,7 @@ class TestHedgeLearner:
         assert np.mean(regrets) <= bound + 0.01
 
     def test_update_drops_the_cached_distribution(self):
-        learner = HedgeLearner(np.linspace(0, 1, 4), T=1)  # eta = sqrt(8 ln 4) per update
+        learner = HedgeLearner(np.arange(4), T=1)  # eta = sqrt(8 ln 4) per update
         rng = np.random.default_rng(0)
         assert len({learner.sample(rng) for _ in range(40)}) > 1  # uniform at the start
         for _ in range(20):  # index 3 now has all but about e^-47
@@ -409,7 +421,47 @@ class TestHedgeLearner:
 
     def test_auto_eta_needs_horizon(self):
         with pytest.raises(ValueError):
-            HedgeLearner([0.1, 0.2], T=0)
+            HedgeLearner([0, 1], T=0)
+
+    @pytest.mark.parametrize("net", ["sorted", "shuffled", "repeats"])
+    def test_matches_the_full_net_learner(self, net):
+        # Per-cell gains, spread to the net for the oracle: the same
+        # probabilities and, from equal seeds, the same draws.
+        net, cells = learner_nets()[net]
+        learner, oracle = HedgeLearner(cells, T=10**4), NetHedgeLearner(net, T=10**4)
+        assert learner.eta == oracle.eta
+        gains_rng, rng, oracle_rng = (np.random.default_rng(s) for s in (1, 2, 2))
+        draws = []
+        for _ in range(2000):
+            draws.append((learner.sample(rng), oracle.sample(oracle_rng)))
+            gains = gains_rng.random(cells.max() + 1)
+            learner.update(gains)
+            oracle.update(gains[cells])
+        mine, want = zip(*draws)
+        assert mine == want
+        assert len(set(mine)) > 100
+        np.testing.assert_allclose(learner.probabilities(), oracle.probabilities(), rtol=1e-12)
+
+    def test_one_cell_spreads_over_the_net(self):
+        K, T = 50, 300
+        learner = HedgeLearner(np.zeros(K, dtype=np.intp), T=T)
+        assert learner.eta == math.sqrt(8 * math.log(K) / T)
+        learner.update(np.array([0.9]))
+        assert learner.probabilities().tolist() == [1.0 / K] * K
+        rng = np.random.default_rng(3)
+        assert {learner.sample(rng) for _ in range(2000)} == set(range(K))
+
+    @pytest.mark.parametrize("cells", [[0.0, 1.0], [0, 2], [-1, 0], [[0, 1]], []],
+                             ids=["float", "unused-id", "negative", "2-d", "empty"])
+    def test_rejects_bad_cells(self, cells):
+        with pytest.raises(ValueError):
+            HedgeLearner(cells, T=10)
+
+    def test_rejects_one_gain_per_net_point(self):
+        learner = HedgeLearner(np.array([0, 0, 1, 2, 2]), T=10)
+        with pytest.raises(ValueError, match="one gain per cell"):
+            learner.update(np.zeros(5))
+        learner.update(np.zeros(3))
 
 
 class TestSmoothedOnlineRun:
@@ -524,7 +576,7 @@ def reference_smoothed_run(spec, gen, T, seed, net):
     (transition points, piece values)."""
     net_arr = np.linspace(0.0, 1.0, net) if isinstance(net, int) else np.asarray(net, dtype=float)
     family = mwis_family(spec.n)
-    learner = HedgeLearner(net_arr, T)
+    learner = NetHedgeLearner(net_arr, T)
     rng = labeled_rng(seed, "mw-learner")
     chosen, costs, cum_best = (np.empty(T) for _ in range(3))
     net_totals = np.zeros(net_arr.size)
@@ -976,6 +1028,31 @@ class TestTheoreticalQuantities:
         assert min_pairwise_gap(np.array([0.3])) == math.inf
 
 
+def reference_adversary_run(n_budget, T, seed):
+    """`run_adversary_online` one step at a time: each grid point's gain from
+    the closed form with exact rationals, one full-net Hedge step."""
+    params_list = adversary_sequence(n_budget, T, seed)
+    n = params_list[0].n
+    grid = [Fraction(k, n) for k in range(n + 1)]
+    net = np.arange(n + 1) / n
+    learner = NetHedgeLearner(net, T)
+    rng = labeled_rng(seed, "mw-learner")
+    chosen, costs, cum_best = (np.empty(T) for _ in range(3))
+    net_totals = np.zeros(net.size)
+    ref_total = 0.0
+    for t, p in enumerate(params_list):
+        gains = np.array([p.cost_at(rho) for rho in grid])
+        idx = learner.sample(rng)
+        learner.update(gains)
+        net_totals += gains
+        ref_total += p.inside_cost()
+        chosen[t], costs[t], cum_best[t] = net[idx], gains[idx], net_totals.max()
+    best = int(np.argmax(net_totals))
+    final = params_list[-1]
+    return RegretTrace(net, chosen, costs, cum_best, float(net[best]), float(net_totals[best]),
+                       float((final.r + final.s) / 2), ref_total)
+
+
 class TestAdversaryOnlineRun:
     def test_reference_comparator_and_determinism(self):
         trace = run_adversary_online(200, T=30, seed=17)
@@ -995,6 +1072,17 @@ class TestAdversaryOnlineRun:
         for p in params:
             totals += np.array([p.cost_at(Fraction(k, n)) for k in range(n + 1)])
         assert totals.max() == pytest.approx(trace.cum_best[-1], abs=1e-9)
+
+    @pytest.mark.parametrize("n_budget", [200, 1500])
+    @pytest.mark.parametrize("seed", [0, 5, 23])
+    def test_matches_per_step_loop(self, n_budget, seed):
+        T = 40
+        got = run_adversary_online(n_budget, T, seed)
+        want = reference_adversary_run(n_budget, T, seed)
+        assert got.to_csv() == reference_csv(want)
+        assert np.array_equal(got.net, want.net)
+        assert (got.best_net_rho, got.best_net_total) == (want.best_net_rho, want.best_net_total)
+        assert (got.best_ref_rho, got.best_ref_total) == (want.best_ref_rho, want.best_ref_total)
 
     def test_regret_grows_with_size(self):
         # Bigger constructions leave the learner a smaller escape hatch.
