@@ -11,13 +11,22 @@ in far fewer comparisons than a comparison-optimal oblivious sort.
 A trained sorter is its boundaries and its trees' splits; n, the tree size
 cap and the comparison budget follow from the number of trees.  A leaf is
 `{}`: the splits above it fix a bucket range, which routing binary-searches.
-When a sort passes the budget of `_BUDGET_FACTOR * n * log2(n)` comparisons
+Every key of one bucket takes the same route, so the sorter builds a routing
+table once from its trees: the comparisons a key of bucket b takes at
+position i.  A sort finds all buckets with one `searchsorted`, sums its
+routing comparisons from the table, and counts each bucket's insertion-sort
+comparisons from how many earlier keys of the bucket are greater.  The
+counts are exactly those of routing and inserting one key at a time.
+When they pass the budget of `_BUDGET_FACTOR * n * log2(n)` comparisons
 (an input from another distribution), the learned path stops and the input
-is mergesorted: output correctness never depends on the learned structure.
+is mergesorted, its comparisons counted level by level over the mergesort's
+splits: output correctness never depends on the learned structure.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
 import json
 import math
@@ -30,6 +39,7 @@ import numpy as np
 # falls back to mergesort after _BUDGET_FACTOR * n * log2(n) comparisons.
 _NODE_CAP_EXPONENT = 0.5
 _BUDGET_FACTOR = 4.0
+_NODE_KEYS = frozenset({"split", "left", "right"})
 
 
 @dataclass
@@ -56,6 +66,8 @@ class BucketSorter:
             raise ValueError("boundaries must be strictly increasing and not NaN")
         self.trees = list(trees)
         self.n = len(self.trees)
+        # Entry (i, b): the comparisons a key of bucket b takes at position i.
+        self._routing = _routing_table(self.trees, self.bucket_count)
 
     @property
     def node_cap(self) -> int:
@@ -74,6 +86,46 @@ def _node_cap(n: int) -> int:
     return max(1, int(n**_NODE_CAP_EXPONENT))
 
 
+def _routing_table(trees: list, bucket_count: int) -> np.ndarray:
+    """Routing comparisons per (position, bucket); rejects a malformed tree.
+
+    Every key of a bucket compares alike with every boundary, so it takes the
+    bucket's route: the splits down to the leaf over the bucket, then a binary
+    search of the leaf's range.  A tree node must be `{}` or a split k,
+    lo <= k < hi, of the node's bucket range lo..hi.
+    """
+    # Every comparison narrows a route's bucket range, so it makes fewer than bucket_count.
+    table = np.empty((len(trees), bucket_count), dtype=np.min_scalar_type(bucket_count))
+    for row, tree in zip(table, trees):
+        counts = []
+        stack = [(tree, 0, bucket_count - 1, 0)]
+        while stack:  # leaves come off the stack left to right
+            node, lo, hi, depth = stack.pop()
+            if node == {}:
+                counts += _leaf_routes(hi - lo + 1, depth)
+                continue
+            split = node.get("split") if isinstance(node, dict) else None
+            if type(split) is not int or node.keys() != _NODE_KEYS or not lo <= split < hi:
+                raise ValueError(f"tree node over buckets {lo}..{hi} is not {{}} or a split inside them")
+            depth += 1
+            stack += [(node["right"], split + 1, hi, depth), (node["left"], lo, split, depth)]
+        row[:] = counts
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_routes(size: int, depth: int) -> tuple:
+    """Comparisons to route each bucket of a leaf over `size` buckets at `depth`.
+
+    The leaf's binary search goes on down as splits at the middle would, so
+    the counts depend on a bucket's offset in the range, not on its start.
+    """
+    if size == 1:
+        return (depth,)
+    mid = (size - 1) // 2
+    return _leaf_routes(mid + 1, depth + 1) + _leaf_routes(size - 1 - mid, depth + 1)
+
+
 def _weight_balanced_tree(weights: np.ndarray, node_cap: int) -> dict:
     """Top-down weight-balanced tree over the bucket range, hot ranges first.
 
@@ -84,7 +136,7 @@ def _weight_balanced_tree(weights: np.ndarray, node_cap: int) -> dict:
     the heaviest ranges, which bounds expected routing depth for skewed
     distributions.
     """
-    prefix = np.concatenate([[0.0], np.cumsum(weights)])
+    prefix = [0.0, *np.cumsum(weights).tolist()]
     heap = []
 
     def leaf(lo, hi):
@@ -100,8 +152,7 @@ def _weight_balanced_tree(weights: np.ndarray, node_cap: int) -> dict:
         _, lo, hi, node = heapq.heappop(heap)
         # Split at the boundary that best balances the two halves.
         target = (prefix[lo] + prefix[hi + 1]) / 2.0
-        first_right = int(np.searchsorted(prefix[lo + 1:hi + 1], target) + lo + 1)
-        first_right = min(max(first_right, lo + 1), hi)
+        first_right = min(bisect.bisect_left(prefix, target, lo + 1, hi + 1), hi)
         node["split"] = first_right - 1
         node["left"], node["right"] = leaf(lo, first_right - 1), leaf(first_right, hi)
         budget -= 1
@@ -132,49 +183,6 @@ def train_sorter(samples: Sequence) -> BucketSorter:
     return BucketSorter(boundaries, [_weight_balanced_tree(row, _node_cap(n)) for row in counts])
 
 
-def _route(tree: dict, key: float, boundaries: np.ndarray) -> tuple[int, int]:
-    """Walk the tree, narrowing the bucket range at each split, then
-    binary-search the range; returns (bucket, comparisons)."""
-    comparisons = 0
-    lo, hi = 0, boundaries.size
-    node = tree
-    while node:
-        comparisons += 1
-        if key < boundaries[node["split"]]:
-            node, hi = node["left"], node["split"]
-        else:
-            node, lo = node["right"], node["split"] + 1
-    # Bucket k holds keys with boundaries[k-1] <= key < boundaries[k].
-    while lo < hi:
-        mid = (lo + hi) // 2
-        comparisons += 1
-        if key < boundaries[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, comparisons
-
-
-def _insertion_sort(bucket: list, limit: float) -> int:
-    """Sort `bucket` in place and return the comparisons made; stops as soon
-    as they pass `limit`, leaving the bucket unsorted."""
-    comparisons = 0
-    for i in range(1, len(bucket)):
-        key = bucket[i]
-        j = i - 1
-        while j >= 0:
-            comparisons += 1
-            if comparisons > limit:
-                return comparisons
-            if bucket[j] > key:
-                bucket[j + 1] = bucket[j]
-                j -= 1
-            else:
-                break
-        bucket[j + 1] = key
-    return comparisons
-
-
 def mergesort_count(values: Sequence[float]) -> tuple[list, int]:
     """Top-down mergesort with exact comparison counting (also the fallback)."""
     values = list(values)
@@ -199,69 +207,115 @@ def mergesort_count(values: Sequence[float]) -> tuple[list, int]:
 
 
 def sort(sorter: BucketSorter, array) -> tuple[np.ndarray, SortStats]:
-    """Bucket sort with instrumented comparisons and a mergesort safety net.
+    """Bucket sort with exact comparison counts and a mergesort safety net.
 
-    The output is always a sorted permutation of the input; if the comparison
-    budget is exhausted mid-flight the learned path is abandoned and the
-    original input mergesorted instead (`fallback` in the stats).
+    The counts are those of routing each key through its position's tree,
+    insertion-sorting each bucket and, once they pass the budget, mergesorting
+    the original input instead (`fallback` in the stats).  The output is the
+    stable sort of the input either way: the concatenated buckets are one, and
+    so is the mergesort.
     """
     values = np.asarray(array, dtype=float)
     if values.shape != (sorter.n,):
         raise ValueError(f"expected an array of length {sorter.n}")
     if np.isnan(values).any():
         raise ValueError("keys must not be NaN")
-    buckets = [[] for _ in range(sorter.bucket_count)]
     budget = sorter.fallback_threshold
-    routing = insertion = merge = 0
-    for tree, key in zip(sorter.trees, values.tolist()):
-        bucket, comparisons = _route(tree, key, sorter.boundaries)
-        routing += comparisons
-        if routing > budget:
-            break
-        buckets[bucket].append(key)
-    for bucket in buckets:
-        if routing + insertion > budget:
-            break
-        insertion += _insertion_sort(bucket, budget - routing - insertion)
+    buckets = np.searchsorted(sorter.boundaries, values, side="right")
+    routed = np.cumsum(sorter._routing[np.arange(sorter.n), buckets])
+    # The key whose routing passes the budget is counted but not placed.
+    placed = int(np.searchsorted(routed, budget, side="right"))
+    routing = int(routed[min(placed, sorter.n - 1)]) if sorter.n else 0
+    occupancy = np.bincount(buckets[:placed], minlength=sorter.bucket_count)
+    insertion = merge = 0
+    if placed == sorter.n:
+        insertion = _insertion_comparisons(values, buckets, occupancy, budget - routing)
     fallback = routing + insertion > budget
     if fallback:
-        output, merge = mergesort_count(values.tolist())
-    else:
-        output = [key for bucket in buckets for key in bucket]
-    occupancy = np.array([len(bucket) for bucket in buckets])
-    return np.asarray(output), SortStats(routing, insertion, merge, fallback, occupancy)
+        merge = _merge_comparisons(values)
+    return np.sort(values, kind="stable"), SortStats(routing, insertion, merge, fallback, occupancy)
+
+
+def _insertion_comparisons(values: np.ndarray, buckets: np.ndarray, occupancy: np.ndarray,
+                           limit: float) -> int:
+    """Comparisons to insertion-sort every bucket, or floor(limit) + 1, where
+    a one-at-a-time count stops, once they pass `limit`.
+
+    The i-th key of a bucket (from 0) moves past the g earlier keys greater
+    than it, one comparison each, then compares once more with the key it
+    stops at, if there is one (g < i).
+    """
+    keys = values[np.argsort(buckets, kind="stable")].tolist()
+    ends = np.cumsum(occupancy)
+    comparisons = 0
+    for b in np.flatnonzero(occupancy >= 2).tolist():
+        inserted = []
+        for i, key in enumerate(keys[ends[b] - occupancy[b]:ends[b]]):
+            at = bisect.bisect_right(inserted, key)
+            comparisons += i - at + (at > 0)
+            if comparisons > limit:
+                return math.floor(limit) + 1
+            inserted.insert(at, key)
+    return comparisons
+
+
+def _merge_comparisons(values: np.ndarray) -> int:
+    """`mergesort_count`'s comparisons, from the stable ranks of `values`.
+
+    Ties broken by position, no two ranks are equal, and a merge of halves L
+    and R compares every key but the tail left once the other half runs out:
+    |L| + |R| - #{L > max R} - #{R > max L}.
+    """
+    positions, cuts, rivals = _merge_plan(values.size)
+    if not cuts.size:
+        return 0
+    ranks = np.empty(values.size, dtype=np.intp)
+    ranks[np.argsort(values, kind="stable")] = np.arange(values.size)
+    merged = ranks[positions]
+    peaks = np.maximum.reduceat(merged, cuts)
+    return positions.size - int(np.count_nonzero(merged > peaks[rivals]))
+
+
+@functools.lru_cache(maxsize=8)
+def _merge_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every merge of `mergesort_count`'s top-down splits of n keys, level by
+    level: the positions merged, where each half starts among them, and for
+    each position the index of the other half."""
+    positions, cuts, rivals = [], [], []
+    segments = [(0, n)] if n >= 2 else []
+    while segments:
+        deeper = []
+        for start, end in segments:
+            mid = start + (end - start) // 2
+            left = len(cuts)
+            cuts += [len(positions), len(positions) + mid - start]
+            positions += range(start, end)
+            rivals += [left + 1] * (mid - start) + [left] * (end - mid)
+            deeper += [(lo, hi) for lo, hi in ((start, mid), (mid, end)) if hi - lo >= 2]
+        segments = deeper
+    return tuple(np.array(a, dtype=np.intp) for a in (positions, cuts, rivals))
 
 
 def expected_route_depth(sorter: BucketSorter, position: int, weights: np.ndarray) -> float:
-    """Expected comparisons to route position `position` under bucket weights.
-
-    Every key of a bucket compares alike with every boundary, so routing the
-    bucket's smallest key (-inf, then each boundary) gives its exact count.
-    """
+    """Expected comparisons to route position `position` under bucket weights:
+    the weighted mean of its routing-table row."""
+    if not (isinstance(position, (int, np.integer)) and 0 <= position < sorter.n):
+        raise ValueError(f"position must be an integer in 0..{sorter.n - 1}, got {position!r}")
     weights = np.asarray(weights, dtype=float)
-    keys = np.concatenate([[-math.inf], sorter.boundaries]).tolist()
-    counts = [_route(sorter.trees[position], key, sorter.boundaries)[1] for key in keys]
-    return float(np.dot(weights, counts) / weights.sum())
+    valid = weights.shape == (sorter.bucket_count,) and (np.isfinite(weights) & (weights >= 0)).all()
+    total = weights.sum() if valid else 0.0
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError(f"weights must be {sorter.bucket_count} finite non-negative numbers "
+                         "with a positive finite sum")
+    return float(np.dot(weights, sorter._routing[position]) / total)
 
 
 def sorter_to_json(sorter: BucketSorter) -> str:
     return json.dumps({"boundaries": sorter.boundaries.tolist(), "trees": sorter.trees})
 
 
-def _check_tree(node, lo: int, hi: int) -> None:
-    """Raise unless `node` is `{}` or a split k, lo <= k < hi, over valid subtrees."""
-    if node != {}:
-        split = node.get("split") if isinstance(node, dict) else None
-        if type(split) is not int or set(node) != {"split", "left", "right"} or not lo <= split < hi:
-            raise ValueError(f"tree node over buckets {lo}..{hi} is not {{}} or a split inside them")
-        _check_tree(node["left"], lo, split)
-        _check_tree(node["right"], split + 1, hi)
-
-
 def sorter_from_json(text: str) -> BucketSorter:
     payload = json.loads(text)
-    for tree in payload["trees"]:
-        _check_tree(tree, 0, len(payload["boundaries"]))
     return BucketSorter(payload["boundaries"], payload["trees"])
 
 

@@ -13,6 +13,11 @@ depend on the code they check.
 
 `NetHedgeLearner` is Hedge with one weight per net point, the oracle for the
 library's learner, which keeps one weight per cell of equal-gain points.
+
+`scalar_sort` is the bucket sorter one key and one comparison at a time: it
+walks each key down its position's tree (`route`) and insertion-sorts the
+buckets (`insertion_sort`), counting as it goes.  It is the oracle for the
+library's `sort`, which reads its counts from a routing table and from ranks.
 """
 
 import math
@@ -21,6 +26,7 @@ import numpy as np
 
 from algoselect.greedy import (_GRID_MAX_N, KnapsackInstance, MwisInstance, ParamGreedyFamily,
                                _graph_lanes, _nonadaptive_masks)
+from algoselect.sorter import BucketSorter, SortStats, mergesort_count
 
 
 def mwis_grid_masks(instance: MwisInstance, rhos, adaptive: bool) -> np.ndarray:
@@ -150,3 +156,72 @@ class NetHedgeLearner:
         self._log_w += self.eta * gains
         self._log_w -= self._log_w.max()
         self._cdf = None
+
+
+def route(tree: dict, key: float, boundaries: np.ndarray) -> tuple[int, int]:
+    """Walk the tree, narrowing the bucket range at each split, then
+    binary-search the range; returns (bucket, comparisons)."""
+    comparisons = 0
+    lo, hi = 0, boundaries.size
+    node = tree
+    while node:
+        comparisons += 1
+        if key < boundaries[node["split"]]:
+            node, hi = node["left"], node["split"]
+        else:
+            node, lo = node["right"], node["split"] + 1
+    # Bucket k holds keys with boundaries[k-1] <= key < boundaries[k].
+    while lo < hi:
+        mid = (lo + hi) // 2
+        comparisons += 1
+        if key < boundaries[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, comparisons
+
+
+def insertion_sort(bucket: list, limit: float) -> int:
+    """Sort `bucket` in place and return the comparisons made; stops as soon
+    as they pass `limit`, leaving the bucket unsorted."""
+    comparisons = 0
+    for i in range(1, len(bucket)):
+        key = bucket[i]
+        j = i - 1
+        while j >= 0:
+            comparisons += 1
+            if comparisons > limit:
+                return comparisons
+            if bucket[j] > key:
+                bucket[j + 1] = bucket[j]
+                j -= 1
+            else:
+                break
+        bucket[j + 1] = key
+    return comparisons
+
+
+def scalar_sort(sorter: BucketSorter, array) -> tuple[np.ndarray, SortStats]:
+    """Route every key, insertion-sort the buckets and concatenate them; once
+    the comparisons pass the budget, mergesort the input instead."""
+    values = np.asarray(array, dtype=float)
+    buckets = [[] for _ in range(sorter.bucket_count)]
+    budget = sorter.fallback_threshold
+    routing = insertion = merge = 0
+    for tree, key in zip(sorter.trees, values.tolist()):
+        bucket, comparisons = route(tree, key, sorter.boundaries)
+        routing += comparisons
+        if routing > budget:
+            break
+        buckets[bucket].append(key)
+    for bucket in buckets:
+        if routing + insertion > budget:
+            break
+        insertion += insertion_sort(bucket, budget - routing - insertion)
+    fallback = routing + insertion > budget
+    if fallback:
+        output, merge = mergesort_count(values.tolist())
+    else:
+        output = [key for bucket in buckets for key in bucket]
+    occupancy = np.array([len(bucket) for bucket in buckets])
+    return np.asarray(output), SortStats(routing, insertion, merge, fallback, occupancy)

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from _grid_oracles import route, scalar_sort
 from algoselect.sorter import (
     BucketSorter,
+    SortStats,
+    _merge_comparisons,
     expected_route_depth,
     load_arrays_csv,
     mergesort_count,
@@ -140,13 +143,154 @@ class TestBucketMonotonicity:
     def test_routing_agrees_with_direct_scan(self):
         rng = np.random.default_rng(5)
         sorter = train_sorter(uniform_samples(rng, 40, 24))
-        from algoselect.sorter import _route
-
         keys = np.concatenate([rng.uniform(-0.2, 1.2, 500), sorter.boundaries])
         for key in keys:
             for tree in sorter.trees:
-                bucket, _ = _route(tree, float(key), sorter.boundaries)
+                bucket, _ = route(tree, float(key), sorter.boundaries)
                 assert bucket == int(np.searchsorted(sorter.boundaries, key, side="right"))
+
+
+def chain_sorter(n: int, splits: int = 0) -> BucketSorter:
+    """Every tree is the chain of splits 0..splits-1: a key of bucket b takes
+    min(b + 1, splits) comparisons.  By default the chain is long enough for
+    routing alone to pass the budget."""
+    splits = splits or 8 * math.ceil(math.log2(max(n, 2)))
+
+    def chain(k):
+        return {} if k == splits else {"split": k, "left": {}, "right": chain(k + 1)}
+
+    return BucketSorter(np.linspace(0.05, 0.55, splits), [chain(0) for _ in range(n)])
+
+
+def assert_sorts_like_the_oracle(sorter, array) -> SortStats:
+    out, stats = sort(sorter, array)
+    want, expected = scalar_sort(sorter, array)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+    for field in ("routing_comparisons", "insertion_comparisons", "merge_comparisons", "fallback"):
+        assert getattr(stats, field) == getattr(expected, field), field
+        assert type(getattr(stats, field)) is type(getattr(expected, field)), field
+    assert stats.occupancy.dtype == expected.occupancy.dtype
+    assert np.array_equal(stats.occupancy, expected.occupancy)
+    return stats
+
+
+# Integer budgets 4 * n * log2(n) at n = 4, 8; fractional ones at n = 3, 100.
+BUDGET_SIZES = [4, 8, 3, 100]
+
+
+class TestAgainstScalarSorter:
+    """`sort` against the one-key-at-a-time oracle: the same output bytes and
+    the same five `SortStats` fields."""
+
+    @pytest.mark.parametrize("n", BUDGET_SIZES)
+    def test_tie_heavy_integer_keys(self, n):
+        rng = np.random.default_rng(20 + n)
+        sorter = train_sorter([rng.integers(0, 5, n).astype(float) for _ in range(20)])
+        for _ in range(40):
+            assert_sorts_like_the_oracle(sorter, rng.integers(-1, 6, n).astype(float))
+
+    @pytest.mark.parametrize("n", BUDGET_SIZES)
+    def test_signed_zeros_and_infinities(self, n):
+        rng = np.random.default_rng(30 + n)
+        pool = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf])
+        sorter = train_sorter([rng.choice(pool, n) for _ in range(10)])
+        for _ in range(40):
+            assert_sorts_like_the_oracle(sorter, rng.choice(pool, n))
+        zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        out, _ = sort(sorter, zeros)
+        assert np.array_equal(np.signbit(out), np.signbit(zeros))  # equal keys keep their order
+
+    @pytest.mark.parametrize("n", BUDGET_SIZES)
+    def test_routing_aborts(self, n):
+        rng = np.random.default_rng(40 + n)
+        sorter = chain_sorter(n)
+        smallest = np.concatenate([[0.0], sorter.boundaries])  # one key per bucket
+        aborted = kept = 0
+        for _ in range(300):
+            keys = smallest[:rng.integers(1, smallest.size + 1)]
+            stats = assert_sorts_like_the_oracle(sorter, rng.choice(keys, n))
+            aborted += stats.fallback and stats.insertion_comparisons == 0
+            kept += not stats.fallback
+        assert aborted and kept
+
+    def test_routing_at_the_budget_then_one_insertion(self):
+        sorter = chain_sorter(4, splits=11)
+        # 11 + 10 + 10 + 1 = 32 routing comparisons, the whole budget: the
+        # two keys of bucket 9 then take one insertion comparison too many.
+        b9 = sorter.boundaries[8]
+        stats = assert_sorts_like_the_oracle(sorter, np.array([0.99, b9, b9, 0.0]))
+        assert stats.routing_comparisons == 32
+        assert stats.insertion_comparisons == 1 and stats.fallback
+
+    @pytest.mark.parametrize("n", BUDGET_SIZES)
+    def test_insertion_aborts(self, n):
+        rng = np.random.default_rng(50 + n)
+        sorter = chain_sorter(n)
+        aborted = 0
+        # Every key in one bucket, descending, ascending or tied: the bucket
+        # sets the routing cost and so how much budget insertion has left.
+        for low in np.concatenate([[0.0], sorter.boundaries]):
+            rising = low + np.sort(rng.uniform(0, 1e-3, n))
+            for array in (rising[::-1], rising, np.full(n, low)):
+                stats = assert_sorts_like_the_oracle(sorter, array)
+                aborted += stats.fallback and stats.insertion_comparisons > 0
+        assert aborted
+
+    @pytest.mark.parametrize("n", BUDGET_SIZES)
+    def test_concentrated_arrays_of_a_trained_sorter(self, n):
+        rng = np.random.default_rng(55 + n)
+        sorter = train_sorter([rng.uniform(0, 1, n) for _ in range(30)])
+        for _ in range(20):
+            concentrated = rng.uniform(0.3, 0.7) + np.sort(rng.uniform(0, 1e-4, n))
+            assert_sorts_like_the_oracle(sorter, concentrated[::-1])
+            assert_sorts_like_the_oracle(sorter, concentrated)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_lengths(self, n):
+        rng = np.random.default_rng(60 + n)
+        sorter = train_sorter([rng.uniform(0, 1, n) for _ in range(5)])
+        stats = assert_sorts_like_the_oracle(sorter, rng.uniform(0, 1, n))
+        assert stats.insertion_comparisons == 0 and not stats.fallback
+
+    def test_json_clone(self):
+        rng = np.random.default_rng(70)
+        sorter = train_sorter(skewed_samples(rng, 50, 40))
+        clone = sorter_from_json(sorter_to_json(sorter))
+        assert np.array_equal(clone._routing, sorter._routing)
+        for arr in skewed_samples(rng, 20, 40) + uniform_samples(rng, 20, 40):
+            assert_sorts_like_the_oracle(clone, arr)
+
+    def test_random_sorters_and_inputs(self):
+        rng = np.random.default_rng(80)
+        draws = [
+            lambda n: rng.uniform(0, 1, n),
+            lambda n: rng.integers(0, 4, n).astype(float),
+            lambda n: rng.choice([-np.inf, -0.0, 0.0, 1.0, np.inf], n),
+            lambda n: skewed_samples(rng, 1, n)[0] if n else np.zeros(0),
+        ]
+        fallbacks = 0
+        for case in range(400):
+            n, draw = int(rng.integers(0, 40)), draws[case % len(draws)]
+            sorter = train_sorter([draw(n) for _ in range(int(rng.integers(1, 20)))])
+            for array in (draw(n), draw(n), rng.uniform(0, 1) - np.sort(rng.uniform(0, 1e-3, n))):
+                fallbacks += assert_sorts_like_the_oracle(sorter, array).fallback
+        assert fallbacks > 0
+
+    def test_table_matches_routing_each_buckets_smallest_key(self):
+        rng = np.random.default_rng(90)
+        for sorter in (train_sorter(uniform_samples(rng, 40, 24)),
+                       train_sorter(skewed_samples(rng, 60, 50)), chain_sorter(3)):
+            smallest = [-math.inf, *sorter.boundaries.tolist()]
+            for tree, row in zip(sorter.trees, sorter._routing):
+                routed = [route(tree, key, sorter.boundaries) for key in smallest]
+                assert routed == [(b, int(count)) for b, count in enumerate(row)]
+
+    def test_level_wise_merge_count_matches_mergesort_count(self):
+        rng = np.random.default_rng(100)
+        for n in range(301):
+            for values in (rng.integers(0, max(1, n // 4), n).astype(float), rng.uniform(0, 1, n)):
+                assert _merge_comparisons(values) == mergesort_count(values.tolist())[1], n
 
 
 class TestEfficiency:
@@ -158,6 +302,35 @@ class TestEfficiency:
         for position in range(0, n, 7):
             depth = expected_route_depth(sorter, position, weights)
             assert depth <= math.log2(n) + 2
+
+    def test_expected_depth_is_the_weighted_mean_of_routed_counts(self):
+        rng = np.random.default_rng(13)
+        sorter = train_sorter(skewed_samples(rng, 80, 30))
+        smallest = [-math.inf, *sorter.boundaries.tolist()]
+        for position in (0, 11, 29):
+            weights = rng.uniform(0, 1, sorter.bucket_count)
+            counts = [route(sorter.trees[position], key, sorter.boundaries)[1] for key in smallest]
+            assert expected_route_depth(sorter, position, weights) == float(
+                np.dot(weights, counts) / weights.sum())
+
+    @pytest.mark.parametrize("position", [-1, 30, 2.0, None])
+    def test_expected_depth_rejects_a_position_outside_the_array(self, position):
+        sorter = train_sorter(uniform_samples(np.random.default_rng(14), 10, 30))
+        with pytest.raises(ValueError, match="position"):
+            expected_route_depth(sorter, position, np.ones(sorter.bucket_count))
+
+    @pytest.mark.parametrize("fault", ["short", "nan", "inf", "negative", "zero"])
+    def test_expected_depth_rejects_bad_weights(self, fault):
+        sorter = train_sorter(uniform_samples(np.random.default_rng(15), 10, 30))
+        weights = np.ones(sorter.bucket_count)
+        if fault == "short":
+            weights = weights[1:]
+        elif fault == "zero":
+            weights[:] = 0.0
+        else:
+            weights[3] = {"nan": np.nan, "inf": np.inf, "negative": -0.5}[fault]
+        with pytest.raises(ValueError, match="weights"):
+            expected_route_depth(sorter, 0, weights)
 
     def test_beats_mergesort_on_matched_skewed_inputs(self):
         rng = np.random.default_rng(7)
@@ -207,6 +380,14 @@ class TestSerialization:
         payload = {"boundaries": [0.2, 0.4, 0.6, 0.8], "trees": [{}, bad]}
         with pytest.raises(ValueError, match="tree node"):
             sorter_from_json(json.dumps(payload))
+
+    def test_malformed_tree_rejected_at_construction(self):
+        # A directly built sorter checks its trees too: a bad root, then a bad
+        # node below the root of the second tree.
+        with pytest.raises(ValueError, match="tree node over buckets 0..1"):
+            BucketSorter([0.5], [{"split": 3, "left": {}, "right": {}}])
+        with pytest.raises(ValueError, match="tree node over buckets 2..4"):
+            BucketSorter([0.2, 0.4, 0.6, 0.8], [{}, {"split": 1, "left": {}, "right": {"split": 1}}])
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
