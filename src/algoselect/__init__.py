@@ -15,8 +15,6 @@ from .greedy import (
     KnapsackInstance,
     MwisInstance,
     ParamGreedyFamily,
-    best_of_q,
-    erm_best_of_q,
     erm_breakpoint,
     knapsack_family,
     mwis_family,

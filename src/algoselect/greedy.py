@@ -19,8 +19,8 @@ These points cut the interval into open pieces on which every run is fixed,
 so each sample's value is a step function of rho, and the samples' values
 form one `core.StepFunctions` batch (`step_functions`).  The offline
 candidates (`piece_costs`) are both endpoints and one rho inside every piece
-of the union of the samples' value-change points, read off that batch; ERM,
-best-of-q and the shattering probe all reduce that one cost matrix.
+of the union of the samples' value-change points, read off that batch; ERM
+(`erm_breakpoint`) and the shattering probe both reduce that one cost matrix.
 Non-adaptive MWIS step functions are made as in the online runner: one
 crossing expression and one vectorized evaluator of first fit at every piece
 midpoint of many graphs at once.
@@ -35,8 +35,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -211,10 +211,10 @@ class KnapsackInstance:
         self.capacity = float(capacity)
 
 
-def mask_cost(mask: np.ndarray, payload: np.ndarray) -> float:
-    """Solution value with a reduction that is bitwise identical between the
-    scalar and the row-vectorized evaluation paths."""
-    return float(np.where(mask, payload, 0.0).sum(axis=-1))
+def mask_cost(mask: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    """Solution value of each mask along the last axis: the one sum of a
+    greedy value, so scalar runs and vectorized pieces agree bit for bit."""
+    return np.where(mask, payload, 0.0).sum(axis=-1)
 
 
 def is_independent_set(instance: MwisInstance, solution: Sequence[int]) -> bool:
@@ -348,7 +348,7 @@ def run_greedy(family: ParamGreedyFamily, rho, instance):
             mask, _ = _greedy_mwis_adaptive(instance, rho)
         value = mask_cost(mask, instance.weights)
     solution = tuple(int(v) for v in np.flatnonzero(mask))
-    return solution, CostValue(value)
+    return solution, CostValue(float(value))
 
 
 def greedy_cost(family: ParamGreedyFamily, rho, instance) -> float:
@@ -434,7 +434,7 @@ def _piece_values(weights, logw, lanes, points, offsets, lo: float, hi: float) -
     mids = (np.insert(points, offsets[:-1], lo) + np.insert(points, offsets[1:], hi)) / 2.0
     owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets) + 1)
     masks = _nonadaptive_masks(logw, *lanes, owner, mids)
-    return np.where(masks, weights[owner], 0.0).sum(axis=1)
+    return mask_cost(masks, weights[owner])
 
 
 # ---------------------------------------------------------------------------
@@ -572,35 +572,6 @@ def erm_breakpoint(family: ParamGreedyFamily, rhos: np.ndarray, costs: np.ndarra
     chosen = float(np.mean(scalar_costs(family, holdout, [rho])[0]))
     best = float(piece_costs(family, holdout)[1].mean(axis=1).max())
     return rho, ErrorReport(rho, report.train_mean, chosen, abs(chosen - best))
-
-
-def best_of_q(family: ParamGreedyFamily, rhos, instance) -> CostValue:
-    """Best solution value over q greedy runs with the given parameters."""
-    if len(rhos) == 0:
-        raise ValueError("need at least one rho")
-    return CostValue(max(greedy_cost(family, r, instance) for r in rhos))
-
-
-_BEST_OF_Q_CAP = 3
-
-
-def erm_best_of_q(family: ParamGreedyFamily, samples, q: int):
-    """Exhaustive ERM over q-subsets of the `piece_costs` candidates.
-
-    A subset's cost on an instance is the best of its members' costs.
-    Returns (rho_tuple, ErrorReport).  `q` is capped to keep the subset
-    enumeration tractable and may not exceed the number of candidates.
-    """
-    if not 1 <= q <= _BEST_OF_Q_CAP:
-        raise ValueError(f"q must be in 1..{_BEST_OF_Q_CAP}")
-    rhos, costs = piece_costs(family, samples)
-    if rhos.size < q:
-        raise ValueError(f"q={q} exceeds the {rhos.size} probe(s) of the interval")
-    combos = np.asarray(list(combinations(range(rhos.size), q)))
-    combo_costs = reduce(np.maximum, (costs[column] for column in combos.T))
-    chosen = [tuple(float(rhos[i]) for i in c) for c in combos]
-    report = erm_costs(chosen, combo_costs, MAXIMIZE)
-    return report.chosen, report
 
 
 # ---------------------------------------------------------------------------

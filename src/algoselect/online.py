@@ -114,11 +114,12 @@ class HardInstanceParams:
         return self.t * self.m ** -float(self.s)
 
     def inside_cost(self) -> float:
-        """Total mass-layer weight as the float sum a greedy run produces."""
+        """Total mass-layer weight, within a few ulps of a run's all-vertex `mask_cost` sum."""
         return float(np.full(self.size_b, self.t).sum())
 
     def outside_cost(self) -> float:
-        """Hub plus star total weight: the value of any parameter outside (r, s]."""
+        """Hub plus star total weight, the value of any parameter outside (r, s]
+        up to a few ulps of the run's all-vertex `mask_cost` sum."""
         return self.size_a * self.weight_a + self.size_c * self.weight_c
 
     def cost_at(self, rho) -> float:
@@ -591,6 +592,8 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
         raise ValueError(f"smoothed runs support n <= {_GRID_MAX_N} (vertex bitmasks), got n={n}")
     if isinstance(net, bool):
         raise ValueError(f"net must be a point count or the points, got {net!r}")
+    if isinstance(net, numbers.Integral) and net < 0:
+        raise ValueError(f"net size must be a point count >= 1, got {net}")
     net_arr = np.linspace(0.0, 1.0, net) if isinstance(net, numbers.Integral) else np.asarray(net, float)
     # NaN and inf fail the range test too.
     if net_arr.ndim != 1 or net_arr.size == 0 or not ((net_arr >= 0.0) & (net_arr <= 1.0)).all():

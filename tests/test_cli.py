@@ -375,6 +375,17 @@ class TestOnlineCommand:
         assert len(rows) == 5
         assert all(float(r.split(",")[2]) == 1.0 and float(r.split(",")[5]) == 0.0 for r in rows)
 
+    @pytest.mark.parametrize("size,message", [(-5, "net size must be a point count >= 1, got -5"),
+                                              (0, "nonempty")])
+    def test_net_size_below_one_is_named(self, tmp_path, capsys, size, message):
+        out = tmp_path / "trace.csv"
+        assert run_cli("online", "--T", 5, "--net-size", size, "--out", out) == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        payload = json.loads(line)
+        assert payload["type"] == "ValueError"
+        assert message in payload["error"]
+
 
 @pytest.mark.parametrize("command,extra", [
     ("online", ["--p-er", 1.5, "--T", 5, "--net-size", 8]),

@@ -13,8 +13,6 @@ from algoselect.greedy import (
     KnapsackInstance,
     MwisInstance,
     ParamGreedyFamily,
-    best_of_q,
-    erm_best_of_q,
     erm_breakpoint,
     greedy_cost,
     is_independent_set,
@@ -63,6 +61,7 @@ class TestRunGreedy:
         assert sol0 == (0,) and cost0.value == 4.0
         sol1, cost1 = run_greedy(fam, 1.0, inst)
         assert sol1 == (1,) and cost1.value == 3.0
+        assert type(cost0.value) is float and type(cost1.value) is float
 
     def test_rho_outside_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -675,78 +674,6 @@ class TestNonadaptiveStepFunctions:
         samples = [random_mwis_instance(n, 0.05, rng), random_mwis_instance(8, 0.4, rng)]
         greedy.step_functions(mwis_family(n), samples)
         assert bool(calls) == runs
-
-
-class TestBestOfQ:
-    def test_q1_equals_run_greedy(self):
-        fam = knapsack_family(2)
-        inst = two_item_knapsack()
-        assert best_of_q(fam, [0.7], inst).value == greedy_cost(fam, 0.7, inst)
-
-    def test_knapsack_pair(self):
-        fam = knapsack_family(2)
-        assert best_of_q(fam, [0.0, 1.0], two_item_knapsack()).value == 4.0
-
-    def test_duplicates_are_idempotent(self):
-        fam = knapsack_family(2)
-        inst = two_item_knapsack()
-        assert best_of_q(fam, [0.0, 0.0, 1.0], inst).value == best_of_q(fam, [0.0, 1.0], inst).value
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            best_of_q(knapsack_family(2), [], two_item_knapsack())
-
-
-class TestErmBestOfQ:
-    def test_q1_equals_erm_breakpoint(self):
-        rng = np.random.default_rng(43)
-        fam = knapsack_family(5, interval=(0.0, 2.0))
-        samples = [random_knapsack_instance(5, rng) for _ in range(4)]
-        rho_single, report_single = erm_breakpoint(fam, *piece_costs(fam, samples))
-        combo, report = erm_best_of_q(fam, samples, q=1)
-        assert combo == (rho_single,)
-        assert report.train_mean == report_single.train_mean
-
-    def test_q2_beats_singletons_on_split_population(self):
-        # Half the samples reward value ordering, half reward density ordering.
-        fam = knapsack_family(3, interval=(0.0, 2.0))
-        value_wins = two_item_knapsack()
-        density_wins = KnapsackInstance([5.0, 3.2, 3.2], [5.0, 2.5, 2.5], 5.0)
-        samples = [value_wins, density_wins]
-        combo, report = erm_best_of_q(fam, samples, q=2)
-        reps = piece_costs(fam, samples)[0]
-        singleton_best = max(
-            np.mean([greedy_cost(fam, r, x) for x in samples]) for r in reps
-        )
-        # Exhaustive oracle over every representative pair.
-        pair_best = max(
-            np.mean([max(greedy_cost(fam, r1, x), greedy_cost(fam, r2, x)) for x in samples])
-            for i, r1 in enumerate(reps)
-            for r2 in reps[i + 1:]
-        )
-        assert report.train_mean == pytest.approx(pair_best)
-        assert report.train_mean > singleton_best
-        lo, hi = min(combo), max(combo)
-        assert any(lo < p < hi for p in greedy.step_functions(fam, samples).points)
-
-    def test_identical_samples_no_gain(self):
-        rng = np.random.default_rng(47)
-        fam = knapsack_family(5, interval=(0.0, 2.0))
-        inst = random_knapsack_instance(5, rng)
-        _, single = erm_breakpoint(fam, *piece_costs(fam, [inst, inst]))
-        _, pair = erm_best_of_q(fam, [inst, inst], q=2)
-        assert pair.train_mean == single.train_mean
-
-    def test_q_cap(self):
-        with pytest.raises(ValueError):
-            erm_best_of_q(knapsack_family(2), [two_item_knapsack()], q=4)
-
-    def test_fewer_probes_than_q_rejected(self):
-        # A one-point interval has a single probe (the repro once raised
-        # TypeError from reduce over no combinations).
-        fam = knapsack_family(2, (0.5, 0.5))
-        with pytest.raises(ValueError, match="1 probe"):
-            erm_best_of_q(fam, [KnapsackInstance([1, 2], [1, 3], 3)], q=2)
 
 
 class TestCraftedShatterPair:

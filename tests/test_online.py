@@ -92,6 +92,23 @@ class TestHardInstance:
             got = run_greedy(mwis_family(inst.n, adaptive=True), rho, inst)[1].value
             assert got == pytest.approx(params.cost_at(Fraction(rho)), abs=1e-12)
 
+    @pytest.mark.parametrize("r,s", [(Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 10), Fraction(1, 5)),
+                                     (Fraction(2, 5), Fraction(9, 10))])
+    def test_closed_forms_within_ulps_of_run_values(self, r, s):
+        # The closed forms sum one layer; a run sums all n vertices, so about
+        # half the values differ in the last bits.  Adaptive runs take seconds
+        # per graph beyond m = 12, so the grid stops there for them.
+        for m in range(3, 23):
+            params = HardInstanceParams(m, r, s)
+            inst = build_hard_instance(params)
+            for adaptive in (False, True) if m <= 12 else (False,):
+                fam = mwis_family(inst.n, adaptive=adaptive)
+                inside = run_greedy(fam, float((r + s) / 2), inst)[1].value
+                assert abs(inside - params.inside_cost()) <= 1e-15
+                for rho in (float(r / 2), float((s + 1) / 2)):
+                    outside = run_greedy(fam, rho, inst)[1].value
+                    assert abs(outside - params.outside_cost()) <= 1e-15
+
     def test_boundary_tie_semantics(self):
         # At rho == r hubs win the tie (outside); at rho == s the mass layer wins.
         params = HardInstanceParams(5, Fraction(1, 4), Fraction(3, 4))
@@ -687,6 +704,12 @@ class TestBlockedRunner:
 
         with pytest.raises(ValueError, match="net"):
             run_smoothed_online(uniform_smooth_spec(4, 0.5), gen, T=3, seed=0, net=net)
+
+    @pytest.mark.parametrize("net", [-5, np.int64(-1)])
+    def test_negative_net_size_is_named(self, net):
+        with pytest.raises(ValueError, match=r"net size must be a point count >= 1, got -\d"):
+            run_smoothed_online(uniform_smooth_spec(4, 0.5), erdos_renyi_generator(4, 0.5),
+                                T=3, seed=0, net=net)
 
     def test_numpy_integer_net_size(self):
         spec, gen = uniform_smooth_spec(5, 0.5), erdos_renyi_generator(5, 0.4)
