@@ -11,7 +11,7 @@ import numpy as np
 
 from algoselect.core import MAXIMIZE, erm_costs
 from algoselect.epm import fit_linear_epm, fit_selection_table, mwis_feature_map, select_per_instance
-from algoselect.greedy import greedy_cost, mwis_family, random_mwis_instance, scalar_costs
+from algoselect.greedy import cost_matrix, mwis_family, random_mwis_instance
 
 rng = np.random.default_rng(11)
 portfolio = [0.0, 0.5, 1.0]  # value-greedy, mixed, density-greedy
@@ -25,18 +25,20 @@ def draw(count):
     return [random_mwis_instance(12, rng.choice([0.04, 0.7]), rng) for _ in range(count)]
 
 train, holdout = draw(250), draw(300)
-costs = scalar_costs(fam, train, portfolio)
+costs = cost_matrix(fam, train, portfolio)
 epms = [fit_linear_epm(rho, train, row, fmap) for rho, row in zip(portfolio, costs)]
 for epm in epms:
     print(f"rho={epm.algorithm_index}: training MSE {epm.train_loss:.5f}, "
           f"coefficients {np.round(epm.coef, 3)}")
 
+# Every portfolio member's value on every held-out graph, one row per member.
+held = cost_matrix(fam, holdout, portfolio)
 best_fixed = erm_costs(portfolio, costs, MAXIMIZE).chosen
-fixed_total = np.mean([greedy_cost(fam, best_fixed, x) for x in holdout])
+fixed_total = np.mean(held[portfolio.index(best_fixed)])
 epm_total = np.mean([
-    greedy_cost(fam, select_per_instance(epms, x, fmap, MAXIMIZE), x) for x in holdout
+    held[portfolio.index(select_per_instance(epms, x, fmap, MAXIMIZE)), j] for j, x in enumerate(holdout)
 ])
-oracle_total = np.mean([max(greedy_cost(fam, r, x) for r in portfolio) for x in holdout])
+oracle_total = np.mean(held.max(axis=0))
 print(f"\nheld-out mean weight: best fixed rho ({best_fixed}) = {fixed_total:.4f}")
 print(f"                      predictor-selected        = {epm_total:.4f}")
 print(f"                      per-instance oracle       = {oracle_total:.4f}")

@@ -154,12 +154,12 @@ def cmd_epm(args) -> str:
     rng = labeled_rng(args.seed, "epm-instances")
     train = [greedy.random_mwis_instance(args.n, args.p_er, rng) for _ in range(args.samples)]
     holdout = [greedy.random_mwis_instance(args.n, args.p_er, rng) for _ in range(args.holdout)]
-    costs = greedy.scalar_costs(fam, train, args.rhos)
+    costs = greedy.cost_matrix(fam, train, args.rhos)
     epms = [epm_mod.fit_linear_epm(rho, train, row, fmap) for rho, row in zip(args.rhos, costs)]
     hits = 0
-    for x in holdout:
+    for x, held in zip(holdout, greedy.cost_matrix(fam, holdout, args.rhos).T):
         predicted = epm_mod.select_per_instance(epms, x, fmap, MAXIMIZE)
-        truth = max(args.rhos, key=lambda rho: (greedy.greedy_cost(fam, rho, x), -rho))
+        truth = max(zip(held.tolist(), args.rhos), key=lambda cell: (cell[0], -cell[1]))[1]
         hits += predicted == truth
     payload = {
         "epms": [epm_mod.epm_to_dict(e) for e in epms],

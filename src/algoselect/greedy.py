@@ -21,9 +21,20 @@ form one `core.StepFunctions` batch (`step_functions`).  The offline
 candidates (`piece_costs`) are both endpoints and one rho inside every piece
 of the union of the samples' value-change points, read off that batch; ERM
 (`erm_breakpoint`) and the shattering probe both reduce that one cost matrix.
-Non-adaptive MWIS step functions are made as in the online runner: one
-crossing expression and one vectorized evaluator of first fit at every piece
-midpoint of many graphs at once.
+
+Greedy values are computed in batches: samples of one size run together,
+each (sample, rho) pair a row of one vectorized evaluator per kind, which
+repeats the scalar runner's float expressions and so equals it bit for bit.
+`_nonadaptive_masks` runs first fit against one uint64 neighbourhood bitmask
+per vertex, `_adaptive_masks` lets every row pick its next vertex in lockstep
+and keeps its window, and `_knapsack_masks` runs first fit against one
+residual capacity per row.  The step functions' pieces (knapsack pieces at
+once, the adaptive walks one round at a time, non-adaptive MWIS pieces as in
+the online runner), the endpoint and holdout runs of ERM and the `epm`
+command's labels all take these batches; `cost_matrix` is their (rhos x
+samples) entry point.  The scalar runner (`run_greedy`) stays the public
+single-run API, the path of MWIS graphs on more than 63 vertices and of
+exact-weight instances, and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 from typing import Callable, Sequence
 
@@ -162,22 +173,21 @@ class MwisInstance:
         self._exact_classes = None
 
     def _build_csr(self):
-        """Degrees and sorted neighbour lists from one bincount and one key sort."""
+        """Sorted neighbour lists from the degrees and one key sort, for the scalar runs."""
         if self._indptr is not None:
             return
-        n, e = self.n, self.edges
-        counts = np.bincount(e.ravel(), minlength=n)
+        n, e, counts = self.n, self.edges, self.degrees
         # Neighbour v of u as the key u * n + v, sorted (a stable sort reuses the sorted
         # first half); subtracting u * n decodes each vertex's neighbours in order.
         keys = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
         keys.sort(kind="stable")
         self._indices = keys - np.repeat(np.arange(n, dtype=np.int64) * n, counts)
         self._indptr = np.concatenate([[0], np.cumsum(counts)])
-        self._degrees = counts
 
     @property
     def degrees(self) -> np.ndarray:
-        self._build_csr()
+        if self._degrees is None:
+            self._degrees = np.bincount(self.edges.ravel(), minlength=self.n)
         return self._degrees
 
     def adjacency_matrix(self) -> np.ndarray:
@@ -262,12 +272,14 @@ def _exact_order(instance: MwisInstance, rho: Fraction) -> list[int]:
 
 def _greedy_mwis_nonadaptive(instance: MwisInstance, rho) -> np.ndarray:
     """First fit in score order: a vertex is taken unless a taken neighbour blocks it."""
+    # Neighbour lists first: built after the exact order's temporaries instead,
+    # they made perfbench's replay of 2,026-vertex graphs about 7% slower.
+    instance._build_csr()
     if isinstance(rho, Fraction) and instance.exact_base is not None:
         order = _exact_order(instance, rho)
     else:
         keys = _mwis_log_keys(instance, rho, instance.degrees.astype(float))
         order = np.argsort(-keys, kind="stable").tolist()
-    instance._build_csr()
     indptr, indices = instance._indptr, instance._indices
     chosen = np.zeros(instance.n, dtype=bool)
     blocked = np.zeros(instance.n, dtype=bool)
@@ -356,11 +368,11 @@ def greedy_cost(family: ParamGreedyFamily, rho, instance) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized non-adaptive MWIS over many graphs and parameter values
+# Batched greedy runs over many instances and parameter values
 # ---------------------------------------------------------------------------
 
 _GRID_MAX_N = 63  # vertex bitmasks live in one uint64 lane
-_BLOCK_ROOTS = 1 << 18  # cells in the largest arrays of one batch of graphs
+_BLOCK_ROOTS = 1 << 18  # cells in the largest arrays of one batch
 
 
 def _graph_lanes(n: int, graphs: int, edges: np.ndarray, edge_graph: np.ndarray):
@@ -397,6 +409,154 @@ def _nonadaptive_masks(logw: np.ndarray, degrees: np.ndarray, adj_bits: np.ndarr
     return chosen
 
 
+def _popcount(bits: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64, as int64 (np.bitwise_count needs numpy 2)."""
+    m1, m2, m4 = (np.uint64(0x5555555555555555), np.uint64(0x3333333333333333),
+                  np.uint64(0x0F0F0F0F0F0F0F0F))
+    bits = bits - ((bits >> np.uint64(1)) & m1)
+    bits = (bits & m2) + ((bits >> np.uint64(2)) & m2)
+    bits = (bits + (bits >> np.uint64(4))) & m4
+    return ((bits * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+
+
+def _adaptive_masks(logw: np.ndarray, degrees: np.ndarray, adj_bits: np.ndarray,
+                    owner: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adaptive greedy solutions for rows as `_nonadaptive_masks` takes them,
+    and the open window (a, b) where each row's run is fixed: shapes (rows, n)
+    bool, (rows,) and (rows,).  Every live row picks one vertex per round, in
+    lockstep; the scores, crossings and residual degrees (live neighbours, one
+    bitmask popcount) are `_greedy_mwis_adaptive`'s float expressions, so all
+    three equal its runs bit for bit.
+    """
+    n, m = logw.shape[1], rhos.size
+    vertex_bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    logd = np.log(1.0 + np.arange(n, dtype=float))
+    chosen, a, b = np.zeros((m, n), dtype=bool), np.full(m, -np.inf), np.full(m, np.inf)
+    # The live rows: their ids, graphs' log weights and lanes, rhos, live vertices and degrees.
+    rows, logw, lanes = np.arange(m), logw[owner], adj_bits.reshape(-1, n)[owner]
+    live_bits, deg = np.full(m, (1 << n) - 1, dtype=np.uint64), degrees[owner]
+    while rows.size:
+        alive, k = (live_bits[:, None] & vertex_bit) != 0, np.arange(rows.size)
+        v = np.where(alive, logw - rhos[:, None] * np.log1p(deg), -np.inf).argmax(axis=1)
+        dd, dp = logd[deg[k, v]][:, None] - logd[deg], logw[k, v][:, None] - logw
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = dp / dd
+        a[rows] = np.maximum(a[rows], np.where(alive & (dd < 0), ratios, -np.inf).max(axis=1))
+        b[rows] = np.minimum(b[rows], np.where(alive & (dd > 0), ratios, np.inf).min(axis=1))
+        chosen[rows, v] = True
+        live_bits &= ~(vertex_bit[v] | lanes[k, v])
+        keep = live_bits != 0
+        rows, logw, lanes, rhos, live_bits = (x[keep] for x in (rows, logw, lanes, rhos, live_bits))
+        deg = _popcount(lanes & live_bits[:, None])
+    return chosen, a, b
+
+
+def _knapsack_masks(logv: np.ndarray, logs: np.ndarray, sizes: np.ndarray, capacity: np.ndarray,
+                    owner: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """First-fit knapsack solutions for rows drawn from item sets of one size
+    (log values, log sizes, sizes and capacities, one row per set): row i runs
+    rho = rhos[i] on set owner[i].  Shape (rows, n) bool.  One residual
+    capacity per row, with `_greedy_knapsack`'s float operations."""
+    keys = logv[owner] - rhos[:, None] * logs[owner]
+    order = np.argsort(-keys, axis=1, kind="stable")
+    sizes, resid = sizes[owner], capacity[owner]
+    chosen = np.zeros(keys.shape, dtype=bool)
+    rows = np.arange(rhos.size)
+    for pos in range(keys.shape[1]):
+        cur = order[:, pos]
+        size = sizes[rows, cur]
+        fits = size <= resid
+        resid = np.where(fits, resid - size, resid)
+        chosen[rows[fits], cur[fits]] = True
+    return chosen
+
+
+def _stacked_lanes(graphs) -> tuple[np.ndarray, np.ndarray]:
+    """`_graph_lanes` of MWIS instances on one number of vertices."""
+    edge_graph = np.repeat(np.arange(len(graphs)), [len(x.edges) for x in graphs])
+    return _graph_lanes(graphs[0].n, len(graphs), np.concatenate([x.edges for x in graphs]), edge_graph)
+
+
+def _batched_runs(family: ParamGreedyFamily, group):
+    """`_runners`' run function for samples of one size, batched."""
+    knapsack = family.kind == "knapsack"
+    payload = np.stack([x.values if knapsack else x.weights for x in group])
+    if knapsack:
+        sizes = np.stack([x.sizes for x in group])
+        data = (np.log(payload), np.log(sizes), sizes, np.array([x.capacity for x in group]))
+    else:
+        data = (np.log(payload), *_stacked_lanes(group))
+    masks_of = {"knapsack": _knapsack_masks, "mwis": _nonadaptive_masks,
+                "mwis-adaptive": _adaptive_masks}[family.kind]
+    step = max(1, _BLOCK_ROOTS // group[0].n)
+
+    def runs(owner, rhos):
+        rhos = np.asarray(rhos, dtype=float)
+        values, ends = np.empty(rhos.size), np.full(rhos.size, np.inf)
+        for part in (slice(start, start + step) for start in range(0, rhos.size, step)):
+            masks = masks_of(*data, owner[part], rhos[part])
+            if family.kind == "mwis-adaptive":
+                masks, _, ends[part] = masks
+            values[part] = mask_cost(masks, payload[owner[part]])
+        return values, ends
+    return runs
+
+
+def _scalar_runs(family: ParamGreedyFamily, group, owner, rhos):
+    """`_runners`' run function for MWIS graphs it does not batch: one scalar run per row."""
+    values, ends = np.empty(len(rhos)), np.full(len(rhos), np.inf)
+    for i, (k, rho) in enumerate(zip(owner.tolist(), rhos)):
+        if family.kind == "mwis-adaptive":
+            mask, (_, ends[i]) = _greedy_mwis_adaptive(group[k], rho)
+            values[i] = mask_cost(mask, group[k].weights)
+        else:
+            values[i] = greedy_cost(family, rho, group[k])
+    return values, ends
+
+
+def _runners(family: ParamGreedyFamily, samples, ks):
+    """The samples `ks` grouped for runs, as (group, runs) pairs, `group` a
+    list of sample indices.  `runs(owner, rhos)` runs sample group[owner[i]]
+    at rhos[i] for every row i, and returns each row's value and the upper end
+    b of the window where its run is fixed (`_greedy_mwis_adaptive`; inf for
+    the other kinds).
+
+    Samples of one size run together, at most `_BLOCK_ROOTS` row-object cells
+    at a time (`_knapsack_masks`, `_nonadaptive_masks`, `_adaptive_masks`).
+    MWIS graphs beyond one lane (n > 63) and graphs with exact weights take
+    one scalar run per row, as `run_greedy` does.
+    """
+    groups = {}
+    for k in ks:
+        x = samples[k]
+        batched = family.kind == "knapsack" or (x.n <= _GRID_MAX_N and x.exact_base is None)
+        groups.setdefault(x.n if batched else 0, []).append(k)
+    for n, group in groups.items():
+        members = [samples[k] for k in group]
+        yield group, (_batched_runs(family, members) if n else partial(_scalar_runs, family, members))
+
+
+def cost_matrix(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
+    """Greedy value of every rho on every sample, shape (len(rhos), len(samples)).
+
+    Each cell equals `greedy_cost` of that rho and sample bit for bit, and
+    rhos outside the interval fail with `run_greedy`'s error; the samples run
+    in batches (`_runners`).
+    """
+    for rho in rhos:
+        if not family.contains(rho):
+            raise ValueError(f"rho={rho} outside family interval {family.interval}")
+    need = KnapsackInstance if family.kind == "knapsack" else MwisInstance
+    if not all(isinstance(x, need) for x in samples):
+        raise TypeError(f"{family.kind} family needs {need.__name__} samples")
+    rhos = np.asarray(rhos)
+    costs = np.empty((rhos.size, len(samples)))
+    for group, runs in _runners(family, samples, range(len(samples))):
+        owner = np.tile(np.arange(len(group)), rhos.size)
+        costs[:, group] = runs(owner, np.repeat(rhos, len(group)))[0].reshape(rhos.size, len(group))
+    return costs
+
+
 @lru_cache(maxsize=None)
 def _log_ratios(n: int) -> np.ndarray:
     """ln(k1) - ln(k2) at [k1, k2] for k1 != k2 in {2..n}, NaN elsewhere.  The
@@ -408,11 +568,20 @@ def _log_ratios(n: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=8)  # a run draws graphs of a few sizes
+def _vertex_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, k=1)`: the vertex pairs u < v in row-major order."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False  # cached and shared by every caller
+    return pairs
+
+
 def _nonadaptive_crossings(logw: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """Each row's own crossings (log w_i - log w_j) / (ln k_i - ln k_j), k = 1 +
     degree, over the vertex pairs i < j: shape (rows, pairs), NaN where
     k_i = k_j or a vertex is isolated (such a pair's order never changes a run)."""
-    i, j = np.triu_indices(logw.shape[1], k=1)
+    i, j = _vertex_pairs(logw.shape[1])
     return (logw[:, i] - logw[:, j]) / _log_ratios(logw.shape[1])[degrees[:, i] + 1, degrees[:, j] + 1]
 
 
@@ -475,20 +644,21 @@ def _nonadaptive_rows(family: ParamGreedyFamily, graphs) -> tuple:
     points, offsets = _rows_within(_nonadaptive_crossings(logw, degrees), *_inside(family.interval))
     if n > _GRID_MAX_N:
         return points, offsets, None
-    edge_graph = np.repeat(np.arange(len(graphs)), [len(x.edges) for x in graphs])
-    lanes = _graph_lanes(n, len(graphs), np.concatenate([x.edges for x in graphs]), edge_graph)
-    return points, offsets, _piece_values(weights, logw, lanes, points, offsets, *family.interval)
+    return points, offsets, _piece_values(weights, logw, _stacked_lanes(graphs), points, offsets,
+                                          *family.interval)
 
 
 def step_functions(family: ParamGreedyFamily, samples) -> StepFunctions:
     """Each sample's greedy value between its own crossings, as a row of one batch.
 
     Non-adaptive MWIS graphs of one size go through `_nonadaptive_rows`
-    together, in batches of at most `_BLOCK_ROOTS` piece-vertex cells.
-    Knapsack and larger graphs take one scalar run per piece, at its midpoint.
-    For "mwis-adaptive" one run serves every piece in its window (see
+    together, in batches of at most `_BLOCK_ROOTS` piece-vertex cells.  The
+    other samples run at piece midpoints through `_runners`: knapsacks and
+    graphs beyond one lane at every piece, in one call per group.  For
+    "mwis-adaptive" one run serves every piece in its window (see
     `_greedy_mwis_adaptive`) and the next run is at the first piece past it:
-    one run per distinct execution.
+    one run per distinct execution, and the walks of one group advance in
+    lockstep, one call per round.
     """
     lo, hi = family.interval
     points, values = [None] * len(samples), [None] * len(samples)
@@ -500,22 +670,30 @@ def step_functions(family: ParamGreedyFamily, samples) -> StepFunctions:
             for i, k in enumerate(part):
                 points[k] = own[offsets[i]:offsets[i + 1]]
                 values[k] = None if pieces is None else pieces[offsets[i] + i:offsets[i + 1] + i + 1]
-    for k, x in enumerate(samples):
-        points[k] = _own_crossings(family, x) if points[k] is None else points[k]
-        if values[k] is not None:
-            continue
-        grid = np.concatenate([[lo], points[k], [hi]])
-        mids = (grid[:-1] + grid[1:]) / 2.0
+    rest = [k for k in range(len(samples)) if values[k] is None]
+    for group, runs in _runners(family, samples, rest):
+        grids = [np.concatenate([[lo], _own_crossings(family, samples[k]) if points[k] is None
+                                 else points[k], [hi]]) for k in group]
+        mids = [(grid[:-1] + grid[1:]) / 2.0 for grid in grids]
+        counts = np.array([m.size for m in mids])
+        for k, grid in zip(group, grids):
+            points[k] = grid[1:-1]
         if family.kind != "mwis-adaptive":
-            values[k] = [greedy_cost(family, r, x) for r in mids]
+            pieces = runs(np.repeat(np.arange(len(group)), counts), np.concatenate(mids))[0]
+            for k, part in zip(group, np.split(pieces, np.cumsum(counts)[:-1])):
+                values[k] = part
             continue
-        values[k], i = np.empty(mids.size), 0
-        while i < mids.size:
-            mask, (_, b) = _greedy_mwis_adaptive(x, mids[i])
-            # The run is fixed on the pieces i .. end - 1, which end at or before b.
-            end = max(i + 1, int(np.searchsorted(grid, b, side="right")) - 1)
-            values[k][i:end] = mask_cost(mask, x.weights)
-            i = end
+        for k, m in zip(group, mids):
+            values[k] = np.empty(m.size)
+        first, live = np.zeros(len(group), dtype=np.int64), np.arange(len(group))
+        while live.size:
+            run_values, ends = runs(live, [mids[i][first[i]] for i in live.tolist()])
+            for i, value, b in zip(live.tolist(), run_values.tolist(), ends.tolist()):
+                # The run is fixed on the pieces first .. end - 1, which end at or before b.
+                end = max(first[i] + 1, int(np.searchsorted(grids[i], b, side="right")) - 1)
+                values[group[i]][first[i]:end] = value
+                first[i] = end
+            live = live[first[live] < counts[live]]
     return StepFunctions(np.concatenate(points + [np.empty(0)]), np.cumsum([0] + [p.size for p in points]),
                          np.concatenate(values + [np.empty(0)]))
 
@@ -541,16 +719,10 @@ def piece_costs(family: ParamGreedyFamily, samples) -> tuple[np.ndarray, np.ndar
     edges = np.concatenate([[lo], points, [hi]])
     rhos = np.unique(np.concatenate([[lo], (edges[:-1] + edges[1:]) / 2.0, [hi]]))
     costs = functions.at(rhos)
-    for end in (lo, hi):  # a crossing can sit on an endpoint: run there
-        costs[rhos == end] = [greedy_cost(family, end, x) for x in samples]
+    # A crossing can sit on an endpoint: run there.
+    for end, row in zip((lo, hi), cost_matrix(family, samples, [lo, hi])):
+        costs[rhos == end] = row
     return rhos, costs
-
-
-def scalar_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
-    """`greedy_cost` of every rho on every sample, shape (len(rhos), len(samples)):
-    one scalar run per cell, the oracle for `piece_costs`."""
-    costs = [[greedy_cost(family, r, x) for x in samples] for r in rhos]
-    return np.asarray(costs, dtype=float).reshape(len(rhos), len(samples))
 
 
 def erm_breakpoint(family: ParamGreedyFamily, rhos: np.ndarray, costs: np.ndarray, holdout=None):
@@ -559,7 +731,7 @@ def erm_breakpoint(family: ParamGreedyFamily, rhos: np.ndarray, costs: np.ndarra
 
     Exact over every rho outside the finite set of value-change points
     (open-piece semantics).  With a nonempty holdout, `holdout_mean` is the
-    mean of real runs at rho_star on the holdout (`scalar_costs`), which holds
+    mean of real runs at rho_star on the holdout (`cost_matrix`), which holds
     even where rho_star is a held-out change point, and `estimated_error` its
     gap to the best held-out mean over the interval (the best row of the
     holdout's own `piece_costs`).  Returns (rho_star, ErrorReport); ties break
@@ -569,7 +741,7 @@ def erm_breakpoint(family: ParamGreedyFamily, rhos: np.ndarray, costs: np.ndarra
     rho = report.chosen
     if not holdout:
         return rho, report
-    chosen = float(np.mean(scalar_costs(family, holdout, [rho])[0]))
+    chosen = float(np.mean(cost_matrix(family, holdout, [rho])[0]))
     best = float(piece_costs(family, holdout)[1].mean(axis=1).max())
     return rho, ErrorReport(rho, report.train_mean, chosen, abs(chosen - best))
 
@@ -583,7 +755,7 @@ class _ErdosRenyi:
     """G(n, p): a vertex pair u < v (row-major) is an edge if its draw is below p."""
 
     def __init__(self, n: int, p: float):
-        self.n, self.p, self.pairs = n, p, np.triu_indices(n, k=1)
+        self.n, self.p, self.pairs = n, p, _vertex_pairs(n)
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         return self.edges(rng.random((1, self.pairs[0].size)))[0]

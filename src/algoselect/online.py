@@ -43,7 +43,7 @@ import numpy as np
 from .core import StepFunctions
 # `erdos_renyi_generator` is re-exported as the graph model of smoothed runs.
 from .greedy import (_BLOCK_ROOTS, _GRID_MAX_N, MwisInstance, _ErdosRenyi, _graph_lanes,  # noqa: F401
-                     _log_ratios, _nonadaptive_crossings, _piece_values, _rows_within,
+                     _log_ratios, _nonadaptive_crossings, _piece_values, _rows_within, _vertex_pairs,
                      erdos_renyi_generator, mwis_from_dict, mwis_to_dict)
 from .utils import labeled_rng
 
@@ -337,7 +337,7 @@ def _transition_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("transition points require distinct vertex weights")
     denoms = np.asarray(_canonical_denominators(n))
     logw = np.log(weights)
-    i, j = np.triu_indices(n, k=1)
+    i, j = _vertex_pairs(n)
     return _rows_within(((logw[:, i] - logw[:, j])[:, :, None] / denoms).reshape(steps, -1), 0.0, 1.0)
 
 

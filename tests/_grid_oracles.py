@@ -7,6 +7,10 @@ checked against both.  The non-adaptive MWIS path is the library's
 `_nonadaptive_masks` on one graph; the adaptive one recomputes residual
 degrees with one matrix product per selection round.
 
+`scalar_costs` is one scalar `greedy_cost` per cell of a (rhos x samples)
+matrix, the oracle for the library's batched `cost_matrix` and for the
+costs `piece_costs` reads off its step functions.
+
 `crossing_superset` enumerates every score crossing of each sample, pair by
 pair, without the library's enumerators, so oracle grids sized from it do not
 depend on the code they check.
@@ -25,7 +29,7 @@ import math
 import numpy as np
 
 from algoselect.greedy import (_GRID_MAX_N, KnapsackInstance, MwisInstance, ParamGreedyFamily,
-                               _graph_lanes, _nonadaptive_masks)
+                               _graph_lanes, _nonadaptive_masks, greedy_cost)
 from algoselect.sorter import BucketSorter, SortStats, mergesort_count
 
 
@@ -90,6 +94,13 @@ def grid_costs(family: ParamGreedyFamily, rhos, instance) -> np.ndarray:
     masks = grid_masks(family, rhos, instance)
     payload = instance.values if family.kind == "knapsack" else instance.weights
     return np.where(masks, payload, 0.0).sum(axis=1)
+
+
+def scalar_costs(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
+    """`greedy_cost` of every rho on every sample, shape (len(rhos), len(samples)):
+    one scalar run per cell."""
+    costs = [[greedy_cost(family, r, x) for x in samples] for r in rhos]
+    return np.asarray(costs, dtype=float).reshape(len(rhos), len(samples))
 
 
 def crossing_superset(family: ParamGreedyFamily, samples) -> np.ndarray:

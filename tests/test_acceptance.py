@@ -17,7 +17,7 @@ from _fixtures import (
     MWIS_WEIGHT_PALETTE,
     crafted_shatter_pair,
 )
-from _grid_oracles import crossing_superset, grid_costs, grid_masks
+from _grid_oracles import crossing_superset, grid_costs, grid_masks, scalar_costs
 from algoselect.cli import main as cli_main
 from algoselect.core import MINIMIZE, realized_labelings, shatter_probe
 from algoselect.epm import FeatureMap, fit_linear_epm, select_per_instance
@@ -30,7 +30,6 @@ from algoselect.greedy import (
     random_knapsack_instance,
     random_mwis_instance,
     run_greedy,
-    scalar_costs,
 )
 from algoselect.online import (
     HardInstanceParams,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _fixtures import KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE
-from _grid_oracles import crossing_superset, grid_costs
+from _grid_oracles import crossing_superset, grid_costs, scalar_costs
 
 from algoselect.greedy import (
     KnapsackInstance,
@@ -23,7 +23,6 @@ from algoselect.greedy import (
     piece_costs,
     random_knapsack_instance,
     random_mwis_instance,
-    scalar_costs,
 )
 
 VALUES = (1.0, 2.0)

@@ -24,13 +24,13 @@ from algoselect.greedy import (
     run_greedy,
     save_knapsack,
     save_mwis,
-    scalar_costs,
     step_functions,
 )
 from algoselect.online import build_hard_instance, instance_from_jsonl
 from algoselect.gdtune import GdInstance, save_gd_instance
 from algoselect.utils import labeled_rng
 from _fixtures import interval_gadget
+from _grid_oracles import scalar_costs
 
 
 def run_cli(*argv):
@@ -309,6 +309,13 @@ class TestEpmCommand:
         for record in payload["epms"]:
             assert set(record) >= {"schema_id", "algorithm_index", "coefficients", "training_loss"}
         assert 0 <= payload["selection_matches_true_best"] <= payload["holdout_instances"]
+
+    def test_out_of_interval_rho_is_run_greedys_error(self, tmp_path, capsys):
+        out = tmp_path / "epm.json"
+        assert run_cli("epm", "--rhos", "0,1.5", "--out", out) == 1
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.strip().split("\n")
+        assert line == '{"error": "rho=1.5 outside family interval (0.0, 1.0)", "type": "ValueError"}'
 
 
 class TestSortBench:

@@ -6,7 +6,7 @@ import pytest
 
 from _fixtures import (KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE,
                        crafted_shatter_pair)
-from _grid_oracles import crossing_superset, grid_costs, grid_masks
+from _grid_oracles import crossing_superset, grid_costs, grid_masks, scalar_costs
 from algoselect import greedy, online
 from algoselect.core import shatter_probe
 from algoselect.greedy import (
@@ -27,7 +27,6 @@ from algoselect.greedy import (
     run_greedy,
     save_knapsack,
     save_mwis,
-    scalar_costs,
 )
 
 
@@ -182,6 +181,21 @@ class TestLargeGraphPath:
         for v in range(n):
             nbrs = indices[indptr[v]:indptr[v + 1]]
             assert nbrs.tolist() == np.flatnonzero(adj[v]).tolist()  # sorted
+
+    def test_degrees_leave_the_csr_unbuilt(self):
+        inst = MwisInstance(6, [(4, 1), (1, 3)], np.full(6, 0.5))
+        assert inst.degrees.tolist() == [0, 2, 0, 1, 1, 0]
+        greedy.cost_matrix(mwis_family(6, adaptive=True), [inst], [0.5])
+        assert inst._indptr is None  # only a scalar run needs the neighbour lists
+        run_greedy(mwis_family(6), 0.5, inst)
+        assert inst._indptr is not None
+
+    def test_vertex_pairs_are_cached_read_only(self):
+        pairs = greedy._vertex_pairs(7)
+        assert greedy._vertex_pairs(7) is pairs
+        assert np.array_equal(pairs, np.triu_indices(7, k=1))
+        with pytest.raises(ValueError):
+            pairs[0][0] = 1
 
     def test_csr_with_isolated_vertices(self):
         inst = MwisInstance(6, [(4, 1), (1, 3)], np.full(6, 0.5))
@@ -674,6 +688,114 @@ class TestNonadaptiveStepFunctions:
         samples = [random_mwis_instance(n, 0.05, rng), random_mwis_instance(8, 0.4, rng)]
         greedy.step_functions(mwis_family(n), samples)
         assert bool(calls) == runs
+
+
+def batched_set(kind, rng):
+    """Samples of mixed sizes in no particular order with tie-heavy attributes:
+    the knapsack tie repro and item sets from two-value palettes, or graphs
+    with repeated or palette weights, an edgeless graph and a single vertex."""
+    if kind == "knapsack":
+        samples = [KnapsackInstance([1.0, 1.0, 1.0], [2.0, 1.0, 1.0], 2.0),
+                   KnapsackInstance([2.0, 1.5], [2.0, 1.0], 2.0)]
+        pair = (KNAPSACK_VALUE_PALETTE[:2], KNAPSACK_SIZE_PALETTE[:2])  # equal values and sizes repeat
+        return samples + [random_knapsack_instance(n, rng, *pair) for n in (1, 6, 3, 9, 6)]
+    samples = [MwisInstance(5, [], rng.choice([0.25, 0.5, 1.0], 5)), MwisInstance(1, [], [0.5])]
+    for k, n in enumerate((8, 3, 12, 8, 5)):
+        weights = rng.choice(MWIS_WEIGHT_PALETTE, n, replace=False) if k % 2 else rng.choice([0.25, 0.5], n)
+        samples.append(MwisInstance(n, greedy.erdos_renyi_generator(n, (0.3, 0.6)[k % 2])(rng), weights))
+    return samples
+
+
+BATCHED_KINDS = ("mwis", "mwis-adaptive", "knapsack")
+
+
+class TestBatchedRuns:
+    """`cost_matrix` and the batched evaluators behind it equal scalar runs bit
+    for bit, at the interval's endpoints and at rhos exactly on own crossings."""
+
+    @pytest.mark.parametrize("kind", BATCHED_KINDS)
+    def test_cost_matrix_is_scalar_runs(self, kind):
+        rng = np.random.default_rng(BATCHED_KINDS.index(kind))
+        for interval in ((0.0, 1.0), (0.0, 2.0), (0.25, 0.75)):
+            fam = ParamGreedyFamily(kind, interval, 12)
+            samples = batched_set(kind, rng)
+            own = greedy.step_functions(fam, samples).points
+            rhos = [*interval, *rng.choice(own, min(own.size, 40), replace=False), *rng.uniform(*interval, 5)]
+            costs = greedy.cost_matrix(fam, samples, rhos)
+            assert costs.tobytes() == scalar_costs(fam, samples, rhos).tobytes()
+
+    @pytest.mark.parametrize("kind", BATCHED_KINDS)
+    def test_masks_and_windows_are_scalar_runs(self, kind):
+        rng = np.random.default_rng(10 + BATCHED_KINDS.index(kind))
+        fam = ParamGreedyFamily(kind, (0.0, 2.0), 12)
+        for n in (1, 2, 5, 8, 12):
+            if kind == "knapsack":
+                pair = (KNAPSACK_VALUE_PALETTE[:2], KNAPSACK_SIZE_PALETTE[:2])
+                group = [random_knapsack_instance(n, rng, *pair) for _ in range(3)]
+            else:
+                group = [MwisInstance(n, greedy.erdos_renyi_generator(n, p)(rng),
+                                      rng.choice([0.25, 0.5, 1.0], n)) for p in (0.0, 0.3, 0.7)]
+            rhos = [np.concatenate([[0.0, 2.0], greedy.step_functions(fam, [x]).points]) for x in group]
+            owner, flat = np.repeat(np.arange(3), [r.size for r in rhos]), np.concatenate(rhos)
+            if kind == "knapsack":
+                values, sizes = np.stack([x.values for x in group]), np.stack([x.sizes for x in group])
+                masks = greedy._knapsack_masks(np.log(values), np.log(sizes), sizes,
+                                               np.array([x.capacity for x in group]), owner, flat)
+            else:
+                lanes = greedy._stacked_lanes(group)
+                logw = np.log(np.stack([x.weights for x in group]))
+                if kind == "mwis":
+                    masks = greedy._nonadaptive_masks(logw, *lanes, owner, flat)
+                else:
+                    masks, a, b = greedy._adaptive_masks(logw, *lanes, owner, flat)
+                    for i, (k, rho) in enumerate(zip(owner, flat)):
+                        assert (a[i], b[i]) == greedy._greedy_mwis_adaptive(group[k], rho)[1]
+            for row, k, rho in zip(masks, owner, flat):
+                assert tuple(np.flatnonzero(row)) == run_greedy(fam, rho, group[k])[0]
+
+    @pytest.mark.parametrize("n", [63, 64])
+    @pytest.mark.parametrize("kind", BATCHED_KINDS)
+    def test_scalar_runs_only_beyond_the_lanes(self, monkeypatch, kind, n):
+        # Knapsacks always batch; a graph on 64 vertices does not fit a uint64 lane.
+        rng = np.random.default_rng(n)
+        if kind == "knapsack":
+            samples = [random_knapsack_instance(n, rng) for _ in range(2)]
+        else:
+            samples = [random_mwis_instance(n, 0.05, rng), random_mwis_instance(8, 0.4, rng)]
+        fam = ParamGreedyFamily(kind, (0.0, 1.0), n)
+        calls = []
+        for name in ("_greedy_knapsack", "_greedy_mwis_nonadaptive", "_greedy_mwis_adaptive"):
+            run = getattr(greedy, name)
+            monkeypatch.setattr(greedy, name, lambda x, rho, run=run: calls.append(x.n) or run(x, rho))
+        rhos, costs = piece_costs(fam, samples)
+        monkeypatch.undo()
+        assert set(calls) == ({64} if n == 64 and kind != "knapsack" else set())
+        rows = np.unique(np.concatenate([[0, rhos.size - 1], rng.choice(rhos.size, min(rhos.size, 30))]))
+        assert costs[rows].tobytes() == scalar_costs(fam, samples, rhos[rows]).tobytes()
+
+    def test_exact_weights_take_scalar_runs(self):
+        # Exact weights compare Fraction parameters exactly, which only `run_greedy`
+        # does: this 46-vertex window is 2.4e-17 wide, below float resolution.
+        params = online.adversary_sequence(46, 10, 0)[-1]
+        hard = online.build_hard_instance(params)
+        rhos = [params.r, (params.r + params.s) / 2, params.s, 0.5]
+        for adaptive in (True, False):
+            fam = mwis_family(hard.n, adaptive=adaptive)
+            costs = greedy.cost_matrix(fam, [hard], rhos)
+            assert costs.tobytes() == scalar_costs(fam, [hard], rhos).tobytes()
+        assert costs[1:3, 0].tolist() == [1.0, 1.0]  # non-adaptive: the window scores 1
+
+    def test_fails_like_run_greedy(self):
+        fam, x = knapsack_family(2), two_item_knapsack()
+        for rho in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError) as scalar:
+                run_greedy(fam, rho, x)
+            with pytest.raises(ValueError) as batched:
+                greedy.cost_matrix(fam, [x], [0.5, rho])
+            assert str(batched.value) == str(scalar.value)
+        with pytest.raises(TypeError, match="MwisInstance"):
+            greedy.cost_matrix(mwis_family(2), [x], [0.5])
+        assert greedy.cost_matrix(fam, [], [0.5]).shape == (1, 0)
 
 
 class TestCraftedShatterPair:
