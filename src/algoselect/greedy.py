@@ -104,11 +104,13 @@ def knapsack_family(n: int, interval=(0.0, 1.0)) -> ParamGreedyFamily:
 class MwisInstance:
     """Undirected vertex-weighted graph with weights in (0, 1].
 
-    `edges` is an int64 array of shape (E, 2) owned by the instance: the
-    unique (u, v) pairs with u < v, in increasing order of u * n + v.  Input
-    already in that form is kept as given; any other order, reversed pairs
-    and repeats are canonicalized.  `n` and the endpoints must be whole
-    numbers.  The neighbour lists the greedy runs walk are sorted by vertex id.
+    `edges` is a read-only int64 array of shape (E, 2) owned by the instance:
+    the unique (u, v) pairs with u < v, in increasing order of u * n + v.
+    Input already in that form is kept as given; any other order, reversed
+    pairs and repeats are canonicalized.  `n` and the endpoints must be whole
+    numbers.  The degrees and the neighbour lists the greedy runs walk (sorted
+    by vertex id) are built on first use, read-only as well; `reweighted`
+    shares all of them with a copy that only has new weights.
 
     Instances whose weights are exact powers of an integer base >= 2 may carry
     (`exact_base`, `exact_exponents`): weight_v proportional to
@@ -146,8 +148,16 @@ class MwisInstance:
             keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
             edge_arr = np.empty((keys.size, 2), dtype=np.int64)
             np.divmod(keys, n, out=(edge_arr[:, 0], edge_arr[:, 1]))
+        edge_arr.flags.writeable = False
+        self.n = n
+        self.edges = edge_arr
+        self._indptr = self._indices = self._degrees = None
+        self._set_weights(weights, exact_base, exact_exponents)
+
+    def _set_weights(self, weights, exact_base, exact_exponents) -> None:
+        """Check and set weights and exact exponents, for the constructor and `reweighted`."""
         w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
+        if w.shape != (self.n,):
             raise ValueError("weights must have one entry per vertex")
         if (w <= 0).any() or (w > 1).any() or not np.isfinite(w).all():
             raise ValueError("weights must lie in (0, 1]")
@@ -157,20 +167,25 @@ class MwisInstance:
             if not isinstance(exact_base, numbers.Integral) or exact_base < 2:
                 raise ValueError(f"exact_base must be an integer >= 2, got {exact_base!r}")
             exact_exponents = tuple(exact_exponents)
-            if len(exact_exponents) != n:
+            if len(exact_exponents) != self.n:
                 raise ValueError("need one exact exponent per vertex")
             # One isinstance check per distinct type, not per exponent.
             if not all(issubclass(t, numbers.Rational) for t in set(map(type, exact_exponents))):
                 raise ValueError("exact exponents must be rational numbers")
-        self.n = n
-        self.edges = edge_arr
         self.weights = w
         self.exact_base = None if exact_base is None else int(exact_base)
         self.exact_exponents = exact_exponents
-        self._indptr = None
-        self._indices = None
-        self._degrees = None
         self._exact_classes = None
+
+    def reweighted(self, weights, exact_base=None, exact_exponents=None) -> "MwisInstance":
+        """The same graph with new weights and exact exponents, checked as the
+        constructor checks them.  The copy shares the read-only edges, and the
+        degrees and neighbour lists as far as this instance has built them."""
+        out = object.__new__(type(self))
+        out.n, out.edges = self.n, self.edges
+        out._indptr, out._indices, out._degrees = self._indptr, self._indices, self._degrees
+        out._set_weights(weights, exact_base, exact_exponents)
+        return out
 
     def _build_csr(self):
         """Sorted neighbour lists from the degrees and one key sort, for the scalar runs."""
@@ -183,22 +198,14 @@ class MwisInstance:
         keys.sort(kind="stable")
         self._indices = keys - np.repeat(np.arange(n, dtype=np.int64) * n, counts)
         self._indptr = np.concatenate([[0], np.cumsum(counts)])
+        self._indices.flags.writeable = self._indptr.flags.writeable = False
 
     @property
     def degrees(self) -> np.ndarray:
         if self._degrees is None:
             self._degrees = np.bincount(self.edges.ravel(), minlength=self.n)
+            self._degrees.flags.writeable = False
         return self._degrees
-
-    def adjacency_matrix(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        if self.edges.size:
-            adj[self.edges[:, 0], self.edges[:, 1]] = True
-            adj[self.edges[:, 1], self.edges[:, 0]] = True
-        return adj
-
-    def total_weight(self) -> float:
-        return float(math.fsum(self.weights))
 
 
 class KnapsackInstance:
@@ -260,10 +267,16 @@ def _exact_order(instance: MwisInstance, rho: Fraction) -> list[int]:
         ks = [round(math.log(d, base)) if d > 1 else 0 for d in sizes.tolist()]
         if any(base**k != d for k, d in zip(ks, sizes.tolist())):
             raise ValueError("exact mode requires (1 + degree) to be a power of the base")
-        classes = {}
-        class_of = [classes.setdefault((e, ks[s]), len(classes))
-                    for e, s in zip(instance.exact_exponents, size_of.tolist())]
-        instance._exact_classes = (list(classes), np.array(class_of))
+        # Hash each distinct exponent object once, not one Fraction per vertex
+        # (a window repeats three objects); equal values share one code.
+        exponents, values = instance.exact_exponents, {}
+        code_of_id = {i: values.setdefault(e, len(values))
+                      for i, e in dict(zip(map(id, exponents), exponents)).items()}
+        codes = np.fromiter(map(code_of_id.__getitem__, map(id, exponents)), np.int64, instance.n)
+        pairs, class_of = np.unique(codes * len(ks) + size_of, return_inverse=True)
+        values = list(values)
+        classes = [(values[p // len(ks)], ks[p % len(ks)]) for p in pairs.tolist()]
+        instance._exact_classes = (classes, class_of)
     classes, class_of = instance._exact_classes
     keys = [e - rho * k for e, k in classes]
     rank = {key: r for r, key in enumerate(sorted(set(keys), reverse=True))}
@@ -359,7 +372,7 @@ def run_greedy(family: ParamGreedyFamily, rho, instance):
         else:
             mask, _ = _greedy_mwis_adaptive(instance, rho)
         value = mask_cost(mask, instance.weights)
-    solution = tuple(int(v) for v in np.flatnonzero(mask))
+    solution = tuple(np.flatnonzero(mask).tolist())
     return solution, CostValue(float(value))
 
 

@@ -134,14 +134,11 @@ class HardInstanceParams:
         return self.inside_cost() if self.r < rho <= self.s else self.outside_cost()
 
 
-def build_hard_instance(params: HardInstanceParams) -> MwisInstance:
-    """Materialize the graph: hubs complete to the mass layer, stars of size m-1.
-
-    Vertex order is hubs, then mass, then stars.  The instance carries exact
-    weight exponents in base m so greedy runs with Fraction parameters compare
-    scores exactly.
-    """
-    a, b, c, m = params.size_a, params.size_b, params.size_c, params.m
+@lru_cache(maxsize=1)
+def _hard_graph(m: int) -> MwisInstance:
+    """The graph of every window of size m, checked once, with its degrees and
+    neighbour lists built and read-only; the last one stays in memory."""
+    a, b, n = m**2 - 2, m**3 - 1, _hard_size(m)
     ids_b = a + np.arange(b, dtype=np.int64)
     # Canonical order (hub rows, then mass-star rows), which MwisInstance keeps as given.
     edges = np.empty((a * b + b, 2), dtype=np.int64)
@@ -150,13 +147,29 @@ def build_hard_instance(params: HardInstanceParams) -> MwisInstance:
     hub_edges[:, :, 1] = ids_b
     edges[a * b:, 0] = ids_b
     edges[a * b:, 1] = a + b + np.arange(b, dtype=np.int64) // (m - 1)
+    graph = MwisInstance(n, edges, np.ones(n))
+    graph._build_csr()
+    return graph
+
+
+def build_hard_instance(params: HardInstanceParams) -> MwisInstance:
+    """Materialize the graph: hubs complete to the mass layer, stars of size m-1.
+
+    Vertex order is hubs, then mass, then stars.  The instance carries exact
+    weight exponents in base m so greedy runs with Fraction parameters compare
+    scores exactly.  The graph depends on m alone: it is built once per m and
+    shared read-only by every window's instance (`MwisInstance.reweighted`),
+    which adds only the window's weights and exponents.  The graph of the last
+    m stays in memory until a window of another m replaces it.
+    """
+    a, b, c = params.size_a, params.size_b, params.size_c
     weights = np.concatenate([
         np.full(a, params.weight_a),
         np.full(b, params.t),
         np.full(c, params.weight_c),
     ])
     exponents = (params.r,) * a + (Fraction(0),) * b + (-params.s,) * c
-    return MwisInstance(params.n, edges, weights, exact_base=m, exact_exponents=exponents)
+    return _hard_graph(params.m).reweighted(weights, exact_base=params.m, exact_exponents=exponents)
 
 
 def largest_hard_size(n_budget: int) -> int:

@@ -22,6 +22,9 @@ library's learner, which keeps one weight per cell of equal-gain points.
 walks each key down its position's tree (`route`) and insertion-sorts the
 buckets (`insertion_sort`), counting as it goes.  It is the oracle for the
 library's `sort`, which reads its counts from a routing table and from ranks.
+
+`adjacency_matrix` and `total_weight` read an `MwisInstance` the plain way,
+for tests that need its dense adjacency or its weight sum.
 """
 
 import math
@@ -31,6 +34,19 @@ import numpy as np
 from algoselect.greedy import (_GRID_MAX_N, KnapsackInstance, MwisInstance, ParamGreedyFamily,
                                _graph_lanes, _nonadaptive_masks, greedy_cost)
 from algoselect.sorter import BucketSorter, SortStats, mergesort_count
+
+
+def adjacency_matrix(instance: MwisInstance) -> np.ndarray:
+    """The graph as a dense symmetric (n, n) bool matrix."""
+    adj = np.zeros((instance.n, instance.n), dtype=bool)
+    if instance.edges.size:
+        adj[instance.edges[:, 0], instance.edges[:, 1]] = True
+        adj[instance.edges[:, 1], instance.edges[:, 0]] = True
+    return adj
+
+
+def total_weight(instance: MwisInstance) -> float:
+    return float(math.fsum(instance.weights))
 
 
 def mwis_grid_masks(instance: MwisInstance, rhos, adaptive: bool) -> np.ndarray:
@@ -47,7 +63,7 @@ def mwis_grid_masks(instance: MwisInstance, rhos, adaptive: bool) -> np.ndarray:
         lanes = _graph_lanes(n, 1, instance.edges, np.zeros(len(instance.edges), dtype=np.intp))
         return _nonadaptive_masks(np.log(instance.weights)[None], *lanes, np.zeros(m, np.intp), rhos)
     logw = np.log(instance.weights)
-    adj = instance.adjacency_matrix()
+    adj = adjacency_matrix(instance)
     adj_f = adj.astype(float)
     alive = np.ones((m, n), dtype=bool)
     deg = np.broadcast_to(instance.degrees.astype(float), (m, n)).copy()

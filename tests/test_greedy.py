@@ -6,7 +6,8 @@ import pytest
 
 from _fixtures import (KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE,
                        crafted_shatter_pair)
-from _grid_oracles import crossing_superset, grid_costs, grid_masks, scalar_costs
+from _grid_oracles import (adjacency_matrix, crossing_superset, grid_costs, grid_masks, scalar_costs,
+                           total_weight)
 from algoselect import greedy, online
 from algoselect.core import shatter_probe
 from algoselect.greedy import (
@@ -95,7 +96,7 @@ class TestRunGreedy:
             for adaptive in (False, True):
                 sol, cost = run_greedy(mwis_family(9, adaptive=adaptive), rng.uniform(0, 1), inst)
                 assert is_independent_set(inst, sol)
-                assert cost.value <= inst.total_weight() + 1e-12
+                assert cost.value <= total_weight(inst) + 1e-12
             kinst = random_knapsack_instance(7, rng)
             sol, _ = run_greedy(knapsack_family(7), rng.uniform(0, 1), kinst)
             assert knapsack_feasible(kinst, sol)
@@ -173,7 +174,7 @@ class TestLargeGraphPath:
     def test_csr_matches_adjacency_matrix(self, n, p):
         rng = np.random.default_rng(n)
         inst = MwisInstance(n, random_mwis_instance(n, p, rng).edges, np.full(n, 0.5))
-        adj = inst.adjacency_matrix()
+        adj = adjacency_matrix(inst)
         inst._build_csr()
         indptr, indices = inst._indptr, inst._indices
         assert indptr.dtype == indices.dtype == inst.degrees.dtype == np.int64

@@ -40,7 +40,7 @@ from algoselect.online import (
 from algoselect.utils import labeled_rng
 
 from _fixtures import MWIS_WEIGHT_PALETTE
-from _grid_oracles import NetHedgeLearner, grid_costs, grid_masks
+from _grid_oracles import NetHedgeLearner, grid_costs, grid_masks, total_weight
 
 
 class TestHardInstance:
@@ -136,6 +136,93 @@ class TestHardInstance:
     def test_rejects_non_integer_m(self, m):
         with pytest.raises(ValueError, match="integer m"):
             HardInstanceParams(m, Fraction(1, 4), Fraction(3, 4))
+
+
+
+def _unshared_hard_instance(params):
+    """The hard instance with its graph built and checked for this window alone."""
+    a, b, c, m = params.size_a, params.size_b, params.size_c, params.m
+    ids_b = a + np.arange(b, dtype=np.int64)
+    edges = np.empty((a * b + b, 2), dtype=np.int64)
+    hub_edges = edges[:a * b].reshape(a, b, 2)
+    hub_edges[:, :, 0] = np.arange(a, dtype=np.int64)[:, None]
+    hub_edges[:, :, 1] = ids_b
+    edges[a * b:, 0] = ids_b
+    edges[a * b:, 1] = a + b + np.arange(b, dtype=np.int64) // (m - 1)
+    weights = np.concatenate([np.full(a, params.weight_a), np.full(b, params.t), np.full(c, params.weight_c)])
+    exponents = (params.r,) * a + (Fraction(0),) * b + (-params.s,) * c
+    return MwisInstance(params.n, edges, weights, exact_base=m, exact_exponents=exponents)
+
+
+class TestSharedHardGraph:
+    @staticmethod
+    def assert_same_instance(params, got):
+        want = _unshared_hard_instance(params)
+        want._build_csr()
+        assert got.n == want.n
+        for name in ("edges", "degrees", "_indptr", "_indices"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert got.weights.tolist() == want.weights.tolist()
+        assert (got.exact_base, got.exact_exponents) == (want.exact_base, want.exact_exponents)
+        fam = mwis_family(got.n)
+        width = params.s - params.r
+        for rho in (params.r, params.s, (params.r + params.s) / 2, params.s + width):
+            (got_sol, got_cost), (want_sol, want_cost) = run_greedy(fam, rho, got), run_greedy(fam, rho, want)
+            assert got_sol == want_sol
+            assert got_cost.value.hex() == want_cost.value.hex()
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_windows_equal_unshared_instances(self, m):
+        # Up to the replay's m = 12 (budget 2500); the second window of each
+        # m reads the graph the first one built.
+        for params in adversary_sequence(online._hard_size(m), 2, seed=m):
+            assert params.m == m
+            self.assert_same_instance(params, build_hard_instance(params))
+
+    def test_changing_m_rebuilds_the_graph(self):
+        made = []
+        for m in (5, 3, 5, 5, 4, 3):
+            params = HardInstanceParams(m, Fraction(1, 4 + len(made)), Fraction(1, 2))
+            inst = build_hard_instance(params)
+            if made and made[-1][0].m == m:
+                assert inst.edges is made[-1][1].edges
+            else:
+                assert all(inst.edges is not old.edges for _, old in made)
+            made.append((params, inst))
+        for params, inst in made:  # instances outlive the cached graph they came from
+            self.assert_same_instance(params, inst)
+
+    def test_windows_of_one_m_share_read_only_arrays(self):
+        first, second = (build_hard_instance(p) for p in adversary_sequence(200, 2, seed=9))
+        for name in ("edges", "degrees", "_indptr", "_indices"):
+            assert getattr(first, name) is getattr(second, name)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(first, name)[0] = 1
+        assert first.weights is not second.weights
+        assert first.exact_exponents != second.exact_exponents
+
+    @pytest.mark.parametrize("weights,base,exponents", [
+        ([0.5, 0.5], None, None),
+        ([0.5, 0.0, 0.5], None, None),
+        ([0.5, 1.5, 0.5], None, None),
+        ([0.5, float("nan"), 0.5], None, None),
+        ([0.5, 0.25, 0.5], 2, None),
+        ([0.5, 0.25, 0.5], None, [0, -1, 0]),
+        ([0.5, 0.25, 0.5], 1, [0, -1, 0]),
+        ([0.5, 0.25, 0.5], 2.0, [0, -1, 0]),
+        ([0.5, 0.25, 0.5], 2, [0, -1]),
+        ([0.5, 0.25, 0.5], 2, [0.0, -1.0, 0.0]),
+    ])
+    def test_reweighted_rejects_what_the_constructor_rejects(self, weights, base, exponents):
+        edges = [(0, 1), (1, 2)]
+        graph = MwisInstance(3, edges, [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError) as built:
+            MwisInstance(3, edges, weights, exact_base=base, exact_exponents=exponents)
+        with pytest.raises(ValueError) as reweighted:
+            graph.reweighted(weights, exact_base=base, exact_exponents=exponents)
+        assert str(reweighted.value) == str(built.value)
+        assert graph.weights.tolist() == [1.0, 1.0, 1.0] and graph.exact_base is None
 
 
 def _per_vertex_exact_order(instance, rho):
@@ -505,7 +592,7 @@ class TestSmoothedOnlineRun:
         totals = np.zeros(net_size)
         for inst in smooth_sequence(spec, gen, T, seed):
             costs = np.array([run_greedy(fam, r, inst)[1].value for r in net])
-            totals += costs / inst.total_weight()
+            totals += costs / total_weight(inst)
         assert totals.max() == pytest.approx(trace.best_net_total, abs=1e-9)
         assert net[np.argmax(totals)] == pytest.approx(trace.best_net_rho)
 
@@ -601,7 +688,7 @@ def reference_smoothed_run(spec, gen, T, seed, net):
     for t, inst in enumerate(smooth_sequence(spec, gen, T, seed)):
         tau = transition_points(inst)
         grid = np.concatenate([[0.0], tau, [1.0]])
-        pieces = grid_costs(family, (grid[:-1] + grid[1:]) / 2.0, inst) / inst.total_weight()
+        pieces = grid_costs(family, (grid[:-1] + grid[1:]) / 2.0, inst) / total_weight(inst)
         step_functions.append((tau, pieces))
         if tau.size >= 2:
             min_gap = min(min_gap, float(np.diff(tau).min()))
@@ -965,7 +1052,7 @@ class TestStackedPaths:
                 assert np.array_equal(tau, _reference_transition_points(x))
                 grid = np.concatenate([[0.0], tau, [1.0]])
                 mids = (grid[:-1] + grid[1:]) / 2.0
-                want = [run_greedy(fam, r, x)[1].value / x.total_weight() for r in mids]
+                want = [run_greedy(fam, r, x)[1].value / total_weight(x) for r in mids]
                 assert step_at(*batch_row(batch, i), mids).tolist() == want
                 assert np.isin(batch_row(batch, i)[0], tau).all()
                 gaps.extend(np.diff(tau))
@@ -990,7 +1077,7 @@ class TestStackedPaths:
                 assert np.array_equal(mine, _reference_own_crossings(x))
                 assert np.isin(mine, tau).all()
                 grid = np.concatenate([[0.0], tau, [1.0]])
-                pieces = grid_costs(fam, (grid[:-1] + grid[1:]) / 2.0, x) / x.total_weight()
+                pieces = grid_costs(fam, (grid[:-1] + grid[1:]) / 2.0, x) / total_weight(x)
                 superset = merged_step(tau, pieces)
                 assert np.array_equal(batch_row(batch, i)[0], superset[0])
                 assert np.array_equal(batch_row(batch, i)[1], superset[1])
@@ -1007,7 +1094,7 @@ class TestStackedPaths:
             grid = np.concatenate([[0.0], points[offsets[i]:offsets[i + 1]], [1.0]])
             mids = (grid[:-1] + grid[1:]) / 2.0
             want = values[offsets[i] + i:offsets[i + 1] + i + 1]
-            assert (offline.at(mids)[:, i] / x.total_weight()).tolist() == want.tolist()
+            assert (offline.at(mids)[:, i] / total_weight(x)).tolist() == want.tolist()
 
     def test_batch_gains_match_each_row(self):
         # A block's rows (the edgeless graph's has no change point) and rows
