@@ -10,7 +10,7 @@
 import numpy as np
 
 from algoselect.core import MAXIMIZE, erm_costs
-from algoselect.epm import fit_linear_epm, fit_selection_table, mwis_feature_map, select_per_instance
+from algoselect.epm import fit_linear_epms, fit_selection_table, mwis_feature_map, select_per_instance
 from algoselect.greedy import cost_matrix, mwis_family, random_mwis_instance
 
 rng = np.random.default_rng(11)
@@ -26,7 +26,7 @@ def draw(count):
 
 train, holdout = draw(250), draw(300)
 costs = cost_matrix(fam, train, portfolio)
-epms = [fit_linear_epm(rho, train, row, fmap) for rho, row in zip(portfolio, costs)]
+epms = fit_linear_epms(portfolio, train, costs, fmap)
 for epm in epms:
     print(f"rho={epm.algorithm_index}: training MSE {epm.train_loss:.5f}, "
           f"coefficients {np.round(epm.coef, 3)}")

@@ -46,6 +46,7 @@ from .epm import (
     LinearEpm,
     SelectionTable,
     fit_linear_epm,
+    fit_linear_epms,
     fit_selection_table,
     select_per_instance,
 )

@@ -155,7 +155,7 @@ def cmd_epm(args) -> str:
     train = [greedy.random_mwis_instance(args.n, args.p_er, rng) for _ in range(args.samples)]
     holdout = [greedy.random_mwis_instance(args.n, args.p_er, rng) for _ in range(args.holdout)]
     costs = greedy.cost_matrix(fam, train, args.rhos)
-    epms = [epm_mod.fit_linear_epm(rho, train, row, fmap) for rho, row in zip(args.rhos, costs)]
+    epms = epm_mod.fit_linear_epms(args.rhos, train, costs, fmap)
     hits = 0
     for x, held in zip(holdout, greedy.cost_matrix(fam, holdout, args.rhos).T):
         predicted = epm_mod.select_per_instance(epms, x, fmap, MAXIMIZE)

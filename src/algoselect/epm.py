@@ -5,8 +5,9 @@ Two refinements over committing to one algorithm for a whole domain:
 * `fit_selection_table` learns the best algorithm separately for each value of
   a finite feature (plain ERM within each group).
 * `fit_linear_epm` fits one linear model per algorithm mapping instance
-  features to cost; `select_per_instance` then runs the algorithm whose
-  predicted cost is best for the instance at hand.
+  features to cost (`fit_linear_epms` fits a portfolio on one feature
+  matrix); `select_per_instance` then runs the algorithm whose predicted
+  cost is best for the instance at hand.
 
 Committing to a single algorithm is the special case of a constant feature
 map, under which both reduce exactly to finite ERM.
@@ -81,17 +82,26 @@ def fit_linear_epm(algorithm_index, instances, costs, feature_map: FeatureMap) -
     Rank-deficient systems get the minimum-norm solution, which keeps fits
     deterministic.  The reported loss is the mean squared training error.
     """
+    return fit_linear_epms([algorithm_index], instances, [costs], feature_map)[0]
+
+
+def fit_linear_epms(indices, instances, costs, feature_map: FeatureMap) -> list[LinearEpm]:
+    """`fit_linear_epm` for each algorithm index and its row of `costs` (one
+    row per index, one cost per instance), with the features computed once."""
     if len(instances) < 1:
         raise ValueError("need at least one sample")
-    if len(instances) != len(costs):
+    if len(costs) != len(indices) or any(len(row) != len(instances) for row in costs):
         raise ValueError("need one cost per instance")
     X = np.stack([feature_map(x) for x in instances])
-    y = np.asarray(costs, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError("costs must be finite")
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    loss = float(np.mean((X @ coef - y) ** 2))
-    return LinearEpm(algorithm_index, feature_map.schema_id, coef, loss, int(rank), len(instances))
+    epms = []
+    for algorithm_index, row in zip(indices, costs):
+        y = np.asarray(row, dtype=float)
+        if not np.isfinite(y).all():
+            raise ValueError("costs must be finite")
+        coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+        loss = float(np.mean((X @ coef - y) ** 2))
+        epms.append(LinearEpm(algorithm_index, feature_map.schema_id, coef, loss, int(rank), len(instances)))
+    return epms
 
 
 def select_per_instance(epms: Sequence[LinearEpm], instance, feature_map: FeatureMap,

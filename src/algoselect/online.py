@@ -17,8 +17,12 @@ are provided:
   sequence does not depend on the learner, `run_smoothed_online` builds the
   run's step functions before Hedge starts, in blocks sized by one memory
   budget: one `rng.random` call draws a block, and offline ERM's non-adaptive
-  MWIS code finds each step's own crossings and greedy value per piece, into
-  one `StepFunctions` batch.  Only Hedge runs per step, skipping constant updates.
+  MWIS code cuts each step at its own crossings and values each piece, into
+  one `StepFunctions` batch.  The superset of transition points is built
+  only for the few steps where a sliver test flags a point of it within
+  rounding reach of a crossing (their sliver cuts), and for
+  `RegretTrace.min_comparator_gap`, which is computed when first read.
+  Only Hedge runs per step, skipping constant updates.
   It runs over cells, not net points: net points that no change point of the
   run separates gain the same at every step, so they share one weight and one
   total (`_cells` over the union of the batch's change points).
@@ -341,13 +345,17 @@ def _canonical_denominators(n: int) -> tuple:
     return tuple(sorted(set(table[~np.isnan(table)].tolist())))
 
 
-def _transition_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`transition_points` of every row of a (steps, n) weight matrix at once,
-    as the flat points and offsets of `greedy._rows_within`."""
-    steps, n = weights.shape
+def _check_distinct(weights: np.ndarray) -> None:
     ordered = np.sort(weights, axis=1)
     if (ordered[:, 1:] == ordered[:, :-1]).any():
         raise ValueError("transition points require distinct vertex weights")
+
+
+def _transition_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`transition_points` of every row of a (steps, n) weight matrix at once,
+    as the flat points and offsets of `greedy._rows_within`."""
+    _check_distinct(weights)
+    steps, n = weights.shape
     denoms = np.asarray(_canonical_denominators(n))
     logw = np.log(weights)
     i, j = _vertex_pairs(n)
@@ -357,20 +365,50 @@ def _transition_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SLIVER = 1e-9  # far above a crossing's rounding, 1e-16 |log w| / |ln(k_i / k_j)|
 
 
-def _cut_rows(logw, degrees, points, offsets) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's own crossings in [0, 1] (`greedy._nonadaptive_crossings`,
-    bitwise `_transition_rows` points) as `_rows_within` gives them, plus
-    those `points` next to a piece narrower than `_SLIVER`, where rounding may
-    put a crossing either side."""
-    roots, steps = _nonadaptive_crossings(logw, degrees), len(logw)
-    row, pos = np.repeat(np.arange(steps), np.diff(offsets)), np.arange(points.size)
+def _needs_slivers(logw: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The rows whose `_sliver_points` may change a piece value: a
+    `_transition_rows` point other than the crossing itself lies within
+    2 `_SLIVER` of one of the row's own crossings in [0, 1] (`roots`, as
+    `greedy._nonadaptive_crossings` gives them) or of 0, or an own crossing
+    lies within 2 `_SLIVER` of 0 or 1.  In any other row a sliver cut lies
+    more than 2 `_SLIVER` from every crossing, so each piece it splits off has
+    its midpoint far beyond rounding from every crossing and keeps the value
+    of the piece it came from.  May flag a row that needs no sliver cut;
+    misses none.
+
+    A superset point is |x| / d, x = log w_i - log w_j over the vertex pairs
+    and d a positive canonical denominator, so one within 2 `_SLIVER` of a
+    crossing c has d in [|x| / (c + 3 _SLIVER), |x| / (c - 3 _SLIVER)] (the
+    extra `_SLIVER` covers rounding): one search of the sorted denominators
+    per crossing and pair, where the crossing itself is one hit."""
+    n = logw.shape[1]
+    denoms = np.asarray(_canonical_denominators(n))
+    denoms = denoms[denoms > 0.0]
+    i, j = _vertex_pairs(n)
+    size = np.abs(logw[:, i] - logw[:, j])
+    flag = ((np.abs(roots) <= 2 * _SLIVER) | (np.abs(roots - 1.0) <= 2 * _SLIVER)
+            | (size <= 2 * _SLIVER * denoms.max(initial=0.0))).any(axis=1)
+    row, pair = np.nonzero((roots >= 0.0) & (roots <= 1.0))
+    c = roots[row, pair][:, None]
+    size = np.sort(size, axis=1)[row]  # runs of increasing keys search faster
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = size / (c + 3 * _SLIVER), size / np.maximum(c - 3 * _SLIVER, 0.0)
+    hits = np.searchsorted(denoms, hi, side="right") - np.searchsorted(denoms, lo)
+    flag[row[hits.sum(axis=1) > 1]] = True
+    return flag
+
+
+def _sliver_points(weights: np.ndarray) -> np.ndarray:
+    """Each row's `_transition_rows` points next to a piece narrower than
+    `_SLIVER`, where rounding may put a crossing either side: shape
+    (rows, k), padded with inf."""
+    points, offsets = _transition_rows(weights)
+    row, pos = np.repeat(np.arange(len(weights)), np.diff(offsets)), np.arange(points.size)
     narrow = np.insert(points, offsets[1:], 1.0) - np.insert(points, offsets[:-1], 0.0) < _SLIVER
     near = narrow[pos + row] | narrow[pos + row + 1]  # the pieces left and right of a point
-    if near.any():
-        extra = np.full((steps, np.diff(offsets).max()), np.inf)
-        extra[row[near], (pos - offsets[row])[near]] = points[near]
-        roots = np.hstack([roots, extra])
-    return _rows_within(roots, 0.0, 1.0)
+    extra = np.full((len(weights), np.diff(offsets).max()), np.inf)
+    extra[row[near], (pos - offsets[row])[near]] = points[near]
+    return extra
 
 
 def transition_points(instance: MwisInstance) -> np.ndarray:
@@ -381,13 +419,6 @@ def transition_points(instance: MwisInstance) -> np.ndarray:
     distinct and positive (almost sure under smoothing).
     """
     return _transition_rows(instance.weights[None, :])[0]
-
-
-def min_pairwise_gap(points: np.ndarray) -> float:
-    pts = np.sort(np.asarray(points, dtype=float))
-    if pts.size < 2:
-        return math.inf
-    return float(np.diff(pts).min())
 
 
 def theoretical_m(n: int, sigma: float) -> int:
@@ -487,7 +518,8 @@ class RegretTrace:
     adversarial runs.  Average regret is (comparator total - collected total) / T.
     For smoothed runs `min_comparator_gap` is the smallest distance between
     two transition points of the same step (None when no step has two);
-    points of different steps are not compared.
+    points of different steps are not compared.  A smoothed run keeps its
+    weights and computes the gap from them the first time it is read.
     """
 
     net: np.ndarray
@@ -525,30 +557,67 @@ class RegretTrace:
         lines.extend(f"{i},{rho!r},{cost!r},{cum!r},{best!r},{r!r}" for i, rho, cost, cum, best, r in rows)
         return "\n".join(lines) + "\n"
 
+    def _read_gap(self) -> float | None:
+        if self._gap_weights is not None:
+            self._gap, self._gap_weights = _min_transition_gap(self._gap_weights), None
+        return self._gap
+
+    def _write_gap(self, gap: float | None) -> None:
+        self._gap, self._gap_weights = gap, None
+
+
+# Replaces the field's class default after the dataclass is built, so
+# `__init__` still takes the gap and a smoothed run can leave it to the
+# first read (its weight blocks in `_gap_weights`).
+RegretTrace.min_comparator_gap = property(RegretTrace._read_gap, RegretTrace._write_gap)
+
+
+def _min_transition_gap(blocks) -> float | None:
+    """The smallest gap between two `_transition_rows` points of one row of
+    the (steps, n) weight blocks; None when no row has two."""
+    gap = math.inf
+    for weights in blocks:
+        points, offsets = _transition_rows(weights)
+        step_of = np.repeat(np.arange(len(weights)), np.diff(offsets))
+        gap = min(gap, np.diff(points)[step_of[1:] == step_of[:-1]].min(initial=math.inf))
+    return float(gap) if gap < math.inf else None
+
 
 def _block_steps(n: int) -> int:
     """Steps per block: at least one, and as many as `_BLOCK_ROOTS` floats hold
-    of each step's vertex-pair draws, weights and roots (pairs x denominators)."""
+    of each step's largest array, the sliver test's own crossings x vertex
+    pairs (`_needs_slivers`) at most, plus its weights.  A flagged step's
+    superset (pairs x denominators) is about 1.2 times that, but few steps
+    are flagged: 1 in 24,000 of uniform weights."""
     pairs = n * (n - 1) // 2
-    return max(1, _BLOCK_ROOTS // (pairs * (len(_canonical_denominators(n)) + 1) + n))
+    return max(1, _BLOCK_ROOTS // (pairs * (pairs + 1) + n))
 
 
 def _step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarray):
     """Step functions of a block of instances as `_draw_block` gives them, as
-    unmerged flat points, offsets and values (`core.StepFunctions`' layout),
-    plus the smallest gap between two `_transition_rows` points of one step
-    (inf when no step has two).  Pieces are cut by `_cut_rows` and valued by
-    `greedy._piece_values` over the total vertex weight (in [0, 1])."""
+    unmerged flat points, offsets and values (`core.StepFunctions`' layout).
+
+    Each step is cut at its own crossings in [0, 1]
+    (`greedy._nonadaptive_crossings`), and only the steps `_needs_slivers`
+    flags also at their `_sliver_points`; once equal neighbouring pieces are
+    merged, that is the function that cutting every step at its sliver points
+    gives.  Pieces are valued by `greedy._piece_values` over the total vertex
+    weight (in [0, 1])."""
+    _check_distinct(weights)
     steps, n = weights.shape
-    points, offsets = _transition_rows(weights)
-    step_of = np.repeat(np.arange(steps), np.diff(offsets))
-    gaps = np.diff(points)[step_of[1:] == step_of[:-1]]
     lanes = _graph_lanes(n, steps, edges, edge_step)
     logw = np.log(weights)
-    points, offsets = _cut_rows(logw, lanes[0], points, offsets)
-    totals = np.repeat([math.fsum(w) for w in weights], np.diff(offsets) + 1)
+    roots = _nonadaptive_crossings(logw, lanes[0])
+    flagged = np.flatnonzero(_needs_slivers(logw, roots))
+    if flagged.size:
+        extra = _sliver_points(weights[flagged])
+        pad = np.full((steps, extra.shape[1]), np.inf)
+        pad[flagged] = extra
+        roots = np.hstack([roots, pad])
+    points, offsets = _rows_within(roots, 0.0, 1.0)
+    totals = np.repeat(list(map(math.fsum, weights.tolist())), np.diff(offsets) + 1)
     pieces = _piece_values(weights, logw, lanes, points, offsets, 0.0, 1.0) / totals
-    return points, offsets, pieces, float(gaps.min()) if gaps.size else math.inf
+    return points, offsets, pieces
 
 
 def _run_hedge(net_arr: np.ndarray, cells: np.ndarray, step_gains, T: int, seed: int) -> RegretTrace:
@@ -584,8 +653,9 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
     (finite, in [0, 1], any order).  The paper's net of spacing
     `theoretical_q` is a proof device, about 2e8 points at n = 4, so it is
     not built here.  The trace reports the smallest gap between two
-    transition points of one step (`min_comparator_gap`), so a net too coarse
-    to separate them can be detected.
+    transition points of one step (`min_comparator_gap`, computed from the
+    run's weights when first read), so a net too coarse to separate them can
+    be detected.
 
     The instance sequence does not depend on the learner, so the whole run is
     drawn and cut first, in blocks as long as `_BLOCK_ROOTS` allows
@@ -613,15 +683,18 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
         raise ValueError("net must be a nonempty 1-D array of points in [0, 1]")
     rng = labeled_rng(seed, "smooth-sequence")
     size = _block_steps(n)
-    points, offsets, values, gaps = zip(*(
-        _step_functions(*_draw_block(spec, graph_generator, rng, min(size, T - start)))
-        for start in range(0, T, size)))
+    weights, rows = [], []
+    for start in range(0, T, size):
+        block = _draw_block(spec, graph_generator, rng, min(size, T - start))
+        weights.append(block[0])
+        rows.append(_step_functions(*block))
+    points, offsets, values = zip(*rows)
     offsets = np.cumsum(np.concatenate([[0]] + [np.diff(o) for o in offsets]))
     functions = StepFunctions(np.concatenate(points), offsets, np.concatenate(values))
     first, cells = _cells(np.unique(functions.points), net_arr)
     trace = _run_hedge(net_arr, cells, functions._rows(net_arr[first]), T, seed)
     trace.best_ref_rho, trace.best_ref_total = functions.argmax_sum(0.0, 1.0)
-    trace.min_comparator_gap = min((gap for gap in gaps if gap < math.inf), default=None)
+    trace._gap_weights = weights
     return trace
 
 

@@ -15,6 +15,12 @@ costs `piece_costs` reads off its step functions.
 pair, without the library's enumerators, so oracle grids sized from it do not
 depend on the code they check.
 
+`superset_step_functions` cuts every step of a smoothed block at its own
+crossings and at each transition point next to a sliver of the full superset
+(pairs x canonical denominators), the oracle for the online runner, which
+builds the superset only for the steps its sliver test flags.
+`min_pairwise_gap` is the smallest gap of a point set.
+
 `NetHedgeLearner` is Hedge with one weight per net point, the oracle for the
 library's learner, which keeps one weight per cell of equal-gain points.
 
@@ -32,7 +38,9 @@ import math
 import numpy as np
 
 from algoselect.greedy import (_GRID_MAX_N, KnapsackInstance, MwisInstance, ParamGreedyFamily,
-                               _graph_lanes, _nonadaptive_masks, greedy_cost)
+                               _graph_lanes, _nonadaptive_crossings, _nonadaptive_masks, _piece_values,
+                               _rows_within, greedy_cost)
+from algoselect.online import _SLIVER, _transition_rows
 from algoselect.sorter import BucketSorter, SortStats, mergesort_count
 
 
@@ -146,6 +154,38 @@ def crossing_superset(family: ParamGreedyFamily, samples) -> np.ndarray:
         if not kept or r - kept[-1] > 1e-12 * max(1.0, abs(r)):
             kept.append(r)
     return np.array(kept)
+
+
+def superset_step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarray):
+    """The online runner's step functions of a block (`online._draw_block`
+    arrays) with every step cut at its own crossings plus the superset points
+    next to a piece narrower than `_SLIVER`: unmerged flat points, offsets and
+    values, and the smallest gap between two superset points of one step (inf
+    when no step has two)."""
+    steps, n = weights.shape
+    points, offsets = _transition_rows(weights)
+    row, pos = np.repeat(np.arange(steps), np.diff(offsets)), np.arange(points.size)
+    gaps = np.diff(points)[row[1:] == row[:-1]]
+    lanes = _graph_lanes(n, steps, edges, edge_step)
+    logw = np.log(weights)
+    roots = _nonadaptive_crossings(logw, lanes[0])
+    narrow = np.insert(points, offsets[1:], 1.0) - np.insert(points, offsets[:-1], 0.0) < _SLIVER
+    near = narrow[pos + row] | narrow[pos + row + 1]  # the pieces left and right of a point
+    if near.any():
+        extra = np.full((steps, np.diff(offsets).max()), np.inf)
+        extra[row[near], (pos - offsets[row])[near]] = points[near]
+        roots = np.hstack([roots, extra])
+    points, offsets = _rows_within(roots, 0.0, 1.0)
+    totals = np.repeat([math.fsum(w) for w in weights], np.diff(offsets) + 1)
+    pieces = _piece_values(weights, logw, lanes, points, offsets, 0.0, 1.0) / totals
+    return points, offsets, pieces, float(gaps.min()) if gaps.size else math.inf
+
+
+def min_pairwise_gap(points: np.ndarray) -> float:
+    pts = np.sort(np.asarray(points, dtype=float))
+    if pts.size < 2:
+        return math.inf
+    return float(np.diff(pts).min())
 
 
 class NetHedgeLearner:

@@ -17,7 +17,7 @@ from _fixtures import (
     MWIS_WEIGHT_PALETTE,
     crafted_shatter_pair,
 )
-from _grid_oracles import crossing_superset, grid_costs, grid_masks, scalar_costs
+from _grid_oracles import crossing_superset, grid_costs, grid_masks, min_pairwise_gap, scalar_costs
 from algoselect.cli import main as cli_main
 from algoselect.core import MINIMIZE, realized_labelings, shatter_probe
 from algoselect.epm import FeatureMap, fit_linear_epm, select_per_instance
@@ -36,7 +36,6 @@ from algoselect.online import (
     adversary_sequence,
     build_hard_instance,
     erdos_renyi_generator,
-    min_pairwise_gap,
     run_adversary_online,
     run_smoothed_online,
     smooth_sequence,

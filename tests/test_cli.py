@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from algoselect.cli import build_parser, main
-from algoselect import greedy
+from algoselect import epm, greedy, online
 from algoselect.core import merge_close, shatter_probe
 from algoselect.greedy import (
     KnapsackInstance,
@@ -310,6 +310,13 @@ class TestEpmCommand:
             assert set(record) >= {"schema_id", "algorithm_index", "coefficients", "training_loss"}
         assert 0 <= payload["selection_matches_true_best"] <= payload["holdout_instances"]
 
+    def test_features_are_computed_once_per_instance(self, tmp_path, monkeypatch):
+        calls = []
+        features = epm.FeatureMap.__call__
+        monkeypatch.setattr(epm.FeatureMap, "__call__", lambda *a: calls.append(a) or features(*a))
+        assert run_cli("epm", "--samples", 60, "--holdout", 30, "--out", tmp_path / "epm.json") == 0
+        assert len(calls) == 60 + 30
+
     def test_out_of_interval_rho_is_run_greedys_error(self, tmp_path, capsys):
         out = tmp_path / "epm.json"
         assert run_cli("epm", "--rhos", "0,1.5", "--out", out) == 1
@@ -372,6 +379,15 @@ class TestOnlineCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "step,chosen_rho,cost,cum_cost,cum_best,avg_regret"
         assert len(lines) == 21
+
+    def test_defaults_build_no_transition_superset(self, tmp_path, monkeypatch):
+        # Each step is cut by its own crossings; no step of the default run
+        # is flagged for sliver cuts, and the gap is never read.
+        def superset(weights):
+            raise AssertionError("a transition superset was built")
+
+        monkeypatch.setattr(online, "_transition_rows", superset)
+        assert run_cli("online", "--out", tmp_path / "trace.csv") == 0
 
     def test_single_vertex_runs(self, tmp_path):
         # One vertex is always selected: every step scores its whole weight.

@@ -5,6 +5,7 @@ from algoselect.core import MAXIMIZE, MINIMIZE, erm_costs
 from algoselect.epm import (
     FeatureMap,
     fit_linear_epm,
+    fit_linear_epms,
     fit_selection_table,
     load_epms,
     mwis_feature_map,
@@ -68,6 +69,18 @@ class TestFitLinearEpm:
                 perturbed = epm.coef + eps * direction
                 loss = np.mean((M @ perturbed - yv) ** 2)
                 assert loss >= epm.train_loss - 1e-10
+
+    def test_portfolio_fit_is_one_fit_per_index(self):
+        X, _, y = planted_problem(7, noise=0.2)
+        rows = np.stack([y, np.square(y), np.ones(len(y))])
+        fits = fit_linear_epms(["a", "b", "c"], X, rows, identity6)
+        for fit, index, row in zip(fits, "abc", rows):
+            one = fit_linear_epm(index, X, row, identity6)
+            assert (fit.algorithm_index, fit.schema_id, fit.rank, fit.n_samples) == \
+                (one.algorithm_index, one.schema_id, one.rank, one.n_samples)
+            assert fit.coef.tobytes() == one.coef.tobytes() and fit.train_loss == one.train_loss
+        with pytest.raises(ValueError, match="one cost per instance"):
+            fit_linear_epms(["a", "b"], X, rows, identity6)
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,9 @@ from algoselect.greedy import (
     MwisInstance,
     _exact_order,
     _graph_lanes,
+    _nonadaptive_crossings,
     _nonadaptive_masks,
+    _rows_within,
     mask_cost,
     mwis_family,
     run_greedy,
@@ -28,7 +30,6 @@ from algoselect.online import (
     instance_from_jsonl,
     instance_to_jsonl,
     largest_hard_size,
-    min_pairwise_gap,
     run_adversary_online,
     run_smoothed_online,
     smooth_sequence,
@@ -40,7 +41,8 @@ from algoselect.online import (
 from algoselect.utils import labeled_rng
 
 from _fixtures import MWIS_WEIGHT_PALETTE
-from _grid_oracles import NetHedgeLearner, grid_costs, grid_masks, total_weight
+from _grid_oracles import (NetHedgeLearner, grid_costs, grid_masks, min_pairwise_gap,
+                           superset_step_functions, total_weight)
 
 
 class TestHardInstance:
@@ -731,10 +733,10 @@ TEST_BLOCK = 32
 
 
 def step_floats(n):
-    """The floats one step adds to a block: its vertex-pair draws, its weights
-    and its candidate roots (pairs x denominators)."""
+    """The floats one step adds to a block: its sliver test's crossings x
+    vertex pairs at most, plus its weights."""
     pairs = n * (n - 1) // 2
-    return pairs + n + pairs * len(online._canonical_denominators(n))
+    return pairs * (pairs + 1) + n
 
 
 def use_blocks(monkeypatch, n, steps=TEST_BLOCK):
@@ -837,13 +839,13 @@ class TestBlockedRunner:
 
     def test_large_graphs_get_short_blocks(self):
         # The longest block whose arrays fit the budget, one step when even
-        # one step does not fit; draws and weights count, so n <= 2 is bounded.
+        # one step does not fit; weights count, so n <= 2 is bounded.
         for n in range(1, 64):
             B, per_step = online._block_steps(n), step_floats(n)
             assert B == 1 or B * per_step <= online._BLOCK_ROOTS
             assert (B + 1) * per_step > online._BLOCK_ROOTS
-        assert (online._block_steps(2), online._block_steps(8)) == (87381, 265)
-        assert online._block_steps(27) == online._block_steps(63) == 1
+        assert (online._block_steps(2), online._block_steps(8)) == (65536, 319)
+        assert online._block_steps(32) == online._block_steps(63) == 1
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     @pytest.mark.parametrize("T", [1, 37, 300])
@@ -851,12 +853,42 @@ class TestBlockedRunner:
         spec, gen = uniform_smooth_spec(n, 0.5), erdos_renyi_generator(n, 0.4)
         want = run_smoothed_online(spec, gen, T=T, seed=T, net=129)
         # 1-step blocks, 7-step blocks, then one block for the whole run.
-        for budget in (1, 7 * step_floats(n), T * step_floats(n)):
-            monkeypatch.setattr(online, "_BLOCK_ROOTS", budget)
+        for steps in (1, 7, T):
+            monkeypatch.setattr(online, "_block_steps", lambda n, steps=steps: steps)
             got = run_smoothed_online(spec, gen, T=T, seed=T, net=129)
             assert got.to_csv() == want.to_csv()
             assert got.min_comparator_gap == want.min_comparator_gap
             assert (got.best_ref_rho, got.best_ref_total) == (want.best_ref_rho, want.best_ref_total)
+
+
+class TestComparatorGap:
+    """`min_comparator_gap` of a smoothed run, computed when first read."""
+
+    def test_first_read_equals_the_eager_block_minimum(self, monkeypatch):
+        spec, gen = uniform_smooth_spec(8, 0.25), erdos_renyi_generator(8, 0.3)
+        B = use_blocks(monkeypatch, 8)
+        T, seed = 3 * B + 5, 4
+        rng = labeled_rng(seed, "smooth-sequence")
+        want = min(superset_step_functions(*online._draw_block(spec, gen, rng, min(B, T - start)))[3]
+                   for start in range(0, T, B))
+        calls = []
+        rows = online._transition_rows
+        monkeypatch.setattr(online, "_transition_rows", lambda w: calls.append(len(w)) or rows(w))
+        trace = run_smoothed_online(spec, gen, T=T, seed=seed, net=501)
+        cut = len(calls)  # supersets of the steps flagged for sliver cuts, if any
+        assert trace.min_comparator_gap == want
+        assert sum(calls[cut:]) == T  # the read built every step's superset once
+        assert trace.min_comparator_gap == want
+        assert sum(calls[cut:]) == T  # and a second read did not build it again
+
+    def test_gap_is_a_constructor_argument(self):
+        fields = (np.zeros(2),) * 4 + (0.0, 1.0, 0.0, 1.0)
+        assert RegretTrace(*fields).min_comparator_gap is None
+        trace = RegretTrace(*fields, min_comparator_gap=0.25)
+        assert trace.min_comparator_gap == 0.25
+        trace.min_comparator_gap = 0.5
+        assert trace.min_comparator_gap == 0.5
+        assert run_adversary_online(60, 3, 0).min_comparator_gap is None
 
 
 class ZeroInSecondBlock:
@@ -1042,9 +1074,9 @@ class TestStackedPaths:
         fam = mwis_family(8)
         for _ in range(4):
             block = self.mixed_block(rng)
-            points, offsets = online._transition_rows(np.stack([x.weights for x in block]))
-            *batch, min_gap = online._step_functions(*self.block_arrays(block))
-            batch = StepFunctions(*batch)
+            weights = np.stack([x.weights for x in block])
+            points, offsets = online._transition_rows(weights)
+            batch = StepFunctions(*online._step_functions(*self.block_arrays(block)))
             gaps = []
             for i, x in enumerate(block):
                 tau = points[offsets[i]:offsets[i + 1]]
@@ -1056,7 +1088,7 @@ class TestStackedPaths:
                 assert step_at(*batch_row(batch, i), mids).tolist() == want
                 assert np.isin(batch_row(batch, i)[0], tau).all()
                 gaps.extend(np.diff(tau))
-            assert min_gap == min(gaps)
+            assert online._min_transition_gap([weights]) == min(gaps)
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
     def test_own_crossings_keep_the_superset_step_functions(self, n):
@@ -1069,8 +1101,8 @@ class TestStackedPaths:
             weights, edges, step = self.block_arrays(block)
             points, offsets = online._transition_rows(weights)
             degrees, _ = _graph_lanes(n, len(block), edges, step)
-            own, own_offsets = online._cut_rows(np.log(weights), degrees, points, offsets)
-            batch = StepFunctions(*online._step_functions(weights, edges, step)[:3])
+            own, own_offsets = _rows_within(_nonadaptive_crossings(np.log(weights), degrees), 0.0, 1.0)
+            batch = StepFunctions(*online._step_functions(weights, edges, step))
             for i, x in enumerate(block):
                 tau = points[offsets[i]:offsets[i + 1]]
                 mine = own[own_offsets[i]:own_offsets[i + 1]]
@@ -1088,7 +1120,7 @@ class TestStackedPaths:
         # offline row (greedy weight) over the total weight is the online row.
         rng = np.random.default_rng(100 + n)
         block = [MwisInstance(n, x.edges, 1.0 - rng.random(n)) for x in self.mixed_block(rng, n)]
-        points, offsets, values, _ = online._step_functions(*self.block_arrays(block))
+        points, offsets, values = online._step_functions(*self.block_arrays(block))
         offline = greedy.step_functions(mwis_family(n), block)
         for i, x in enumerate(block):
             grid = np.concatenate([[0.0], points[offsets[i]:offsets[i + 1]], [1.0]])
@@ -1101,7 +1133,7 @@ class TestStackedPaths:
         # with points at 0 and 1, on a sorted net, a shuffled net with
         # repeats, and a net of the change points themselves.
         rng = np.random.default_rng(7)
-        block = StepFunctions(*online._step_functions(*self.block_arrays(self.mixed_block(rng)))[:3])
+        block = StepFunctions(*online._step_functions(*self.block_arrays(self.mixed_block(rng))))
         rows = [batch_row(block, i) for i in range(5)]
         assert {p.size == 0 for p, _ in rows} == {True, False}
         rows += [(np.empty(0), np.array([0.3])), (np.array([0.0, 0.25, 1.0]), np.array([0.1, 0.2, 0.1, 0.4]))]
@@ -1117,6 +1149,83 @@ class TestStackedPaths:
             for g, (p, v) in zip(gains, rows):
                 assert isinstance(g, float) == (p.size == 0)
                 assert np.array_equal(np.broadcast_to(g, net.shape), step_at(p, v, net))
+
+    @staticmethod
+    def weights_of(kind, n, rng):
+        if kind == "continuous":
+            return 1.0 - rng.random(n)
+        if kind == "palette":  # ratios of small integers: every log ratio is a denominator
+            return rng.choice(np.arange(1.0, 13.0) / 12.0, size=n, replace=False)
+        base = rng.choice([0.5, 1.0 / 1.17])  # powers of one base repeat every difference
+        return base ** rng.choice(12, size=n, replace=False)
+
+    @staticmethod
+    def assert_same_functions(got, want):
+        got, want = StepFunctions(*got), StepFunctions(*want[:3])
+        for name in ("points", "offsets", "values"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("kind", ["continuous", "palette", "repeated-difference"])
+    def test_step_functions_equal_the_all_flagged_oracle(self, n, kind):
+        # Cutting only the flagged steps at their sliver points gives the
+        # merged functions of cutting every step there, bit for bit.
+        rng = np.random.default_rng([n, len(kind)])
+        for _ in range(4):
+            block = [MwisInstance(n, x.edges, self.weights_of(kind, n, rng))
+                     for _ in range(4) for x in self.mixed_block(rng, n)]
+            arrays = self.block_arrays(block)
+            self.assert_same_functions(online._step_functions(*arrays), superset_step_functions(*arrays))
+
+    @staticmethod
+    def sliver_block(n, where, rng, rows=40):
+        """`rows` Erdos-Renyi graphs with weights that put a sliver at each:
+        for "crossing" a transition point of another pair at most 1e-10 from
+        an own crossing in (0, 1), for "zero" and "one" an own crossing at
+        most 1e-10 from 0 or from 1."""
+        i, j = np.triu_indices(n, k=1)
+        denoms = [d for d in online._canonical_denominators(n) if d > 0]
+        block = []
+        while len(block) < rows:
+            keep = rng.random(i.size) < 0.5
+            k = np.bincount(np.concatenate([i[keep], j[keep]]), minlength=n) + 1
+            own = [(a, b) for a, b in zip(i.tolist(), j.tolist()) if k[a] != k[b] and min(k[a], k[b]) > 1]
+            if not own:
+                continue
+            a, b = own[rng.integers(len(own))]
+            ratio = greedy._log_ratios(n)[k[a], k[b]]
+            delta = rng.choice([0.0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-10, -1e-10])
+            logw = rng.uniform(-6.0, -3.0, n)  # every weight stays below 1
+            if where == "crossing":
+                logw[a] = logw[b] + rng.uniform(0.05, 0.95) * ratio
+                f = rng.choice([v for v in range(n) if v not in (a, b)])
+                e = rng.choice([v for v in range(n) if v != f])
+                logw[f] = logw[e] - rng.choice(denoms) * ((logw[a] - logw[b]) / ratio + delta)
+            else:
+                logw[a] = logw[b] + (delta if where == "zero" else 1.0 + delta) * ratio
+            weights = np.exp(logw)
+            if np.unique(weights).size == n:
+                block.append(MwisInstance(n, np.stack([i[keep], j[keep]], axis=1), weights))
+        return block
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    @pytest.mark.parametrize("where", ["crossing", "zero", "one"])
+    def test_constructed_slivers_equal_the_all_flagged_oracle(self, n, where):
+        rng = np.random.default_rng([n, len(where)])
+        arrays = self.block_arrays(self.sliver_block(n, where, rng))
+        self.assert_same_functions(online._step_functions(*arrays), superset_step_functions(*arrays))
+
+    def test_constructed_slivers_need_their_cuts(self, monkeypatch):
+        # Cut by own crossings alone, some constructed rows change, so the
+        # test above would catch a sliver test that missed them.
+        rng = np.random.default_rng(3)
+        blocks = [self.block_arrays(self.sliver_block(n, where, rng))
+                  for n in (5, 8, 12) for where in ("crossing", "zero", "one")]
+        want = [StepFunctions(*superset_step_functions(*arrays)[:3]) for arrays in blocks]
+        monkeypatch.setattr(online, "_needs_slivers", lambda logw, roots: np.zeros(len(logw), bool))
+        got = [StepFunctions(*online._step_functions(*arrays)) for arrays in blocks]
+        assert any(g.points.tobytes() != w.points.tobytes() or g.values.tobytes() != w.values.tobytes()
+                   for g, w in zip(got, want))
 
     def test_bitmask_lane_limit_kept(self):
         x = MwisInstance(64, [(0, 1)], np.linspace(0.01, 1.0, 64))
