@@ -34,7 +34,11 @@ the online runner), the endpoint and holdout runs of ERM and the `epm`
 command's labels all take these batches; `cost_matrix` is their (rhos x
 samples) entry point.  The scalar runner (`run_greedy`) stays the public
 single-run API, the path of MWIS graphs on more than 63 vertices and of
-exact-weight instances, and the tests' oracle.
+exact-weight instances, and the tests' oracle.  With a Fraction rho on an
+exact-weight instance its non-adaptive first fit goes one group of equal
+exact score at a time: a group no edge joins is taken at once, its
+neighbourhood blocked from neighbour lists stored as runs of consecutive
+ids.  The float runs go vertex by vertex.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -109,8 +113,9 @@ class MwisInstance:
     Input already in that form is kept as given; any other order, reversed
     pairs and repeats are canonicalized.  `n` and the endpoints must be whole
     numbers.  The degrees and the neighbour lists the greedy runs walk (sorted
-    by vertex id) are built on first use, read-only as well; `reweighted`
-    shares all of them with a copy that only has new weights.
+    by vertex id; for exact runs also as runs of consecutive ids) are built
+    on first use, read-only as well; `reweighted` shares all of them with a
+    copy that only has new weights.
 
     Instances whose weights are exact powers of an integer base >= 2 may carry
     (`exact_base`, `exact_exponents`): weight_v proportional to
@@ -120,7 +125,7 @@ class MwisInstance:
     """
 
     __slots__ = ("n", "edges", "weights", "exact_base", "exact_exponents",
-                 "_indptr", "_indices", "_degrees", "_exact_classes")
+                 "_indptr", "_indices", "_runs", "_degrees", "_exact_classes")
 
     def __init__(self, n, edges, weights, exact_base=None, exact_exponents=None):
         whole = isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()
@@ -151,7 +156,7 @@ class MwisInstance:
         edge_arr.flags.writeable = False
         self.n = n
         self.edges = edge_arr
-        self._indptr = self._indices = self._degrees = None
+        self._indptr = self._indices = self._runs = self._degrees = None
         self._set_weights(weights, exact_base, exact_exponents)
 
     def _set_weights(self, weights, exact_base, exact_exponents) -> None:
@@ -184,6 +189,7 @@ class MwisInstance:
         out = object.__new__(type(self))
         out.n, out.edges = self.n, self.edges
         out._indptr, out._indices, out._degrees = self._indptr, self._indices, self._degrees
+        out._runs = self._runs
         out._set_weights(weights, exact_base, exact_exponents)
         return out
 
@@ -199,6 +205,27 @@ class MwisInstance:
         self._indices = keys - np.repeat(np.arange(n, dtype=np.int64) * n, counts)
         self._indptr = np.concatenate([[0], np.cumsum(counts)])
         self._indices.flags.writeable = self._indptr.flags.writeable = False
+
+    def _build_runs(self):
+        """The neighbour lists as maximal runs of consecutive ids, for the exact
+        runs: vertex v's neighbours are the ids lo <= u < hi of the runs
+        (run_lo[k], run_hi[k]) for run_ptr[v] <= k < run_ptr[v + 1]."""
+        if self._runs is not None:
+            return
+        self._build_csr()
+        indptr, indices = self._indptr, self._indices
+        starts = np.ones(indices.size, dtype=bool)
+        starts[1:] = indices[1:] != indices[:-1] + 1
+        starts[indptr[:-1][indptr[:-1] < indptr[1:]]] = True  # each list starts a run
+        # Only (runs,)-sized arrays from here on: an (E,)-sized temporary would
+        # lift the peak memory of a graph's first exact run above the build of
+        # its neighbour lists.
+        first = np.flatnonzero(starts)
+        run_lo = indices[first]
+        run_hi = run_lo + np.diff(np.append(first, indices.size))
+        self._runs = (np.searchsorted(first, indptr), run_lo, run_hi)
+        for x in self._runs:
+            x.flags.writeable = False
 
     @property
     def degrees(self) -> np.ndarray:
@@ -234,16 +261,6 @@ def mask_cost(mask: np.ndarray, payload: np.ndarray) -> np.ndarray:
     return np.where(mask, payload, 0.0).sum(axis=-1)
 
 
-def is_independent_set(instance: MwisInstance, solution: Sequence[int]) -> bool:
-    """Direct edge scan, independent of any greedy code path."""
-    chosen = set(int(v) for v in solution)
-    return not any(u in chosen and v in chosen for u, v in instance.edges.tolist())
-
-
-def knapsack_feasible(instance: KnapsackInstance, solution: Sequence[int]) -> bool:
-    return sum(float(instance.sizes[i]) for i in solution) <= instance.capacity + 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Greedy execution
 # ---------------------------------------------------------------------------
@@ -253,13 +270,16 @@ def _mwis_log_keys(instance: MwisInstance, rho: float, deg: np.ndarray) -> np.nd
     return np.log(instance.weights) - float(rho) * np.log1p(deg)
 
 
-def _exact_order(instance: MwisInstance, rho: Fraction) -> list[int]:
-    """Score order with exact per-pair comparisons.
+def _exact_groups(instance: MwisInstance, rho: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices in exact score order, cut where the score changes.
 
     Requires every (1 + degree) to be an integer power of `exact_base`, which
     holds for the nested-interval constructions this mode exists for.  The
     (exponent, degree) classes do not depend on rho and are kept on the
-    instance; each run ranks only the classes.  Ties go to the smaller id.
+    instance; each run ranks only the classes.  Returns (order, bounds):
+    group g is order[bounds[g]:bounds[g + 1]], the groups by decreasing
+    score, each group's members by increasing id, so `order` is the score
+    order with ties to the smaller id.
     """
     if instance._exact_classes is None:
         base = instance.exact_base
@@ -270,36 +290,74 @@ def _exact_order(instance: MwisInstance, rho: Fraction) -> list[int]:
         # Hash each distinct exponent object once, not one Fraction per vertex
         # (a window repeats three objects); equal values share one code.
         exponents, values = instance.exact_exponents, {}
-        code_of_id = {i: values.setdefault(e, len(values))
-                      for i, e in dict(zip(map(id, exponents), exponents)).items()}
-        codes = np.fromiter(map(code_of_id.__getitem__, map(id, exponents)), np.int64, instance.n)
-        pairs, class_of = np.unique(codes * len(ks) + size_of, return_inverse=True)
+        _, first, object_of = np.unique(np.fromiter(map(id, exponents), np.intp, instance.n),
+                                        return_index=True, return_inverse=True)
+        codes = np.array([values.setdefault(exponents[i], len(values)) for i in first.tolist()])
+        pairs, class_of = np.unique(codes[object_of] * len(ks) + size_of, return_inverse=True)
         values = list(values)
         classes = [(values[p // len(ks)], ks[p % len(ks)]) for p in pairs.tolist()]
         instance._exact_classes = (classes, class_of)
     classes, class_of = instance._exact_classes
     keys = [e - rho * k for e, k in classes]
     rank = {key: r for r, key in enumerate(sorted(set(keys), reverse=True))}
-    return np.argsort(np.array([rank[key] for key in keys])[class_of], kind="stable").tolist()
+    group_of = np.array([rank[key] for key in keys])[class_of]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(group_of, minlength=len(rank)))])
+    return np.argsort(group_of, kind="stable"), bounds
 
 
-def _greedy_mwis_nonadaptive(instance: MwisInstance, rho) -> np.ndarray:
-    """First fit in score order: a vertex is taken unless a taken neighbour blocks it."""
-    # Neighbour lists first: built after the exact order's temporaries instead,
-    # they made perfbench's replay of 2,026-vertex graphs about 7% slower.
-    instance._build_csr()
-    if isinstance(rho, Fraction) and instance.exact_base is not None:
-        order = _exact_order(instance, rho)
-    else:
-        keys = _mwis_log_keys(instance, rho, instance.degrees.astype(float))
-        order = np.argsort(-keys, kind="stable").tolist()
+def _first_fit(vertices, instance: MwisInstance, chosen: np.ndarray, blocked: np.ndarray) -> None:
+    """Take each of `vertices` in turn unless it is blocked, and block its neighbours."""
     indptr, indices = instance._indptr, instance._indices
-    chosen = np.zeros(instance.n, dtype=bool)
-    blocked = np.zeros(instance.n, dtype=bool)
-    for v in order:
+    for v in vertices:
         if not blocked[v]:
             chosen[v] = True
             blocked[indices[indptr[v]:indptr[v + 1]]] = True
+
+
+def _run_cover(runs, vertices: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the n ids adjacent to any of `vertices`, from the neighbour
+    runs (`MwisInstance._build_runs`): +1 at each run's first id, -1 past its
+    last, and an id is covered where the running sum is positive."""
+    run_ptr, run_lo, run_hi = runs
+    first, count = run_ptr[vertices], run_ptr[vertices + 1] - run_ptr[vertices]
+    k = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    depth = np.cumsum(np.bincount(run_lo[k], minlength=n + 1) - np.bincount(run_hi[k], minlength=n + 1))
+    return depth[:n] > 0
+
+
+def _greedy_mwis_nonadaptive(instance: MwisInstance, rho) -> np.ndarray:
+    """First fit in score order: a vertex is taken unless a taken neighbour blocks it.
+
+    Exact runs go one group of equal score at a time (`_exact_groups`).  When
+    no edge joins a group's unblocked members, first fit takes them all, and
+    blocks the union of their neighbourhoods in one step over the neighbour
+    runs; a group with an inner edge, or with one unblocked member, goes
+    vertex by vertex.  The hard instances' groups are whole layers, whose
+    neighbour lists are a few runs each.
+    """
+    instance._build_csr()
+    chosen = np.zeros(instance.n, dtype=bool)
+    blocked = np.zeros(instance.n, dtype=bool)
+    if not (isinstance(rho, Fraction) and instance.exact_base is not None):
+        keys = _mwis_log_keys(instance, rho, instance.degrees.astype(float))
+        _first_fit(np.argsort(-keys, kind="stable").tolist(), instance, chosen, blocked)
+        return chosen
+    order, bounds = _exact_groups(instance, rho)
+    instance._build_runs()
+    ids, done = order.tolist(), 0
+    for g in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        lo, hi = int(bounds[g]), int(bounds[g + 1])
+        _first_fit(ids[done:lo], instance, chosen, blocked)
+        done, members = hi, order[lo:hi]
+        free = members[~blocked[members]]
+        if free.size > 1:
+            cover = _run_cover(instance._runs, free, instance.n)
+            if not cover[free].any():
+                chosen[free] = True
+                blocked |= cover
+                continue
+        _first_fit(free.tolist(), instance, chosen, blocked)
+    _first_fit(ids[done:], instance, chosen, blocked)
     return chosen
 
 

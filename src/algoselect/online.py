@@ -126,22 +126,12 @@ class HardInstanceParams:
         up to a few ulps of the run's all-vertex `mask_cost` sum."""
         return self.size_a * self.weight_a + self.size_c * self.weight_c
 
-    def cost_at(self, rho) -> float:
-        """Closed-form greedy value; exact window comparisons via rationals.
-
-        At rho == r the hub/mass score tie breaks toward the lower-id hubs
-        (outside behavior); at rho == s the mass/star tie breaks toward the
-        mass layer (inside behavior).  Cross-checked against `run_greedy` in
-        the float-resolvable regime.
-        """
-        rho = Fraction(rho)
-        return self.inside_cost() if self.r < rho <= self.s else self.outside_cost()
-
 
 @lru_cache(maxsize=1)
 def _hard_graph(m: int) -> MwisInstance:
-    """The graph of every window of size m, checked once, with its degrees and
-    neighbour lists built and read-only; the last one stays in memory."""
+    """The graph of every window of size m, checked once, with its degrees,
+    neighbour lists and neighbour runs built and read-only; the last one stays
+    in memory."""
     a, b, n = m**2 - 2, m**3 - 1, _hard_size(m)
     ids_b = a + np.arange(b, dtype=np.int64)
     # Canonical order (hub rows, then mass-star rows), which MwisInstance keeps as given.
@@ -152,7 +142,7 @@ def _hard_graph(m: int) -> MwisInstance:
     edges[a * b:, 0] = ids_b
     edges[a * b:, 1] = a + b + np.arange(b, dtype=np.int64) // (m - 1)
     graph = MwisInstance(n, edges, np.ones(n))
-    graph._build_csr()
+    graph._build_runs()
     return graph
 
 
@@ -161,8 +151,9 @@ def build_hard_instance(params: HardInstanceParams) -> MwisInstance:
 
     Vertex order is hubs, then mass, then stars.  The instance carries exact
     weight exponents in base m so greedy runs with Fraction parameters compare
-    scores exactly.  The graph depends on m alone: it is built once per m and
-    shared read-only by every window's instance (`MwisInstance.reweighted`),
+    scores exactly.  The graph depends on m alone: it is built once per m, with
+    the neighbour runs its exact runs block groups with, and shared read-only
+    by every window's instance (`MwisInstance.reweighted`),
     which adds only the window's weights and exponents.  The graph of the last
     m stays in memory until a window of another m replaces it.
     """

@@ -30,17 +30,26 @@ buckets (`insertion_sort`), counting as it goes.  It is the oracle for the
 library's `sort`, which reads its counts from a routing table and from ranks.
 
 `adjacency_matrix` and `total_weight` read an `MwisInstance` the plain way,
-for tests that need its dense adjacency or its weight sum.
+for tests that need its dense adjacency or its weight sum;
+`is_independent_set` and `knapsack_feasible` check a solution the plain way.
+
+`per_vertex_exact_order` sorts one exact Fraction score per vertex
+(`per_vertex_exact_keys`), and
+`per_vertex_first_fit` runs first fit along it one vertex at a time: the
+oracle for the library's exact runs, which rank only the (exponent, degree)
+classes and take a score group at a time.  `hard_cost_at` is the hard
+instances' closed-form greedy value.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from algoselect.greedy import (_GRID_MAX_N, KnapsackInstance, MwisInstance, ParamGreedyFamily,
                                _graph_lanes, _nonadaptive_crossings, _nonadaptive_masks, _piece_values,
                                _rows_within, greedy_cost)
-from algoselect.online import _SLIVER, _transition_rows
+from algoselect.online import _SLIVER, HardInstanceParams, _transition_rows
 from algoselect.sorter import BucketSorter, SortStats, mergesort_count
 
 
@@ -55,6 +64,57 @@ def adjacency_matrix(instance: MwisInstance) -> np.ndarray:
 
 def total_weight(instance: MwisInstance) -> float:
     return float(math.fsum(instance.weights))
+
+
+def is_independent_set(instance: MwisInstance, solution) -> bool:
+    """Direct edge scan, independent of any greedy code path."""
+    chosen = set(int(v) for v in solution)
+    return not any(u in chosen and v in chosen for u, v in instance.edges.tolist())
+
+
+def knapsack_feasible(instance: KnapsackInstance, solution) -> bool:
+    return sum(float(instance.sizes[i]) for i in solution) <= instance.capacity + 1e-12
+
+
+def per_vertex_exact_keys(instance: MwisInstance, rho: Fraction) -> list[Fraction]:
+    """One exact log-base score exponent - rho * log_base(1 + degree) per vertex."""
+    base, ks = instance.exact_base, []
+    for d in (instance.degrees + 1).tolist():
+        k = round(math.log(d, base)) if d > 1 else 0
+        assert base**k == d
+        ks.append(k)
+    return [e - rho * k for e, k in zip(instance.exact_exponents, ks)]
+
+
+def per_vertex_exact_order(instance: MwisInstance, rho: Fraction) -> list[int]:
+    """Exact score order by one Fraction key per vertex, sorted (-key, id)."""
+    keys = per_vertex_exact_keys(instance, rho)
+    return sorted(range(instance.n), key=lambda v: (-keys[v], v))
+
+
+def per_vertex_first_fit(instance: MwisInstance, rho: Fraction) -> np.ndarray:
+    """The exact non-adaptive greedy's chosen mask, one vertex at a time along
+    `per_vertex_exact_order`."""
+    instance._build_csr()
+    indptr, indices = instance._indptr, instance._indices
+    chosen = np.zeros(instance.n, dtype=bool)
+    blocked = np.zeros(instance.n, dtype=bool)
+    for v in per_vertex_exact_order(instance, rho):
+        if not blocked[v]:
+            chosen[v] = True
+            blocked[indices[indptr[v]:indptr[v + 1]]] = True
+    return chosen
+
+
+def hard_cost_at(params: HardInstanceParams, rho) -> float:
+    """Closed-form greedy value of the hard instance; exact window comparisons via rationals.
+
+    At rho == r the hub/mass score tie breaks toward the lower-id hubs
+    (outside behavior); at rho == s the mass/star tie breaks toward the mass
+    layer (inside behavior).
+    """
+    rho = Fraction(rho)
+    return params.inside_cost() if params.r < rho <= params.s else params.outside_cost()
 
 
 def mwis_grid_masks(instance: MwisInstance, rhos, adaptive: bool) -> np.ndarray:

@@ -6,8 +6,8 @@ import pytest
 
 from _fixtures import (KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE,
                        crafted_shatter_pair)
-from _grid_oracles import (adjacency_matrix, crossing_superset, grid_costs, grid_masks, scalar_costs,
-                           total_weight)
+from _grid_oracles import (adjacency_matrix, crossing_superset, grid_costs, grid_masks,
+                           is_independent_set, knapsack_feasible, scalar_costs, total_weight)
 from algoselect import greedy, online
 from algoselect.core import shatter_probe
 from algoselect.greedy import (
@@ -16,9 +16,7 @@ from algoselect.greedy import (
     ParamGreedyFamily,
     erm_breakpoint,
     greedy_cost,
-    is_independent_set,
     knapsack_family,
-    knapsack_feasible,
     load_knapsack,
     load_mwis,
     mwis_family,
@@ -179,9 +177,16 @@ class TestLargeGraphPath:
         indptr, indices = inst._indptr, inst._indices
         assert indptr.dtype == indices.dtype == inst.degrees.dtype == np.int64
         assert inst.degrees.tolist() == adj.sum(axis=1).tolist()
+        inst._build_runs()
+        run_ptr, run_lo, run_hi = inst._runs
+        assert run_ptr.dtype == run_lo.dtype == run_hi.dtype == np.int64
         for v in range(n):
             nbrs = indices[indptr[v]:indptr[v + 1]]
             assert nbrs.tolist() == np.flatnonzero(adj[v]).tolist()  # sorted
+            # The same list as maximal runs of consecutive ids.
+            lo, hi = run_lo[run_ptr[v]:run_ptr[v + 1]], run_hi[run_ptr[v]:run_ptr[v + 1]]
+            assert (lo < hi).all() and (lo[1:] > hi[:-1]).all()
+            assert [u for a, b in zip(lo.tolist(), hi.tolist()) for u in range(a, b)] == nbrs.tolist()
 
     def test_degrees_leave_the_csr_unbuilt(self):
         inst = MwisInstance(6, [(4, 1), (1, 3)], np.full(6, 0.5))
@@ -190,6 +195,7 @@ class TestLargeGraphPath:
         assert inst._indptr is None  # only a scalar run needs the neighbour lists
         run_greedy(mwis_family(6), 0.5, inst)
         assert inst._indptr is not None
+        assert inst._runs is None  # only an exact run needs the neighbour runs
 
     def test_vertex_pairs_are_cached_read_only(self):
         pairs = greedy._vertex_pairs(7)

@@ -9,7 +9,7 @@ from algoselect import greedy, online
 from algoselect.core import StepFunctions
 from algoselect.greedy import (
     MwisInstance,
-    _exact_order,
+    _exact_groups,
     _graph_lanes,
     _nonadaptive_crossings,
     _nonadaptive_masks,
@@ -41,7 +41,8 @@ from algoselect.online import (
 from algoselect.utils import labeled_rng
 
 from _fixtures import MWIS_WEIGHT_PALETTE
-from _grid_oracles import (NetHedgeLearner, grid_costs, grid_masks, min_pairwise_gap,
+from _grid_oracles import (NetHedgeLearner, grid_costs, grid_masks, hard_cost_at, min_pairwise_gap,
+                           per_vertex_exact_keys, per_vertex_exact_order, per_vertex_first_fit,
                            superset_step_functions, total_weight)
 
 
@@ -89,20 +90,28 @@ class TestHardInstance:
         inst = build_hard_instance(params)
         for rho in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(9, 10)):
             got = run_greedy(mwis_family(inst.n), rho, inst)[1].value
-            assert got == pytest.approx(params.cost_at(rho), abs=1e-12)
+            assert got == pytest.approx(hard_cost_at(params, rho), abs=1e-12)
         for rho in (0.15, 0.5, 0.95):  # float path, interior of the regions
             got = run_greedy(mwis_family(inst.n, adaptive=True), rho, inst)[1].value
-            assert got == pytest.approx(params.cost_at(Fraction(rho)), abs=1e-12)
+            assert got == pytest.approx(hard_cost_at(params, Fraction(rho)), abs=1e-12)
 
     @pytest.mark.parametrize("r,s", [(Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 10), Fraction(1, 5)),
                                      (Fraction(2, 5), Fraction(9, 10))])
     def test_closed_forms_within_ulps_of_run_values(self, r, s):
         # The closed forms sum one layer; a run sums all n vertices, so about
         # half the values differ in the last bits.  Adaptive runs take seconds
-        # per graph beyond m = 12, so the grid stops there for them.
+        # per graph beyond m = 12, so the grid stops there for them.  Exact
+        # runs (Fraction rho) take the same windows, which float resolves, so
+        # they also choose the float runs' vertices.
         for m in range(3, 23):
             params = HardInstanceParams(m, r, s)
             inst = build_hard_instance(params)
+            fam = mwis_family(inst.n)
+            for exact in ((r + s) / 2, r / 2, (s + 1) / 2):
+                sol, cost = run_greedy(fam, exact, inst)
+                want = params.inside_cost() if exact == (r + s) / 2 else params.outside_cost()
+                assert abs(cost.value - want) <= 1e-15
+                assert sol == run_greedy(fam, float(exact), inst)[0]
             for adaptive in (False, True) if m <= 12 else (False,):
                 fam = mwis_family(inst.n, adaptive=adaptive)
                 inside = run_greedy(fam, float((r + s) / 2), inst)[1].value
@@ -114,8 +123,8 @@ class TestHardInstance:
     def test_boundary_tie_semantics(self):
         # At rho == r hubs win the tie (outside); at rho == s the mass layer wins.
         params = HardInstanceParams(5, Fraction(1, 4), Fraction(3, 4))
-        assert params.cost_at(Fraction(1, 4)) == params.outside_cost()
-        assert params.cost_at(Fraction(3, 4)) == params.inside_cost()
+        assert hard_cost_at(params, Fraction(1, 4)) == params.outside_cost()
+        assert hard_cost_at(params, Fraction(3, 4)) == params.inside_cost()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -160,11 +169,13 @@ class TestSharedHardGraph:
     @staticmethod
     def assert_same_instance(params, got):
         want = _unshared_hard_instance(params)
-        want._build_csr()
+        want._build_runs()
         assert got.n == want.n
         for name in ("edges", "degrees", "_indptr", "_indices"):
             x, y = getattr(got, name), getattr(want, name)
             assert x.dtype == y.dtype and np.array_equal(x, y), name
+        for x, y in zip(got._runs, want._runs):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
         assert got.weights.tolist() == want.weights.tolist()
         assert (got.exact_base, got.exact_exponents) == (want.exact_base, want.exact_exponents)
         fam = mwis_family(got.n)
@@ -201,6 +212,10 @@ class TestSharedHardGraph:
             assert getattr(first, name) is getattr(second, name)
             with pytest.raises(ValueError, match="read-only"):
                 getattr(first, name)[0] = 1
+        assert first._runs is second._runs  # (run_ptr, run_lo, run_hi), built with the graph
+        for runs in first._runs:
+            with pytest.raises(ValueError, match="read-only"):
+                runs[0] = 1
         assert first.weights is not second.weights
         assert first.exact_exponents != second.exact_exponents
 
@@ -227,26 +242,60 @@ class TestSharedHardGraph:
         assert graph.weights.tolist() == [1.0, 1.0, 1.0] and graph.exact_base is None
 
 
-def _per_vertex_exact_order(instance, rho):
-    """Exact score order by one Fraction key per vertex, sorted (-key, id)."""
-    base, ks = instance.exact_base, []
-    for d in (instance.degrees + 1).tolist():
-        k = round(math.log(d, base)) if d > 1 else 0
-        assert base**k == d
-        ks.append(k)
-    keys = [e - rho * k for e, k in zip(instance.exact_exponents, ks)]
-    return sorted(range(instance.n), key=lambda v: (-keys[v], v))
+def assert_groups_cut_the_order(inst, rho):
+    """`_exact_groups` is the per-vertex score order cut where the score
+    changes: each group one key, members by id, keys strictly decreasing."""
+    order, bounds = _exact_groups(inst, rho)
+    per_vertex = per_vertex_exact_order(inst, rho)
+    assert order.tolist() == per_vertex
+    assert bounds[0] == 0 and bounds[-1] == inst.n and (np.diff(bounds) > 0).all()
+    keys = per_vertex_exact_keys(inst, rho)
+    groups = [order[lo:hi].tolist() for lo, hi in zip(bounds[:-1], bounds[1:])]
+    assert all(len({keys[v] for v in g}) == 1 and g == sorted(g) for g in groups)
+    assert all(keys[g[0]] > keys[h[0]] for g, h in zip(groups, groups[1:]))
+    return groups
+
+
+def assert_first_fit_matches_oracle(inst, rho):
+    """The exact run's mask equals the per-vertex first fit, its value bit for bit."""
+    want = per_vertex_first_fit(inst, rho)
+    sol, cost = run_greedy(mwis_family(inst.n), rho, inst)
+    assert sol == tuple(np.flatnonzero(want).tolist())
+    assert cost.value.hex() == float(mask_cost(want, inst.weights)).hex()
+
+
+def base2_tie_graph(rng, k4s, k2s, stars, palette=(Fraction(0), Fraction(-1), Fraction(-2))):
+    """Disjoint K4s, K2s and 3-leaf stars in shuffled ids, every 1 + degree a
+    power of 2, exponents drawn from a 3-value palette."""
+    sizes = [4] * k4s + [2] * k2s + [4] * stars
+    kinds = ["k4"] * k4s + ["k2"] * k2s + ["star"] * stars
+    n = sum(sizes)
+    ids = rng.permutation(n)
+    edges, at = [], 0
+    for kind, size in zip(kinds, sizes):
+        v = ids[at:at + size].tolist()
+        if kind == "k4":
+            edges += [(v[i], v[j]) for i in range(4) for j in range(i + 1, 4)]
+        elif kind == "k2":
+            edges.append((v[0], v[1]))
+        else:
+            edges += [(v[0], leaf) for leaf in v[1:]]
+        at += size
+    exponents = [palette[i] for i in rng.integers(0, len(palette), size=n).tolist()]
+    weights = [2.0 ** float(e) for e in exponents]
+    return MwisInstance(n, edges, weights, exact_base=2, exact_exponents=exponents)
 
 
 class TestExactOrder:
-    @pytest.mark.parametrize("n_budget", [200, 1500])
+    @pytest.mark.parametrize("n_budget", [200, 1500, 2500])
     def test_matches_per_vertex_sort_on_hard_windows(self, n_budget):
         for params in adversary_sequence(n_budget, 3, seed=5):
             inst = build_hard_instance(params)
             width = params.s - params.r
             for rho in ((params.r + params.s) / 2, params.s + width, params.r, params.s,
                         Fraction(0), Fraction(1, 2)):
-                assert _exact_order(inst, rho) == _per_vertex_exact_order(inst, rho)
+                assert_groups_cut_the_order(inst, rho)
+                assert_first_fit_matches_oracle(inst, rho)
 
     def test_tied_classes_keep_id_order(self):
         # Base 2: a star (centre degree 3, leaves degree 1), an isolated
@@ -258,8 +307,38 @@ class TestExactOrder:
         inst = MwisInstance(7, edges, [2.0 ** float(e) / 4 for e in exponents],
                             exact_base=2, exact_exponents=exponents)
         for rho in (Fraction(1, 2), Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 4)):
-            assert _exact_order(inst, rho) == _per_vertex_exact_order(inst, rho)
-        assert _exact_order(inst, Fraction(1, 2))[:5] == [0, 1, 3, 4, 5]
+            assert_groups_cut_the_order(inst, rho)
+            assert_first_fit_matches_oracle(inst, rho)
+        assert assert_groups_cut_the_order(inst, Fraction(1, 2))[0] == [0, 1, 3, 4, 5]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_group_first_fit_on_tie_heavy_graphs(self, seed):
+        # Most groups hold several vertices; a group with an inner edge (two
+        # vertices of one K4, say) is run vertex by vertex.
+        rng = np.random.default_rng(seed)
+        inst = base2_tie_graph(rng, k4s=5, k2s=6, stars=4)
+        inner_edge = False
+        for rho in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(2, 3),
+                    Fraction(int(rng.integers(1, 1000)), 1000)):
+            group_of = np.empty(inst.n, dtype=np.int64)
+            for g, members in enumerate(assert_groups_cut_the_order(inst, rho)):
+                group_of[members] = g
+            inner_edge |= bool((group_of[inst.edges[:, 0]] == group_of[inst.edges[:, 1]]).any())
+            assert_first_fit_matches_oracle(inst, rho)
+        assert inner_edge
+
+    def test_group_with_scattered_unblocked_members(self):
+        # Vertex 0 comes first and blocks 3, so the group {1, 2, 3, 4, 5}
+        # has the unblocked members 1, 2, 4, 5; three of them share the
+        # neighbour 6, whose degree 3 makes 1 + degree = 4.
+        edges = [(0, 3), (1, 6), (2, 6), (4, 6), (5, 7)]
+        exponents = [Fraction(0)] + [Fraction(-1)] * 5 + [Fraction(-2)] * 2
+        inst = MwisInstance(8, edges, [2.0 ** float(e) for e in exponents],
+                            exact_base=2, exact_exponents=exponents)
+        for rho in (Fraction(0), Fraction(1, 4), Fraction(1)):
+            assert [1, 2, 3, 4, 5] in assert_groups_cut_the_order(inst, rho)
+            assert_first_fit_matches_oracle(inst, rho)
+            assert run_greedy(mwis_family(8), rho, inst)[0] == (0, 1, 2, 4, 5)
 
     def test_cached_classes_at_the_replay_size(self):
         # The replay's window size: exact runs at r, s, the midpoint and one
@@ -275,20 +354,20 @@ class TestExactOrder:
             width = params.s - params.r
             for rho in (params.r, params.s, (params.r + params.s) / 2, params.s + width):
                 fresh = build_hard_instance(params)
-                order = _per_vertex_exact_order(fresh, rho)
-                assert _exact_order(fresh, rho) == order
-                assert _exact_order(shared, rho) == order
+                order = per_vertex_exact_order(fresh, rho)
+                assert _exact_groups(fresh, rho)[0].tolist() == order
+                assert _exact_groups(shared, rho)[0].tolist() == order
                 want = inside if params.r < rho <= params.s else outside
                 for inst in (shared, fresh):
                     sol, cost = run_greedy(fam, rho, inst)
                     assert sol == want
-                    assert cost.value == pytest.approx(params.cost_at(rho), abs=1e-12)
+                    assert cost.value == pytest.approx(hard_cost_at(params, rho), abs=1e-12)
 
     def test_degree_not_a_power_of_the_base_rejected(self):
         inst = MwisInstance(3, [(0, 1), (1, 2)], [0.5, 0.25, 0.5], exact_base=2,
                             exact_exponents=[Fraction(0), Fraction(-1), Fraction(0)])
         with pytest.raises(ValueError, match="power of the base"):
-            _exact_order(inst, Fraction(1, 2))
+            _exact_groups(inst, Fraction(1, 2))
 
 
 class TestAdversarySequence:
@@ -354,7 +433,7 @@ class TestAdversarySequence:
         seq = adversary_sequence(200, 8, seed=5)
         mid = (seq[-1].r + seq[-1].s) / 2
         # Closed form on every step.
-        assert all(p.cost_at(mid) == p.inside_cost() for p in seq)
+        assert all(hard_cost_at(p, mid) == p.inside_cost() for p in seq)
         # Replay through the actual greedy (exact mode); the window width here
         # is ~1e-18, far below float resolution.
         for params in seq:
@@ -1260,7 +1339,7 @@ def reference_adversary_run(n_budget, T, seed):
     net_totals = np.zeros(net.size)
     ref_total = 0.0
     for t, p in enumerate(params_list):
-        gains = np.array([p.cost_at(rho) for rho in grid])
+        gains = np.array([hard_cost_at(p, rho) for rho in grid])
         idx = learner.sample(rng)
         learner.update(gains)
         net_totals += gains
@@ -1289,7 +1368,7 @@ class TestAdversaryOnlineRun:
         n = params[0].n
         totals = np.zeros(n + 1)
         for p in params:
-            totals += np.array([p.cost_at(Fraction(k, n)) for k in range(n + 1)])
+            totals += np.array([hard_cost_at(p, Fraction(k, n)) for k in range(n + 1)])
         assert totals.max() == pytest.approx(trace.cum_best[-1], abs=1e-9)
 
     @pytest.mark.parametrize("n_budget", [200, 1500])
