@@ -149,8 +149,16 @@ class StepFunctions:
         for row in self._rows(left_ends):
             totals += row
         best = int(np.argmax(totals))
-        edges = np.concatenate([[lo], union, [hi]])
-        return float((edges[best] + edges[best + 1]) / 2.0), float(totals[best])
+        mids, _ = piece_midpoints(union, np.array([0, union.size]), lo, hi)
+        return float(mids[best]), float(totals[best])
+
+
+def piece_midpoints(points: np.ndarray, offsets: np.ndarray, lo: float, hi: float):
+    """The midpoint of every piece of [lo, hi] that each row's sorted points
+    (`points[offsets[i]:offsets[i + 1]]`) cut it into, and each piece's row:
+    (mids, owner), in the layout of `StepFunctions.values`."""
+    mids = (np.insert(points, offsets[:-1], lo) + np.insert(points, offsets[1:], hi)) / 2.0
+    return mids, np.repeat(np.arange(offsets.size - 1), np.diff(offsets) + 1)
 
 
 def merge_close(points: np.ndarray, rtol: float) -> np.ndarray:

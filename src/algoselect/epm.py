@@ -15,7 +15,6 @@ map, under which both reduce exactly to finite ERM.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -131,11 +130,6 @@ class SelectionTable:
     mapping: dict
     defaulted: tuple
 
-    def algorithm_for(self, feature_value):
-        if feature_value not in self.mapping:
-            raise KeyError(f"feature value {feature_value!r} outside the table domain")
-        return self.mapping[feature_value]
-
 
 def fit_selection_table(domain, features, indices, costs, orientation: str) -> SelectionTable:
     """Independent ERM over the samples sharing each finite feature value.
@@ -168,24 +162,3 @@ def epm_to_dict(epm: LinearEpm) -> dict:
         "rank": epm.rank,
         "n_samples": epm.n_samples,
     }
-
-
-def epm_from_dict(payload: dict) -> LinearEpm:
-    return LinearEpm(
-        payload["algorithm_index"],
-        payload["schema_id"],
-        np.asarray(payload["coefficients"], dtype=float),
-        float(payload["training_loss"]),
-        int(payload["rank"]),
-        int(payload["n_samples"]),
-    )
-
-
-def save_epms(epms: Sequence[LinearEpm], path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump([epm_to_dict(e) for e in epms], fh, indent=2)
-
-
-def load_epms(path: str) -> list[LinearEpm]:
-    with open(path) as fh:
-        return [epm_from_dict(p) for p in json.load(fh)]

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MINIMIZE, StepFunctions, erm_costs, merge_close
+from .core import MINIMIZE, StepFunctions, erm_costs, merge_close, piece_midpoints
 
 # Largest K-net `knet` builds.
 _KNET_LIMIT = 10**7
@@ -382,7 +382,7 @@ def _pieces(family: GdFamily, lam: np.ndarray, z0: np.ndarray, dims: np.ndarray)
     band_lo, band_hi = np.minimum(a[0::2], b[1::2]), np.maximum(a[0::2], b[1::2])
     band_sample = sample[row[0::2]]
 
-    merged, points, probes = [], [], []
+    merged, points = [], []
     for j in range(lam.shape[0]):
         mine = band_sample == j
         order = np.argsort(band_lo[mine])
@@ -390,18 +390,15 @@ def _pieces(family: GdFamily, lam: np.ndarray, z0: np.ndarray, dims: np.ndarray)
         first, last = np.ones(blo.size, dtype=bool), np.ones(blo.size, dtype=bool)
         first[1:] = last[:-1] = blo[1:] > reach[:-1]  # overlapping bands merge
         merged.append((blo[first], reach[last]))
-        # Pieces alternate between the certain gaps and the bands; each is
-        # valued at its midpoint.
+        # Pieces alternate between the certain gaps and the bands.
         edges = np.unique(np.concatenate([[lo_rho, hi_rho], blo[first], reach[last]]))
         points.append(edges[1:-1])
-        probes.append(0.5 * (edges[:-1] + edges[1:]) if edges.size > 1 else edges)
-    rhos = np.concatenate(probes + [np.empty(0)])
-    values = _counts(family, rhos, np.repeat(np.arange(lam.shape[0]), [p.size for p in probes]),
-                     lam, z0, dims)
+    points, offsets = np.concatenate(points + [np.empty(0)]), np.cumsum([0] + [p.size for p in points])
+    rhos, which = piece_midpoints(points, offsets, lo_rho, hi_rho)  # each piece valued at its midpoint
+    values = _counts(family, rhos, which, lam, z0, dims)
     failed = np.flatnonzero(values < 0)
     failure = (values[failed[0]], float(rhos[failed[0]])) if failed.size else None
-    functions = StepFunctions(np.concatenate(points + [np.empty(0)]),
-                              np.cumsum([0] + [p.size for p in points]), values)
+    functions = StepFunctions(points, offsets, values)
     return functions, merged, failure
 
 

@@ -28,23 +28,21 @@ repeats the scalar runner's float expressions and so equals it bit for bit.
 `_nonadaptive_masks` runs first fit against one uint64 neighbourhood bitmask
 per vertex, `_adaptive_masks` lets every row pick its next vertex in lockstep
 and keeps its window, and `_knapsack_masks` runs first fit against one
-residual capacity per row.  The step functions' pieces (knapsack pieces at
-once, the adaptive walks one round at a time, non-adaptive MWIS pieces as in
-the online runner), the endpoint and holdout runs of ERM and the `epm`
-command's labels all take these batches; `cost_matrix` is their (rhos x
-samples) entry point.  The scalar runner (`run_greedy`) stays the public
-single-run API, the path of MWIS graphs on more than 63 vertices and of
-exact-weight instances, and the tests' oracle.  With a Fraction rho on an
-exact-weight instance its non-adaptive first fit goes one group of equal
-exact score at a time: a group no edge joins is taken at once, its
-neighbourhood blocked from neighbour lists stored as runs of consecutive
-ids.  The float runs go vertex by vertex.
+residual capacity per row.  The step functions' pieces (every piece of a
+group at once, the adaptive walks one round at a time), the endpoint and
+holdout runs of ERM and the `epm` command's labels all take these batches;
+`cost_matrix` is their (rhos x samples) entry point.  The scalar runner
+(`run_greedy`) stays the public single-run API, the path of MWIS graphs on
+more than 63 vertices and of exact-weight instances, and the tests' oracle.
+With a Fraction rho on an exact-weight instance its non-adaptive first fit
+goes one group of equal exact score at a time: a group no edge joins is
+taken at once, its neighbourhood blocked from neighbour lists stored as runs
+of consecutive ids.  The float runs go vertex by vertex.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import numbers
@@ -56,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MAXIMIZE, CostValue, ErrorReport, StepFunctions, erm_costs, merge_close
+from .core import MAXIMIZE, CostValue, ErrorReport, StepFunctions, erm_costs, merge_close, piece_midpoints
 
 # Exact float dedup of coincident crossing points, relative to magnitude.
 _BREAKPOINT_MERGE_RTOL = 1e-12
@@ -585,26 +583,25 @@ def _scalar_runs(family: ParamGreedyFamily, group, owner, rhos):
     return values, ends
 
 
-def _runners(family: ParamGreedyFamily, samples, ks):
-    """The samples `ks` grouped for runs, as (group, runs) pairs, `group` a
-    list of sample indices.  `runs(owner, rhos)` runs sample group[owner[i]]
-    at rhos[i] for every row i, and returns each row's value and the upper end
-    b of the window where its run is fixed (`_greedy_mwis_adaptive`; inf for
-    the other kinds).
+def _runners(family: ParamGreedyFamily, samples):
+    """The samples grouped for runs, as (group, runs) pairs, `group` a list
+    of sample indices, all of one size.  `runs(owner, rhos)` runs sample
+    group[owner[i]] at rhos[i] for every row i, and returns each row's value
+    and the upper end b of the window where its run is fixed
+    (`_greedy_mwis_adaptive`; inf for the other kinds).
 
     Samples of one size run together, at most `_BLOCK_ROOTS` row-object cells
     at a time (`_knapsack_masks`, `_nonadaptive_masks`, `_adaptive_masks`).
     MWIS graphs beyond one lane (n > 63) and graphs with exact weights take
-    one scalar run per row, as `run_greedy` does.
+    one scalar run per row, as `run_greedy` does, in groups of their own.
     """
     groups = {}
-    for k in ks:
-        x = samples[k]
+    for k, x in enumerate(samples):
         batched = family.kind == "knapsack" or (x.n <= _GRID_MAX_N and x.exact_base is None)
-        groups.setdefault(x.n if batched else 0, []).append(k)
-    for n, group in groups.items():
+        groups.setdefault((x.n, batched), []).append(k)
+    for (_, batched), group in groups.items():
         members = [samples[k] for k in group]
-        yield group, (_batched_runs(family, members) if n else partial(_scalar_runs, family, members))
+        yield group, _batched_runs(family, members) if batched else partial(_scalar_runs, family, members)
 
 
 def cost_matrix(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
@@ -622,7 +619,7 @@ def cost_matrix(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
         raise TypeError(f"{family.kind} family needs {need.__name__} samples")
     rhos = np.asarray(rhos)
     costs = np.empty((rhos.size, len(samples)))
-    for group, runs in _runners(family, samples, range(len(samples))):
+    for group, runs in _runners(family, samples):
         owner = np.tile(np.arange(len(group)), rhos.size)
         costs[:, group] = runs(owner, np.repeat(rhos, len(group)))[0].reshape(rhos.size, len(group))
     return costs
@@ -667,16 +664,6 @@ def _rows_within(roots: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, n
     return roots[keep], offsets
 
 
-def _piece_values(weights, logw, lanes, points, offsets, lo: float, hi: float) -> np.ndarray:
-    """Non-adaptive greedy value at the midpoint of every piece of [lo, hi] cut
-    by each row's points (`_rows_within` layout), row i on graph i of `lanes`
-    (`_graph_lanes`): the values of a `core.StepFunctions` batch."""
-    mids = (np.insert(points, offsets[:-1], lo) + np.insert(points, offsets[1:], hi)) / 2.0
-    owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets) + 1)
-    masks = _nonadaptive_masks(logw, *lanes, owner, mids)
-    return mask_cost(masks, weights[owner])
-
-
 # ---------------------------------------------------------------------------
 # Crossings, step functions and constructive ERM
 # ---------------------------------------------------------------------------
@@ -706,26 +693,31 @@ def _own_crossings(family: ParamGreedyFamily, x) -> np.ndarray:
     return _rows_within(roots[None], *_inside(family.interval))[0]
 
 
-def _nonadaptive_rows(family: ParamGreedyFamily, graphs) -> tuple:
-    """Own crossings `_inside` the interval of graphs on one number n of
-    vertices, as flat points and offsets, and the value of every piece between
-    them (`_piece_values`; None when n > 63).  At most n(n-1)/2 + 1 pieces each."""
-    n, weights = graphs[0].n, np.stack([x.weights for x in graphs])
-    logw, degrees = np.log(weights), np.stack([x.degrees for x in graphs])
-    points, offsets = _rows_within(_nonadaptive_crossings(logw, degrees), *_inside(family.interval))
-    if n > _GRID_MAX_N:
-        return points, offsets, None
-    return points, offsets, _piece_values(weights, logw, _stacked_lanes(graphs), points, offsets,
-                                          *family.interval)
+def _crossing_rows(family: ParamGreedyFamily, group) -> tuple[np.ndarray, np.ndarray]:
+    """The own crossings `_inside` the interval of samples of one size, as
+    flat points and offsets (`_rows_within`).  Non-adaptive MWIS graphs take
+    `_nonadaptive_crossings`, as many at once as `_BLOCK_ROOTS` roots allow;
+    the other kinds take `_own_crossings`, one sample at a time."""
+    bounds = _inside(family.interval)
+    if family.kind != "mwis":
+        rows = [_own_crossings(family, x) for x in group]
+        return np.concatenate(rows + [np.empty(0)]), np.cumsum([0] + [r.size for r in rows])
+    n = group[0].n
+    size = max(1, _BLOCK_ROOTS // max(1, n * (n - 1) // 2))
+    points, counts = [], [[0]]
+    for part in (group[start:start + size] for start in range(0, len(group), size)):
+        logw, degrees = np.log(np.stack([x.weights for x in part])), np.stack([x.degrees for x in part])
+        own, offsets = _rows_within(_nonadaptive_crossings(logw, degrees), *bounds)
+        points.append(own)
+        counts.append(np.diff(offsets))
+    return np.concatenate(points), np.cumsum(np.concatenate(counts))
 
 
 def step_functions(family: ParamGreedyFamily, samples) -> StepFunctions:
     """Each sample's greedy value between its own crossings, as a row of one batch.
 
-    Non-adaptive MWIS graphs of one size go through `_nonadaptive_rows`
-    together, in batches of at most `_BLOCK_ROOTS` piece-vertex cells.  The
-    other samples run at piece midpoints through `_runners`: knapsacks and
-    graphs beyond one lane at every piece, in one call per group.  For
+    Each group of `_runners` is cut at its own crossings (`_crossing_rows`)
+    and run at the midpoint of every piece, in one call.  For
     "mwis-adaptive" one run serves every piece in its window (see
     `_greedy_mwis_adaptive`) and the next run is at the first piece past it:
     one run per distinct execution, and the walks of one group advance in
@@ -733,38 +725,26 @@ def step_functions(family: ParamGreedyFamily, samples) -> StepFunctions:
     """
     lo, hi = family.interval
     points, values = [None] * len(samples), [None] * len(samples)
-    for n in {x.n for x in samples} if family.kind == "mwis" else ():
-        ks = [k for k, x in enumerate(samples) if x.n == n]
-        size = max(1, _BLOCK_ROOTS // (n * (n * (n - 1) // 2 + 1)))
-        for part in (ks[start:start + size] for start in range(0, len(ks), size)):
-            own, offsets, pieces = _nonadaptive_rows(family, [samples[k] for k in part])
-            for i, k in enumerate(part):
-                points[k] = own[offsets[i]:offsets[i + 1]]
-                values[k] = None if pieces is None else pieces[offsets[i] + i:offsets[i + 1] + i + 1]
-    rest = [k for k in range(len(samples)) if values[k] is None]
-    for group, runs in _runners(family, samples, rest):
-        grids = [np.concatenate([[lo], _own_crossings(family, samples[k]) if points[k] is None
-                                 else points[k], [hi]]) for k in group]
-        mids = [(grid[:-1] + grid[1:]) / 2.0 for grid in grids]
-        counts = np.array([m.size for m in mids])
-        for k, grid in zip(group, grids):
-            points[k] = grid[1:-1]
+    for group, runs in _runners(family, samples):
+        own, offsets = _crossing_rows(family, [samples[k] for k in group])
+        mids, owner = piece_midpoints(own, offsets, lo, hi)
+        starts = offsets + np.arange(offsets.size)  # each row's first piece, and one past the last
         if family.kind != "mwis-adaptive":
-            pieces = runs(np.repeat(np.arange(len(group)), counts), np.concatenate(mids))[0]
-            for k, part in zip(group, np.split(pieces, np.cumsum(counts)[:-1])):
-                values[k] = part
-            continue
-        for k, m in zip(group, mids):
-            values[k] = np.empty(m.size)
-        first, live = np.zeros(len(group), dtype=np.int64), np.arange(len(group))
-        while live.size:
-            run_values, ends = runs(live, [mids[i][first[i]] for i in live.tolist()])
-            for i, value, b in zip(live.tolist(), run_values.tolist(), ends.tolist()):
-                # The run is fixed on the pieces first .. end - 1, which end at or before b.
-                end = max(first[i] + 1, int(np.searchsorted(grids[i], b, side="right")) - 1)
-                values[group[i]][first[i]:end] = value
-                first[i] = end
-            live = live[first[live] < counts[live]]
+            pieces = runs(owner, mids)[0]
+        else:
+            right = np.insert(own, offsets[1:], hi)  # each piece's right end
+            pieces, first, live = np.empty(mids.size), starts[:-1].copy(), np.arange(len(group))
+            while live.size:
+                run_values, ends = runs(live, mids[first[live]])
+                for i, value, b in zip(live.tolist(), run_values.tolist(), ends.tolist()):
+                    # The run is fixed on the pieces first .. end - 1, which end at or before b.
+                    ahead = int(np.searchsorted(right[starts[i]:starts[i + 1]], b, side="right"))
+                    end = max(first[i] + 1, starts[i] + ahead)
+                    pieces[first[i]:end] = value
+                    first[i] = end
+                live = live[first[live] < starts[live + 1]]
+        for i, k in enumerate(group):
+            points[k], values[k] = own[offsets[i]:offsets[i + 1]], pieces[starts[i]:starts[i + 1]]
     return StepFunctions(np.concatenate(points + [np.empty(0)]), np.cumsum([0] + [p.size for p in points]),
                          np.concatenate(values + [np.empty(0)]))
 
@@ -787,8 +767,8 @@ def piece_costs(family: ParamGreedyFamily, samples) -> tuple[np.ndarray, np.ndar
     lo, hi = family.interval
     functions = step_functions(family, samples)
     points = merge_close(np.unique(functions.points), _BREAKPOINT_MERGE_RTOL)
-    edges = np.concatenate([[lo], points, [hi]])
-    rhos = np.unique(np.concatenate([[lo], (edges[:-1] + edges[1:]) / 2.0, [hi]]))
+    mids, _ = piece_midpoints(points, np.array([0, points.size]), lo, hi)
+    rhos = np.unique(np.concatenate([[lo], mids, [hi]]))
     costs = functions.at(rhos)
     # A crossing can sit on an endpoint: run there.
     for end, row in zip((lo, hi), cost_matrix(family, samples, [lo, hi])):
@@ -892,18 +872,13 @@ def load_mwis(path: str) -> MwisInstance:
 
 
 def save_knapsack(instance: KnapsackInstance, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(knapsack_to_csv(instance))
-
-
-def knapsack_to_csv(instance: KnapsackInstance) -> str:
-    out = io.StringIO()
-    out.write(f"capacity={instance.capacity!r}\n")
-    writer = csv.writer(out)
-    writer.writerow(["value", "size"])
-    for v, s in zip(instance.values, instance.sizes):
-        writer.writerow([repr(float(v)), repr(float(s))])
-    return out.getvalue()
+    """A `capacity=C` line, then `value,size` rows ended by the csv module's \\r\\n."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"capacity={instance.capacity!r}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["value", "size"])
+        for v, s in zip(instance.values, instance.sizes):
+            writer.writerow([repr(float(v)), repr(float(s))])
 
 
 def load_knapsack(path: str) -> KnapsackInstance:

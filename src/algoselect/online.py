@@ -44,11 +44,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import StepFunctions
+from .core import StepFunctions, piece_midpoints
 # `erdos_renyi_generator` is re-exported as the graph model of smoothed runs.
 from .greedy import (_BLOCK_ROOTS, _GRID_MAX_N, MwisInstance, _ErdosRenyi, _graph_lanes,  # noqa: F401
-                     _log_ratios, _nonadaptive_crossings, _piece_values, _rows_within, _vertex_pairs,
-                     erdos_renyi_generator, mwis_from_dict, mwis_to_dict)
+                     _log_ratios, _nonadaptive_crossings, _nonadaptive_masks, _rows_within, _vertex_pairs,
+                     erdos_renyi_generator, mask_cost, mwis_from_dict, mwis_to_dict)
 from .utils import labeled_rng
 
 
@@ -429,51 +429,43 @@ def theoretical_q(n: int, sigma: float) -> float:
 
 
 class HedgeLearner:
-    """Full-information exponential weights over a finite net of parameters,
-    kept per cell: a group of net points whose gains are always equal.
+    """Full-information exponential weights over a sorted finite net of
+    parameters, kept per cell: a run of consecutive net points whose gains
+    are always equal.
 
-    `cells` gives each net point's cell id (every id from 0 to the largest
-    used).  Gains in [0, 1], one per cell; update multiplies each weight by
-    exp(eta * gain), with the rate eta = sqrt(8 ln K / T) set by the net size
-    K (not the cell count) and the horizon T.  Weights are kept in log space
-    and renormalized, so they stay positive and finite at any horizon.
-    `sample` draws a net point by one uniform: first a run of consecutive net
-    points of one cell, by the run's total weight, then a point inside it from
-    the same uniform.  It keeps its CDF until the next `update`.
+    `sizes` gives each cell's point count, in net order.  Gains in [0, 1],
+    one per cell; update multiplies each weight by exp(eta * gain), with the
+    rate eta = sqrt(8 ln K / T) set by the net size K (not the cell count)
+    and the horizon T.  Weights are kept in log space and renormalized, so
+    they stay positive and finite at any horizon.  `sample` draws a (cell,
+    net index) pair by one uniform: first a cell by its total weight, then a
+    point inside it from the same uniform.  It keeps its CDF until the next
+    `update`.
     """
 
-    def __init__(self, cells, T: int):
-        self.cells = np.asarray(cells)
-        if self.cells.ndim != 1 or self.cells.size == 0:
-            raise ValueError("empty net")
+    def __init__(self, sizes, T: int):
+        self.sizes = np.asarray(sizes)
+        if (self.sizes.ndim != 1 or self.sizes.size == 0 or self.sizes.dtype.kind not in "iu"
+                or (self.sizes < 1).any()):
+            raise ValueError("cell sizes must be a nonempty 1-D array of point counts >= 1")
         if T < 1:
             raise ValueError(f"the rate needs a horizon T >= 1, got {T}")
-        if (self.cells.dtype.kind not in "iu" or self.cells.min() < 0
-                or not np.bincount(self.cells).all()):
-            raise ValueError("cell ids must be integers from 0 up, every one used")
-        self.eta = math.sqrt(8.0 * math.log(max(self.cells.size, 2)) / T)
-        self._starts = np.flatnonzero(np.diff(self.cells, prepend=-1))  # one per run
-        self._run_cell = self.cells[self._starts]
-        self._run_size = np.diff(self._starts, append=self.cells.size)
-        self._log_w = np.zeros(int(self.cells.max()) + 1)
+        self.eta = math.sqrt(8.0 * math.log(max(int(self.sizes.sum()), 2)) / T)
+        self.starts = np.cumsum(self.sizes) - self.sizes  # each cell's first net index
+        self._log_w = np.zeros(self.sizes.size)
         self._cdf = None
 
-    def probabilities(self) -> np.ndarray:
-        """One probability per net point."""
-        w = np.exp(self._log_w)[self.cells]  # the largest log weight is 0 (see `update`)
-        return w / w.sum()
-
-    def sample(self, rng: np.random.Generator) -> int:
+    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         if self._cdf is None:
-            w = np.exp(self._log_w)[self._run_cell]
-            self._cdf = w, np.cumsum(self._run_size * w)
+            w = np.exp(self._log_w)  # the largest log weight is 0 (see `update`)
+            self._cdf = w, np.cumsum(self.sizes * w)
         w, cdf = self._cdf
         x = rng.random() * cdf[-1]
-        run = int(np.searchsorted(cdf, x, side="right"))
-        if run == cdf.size:  # rounding put x at the very top
-            return self.cells.size - 1
-        inside = int((x - (cdf[run - 1] if run else 0.0)) / w[run])
-        return int(self._starts[run]) + min(inside, int(self._run_size[run]) - 1)
+        cell = int(np.searchsorted(cdf, x, side="right"))
+        if cell == cdf.size:  # rounding put x at the very top
+            return cell - 1, int(self.starts[-1] + self.sizes[-1]) - 1
+        inside = int((x - (cdf[cell - 1] if cell else 0.0)) / w[cell])
+        return cell, int(self.starts[cell]) + min(inside, int(self.sizes[cell]) - 1)
 
     def update(self, gains: np.ndarray) -> None:
         gains = np.asarray(gains, dtype=float)
@@ -484,13 +476,11 @@ class HedgeLearner:
         self._cdf = None
 
 
-def _cells(cuts: np.ndarray, net: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the net points that no cut separates, counting a point on a cut
-    as right of it: (the first net point of each cell, each point's cell id),
-    ids dense from 0 in the order of the cells along the line."""
-    _, first, cells = np.unique(np.searchsorted(cuts, net, side="right"),
-                                return_index=True, return_inverse=True)
-    return first, cells
+def _cells(cuts: np.ndarray, net: np.ndarray) -> np.ndarray:
+    """The cell sizes of the sorted `net`: the runs of consecutive net points
+    that no cut separates, a point on a cut counting as right of it."""
+    side = np.searchsorted(cuts, net, side="right")
+    return np.diff(np.flatnonzero(np.diff(side, prepend=-1)), append=net.size)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +582,8 @@ def _step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarra
     (`greedy._nonadaptive_crossings`), and only the steps `_needs_slivers`
     flags also at their `_sliver_points`; once equal neighbouring pieces are
     merged, that is the function that cutting every step at its sliver points
-    gives.  Pieces are valued by `greedy._piece_values` over the total vertex
-    weight (in [0, 1])."""
+    gives.  Each piece is valued by `greedy._nonadaptive_masks` at its
+    midpoint, over the total vertex weight (in [0, 1])."""
     _check_distinct(weights)
     steps, n = weights.shape
     lanes = _graph_lanes(n, steps, edges, edge_step)
@@ -606,47 +596,45 @@ def _step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarra
         pad[flagged] = extra
         roots = np.hstack([roots, pad])
     points, offsets = _rows_within(roots, 0.0, 1.0)
-    totals = np.repeat(list(map(math.fsum, weights.tolist())), np.diff(offsets) + 1)
-    pieces = _piece_values(weights, logw, lanes, points, offsets, 0.0, 1.0) / totals
-    return points, offsets, pieces
+    mids, owner = piece_midpoints(points, offsets, 0.0, 1.0)
+    totals = np.array(list(map(math.fsum, weights.tolist())))[owner]
+    return points, offsets, mask_cost(_nonadaptive_masks(logw, *lanes, owner, mids), weights[owner]) / totals
 
 
-def _run_hedge(net_arr: np.ndarray, cells: np.ndarray, step_gains, T: int, seed: int) -> RegretTrace:
-    """Hedge over `net_arr`, grouped into `cells` (see `HedgeLearner`), for T
-    steps of gains from `step_gains`: one per cell, or a float when every
-    point gains the same (a pure shift of the log weights, so no update).
-    Totals are kept per cell, and each is the same running sum as at any of
-    its points, so `cum_best` and `best_net_*` (the first best point in net
-    order) are those of a per-point run.  The caller fills in the reference
-    comparator."""
-    learner = HedgeLearner(cells, T)
+def _run_hedge(net: np.ndarray, sizes: np.ndarray, step_gains, T: int, seed: int) -> RegretTrace:
+    """Hedge over the sorted `net`, cut into cells of `sizes` (see
+    `HedgeLearner`), for T steps of gains from `step_gains`: one per cell, or
+    a float when every point gains the same (a pure shift of the log weights,
+    so no update).  Totals are kept per cell, and each is the same running
+    sum as at any of its points, so `cum_best` and `best_net_*` (the first
+    best point in net order) are those of a per-point run.  The caller fills
+    in the reference comparator."""
+    learner = HedgeLearner(sizes, T)
     rng_learner = labeled_rng(seed, "mw-learner")
     chosen_rho, costs, cum_best = (np.empty(T) for _ in range(3))
-    totals = np.zeros(cells.max() + 1)
+    totals = np.zeros(sizes.size)
     for t, gains in enumerate(step_gains):
-        idx = learner.sample(rng_learner)
+        cell, idx = learner.sample(rng_learner)
         if not isinstance(gains, float):
             learner.update(gains)
-        costs[t] = gains if isinstance(gains, float) else gains[cells[idx]]
+        costs[t] = gains if isinstance(gains, float) else gains[cell]
         totals += gains
-        chosen_rho[t] = net_arr[idx]
+        chosen_rho[t] = net[idx]
         cum_best[t] = totals.max()
-    net_totals = totals[cells]
-    best = int(np.argmax(net_totals))
-    return RegretTrace(net_arr, chosen_rho, costs, cum_best, float(net_arr[best]),
-                       float(net_totals[best]), best_ref_rho=math.nan, best_ref_total=math.nan)
+    best = int(np.argmax(totals))
+    return RegretTrace(net, chosen_rho, costs, cum_best, float(net[learner.starts[best]]),
+                       float(totals[best]), best_ref_rho=math.nan, best_ref_total=math.nan)
 
 
 def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, net) -> RegretTrace:
     """Hedge over a parameter net against a smoothed instance sequence.
 
-    `net` is a point count (a uniform net on [0, 1]) or the points themselves
-    (finite, in [0, 1], any order).  The paper's net of spacing
-    `theoretical_q` is a proof device, about 2e8 points at n = 4, so it is
-    not built here.  The trace reports the smallest gap between two
-    transition points of one step (`min_comparator_gap`, computed from the
-    run's weights when first read), so a net too coarse to separate them can
-    be detected.
+    `net` is a point count: the uniform net of that many points on [0, 1].
+    The paper's net of spacing `theoretical_q` is a proof device, about 2e8
+    points at n = 4, so it is not built here.  The trace reports the
+    smallest gap between two transition points of one step
+    (`min_comparator_gap`, computed from the run's weights when first read),
+    so a net too coarse to separate them can be detected.
 
     The instance sequence does not depend on the learner, so the whole run is
     drawn and cut first, in blocks as long as `_BLOCK_ROOTS` allows
@@ -664,14 +652,9 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
     n = spec.n
     if n > _GRID_MAX_N:  # checked before the first block is drawn and cut
         raise ValueError(f"smoothed runs support n <= {_GRID_MAX_N} (vertex bitmasks), got n={n}")
-    if isinstance(net, bool):
-        raise ValueError(f"net must be a point count or the points, got {net!r}")
-    if isinstance(net, numbers.Integral) and net < 0:
+    if isinstance(net, bool) or not isinstance(net, numbers.Integral) or net < 1:
         raise ValueError(f"net size must be a point count >= 1, got {net}")
-    net_arr = np.linspace(0.0, 1.0, net) if isinstance(net, numbers.Integral) else np.asarray(net, float)
-    # NaN and inf fail the range test too.
-    if net_arr.ndim != 1 or net_arr.size == 0 or not ((net_arr >= 0.0) & (net_arr <= 1.0)).all():
-        raise ValueError("net must be a nonempty 1-D array of points in [0, 1]")
+    net_arr = np.linspace(0.0, 1.0, net)
     rng = labeled_rng(seed, "smooth-sequence")
     size = _block_steps(n)
     weights, rows = [], []
@@ -682,8 +665,8 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
     points, offsets, values = zip(*rows)
     offsets = np.cumsum(np.concatenate([[0]] + [np.diff(o) for o in offsets]))
     functions = StepFunctions(np.concatenate(points), offsets, np.concatenate(values))
-    first, cells = _cells(np.unique(functions.points), net_arr)
-    trace = _run_hedge(net_arr, cells, functions._rows(net_arr[first]), T, seed)
+    sizes = _cells(np.unique(functions.points), net_arr)
+    trace = _run_hedge(net_arr, sizes, functions._rows(net_arr[np.cumsum(sizes) - sizes]), T, seed)
     trace.best_ref_rho, trace.best_ref_total = functions.argmax_sum(0.0, 1.0)
     trace._gap_weights = weights
     return trace
@@ -703,10 +686,11 @@ def run_adversary_online(n_budget: int, T: int, seed: int) -> RegretTrace:
     k = np.arange(n + 1)
     # Window j holds the grid indices [floor(r n) + 1, floor(s n) + 1).
     ends = np.array([[math.floor(p.r * n) + 1, math.floor(p.s * n) + 1] for p in params_list])
-    first, cells = _cells(np.unique(ends), k)
+    sizes = _cells(np.unique(ends), k)
+    first = np.cumsum(sizes) - sizes
     step_gains = (np.where((first >= a) & (first < b), p.inside_cost(), p.outside_cost())
                   for p, (a, b) in zip(params_list, ends))
-    trace = _run_hedge(k / n, cells, step_gains, T, seed)
+    trace = _run_hedge(k / n, sizes, step_gains, T, seed)
     final = params_list[-1]
     trace.best_ref_rho = float((final.r + final.s) / 2)
     # cumsum adds in step order, like a running total.

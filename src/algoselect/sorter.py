@@ -28,7 +28,6 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -308,15 +307,6 @@ def expected_route_depth(sorter: BucketSorter, position: int, weights: np.ndarra
         raise ValueError(f"weights must be {sorter.bucket_count} finite non-negative numbers "
                          "with a positive finite sum")
     return float(np.dot(weights, sorter._routing[position]) / total)
-
-
-def sorter_to_json(sorter: BucketSorter) -> str:
-    return json.dumps({"boundaries": sorter.boundaries.tolist(), "trees": sorter.trees})
-
-
-def sorter_from_json(text: str) -> BucketSorter:
-    payload = json.loads(text)
-    return BucketSorter(payload["boundaries"], payload["trees"])
 
 
 def save_arrays_csv(arrays, path: str) -> None:

@@ -47,8 +47,8 @@ from fractions import Fraction
 import numpy as np
 
 from algoselect.greedy import (_GRID_MAX_N, KnapsackInstance, MwisInstance, ParamGreedyFamily,
-                               _graph_lanes, _nonadaptive_crossings, _nonadaptive_masks, _piece_values,
-                               _rows_within, greedy_cost)
+                               _graph_lanes, _nonadaptive_crossings, _nonadaptive_masks, _rows_within,
+                               greedy_cost, mask_cost)
 from algoselect.online import _SLIVER, HardInstanceParams, _transition_rows
 from algoselect.sorter import BucketSorter, SortStats, mergesort_count
 
@@ -236,8 +236,11 @@ def superset_step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: n
         extra[row[near], (pos - offsets[row])[near]] = points[near]
         roots = np.hstack([roots, extra])
     points, offsets = _rows_within(roots, 0.0, 1.0)
-    totals = np.repeat([math.fsum(w) for w in weights], np.diff(offsets) + 1)
-    pieces = _piece_values(weights, logw, lanes, points, offsets, 0.0, 1.0) / totals
+    grids = [np.concatenate([[0.0], row, [1.0]]) for row in np.split(points, offsets[1:-1])]
+    mids = np.concatenate([(grid[:-1] + grid[1:]) / 2.0 for grid in grids])
+    owner = np.repeat(np.arange(steps), np.diff(offsets) + 1)
+    totals = np.array([math.fsum(w) for w in weights])[owner]
+    pieces = mask_cost(_nonadaptive_masks(logw, *lanes, owner, mids), weights[owner]) / totals
     return points, offsets, pieces, float(gaps.min()) if gaps.size else math.inf
 
 

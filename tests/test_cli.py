@@ -399,7 +399,7 @@ class TestOnlineCommand:
         assert all(float(r.split(",")[2]) == 1.0 and float(r.split(",")[5]) == 0.0 for r in rows)
 
     @pytest.mark.parametrize("size,message", [(-5, "net size must be a point count >= 1, got -5"),
-                                              (0, "nonempty")])
+                                              (0, "net size must be a point count >= 1, got 0")])
     def test_net_size_below_one_is_named(self, tmp_path, capsys, size, message):
         out = tmp_path / "trace.csv"
         assert run_cli("online", "--T", 5, "--net-size", size, "--out", out) == 1

@@ -9,6 +9,7 @@ from algoselect.core import (
     CostValue,
     StepFunctions,
     erm_costs,
+    piece_midpoints,
     realized_labelings,
     sample_size,
     shatter_probe,
@@ -347,3 +348,30 @@ class TestStepFunction:
     def test_argmax_sum_without_change_points(self):
         rho, total = StepFunctions([], [0, 0, 0, 0], [0.1] * 3).argmax_sum(0.0, 2.0)
         assert (rho, total) == (1.0, 0.1 + 0.1 + 0.1)
+
+
+class TestPieceMidpoints:
+    def test_a_row_without_points_is_one_piece(self):
+        mids, owner = piece_midpoints(np.array([0.5]), np.array([0, 0, 1, 1]), 0.0, 2.0)
+        assert mids.tolist() == [1.0, 0.25, 1.25, 1.0]
+        assert owner.tolist() == [0, 1, 1, 2]
+
+    def test_a_one_point_interval(self):
+        mids, owner = piece_midpoints(np.empty(0), np.array([0, 0, 0]), 0.5, 0.5)
+        assert mids.tolist() == [0.5, 0.5] and owner.tolist() == [0, 1]
+
+    def test_owners_follow_the_value_layout(self):
+        rng = np.random.default_rng(5)
+        counts = np.array([3, 0, 1, 4, 0])
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        points = np.concatenate([np.sort(rng.uniform(0.1, 0.9, c)) for c in counts])
+        mids, owner = piece_midpoints(points, offsets, 0.0, 1.0)
+        assert mids.size == owner.size == points.size + counts.size
+        for i in range(counts.size):
+            # Row i's pieces sit where `StepFunctions.values` keeps its values.
+            piece = slice(offsets[i] + i, offsets[i + 1] + i + 1)
+            assert (owner[piece] == i).all() and owner.tolist().count(i) == counts[i] + 1
+            grid = np.concatenate([[0.0], points[offsets[i]:offsets[i + 1]], [1.0]])
+            assert mids[piece].tolist() == ((grid[:-1] + grid[1:]) / 2.0).tolist()
+        functions = StepFunctions(points, offsets, np.arange(mids.size, dtype=float))
+        assert np.array_equal(functions.at(mids)[np.arange(mids.size), owner], np.arange(mids.size))

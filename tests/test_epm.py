@@ -7,9 +7,7 @@ from algoselect.epm import (
     fit_linear_epm,
     fit_linear_epms,
     fit_selection_table,
-    load_epms,
     mwis_feature_map,
-    save_epms,
     select_per_instance,
 )
 from algoselect.greedy import random_mwis_instance
@@ -170,26 +168,6 @@ class TestSelectionTable:
         table = {(i, x): 0.5 for i in range(2) for x in range(4)}
         with pytest.raises(ValueError):
             fit_selection_table(["a"], ["b"], (0, 1), self.table_costs(table, [0]), MAXIMIZE)
-
-    def test_lookup_outside_domain_raises(self):
-        table = {(i, x): 0.5 for i in range(2) for x in range(4)}
-        fitted = fit_selection_table(["a"], ["a"], (0, 1), self.table_costs(table, [0]), MAXIMIZE)
-        with pytest.raises(KeyError):
-            fitted.algorithm_for("zzz")
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        X, _, y = planted_problem(8)
-        epms = [fit_linear_epm(i, X, y, identity6) for i in range(2)]
-        path = tmp_path / "epms.json"
-        save_epms(epms, str(path))
-        loaded = load_epms(str(path))
-        for a, b in zip(epms, loaded):
-            assert a.algorithm_index == b.algorithm_index
-            assert a.schema_id == b.schema_id
-            assert np.array_equal(a.coef, b.coef)
-            assert a.train_loss == b.train_loss
 
 
 class TestMwisFeatureMap:

@@ -294,9 +294,10 @@ class TestBreakpoints:
         # (w, 1+deg) = (0.5, 8) vs (0.25, 2): rho* = ln 2 / ln 4 = 0.5.
         edges = [(0, i) for i in range(1, 8)]  # star: center degree 7, leaves degree 1
         weights = [0.5, 0.25] + [0.25] * 6
-        own, _, values = greedy._nonadaptive_rows(mwis_family(8), [MwisInstance(8, edges, weights)])
-        assert np.isclose(own, 0.5).any()
-        assert values.tolist() == [0.5, 1.75]  # the center below 0.5, the seven leaves above
+        fam, star = mwis_family(8), MwisInstance(8, edges, weights)
+        assert np.isclose(greedy._crossing_rows(fam, [star])[0], 0.5).any()
+        # The center below 0.5, the seven leaves above.
+        assert greedy.step_functions(fam, [star]).values.tolist() == [0.5, 1.75]
 
     def test_identical_attributes_no_breakpoint(self):
         inst = KnapsackInstance([4.0, 4.0], [4.0, 4.0], 10.0)
@@ -310,8 +311,7 @@ class TestBreakpoints:
         samples = [random_mwis_instance(7, 0.5, rng) for _ in range(4)]
         for adaptive in (False, True):
             fam = mwis_family(7, adaptive=adaptive)
-            own = [greedy._own_crossings(fam, x) if adaptive else greedy._nonadaptive_rows(fam, [x])[0]
-                   for x in samples]
+            own = [greedy._crossing_rows(fam, [x])[0] for x in samples]
             # kappa = 1 crossing per attribute pair; only residual degrees churn (beta = n).
             s, n, beta = len(samples), 7, 7 if adaptive else 1
             assert sum(p.size for p in own) <= (s * n * beta) ** 2
@@ -349,8 +349,9 @@ class TestBreakpoints:
     def test_crossing_within_noise_of_an_endpoint_is_left_out(self, interval):
         # The star's center and leaves cross at exactly 0.5 (`test_mwis_closed_form`).
         star = MwisInstance(8, [(0, i) for i in range(1, 8)], [0.5, 0.25] + [0.25] * 6)
-        own, _, values = greedy._nonadaptive_rows(mwis_family(8, interval), [star])
-        assert own.size == 0 and values.size == 1
+        fam = mwis_family(8, interval)
+        assert greedy._crossing_rows(fam, [star])[0].size == 0
+        assert greedy.step_functions(fam, [star]).values.size == 1
 
     def test_cross_sample_pairs_are_not_crossings(self):
         # Each sample alone has no crossing; pairing attributes across the
@@ -684,6 +685,40 @@ class TestNonadaptiveStepFunctions:
         rng = np.random.default_rng(13)
         samples = [random_mwis_instance(64, 0.1, rng)] + nonadaptive_set("continuous", [8, 8], rng)
         self.assert_rows_are_scalar_runs(mwis_family(64, (0.1, 3.0)), samples)
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["nonadaptive", "adaptive"])
+    def test_one_size_per_group(self, adaptive):
+        # Graphs beyond the lanes, of two sizes, and a small exact-weight graph
+        # take scalar runs, each size in a group of its own, beside batched
+        # graphs; each row is the one its sample gets alone, and scalar runs
+        # give its values.
+        rng = np.random.default_rng(17)
+        exact = MwisInstance(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [2.0**-k for k in range(5)],
+                             exact_base=2, exact_exponents=[Fraction(-k) for k in range(5)])
+        samples = [random_mwis_instance(70, 0.05, rng), *nonadaptive_set("continuous", [8, 5], rng),
+                   random_mwis_instance(64, 0.05, rng), exact, random_mwis_instance(70, 0.05, rng)]
+        fam = mwis_family(70, (0.1, 2.0), adaptive=adaptive)
+        groups = [[samples[k] for k in group] for group, _ in greedy._runners(fam, samples)]
+        assert sorted(len(g) for g in groups) == [1, 1, 1, 1, 2]
+        assert all(len({x.n for x in g}) == 1 for g in groups)
+        functions = greedy.step_functions(fam, samples)
+        for i, x in enumerate(samples):
+            alone = greedy.step_functions(fam, [x])
+            points = functions.points[functions.offsets[i]:functions.offsets[i + 1]]
+            values = functions.values[functions.offsets[i] + i:functions.offsets[i + 1] + i + 1]
+            assert points.tobytes() == alone.points.tobytes() and values.tobytes() == alone.values.tobytes()
+            grid = np.concatenate([[0.1], points, [2.0]])
+            assert np.array_equal(values, scalar_costs(fam, [x], (grid[:-1] + grid[1:]) / 2.0)[:, 0])
+
+    def test_crossings_in_blocks(self, monkeypatch):
+        # A budget of 100 roots cuts 8-vertex graphs (28 pairs) three at a time.
+        rng = np.random.default_rng(19)
+        fam, samples = mwis_family(8), nonadaptive_set("continuous", [8] * 7 + [3], rng)
+        want = greedy.step_functions(fam, samples)
+        monkeypatch.setattr(greedy, "_BLOCK_ROOTS", 100)
+        got = greedy.step_functions(fam, samples)
+        for field in ("points", "offsets", "values"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
     @pytest.mark.parametrize("n, runs", [(63, False), (64, True)])
     def test_no_scalar_runs_within_the_lanes(self, monkeypatch, n, runs):

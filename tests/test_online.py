@@ -549,33 +549,55 @@ class TestTransitionPoints:
             assert (masks == masks[:, :1, :]).all()
 
 
-def learner_nets():
-    """Three 600-point nets and their cells, cut by the same 40 random points:
-    a sorted net, a shuffled one, and a shuffled one with repeated points."""
+def learner_cells():
+    """A 600-point net and three cuttings of it into cells: one point per
+    cell, the runs that 40 random cuts leave, and one cell of all points."""
     rng = np.random.default_rng(11)
-    cuts = np.sort(rng.random(40))
-    sorted_net = np.linspace(0.0, 1.0, 600)
-    with_repeats = np.concatenate([sorted_net[:400], rng.choice(sorted_net, 200), cuts[:5]])
-    nets = {"sorted": sorted_net, "shuffled": rng.permutation(sorted_net),
-            "repeats": rng.permutation(with_repeats)}
-    return {name: (net, online._cells(cuts, net)[1]) for name, net in nets.items()}
+    net = np.linspace(0.0, 1.0, 600)
+    return net, {"one-point": np.ones(600, dtype=np.intp),
+                 "sorted": online._cells(np.sort(rng.random(40)), net),
+                 "all-points": np.array([600])}
+
+
+def probabilities(learner):
+    """One probability per net point: each cell's weight spread over its points."""
+    w = np.repeat(np.exp(learner._log_w), learner.sizes)
+    return w / w.sum()
+
+
+class TestCells:
+    def test_point_on_a_cut_joins_the_right_hand_cell(self):
+        net = np.linspace(0.0, 1.0, 11)
+        sizes = online._cells(np.array([net[3], 0.55]), net)
+        assert sizes.tolist() == [3, 3, 5]  # net[3] opens the second cell
+        assert sizes.sum() == net.size
+
+    def test_sizes_sum_to_the_net(self):
+        rng = np.random.default_rng(12)
+        net = np.linspace(0.0, 1.0, 257)
+        for cuts in (np.empty(0), np.sort(rng.random(30)), net[::5], np.array([-1.0, 2.0])):
+            sizes = online._cells(cuts, net)
+            assert sizes.sum() == net.size and (sizes >= 1).all()
+            # The cells are the runs of net points between consecutive cuts.
+            side = np.searchsorted(cuts, net, side="right")
+            assert sizes.tolist() == [int((side == k).sum()) for k in np.unique(side)]
 
 
 class TestHedgeLearner:
     def test_single_point_net(self):
-        learner = HedgeLearner([0], T=10)
+        learner = HedgeLearner([1], T=10)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            assert learner.sample(rng) == 0
+            assert learner.sample(rng) == (0, 0)
             learner.update(np.array([0.7]))
-        assert learner.probabilities().tolist() == [1.0]
+        assert probabilities(learner).tolist() == [1.0]
 
     def test_distribution_valid_after_many_updates(self):
-        learner = HedgeLearner(np.arange(64), T=10**4)
+        learner = HedgeLearner(np.ones(64, dtype=np.intp), T=10**4)
         rng = np.random.default_rng(4)
         for _ in range(2000):
             learner.update(rng.random(64))
-        p = learner.probabilities()
+        p = probabilities(learner)
         assert (p > 0).all() and np.isfinite(p).all()
         assert abs(p.sum() - 1.0) < 1e-9
 
@@ -585,65 +607,69 @@ class TestHedgeLearner:
         bound = math.sqrt(math.log(K) / (2 * T))
         regrets = []
         for seed in range(30):
-            learner = HedgeLearner(np.arange(K), T=T)
+            learner = HedgeLearner(np.ones(K, dtype=np.intp), T=T)
             rng = np.random.default_rng(seed)
             gains = np.zeros(K)
             gains[5] = 1.0
             got = 0.0
             for _ in range(T):
-                got += gains[learner.sample(rng)]
+                got += gains[learner.sample(rng)[1]]
                 learner.update(gains)
             regrets.append((T - got) / T)
         assert np.mean(regrets) <= bound + 0.01
 
     def test_update_drops_the_cached_distribution(self):
-        learner = HedgeLearner(np.arange(4), T=1)  # eta = sqrt(8 ln 4) per update
+        learner = HedgeLearner(np.ones(4, dtype=np.intp), T=1)  # eta = sqrt(8 ln 4) per update
         rng = np.random.default_rng(0)
         assert len({learner.sample(rng) for _ in range(40)}) > 1  # uniform at the start
         for _ in range(20):  # index 3 now has all but about e^-47
             learner.update(np.array([0.0, 0.0, 0.0, 1.0]))
-        assert {learner.sample(rng) for _ in range(40)} == {3}
+        assert {learner.sample(rng) for _ in range(40)} == {(3, 3)}
 
     def test_auto_eta_needs_horizon(self):
         with pytest.raises(ValueError):
-            HedgeLearner([0, 1], T=0)
+            HedgeLearner([1, 1], T=0)
 
-    @pytest.mark.parametrize("net", ["sorted", "shuffled", "repeats"])
-    def test_matches_the_full_net_learner(self, net):
+    @pytest.mark.parametrize("cells", ["one-point", "sorted", "all-points"])
+    def test_matches_the_full_net_learner(self, cells):
         # Per-cell gains, spread to the net for the oracle: the same
         # probabilities and, from equal seeds, the same draws.
-        net, cells = learner_nets()[net]
-        learner, oracle = HedgeLearner(cells, T=10**4), NetHedgeLearner(net, T=10**4)
+        net, sizes = learner_cells()
+        sizes = sizes[cells]
+        cell_of = np.repeat(np.arange(sizes.size), sizes)
+        learner, oracle = HedgeLearner(sizes, T=10**4), NetHedgeLearner(net, T=10**4)
         assert learner.eta == oracle.eta
         gains_rng, rng, oracle_rng = (np.random.default_rng(s) for s in (1, 2, 2))
         draws = []
         for _ in range(2000):
-            draws.append((learner.sample(rng), oracle.sample(oracle_rng)))
-            gains = gains_rng.random(cells.max() + 1)
+            cell, index = learner.sample(rng)
+            assert cell == cell_of[index]
+            draws.append((index, oracle.sample(oracle_rng)))
+            gains = gains_rng.random(sizes.size)
             learner.update(gains)
-            oracle.update(gains[cells])
+            oracle.update(gains[cell_of])
         mine, want = zip(*draws)
         assert mine == want
         assert len(set(mine)) > 100
-        np.testing.assert_allclose(learner.probabilities(), oracle.probabilities(), rtol=1e-12)
+        np.testing.assert_allclose(probabilities(learner), oracle.probabilities(), rtol=1e-12)
 
     def test_one_cell_spreads_over_the_net(self):
         K, T = 50, 300
-        learner = HedgeLearner(np.zeros(K, dtype=np.intp), T=T)
+        learner = HedgeLearner([K], T=T)
         assert learner.eta == math.sqrt(8 * math.log(K) / T)
         learner.update(np.array([0.9]))
-        assert learner.probabilities().tolist() == [1.0 / K] * K
+        assert probabilities(learner).tolist() == [1.0 / K] * K
         rng = np.random.default_rng(3)
-        assert {learner.sample(rng) for _ in range(2000)} == set(range(K))
+        assert {learner.sample(rng)[1] for _ in range(2000)} == set(range(K))
 
-    @pytest.mark.parametrize("cells", [[0.0, 1.0], [0, 2], [-1, 0], [[0, 1]], []],
-                             ids=["float", "unused-id", "negative", "2-d", "empty"])
+    @pytest.mark.parametrize("cells", [[1.0, 2.0], [2, 0], [-1, 3], [[1, 2]], []],
+                             ids=["float", "zero", "negative", "2-d", "empty"])
     def test_rejects_bad_cells(self, cells):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cell sizes"):
             HedgeLearner(cells, T=10)
 
     def test_rejects_one_gain_per_net_point(self):
-        learner = HedgeLearner(np.array([0, 0, 1, 2, 2]), T=10)
+        learner = HedgeLearner(np.array([2, 1, 2]), T=10)
         with pytest.raises(ValueError, match="one gain per cell"):
             learner.update(np.zeros(5))
         learner.update(np.zeros(3))
@@ -847,19 +873,6 @@ class TestBlockedRunner:
         gen = erdos_renyi_generator(8, 0.3)
         got = run_smoothed_online(spec, gen, T=T, seed=3, net=1001)
         assert_same_trace(got, reference_smoothed_run(spec, gen, T, 3, 1001))
-
-    def test_shuffled_net_with_repeats_keeps_gains(self):
-        spec = uniform_smooth_spec(6, 0.5)
-        gen = erdos_renyi_generator(6, 0.5)
-        T, seed = 45, 8
-        # Repeats, both endpoints, and points exactly on transition points.
-        on_points = np.concatenate([transition_points(x)[::7]
-                                    for x in smooth_sequence(spec, gen, 3, seed)])
-        net = np.concatenate([np.linspace(0.0, 1.0, 200), [0.0, 1.0, 0.5, 0.5],
-                              on_points, on_points])
-        net = np.random.default_rng(9).permutation(net)
-        got = run_smoothed_online(spec, gen, T=T, seed=seed, net=net)
-        assert_same_trace(got, reference_smoothed_run(spec, gen, T, seed, net))
 
     @pytest.mark.parametrize("net", [np.array([np.nan, -0.5, 0.3, 1.7]), np.array([0.2, 1.5]),
                                      np.array([-1e-12, 0.5]), np.array([0.1, np.inf]),

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,8 +13,6 @@ from algoselect.sorter import (
     mergesort_count,
     save_arrays_csv,
     sort,
-    sorter_from_json,
-    sorter_to_json,
     train_sorter,
 )
 
@@ -253,14 +250,6 @@ class TestAgainstScalarSorter:
         stats = assert_sorts_like_the_oracle(sorter, rng.uniform(0, 1, n))
         assert stats.insertion_comparisons == 0 and not stats.fallback
 
-    def test_json_clone(self):
-        rng = np.random.default_rng(70)
-        sorter = train_sorter(skewed_samples(rng, 50, 40))
-        clone = sorter_from_json(sorter_to_json(sorter))
-        assert np.array_equal(clone._routing, sorter._routing)
-        for arr in skewed_samples(rng, 20, 40) + uniform_samples(rng, 20, 40):
-            assert_sorts_like_the_oracle(clone, arr)
-
     def test_random_sorters_and_inputs(self):
         rng = np.random.default_rng(80)
         draws = [
@@ -358,36 +347,18 @@ class TestEfficiency:
 
 
 class TestSerialization:
-    def test_json_roundtrip_preserves_behavior(self):
-        rng = np.random.default_rng(9)
-        sorter = train_sorter(uniform_samples(rng, 30, 20))
-        clone = sorter_from_json(sorter_to_json(sorter))
-        assert np.array_equal(clone.boundaries, sorter.boundaries)
-        arr = rng.uniform(0, 1, 20)
-        out_a, stats_a = sort(sorter, arr)
-        out_b, stats_b = sort(clone, arr)
-        assert np.array_equal(out_a, out_b)
-        assert stats_a.comparisons == stats_b.comparisons
-
-    @pytest.mark.parametrize("bad", [
-        {"bucket": 0},
-        {"range": [0, 4]},
-        {"split": 4, "left": {}, "right": {}},
-        {"split": -1, "left": {}, "right": {}},
-        {"split": 1, "left": {}},
-    ], ids=["bucket-leaf", "range-leaf", "split-out-of-range", "split-negative", "child-missing"])
-    def test_malformed_tree_rejected_at_load(self, bad):
-        payload = {"boundaries": [0.2, 0.4, 0.6, 0.8], "trees": [{}, bad]}
-        with pytest.raises(ValueError, match="tree node"):
-            sorter_from_json(json.dumps(payload))
-
     def test_malformed_tree_rejected_at_construction(self):
-        # A directly built sorter checks its trees too: a bad root, then a bad
-        # node below the root of the second tree.
+        # A bad root, then a bad node below the root of the second tree.
         with pytest.raises(ValueError, match="tree node over buckets 0..1"):
             BucketSorter([0.5], [{"split": 3, "left": {}, "right": {}}])
         with pytest.raises(ValueError, match="tree node over buckets 2..4"):
             BucketSorter([0.2, 0.4, 0.6, 0.8], [{}, {"split": 1, "left": {}, "right": {"split": 1}}])
+        # Each malformed node kind as the root of the second tree: a bucket
+        # leaf, a range leaf, a split out of range or negative, a missing child.
+        for bad in ({"bucket": 0}, {"range": [0, 4]}, {"split": 4, "left": {}, "right": {}},
+                    {"split": -1, "left": {}, "right": {}}, {"split": 1, "left": {}}):
+            with pytest.raises(ValueError, match="tree node over buckets 0..4"):
+                BucketSorter([0.2, 0.4, 0.6, 0.8], [{}, bad])
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
