@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -347,18 +348,26 @@ class TestEfficiency:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("bad", [
+        {"bucket": 0},
+        {"range": [0, 4]},
+        {"split": 4, "left": {}, "right": {}},
+        {"split": -1, "left": {}, "right": {}},
+        {"split": 1, "left": {}},
+    ], ids=["bucket-leaf", "range-leaf", "split-out-of-range", "split-negative", "child-missing"])
+    def test_malformed_tree_rejected_at_load(self, bad):
+        # A sorter built from a decoded JSON payload checks each tree node;
+        # here the malformed node is the root of the second tree.
+        payload = json.loads(json.dumps({"boundaries": [0.2, 0.4, 0.6, 0.8], "trees": [{}, bad]}))
+        with pytest.raises(ValueError, match="tree node over buckets 0..4"):
+            BucketSorter(payload["boundaries"], payload["trees"])
+
     def test_malformed_tree_rejected_at_construction(self):
         # A bad root, then a bad node below the root of the second tree.
         with pytest.raises(ValueError, match="tree node over buckets 0..1"):
             BucketSorter([0.5], [{"split": 3, "left": {}, "right": {}}])
         with pytest.raises(ValueError, match="tree node over buckets 2..4"):
             BucketSorter([0.2, 0.4, 0.6, 0.8], [{}, {"split": 1, "left": {}, "right": {"split": 1}}])
-        # Each malformed node kind as the root of the second tree: a bucket
-        # leaf, a range leaf, a split out of range or negative, a missing child.
-        for bad in ({"bucket": 0}, {"range": [0, 4]}, {"split": 4, "left": {}, "right": {}},
-                    {"split": -1, "left": {}, "right": {}}, {"split": 1, "left": {}}):
-            with pytest.raises(ValueError, match="tree node over buckets 0..4"):
-                BucketSorter([0.2, 0.4, 0.6, 0.8], [{}, bad])
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
