@@ -8,26 +8,32 @@ buckets, and concatenates.  Positions whose distribution the training data
 pinned down well are routed in O(1) comparisons, so well-matched inputs sort
 in far fewer comparisons than a comparison-optimal oblivious sort.
 
-A trained sorter is its boundaries and its trees' splits; n, the tree size
-cap and the comparison budget follow from the number of trees.  A leaf is
-`{}`: the splits above it fix a bucket range, which routing binary-searches.
-Every key of one bucket takes the same route, so the sorter builds a routing
-table once from its trees: the comparisons a key of bucket b takes at
-position i.  A sort finds all buckets with one `searchsorted`, sums its
-routing comparisons from the table, and counts each bucket's insertion-sort
-comparisons from how many earlier keys of the bucket are greater.  The
-counts are exactly those of routing and inserting one key at a time.
-When they pass the budget of `_BUDGET_FACTOR * n * log2(n)` comparisons
-(an input from another distribution), the learned path stops and the input
-is mergesorted, its comparisons counted level by level over the mergesort's
-splits: output correctness never depends on the learned structure.
+A trained sorter is its boundaries and its trees; n, the tree size cap and
+the comparison budget follow from the number of trees.  A tree is kept in
+leaf form: its leaves left to right, each a bucket range and a depth, which
+fix its shape and splits.  Training grows every position's tree in lockstep,
+one split per tree per round, each at the heaviest splittable leaf of its
+tree, so no step loops over positions or nodes.  `BucketSorter(boundaries,
+trees)` takes dict trees (`{"split": k, "left": ..., "right": ...}`, a leaf
+`{}`), checks them and builds from their leaves; a trained sorter renders
+its `trees` as dicts when they are first read.  Every key of one bucket
+takes the same route, so the sorter builds a routing table once from the
+leaves: the comparisons a key of bucket b takes at position i, its leaf's
+depth plus the binary-search steps inside the leaf's range.  A sort finds
+all buckets with one `searchsorted`, sums its routing comparisons from the
+table, and counts each bucket's insertion-sort comparisons from how many
+earlier keys of the bucket are greater.  The counts are exactly those of
+routing and inserting one key at a time.  When they pass the budget of
+`_BUDGET_FACTOR * n * log2(n)` comparisons (an input from another
+distribution), the learned path stops and the input is mergesorted, its
+comparisons counted level by level over the mergesort's splits: output
+correctness never depends on the learned structure.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -57,16 +63,41 @@ class SortStats:
 
 
 class BucketSorter:
-    """Immutable trained sorter: boundaries plus one search tree per position."""
+    """Immutable trained sorter: boundaries plus one search tree per position.
+
+    `BucketSorter(boundaries, trees)` takes dict trees and checks every node;
+    `train_sorter` builds its sorter from the trees' leaf form instead and
+    renders `trees` as dicts only when they are first read.
+    """
 
     def __init__(self, boundaries, trees):
         self.boundaries = np.asarray(boundaries, dtype=float)
+        if self.boundaries.ndim != 1:
+            raise ValueError(f"boundaries must be a 1-D array, got shape {self.boundaries.shape}")
         if np.isnan(self.boundaries).any() or (np.diff(self.boundaries) <= 0).any():
             raise ValueError("boundaries must be strictly increasing and not NaN")
         self.trees = list(trees)
-        self.n = len(self.trees)
+        self._set_leaves(len(self.trees), *_tree_leaves(self.trees, self.bucket_count))
+
+    @classmethod
+    def _from_leaves(cls, boundaries: np.ndarray, n: int, starts: np.ndarray,
+                     depths: np.ndarray) -> BucketSorter:
+        """A sorter from valid boundaries and n trees in leaf form."""
+        sorter = cls.__new__(cls)
+        sorter.boundaries = boundaries
+        sorter._set_leaves(n, starts, depths)
+        return sorter
+
+    def _set_leaves(self, n: int, starts: np.ndarray, depths: np.ndarray) -> None:
+        self.n = n
+        self._leaves = (starts, depths)
         # Entry (i, b): the comparisons a key of bucket b takes at position i.
-        self._routing = _routing_table(self.trees, self.bucket_count)
+        self._routing = _routing_table(n, starts, depths, self.bucket_count)
+
+    @functools.cached_property
+    def trees(self) -> list:
+        """One dict tree per position (see `_tree_leaves`)."""
+        return _leaf_trees(self.n, *self._leaves, self.bucket_count)
 
     @property
     def node_cap(self) -> int:
@@ -85,77 +116,136 @@ def _node_cap(n: int) -> int:
     return max(1, int(n**_NODE_CAP_EXPONENT))
 
 
-def _routing_table(trees: list, bucket_count: int) -> np.ndarray:
-    """Routing comparisons per (position, bucket); rejects a malformed tree.
+def _tree_leaves(trees: list, bucket_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The leaf form of dict trees; rejects a malformed tree.
 
-    Every key of a bucket compares alike with every boundary, so it takes the
-    bucket's route: the splits down to the leaf over the bucket, then a binary
-    search of the leaf's range.  A tree node must be `{}` or a split k,
-    lo <= k < hi, of the node's bucket range lo..hi.
+    An interior node `{"split": k, "left": ..., "right": ...}` tests
+    key < boundaries[k]: the left subtree holds the node's buckets up to k,
+    the right one those from k + 1.  A node must be `{}` (a leaf) or a split
+    k, lo <= k < hi, of its bucket range lo..hi.
     """
-    # Every comparison narrows a route's bucket range, so it makes fewer than bucket_count.
-    table = np.empty((len(trees), bucket_count), dtype=np.min_scalar_type(bucket_count))
-    for row, tree in zip(table, trees):
-        counts = []
+    starts, depths = [], []
+    for tree in trees:
         stack = [(tree, 0, bucket_count - 1, 0)]
         while stack:  # leaves come off the stack left to right
             node, lo, hi, depth = stack.pop()
             if node == {}:
-                counts += _leaf_routes(hi - lo + 1, depth)
+                starts.append(lo)
+                depths.append(depth)
                 continue
             split = node.get("split") if isinstance(node, dict) else None
             if type(split) is not int or node.keys() != _NODE_KEYS or not lo <= split < hi:
                 raise ValueError(f"tree node over buckets {lo}..{hi} is not {{}} or a split inside them")
             depth += 1
             stack += [(node["right"], split + 1, hi, depth), (node["left"], lo, split, depth)]
-        row[:] = counts
-    return table
+    return np.array(starts, dtype=np.intp), np.array(depths, dtype=np.intp)
+
+
+def _leaf_trees(n: int, starts: np.ndarray, depths: np.ndarray, bucket_count: int) -> list:
+    """The dict trees of a leaf form: each tree's leaf depths, left to right,
+    fix its shape, and each split is the last bucket of its left subtree."""
+    following = np.append(starts[1:], 0)
+    lasts = (np.where(following == 0, bucket_count, following) - 1).tolist()
+    depths = depths.tolist()
+    leaf = 0
+
+    def grow(depth):
+        """The subtree at `depth` whose leftmost leaf is `leaf`, and its last bucket."""
+        nonlocal leaf
+        if depths[leaf] == depth:
+            leaf += 1
+            return {}, lasts[leaf - 1]
+        left, split = grow(depth + 1)
+        right, last = grow(depth + 1)
+        return {"split": split, "left": left, "right": right}, last
+
+    return [grow(0)[0] for _ in range(n)]
+
+
+def _routing_table(n: int, starts: np.ndarray, depths: np.ndarray, bucket_count: int) -> np.ndarray:
+    """Routing comparisons per (position, bucket), from the trees' leaf form.
+
+    Every key of a bucket compares alike with every boundary, so it takes the
+    bucket's route: the splits down to the leaf over the bucket, one per
+    level of the leaf's depth, then a binary search of the leaf's range.
+    """
+    # Leaves tile the table row by row: a tree's first leaf starts at bucket 0.
+    first = (np.cumsum(starts == 0) - 1) * bucket_count + starts
+    sizes = np.diff(first, append=n * bucket_count)
+    lengths, kind = np.unique(sizes, return_inverse=True)
+    # Every comparison narrows a route's bucket range, so it makes fewer than bucket_count.
+    dtype = np.min_scalar_type(bucket_count)
+    searches = np.array([c for m in lengths.tolist() for c in _leaf_routes(m)], dtype=dtype)
+    # Each table cell's entry of `searches`: where its leaf's size starts
+    # there, plus the cell's offset into the leaf.
+    cells = np.repeat((np.cumsum(lengths) - lengths)[kind] - first, sizes)
+    cells += np.arange(n * bucket_count)
+    table = searches[cells]
+    table += np.repeat(depths.astype(dtype), sizes)
+    return table.reshape(n, bucket_count)
 
 
 @functools.lru_cache(maxsize=None)
-def _leaf_routes(size: int, depth: int) -> tuple:
-    """Comparisons to route each bucket of a leaf over `size` buckets at `depth`.
+def _leaf_routes(size: int) -> tuple:
+    """Comparisons to binary-search each bucket of a leaf over `size` buckets.
 
-    The leaf's binary search goes on down as splits at the middle would, so
-    the counts depend on a bucket's offset in the range, not on its start.
+    The search goes on down as splits at the middle would, so the counts
+    depend on a bucket's offset in the range, not on its start.
     """
     if size == 1:
-        return (depth,)
+        return (0,)
     mid = (size - 1) // 2
-    return _leaf_routes(mid + 1, depth + 1) + _leaf_routes(size - 1 - mid, depth + 1)
+    return tuple(c + 1 for c in _leaf_routes(mid + 1) + _leaf_routes(size - 1 - mid))
 
 
-def _weight_balanced_tree(weights: np.ndarray, node_cap: int) -> dict:
-    """Top-down weight-balanced tree over the bucket range, hot ranges first.
+def _grow_leaves(counts: np.ndarray, node_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf form of every position's weight-balanced tree, grown in lockstep.
 
-    Interior nodes `{"split": k, "left": ..., "right": ...}` test
-    key < boundaries[k]: the left subtree holds the node's buckets up to k,
-    the right one those from k + 1.  A leaf is `{}`; the splits above it fix
-    its bucket range, which routing binary-searches.  The budget is spent on
-    the heaviest ranges, which bounds expected routing depth for skewed
-    distributions.
+    Row i of `counts` holds position i's bucket weights, whole numbers of at
+    least 1.  Each round splits, in every tree at once, the heaviest leaf of
+    two or more buckets (ties to the one further left) at the boundary that
+    best balances its halves: the right half starts at the first bucket
+    whose predecessors in the leaf weigh at least half the leaf, or at the
+    leaf's last bucket.  A tree over B buckets has such a leaf until it has
+    B leaves, so every tree takes min(node_cap, B - 1) splits: the budget
+    goes to the heaviest ranges, which bounds expected routing depth for
+    skewed distributions.
     """
-    prefix = [0.0, *np.cumsum(weights).tolist()]
-    heap = []
+    n, width = counts.shape
+    slots = min(node_cap, width - 1) + 1
+    # Buckets are numbered across rows, row i's from i * width, and one prefix
+    # sum runs over all of them, so it rises strictly and a row's weights are
+    # differences of it.  A leaf's middle lies strictly inside its own range
+    # of the prefix sums, where one search over all rows finds it; as the sums
+    # are whole numbers, the first one at least the middle is the first one at
+    # least the middle rounded up, an exact integer search.
+    prefix = np.zeros(n * width + 1, dtype=np.int64)
+    np.cumsum(counts, out=prefix[1:])
+    buckets = n * width  # above every bucket number, so -lo only breaks ties of weight
 
-    def leaf(lo, hi):
-        """A leaf over buckets lo..hi, queued for splitting by weight if it holds two or more."""
-        node = {}
-        if lo < hi:
-            heapq.heappush(heap, (-(prefix[hi + 1] - prefix[lo]), lo, hi, node))
-        return node
+    def rank(lo, hi):
+        """Heavier first, then further left; -1 for a leaf of one bucket."""
+        return np.where(lo < hi, (prefix[hi + 1] - prefix[lo]) * buckets - lo, -1)
 
-    root = leaf(0, weights.size - 1)
-    budget = node_cap
-    while heap and budget > 0:
-        _, lo, hi, node = heapq.heappop(heap)
-        # Split at the boundary that best balances the two halves.
-        target = (prefix[lo] + prefix[hi + 1]) / 2.0
-        first_right = min(bisect.bisect_left(prefix, target, lo + 1, hi + 1), hi)
-        node["split"] = first_right - 1
-        node["left"], node["right"] = leaf(lo, first_right - 1), leaf(first_right, hi)
-        budget -= 1
-    return root
+    # Tree i's leaves, in slots i * slots onward: bucket ranges lo..hi and depths.
+    lo = np.repeat(np.arange(n) * width, slots)
+    hi = lo + width - 1
+    depth = np.zeros_like(lo)
+    ranks = np.full(n * slots, -1, dtype=np.int64)
+    first = np.arange(n) * slots
+    ranks[first] = rank(lo[first], hi[first])
+    for leaves in range(1, slots):
+        pick = first + ranks.reshape(n, slots).argmax(axis=1)
+        left, right, level = lo[pick], hi[pick], depth[pick] + 1
+        middle = (prefix[left] + prefix[right + 1] + 1) // 2
+        first_right = np.minimum(np.searchsorted(prefix, middle), right)
+        # The left half stays in the leaf's slot; the right half takes a new one.
+        grown = first + leaves
+        hi[pick], lo[grown], hi[grown] = first_right - 1, first_right, right
+        depth[pick] = depth[grown] = level
+        ranks[pick], ranks[grown] = rank(left, first_right - 1), rank(first_right, right)
+    order = np.argsort(lo)  # tree by tree, left to right
+    return lo[order] % width, depth[order]
 
 
 def train_sorter(samples: Sequence) -> BucketSorter:
@@ -163,23 +253,27 @@ def train_sorter(samples: Sequence) -> BucketSorter:
 
     Boundaries are every s-th order statistic of the pooled values (s = number
     of samples), deduplicated; per-position bucket frequencies get +1
-    smoothing so unseen buckets stay reachable.
+    smoothing so unseen buckets stay reachable, and weigh the trees, which
+    grow in lockstep (`_grow_leaves`).
     """
     arrays = [np.asarray(a, dtype=float) for a in samples]
     if not arrays:
         raise ValueError("need at least one sample array")
     n = arrays[0].size
     if any(a.shape != (n,) for a in arrays):
-        raise ValueError("all sample arrays must share one length")
+        raise ValueError("samples must be 1-D arrays of one length")
     stacked = np.stack(arrays)
     if np.isnan(stacked).any():
         raise ValueError("sample values must not be NaN")
     s = len(arrays)
-    boundaries = np.unique(np.sort(stacked, axis=None, kind="stable")[s - 1::s])
+    # Equal keys are alike to a boundary, so an unstable sort picks the same values.
+    boundaries = np.unique(np.sort(stacked, axis=None)[s - 1::s])
     width = boundaries.size + 1
-    cells = np.arange(n) * width + np.searchsorted(boundaries, stacked, side="right")
-    counts = 1.0 + np.bincount(cells.ravel(), minlength=n * width).reshape(n, width)  # Laplace
-    return BucketSorter(boundaries, [_weight_balanced_tree(row, _node_cap(n)) for row in counts])
+    cells = np.searchsorted(boundaries, stacked, side="right")
+    cells += np.arange(n) * width
+    counts = np.bincount(cells.ravel(), minlength=n * width).reshape(n, width)
+    counts += 1  # Laplace
+    return BucketSorter._from_leaves(boundaries, n, *_grow_leaves(counts, _node_cap(n)))
 
 
 def mergesort_count(values: Sequence[float]) -> tuple[list, int]:
@@ -298,7 +392,8 @@ def _merge_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def expected_route_depth(sorter: BucketSorter, position: int, weights: np.ndarray) -> float:
     """Expected comparisons to route position `position` under bucket weights:
     the weighted mean of its routing-table row."""
-    if not (isinstance(position, (int, np.integer)) and 0 <= position < sorter.n):
+    if not (isinstance(position, (int, np.integer)) and not isinstance(position, bool)
+            and 0 <= position < sorter.n):
         raise ValueError(f"position must be an integer in 0..{sorter.n - 1}, got {position!r}")
     weights = np.asarray(weights, dtype=float)
     valid = weights.shape == (sorter.bucket_count,) and (np.isfinite(weights) & (weights >= 0)).all()

@@ -28,6 +28,11 @@ library's learner, which keeps one weight per cell of equal-gain points.
 walks each key down its position's tree (`route`) and insertion-sorts the
 buckets (`insertion_sort`), counting as it goes.  It is the oracle for the
 library's `sort`, which reads its counts from a routing table and from ranks.
+`heap_trained` trains the sorter one position at a time, each tree grown
+from a heap of its leaves (`weight_balanced_tree`), and `routing_table`
+walks dict trees bucket range by bucket range: the oracles for the
+library's training, which grows every tree in lockstep in leaf form, and
+for its routing table, built from those leaves.
 
 `adjacency_matrix` and `total_weight` read an `MwisInstance` the plain way,
 for tests that need its dense adjacency or its weight sum;
@@ -41,6 +46,9 @@ classes and take a score group at a time.  `hard_cost_at` is the hard
 instances' closed-form greedy value.
 """
 
+import bisect
+import functools
+import heapq
 import math
 from fractions import Fraction
 
@@ -355,3 +363,82 @@ def scalar_sort(sorter: BucketSorter, array) -> tuple[np.ndarray, SortStats]:
         output = [key for bucket in buckets for key in bucket]
     occupancy = np.array([len(bucket) for bucket in buckets])
     return np.asarray(output), SortStats(routing, insertion, merge, fallback, occupancy)
+
+
+def weight_balanced_tree(weights: np.ndarray, node_cap: int) -> dict:
+    """Top-down weight-balanced tree over the bucket range, hot ranges first.
+
+    Interior nodes `{"split": k, "left": ..., "right": ...}` test
+    key < boundaries[k]: the left subtree holds the node's buckets up to k,
+    the right one those from k + 1.  A leaf is `{}`.  Up to `node_cap` times,
+    the heaviest leaf of two or more buckets (ties to the leftmost) is split
+    at the boundary that best balances its two halves.
+    """
+    prefix = [0.0, *np.cumsum(weights).tolist()]
+    heap = []
+
+    def leaf(lo, hi):
+        """A leaf over buckets lo..hi, queued for splitting by weight if it holds two or more."""
+        node = {}
+        if lo < hi:
+            heapq.heappush(heap, (-(prefix[hi + 1] - prefix[lo]), lo, hi, node))
+        return node
+
+    root = leaf(0, weights.size - 1)
+    budget = node_cap
+    while heap and budget > 0:
+        _, lo, hi, node = heapq.heappop(heap)
+        target = (prefix[lo] + prefix[hi + 1]) / 2.0
+        first_right = min(bisect.bisect_left(prefix, target, lo + 1, hi + 1), hi)
+        node["split"] = first_right - 1
+        node["left"], node["right"] = leaf(lo, first_right - 1), leaf(first_right, hi)
+        budget -= 1
+    return root
+
+
+def heap_trained(samples) -> tuple[np.ndarray, list]:
+    """Boundaries and dict trees trained one position at a time: every s-th
+    order statistic of the pooled samples, deduplicated, and a heap-grown
+    tree per position over its Laplace-smoothed bucket frequencies, with at
+    most floor(sqrt(n)) (at least 1) splits."""
+    stacked = np.stack([np.asarray(a, dtype=float) for a in samples])
+    s, n = stacked.shape
+    boundaries = np.unique(np.sort(stacked, axis=None, kind="stable")[s - 1::s])
+    buckets = np.searchsorted(boundaries, stacked, side="right")
+    trees = []
+    for position in range(n):
+        weights = 1.0 + np.bincount(buckets[:, position], minlength=boundaries.size + 1)
+        trees.append(weight_balanced_tree(weights, max(1, math.isqrt(n))))
+    return boundaries, trees
+
+
+@functools.cache
+def leaf_search_counts(size: int) -> tuple:
+    """The comparisons `route`'s binary search makes for each bucket of a
+    leaf over `size` buckets, one bucket at a time."""
+    counts = []
+    for bucket in range(size):
+        lo, hi, comparisons = 0, size - 1, 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            comparisons += 1
+            lo, hi = (lo, mid) if bucket <= mid else (mid + 1, hi)
+        counts.append(comparisons)
+    return tuple(counts)
+
+
+def routing_table(trees: list, bucket_count: int) -> np.ndarray:
+    """Entry (i, b): the comparisons `route` makes for a key of bucket b at
+    position i, from a walk of each dict tree down to its leaves."""
+    table = np.zeros((len(trees), bucket_count), dtype=np.min_scalar_type(bucket_count))
+
+    def walk(row, node, lo, hi, depth):
+        if node:
+            walk(row, node["left"], lo, node["split"], depth + 1)
+            walk(row, node["right"], node["split"] + 1, hi, depth + 1)
+        else:
+            row[lo:hi + 1] = [depth + c for c in leaf_search_counts(hi - lo + 1)]
+
+    for row, tree in zip(table, trees):
+        walk(row, tree, 0, bucket_count - 1, 0)
+    return table

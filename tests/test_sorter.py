@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _grid_oracles import route, scalar_sort
+from _grid_oracles import heap_trained, route, routing_table, scalar_sort
 from algoselect.sorter import (
     BucketSorter,
     SortStats,
@@ -55,10 +55,58 @@ class TestTraining:
         assert counts[:-1].max() <= 2 * len(samples)
 
     def test_inconsistent_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            train_sorter([np.zeros(4), np.zeros(5)])
-        with pytest.raises(ValueError):
+        for samples in ([np.zeros(4), np.zeros(5)], [np.zeros((2, 3))],
+                        [np.zeros(3), np.zeros((1, 3))], [np.float64(1.0)]):
+            with pytest.raises(ValueError, match="samples must be 1-D arrays of one length"):
+                train_sorter(samples)
+        with pytest.raises(ValueError, match="at least one sample"):
             train_sorter([])
+
+def benchmark_samples(n, count, seed=0):
+    """The training arrays of the benchmark's sorter stage: each position
+    uniform on a narrow interval around its own shuffled center."""
+    rng = np.random.default_rng([seed, 5])
+    centers = ((np.arange(n) + 0.5) / n)[rng.permutation(n)]
+    return [np.clip(centers + rng.uniform(-0.3 / n, 0.3 / n, n), 0.0, 1.0) for _ in range(count)]
+
+
+def assert_trains_like_the_heap(samples):
+    """Lockstep training against one heap-grown tree per position."""
+    trained = train_sorter(samples)
+    boundaries, trees = heap_trained(samples)
+    # == ignores a zero boundary's sign, which either sort may pick.
+    assert trained.boundaries.dtype == boundaries.dtype
+    assert np.array_equal(trained.boundaries, boundaries)
+    table = routing_table(trees, boundaries.size + 1)
+    assert trained._routing.dtype == table.dtype
+    assert np.array_equal(trained._routing, table)
+    assert trained.trees == trees
+    rebuilt = BucketSorter(trained.boundaries, trained.trees)
+    assert rebuilt._routing.dtype == table.dtype
+    assert np.array_equal(rebuilt._routing, table)
+
+
+class TestLockstepTraining:
+    @pytest.mark.parametrize("n, count", [(256, 200), (128, 50)], ids=["stress", "probe"])
+    def test_benchmark_inputs(self, n, count):
+        assert_trains_like_the_heap(benchmark_samples(n, count))
+
+    def test_random_training_sets(self):
+        rng = np.random.default_rng(70)
+        draws = [
+            lambda n: rng.uniform(0, 1, n),
+            lambda n: rng.integers(0, 4, n).astype(float),
+            lambda n: rng.choice([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf], n),
+            lambda n: skewed_samples(rng, 1, n)[0] if n else np.zeros(0),
+        ]
+        for case in range(320):
+            n, draw = int(rng.integers(0, 80)), draws[case % len(draws)]
+            assert_trains_like_the_heap([draw(n) for _ in range(int(rng.integers(1, 40)))])
+
+    @pytest.mark.parametrize("n, count", [(0, 3), (1, 1), (1, 7), (1024, 400)])
+    def test_edge_sizes(self, n, count):
+        rng = np.random.default_rng(75 + n)
+        assert_trains_like_the_heap(uniform_samples(rng, count, n))
 
 
 class TestSortCorrectness:
@@ -303,7 +351,7 @@ class TestEfficiency:
             assert expected_route_depth(sorter, position, weights) == float(
                 np.dot(weights, counts) / weights.sum())
 
-    @pytest.mark.parametrize("position", [-1, 30, 2.0, None])
+    @pytest.mark.parametrize("position", [-1, 30, 2.0, None, True, False])
     def test_expected_depth_rejects_a_position_outside_the_array(self, position):
         sorter = train_sorter(uniform_samples(np.random.default_rng(14), 10, 30))
         with pytest.raises(ValueError, match="position"):
@@ -382,3 +430,8 @@ class TestSerialization:
     def test_boundary_monotonicity_enforced(self):
         with pytest.raises(ValueError):
             BucketSorter([0.5, 0.4], [{}, {}])
+
+    @pytest.mark.parametrize("boundaries", [[[0.2, 0.4]], 0.5], ids=["2-D", "scalar"])
+    def test_boundaries_not_1d_rejected(self, boundaries):
+        with pytest.raises(ValueError, match="boundaries must be a 1-D array"):
+            BucketSorter(boundaries, [{}])
