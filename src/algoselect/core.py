@@ -24,6 +24,9 @@ import numpy as np
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
 
+# Most cells of one block that `StepFunctions.blocks` reads (512 KiB of floats).
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CostValue:
@@ -114,43 +117,59 @@ class StepFunctions:
         # Each row's first value is kept; it lands at offsets[i] + i.
         object.__setattr__(self, "values", values[np.insert(change, offsets[:-1], True)])
 
-    def _rows(self, grid: np.ndarray):
-        """Row by row, `values_i[np.searchsorted(points_i, grid, side="right")]`
-        (a float for a row without change points); `grid` in any order."""
-        offsets, values = self.offsets, self.values
+    def blocks(self, grid):
+        """The rows at every grid point, in blocks of consecutive rows: pairs
+        (first row, C-ordered matrix of shape (rows, len(grid))), row i reading
+        `values_i[np.searchsorted(points_i, grid, side="right")]`; `grid` in
+        any order.  A block is one `np.repeat` of its rows' piece values, each
+        as often as the grid has points in its piece, and holds at most
+        `_BLOCK_CELLS` cells (at least one row), so it stays in cache."""
+        grid = np.asarray(grid, dtype=float)
+        offsets, rows = self.offsets, self.offsets.size - 1
         order = np.argsort(grid, kind="stable")
         rank = None if (order[1:] > order[:-1]).all() else np.argsort(order)
         ends = np.searchsorted(grid[order], self.points)  # one search; a row repeats a value per grid point
         runs = np.insert(ends, offsets[1:], grid.size) - np.insert(ends, offsets[:-1], 0)
-        bounds = (offsets + np.arange(offsets.size)).tolist()
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            row = float(values[a]) if b - a == 1 else np.repeat(values[a:b], runs[a:b])
-            yield row if rank is None or b - a == 1 else row[rank]
+        bounds = offsets + np.arange(offsets.size)  # each row's first value, and one past the last row's
+        step = max(1, _BLOCK_CELLS // max(1, grid.size))
+        for first in range(0, rows, step):
+            last = min(first + step, rows)
+            a, b = bounds[first], bounds[last]
+            block = np.repeat(self.values[a:b], runs[a:b]).reshape(last - first, grid.size)
+            yield first, block if rank is None else block[:, rank]
 
     def at(self, grid) -> np.ndarray:
         """Every row at every grid point: a C-ordered (len(grid), rows) matrix."""
-        grid = np.asarray(grid, dtype=float)
-        costs = np.empty((grid.size, self.offsets.size - 1))
-        for i, row in enumerate(self._rows(grid)):
-            costs[:, i] = row
+        costs = np.empty((np.size(grid), self.offsets.size - 1))
+        for first, block in self.blocks(grid):
+            costs[:, first:first + len(block)] = block.T
         return costs
 
     def argmax_sum(self, lo: float, hi: float) -> tuple[float, float]:
         """Exact best piece of [lo, hi] for the sum of the rows.
 
         The union of the change points cuts [lo, hi] into pieces, each totalled
-        over the rows in row order: bit-equal to a running `+=` of the same
-        values at any rho inside the piece.  The first maximum (the smallest
-        rho) wins.  Returns (midpoint of the best piece, its total).
+        over the rows in row order (`running_totals`): bit-equal to a running
+        `+=` of the same values at any rho inside the piece.  The first maximum
+        (the smallest rho) wins.  Returns (midpoint of the best piece, its total).
         """
         union = np.unique(self.points)
-        left_ends = np.concatenate([[-np.inf], union])
-        totals = np.zeros(left_ends.size)
-        for row in self._rows(left_ends):
-            totals += row
+        totals = np.zeros(union.size + 1)
+        for _, block in self.blocks(np.concatenate([[-np.inf], union])):
+            totals = running_totals(block, totals)[-1]
         best = int(np.argmax(totals))
         mids, _ = piece_midpoints(union, np.array([0, union.size]), lo, hi)
         return float(mids[best]), float(totals[best])
+
+
+def running_totals(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """start + rows[0], then + rows[1], ...: every row's running total, in
+    place in `rows`, one row at a time, so each is bit-equal to a running
+    `+=` (an accumulate down the rows would walk them column by column)."""
+    rows[0] += start
+    for k in range(1, len(rows)):
+        rows[k] += rows[k - 1]
+    return rows
 
 
 def piece_midpoints(points: np.ndarray, offsets: np.ndarray, lo: float, hi: float):

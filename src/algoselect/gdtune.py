@@ -608,5 +608,10 @@ def save_gd_instance(instance: GdInstance, path: str) -> None:
 
 def load_gd_instance(path: str) -> GdInstance:
     with open(path) as fh:
-        payload = json.load(fh)
-    return GdInstance(payload["lambdas"], payload["z0"])
+        try:
+            payload = json.load(fh)
+            if not isinstance(payload, dict) or not {"lambdas", "z0"} <= payload.keys():
+                raise ValueError("a GD instance must be a JSON object with the fields 'lambdas' and 'z0'")
+            return GdInstance(payload["lambdas"], payload["z0"])
+        except (ValueError, TypeError) as exc:  # a malformed field's own message names it
+            raise ValueError(f"{path}: {exc}") from exc

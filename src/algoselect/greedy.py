@@ -49,7 +49,6 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -629,28 +628,51 @@ def cost_matrix(family: ParamGreedyFamily, samples, rhos) -> np.ndarray:
 def _log_ratios(n: int) -> np.ndarray:
     """ln(k1) - ln(k2) at [k1, k2] for k1 != k2 in {2..n}, NaN elsewhere.  The
     ratio is reduced first, so equal denominators are bitwise equal."""
+    k = np.arange(2, n + 1)
+    g = np.gcd.outer(k, k)
+    logs = np.array([0.0] + [math.log(v) for v in range(1, n + 1)])  # math.log, one call per integer
     table = np.full((n + 1, n + 1), np.nan)
-    for k1, k2 in permutations(range(2, n + 1), 2):
-        table[k1, k2] = math.log(k1 // math.gcd(k1, k2)) - math.log(k2 // math.gcd(k1, k2))
+    table[2:, 2:] = logs[k[:, None] // g] - logs[k // g]
+    np.fill_diagonal(table, np.nan)
     table.flags.writeable = False  # cached and shared by every caller
     return table
 
 
 @lru_cache(maxsize=8)  # a run draws graphs of a few sizes
 def _vertex_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`np.triu_indices(n, k=1)`: the vertex pairs u < v in row-major order."""
+    """`np.triu_indices(n, k=1)`: the pairs u < v of n vertices (or other
+    objects) in row-major order."""
     pairs = np.triu_indices(n, k=1)
     for index in pairs:
         index.flags.writeable = False  # cached and shared by every caller
     return pairs
 
 
-def _nonadaptive_crossings(logw: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Each row's own crossings (log w_i - log w_j) / (ln k_i - ln k_j), k = 1 +
-    degree, over the vertex pairs i < j: shape (rows, pairs), NaN where
-    k_i = k_j or a vertex is isolated (such a pair's order never changes a run)."""
-    i, j = _vertex_pairs(logw.shape[1])
-    return (logw[:, i] - logw[:, j]) / _log_ratios(logw.shape[1])[degrees[:, i] + 1, degrees[:, j] + 1]
+def _pair_crossings(logp: np.ndarray, i: np.ndarray, j: np.ndarray, denominators: np.ndarray) -> np.ndarray:
+    """Where the score curves ln p - rho * ln d of caller-chosen object pairs
+    cross, row by row of logp (rows, objects): rho = (ln p_i - ln p_j) /
+    (ln d_i - ln d_j), over denominators given per row and pair (NaN where a
+    pair never crosses) or over one 1-D array of candidates for every pair,
+    a trailing axis.  `_rows_within` keeps a window of each row."""
+    x = logp[:, i] - logp[:, j]
+    return x / denominators if denominators.ndim > 1 else x[:, :, None] / denominators
+
+
+def _nonadaptive_crossings(logw: np.ndarray, degrees: np.ndarray, edges: np.ndarray,
+                           edge_graph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's crossings (log w_i - log w_j) / (ln k_i - ln k_j), k = 1 +
+    degree, over the vertex pairs i < j (NaN where k_i = k_j or a vertex is
+    isolated), and which pairs are edges of its graph (edges[e] lies in graph
+    edge_graph[e]): shapes (rows, pairs).
+
+    First fit takes a vertex exactly when no earlier neighbour was taken, so
+    a run depends only on which end of each edge comes first (Blelloch,
+    Fineman and Shun, SPAA 2012): only edge crossings change it."""
+    n = logw.shape[1]
+    i, j = _vertex_pairs(n)
+    edge = np.zeros((len(logw), i.size), dtype=bool)
+    edge[edge_graph, edges[:, 0] * (2 * n - edges[:, 0] - 1) // 2 + edges[:, 1] - edges[:, 0] - 1] = True
+    return _pair_crossings(logw, i, j, _log_ratios(n)[degrees[:, i] + 1, degrees[:, j] + 1]), edge
 
 
 def _rows_within(roots: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -686,19 +708,47 @@ def _own_crossings(family: ParamGreedyFamily, x) -> np.ndarray:
     else:
         p = np.repeat(x.weights, x.degrees + 1)
         d = np.concatenate([1.0 + np.arange(c + 1.0) for c in x.degrees])
-    logp, logd = np.log(p), np.log(d)
-    i, j = np.triu_indices(logp.size, k=1)
+    logd = np.log(d)
+    i, j = _vertex_pairs(logd.size)
     crossing = logd[i] != logd[j]
-    roots = (logp[i] - logp[j])[crossing] / (logd[i] - logd[j])[crossing]
-    return _rows_within(roots[None], *_inside(family.interval))[0]
+    i, j = i[crossing], j[crossing]
+    return _rows_within(_pair_crossings(np.log(p)[None], i, j, (logd[i] - logd[j])[None]), *_inside(family.interval))[0]
+
+
+def _edge_cuts(logw: np.ndarray, degrees: np.ndarray, edges: np.ndarray, edge_graph: np.ndarray,
+               interval) -> tuple[np.ndarray, np.ndarray]:
+    """Where the non-adaptive MWIS step functions of graphs on n vertices
+    (as `_nonadaptive_crossings` takes them) are cut, as `_rows_within` gives
+    them: the crossings `_inside` the interval that lie in a cluster (a run
+    of sorted crossings of one graph, each within `near` of the next) with
+    an edge crossing of the interval widened by `near`.
+
+    Only edge crossings change a run, but a piece is valued at its midpoint,
+    and rounding may move an edge's swap a few ulps off its crossing, where
+    another pair's crossing may sit.  Every crossing left out lies more than
+    `near` from every edge crossing, so it lies in a piece whose midpoint
+    and whose neighbours' midpoints are more than `near` / 2 (far above
+    rounding and the margin `_inside` leaves) from every swap: the change
+    points and values are exactly those of cutting at every pair's
+    crossing."""
+    lo, hi = interval
+    near = 4e-9 * max(1.0, abs(lo), abs(hi))
+    roots, edge = _nonadaptive_crossings(logw, degrees, edges, edge_graph)
+    edge &= (roots >= lo - near) & (roots <= hi + near)
+    rows, order = np.arange(len(roots))[:, None], np.argsort(roots, axis=1)  # NaN last
+    roots, edge = roots[rows, order], edge[rows, order]
+    starts = np.ones(roots.shape, dtype=bool)  # a cluster starts each row and after each gap over `near` or NaN
+    starts[:, 1:] = ~(np.diff(roots, axis=1) <= near)
+    cluster = np.cumsum(starts).reshape(roots.shape) - 1
+    with_edge = np.bincount(cluster[edge], minlength=roots.size) > 0
+    return _rows_within(np.where(with_edge[cluster], roots, np.nan), *_inside(interval))
 
 
 def _crossing_rows(family: ParamGreedyFamily, group) -> tuple[np.ndarray, np.ndarray]:
-    """The own crossings `_inside` the interval of samples of one size, as
-    flat points and offsets (`_rows_within`).  Non-adaptive MWIS graphs take
-    `_nonadaptive_crossings`, as many at once as `_BLOCK_ROOTS` roots allow;
-    the other kinds take `_own_crossings`, one sample at a time."""
-    bounds = _inside(family.interval)
+    """The cuts `_inside` the interval of samples of one size, as flat points
+    and offsets (`_rows_within`).  Non-adaptive MWIS graphs take
+    `_edge_cuts`, as many at once as `_BLOCK_ROOTS` roots allow; the other
+    kinds take `_own_crossings`, one sample at a time."""
     if family.kind != "mwis":
         rows = [_own_crossings(family, x) for x in group]
         return np.concatenate(rows + [np.empty(0)]), np.cumsum([0] + [r.size for r in rows])
@@ -706,8 +756,9 @@ def _crossing_rows(family: ParamGreedyFamily, group) -> tuple[np.ndarray, np.nda
     size = max(1, _BLOCK_ROOTS // max(1, n * (n - 1) // 2))
     points, counts = [], [[0]]
     for part in (group[start:start + size] for start in range(0, len(group), size)):
-        logw, degrees = np.log(np.stack([x.weights for x in part])), np.stack([x.degrees for x in part])
-        own, offsets = _rows_within(_nonadaptive_crossings(logw, degrees), *bounds)
+        edge_graph = np.repeat(np.arange(len(part)), [len(x.edges) for x in part])
+        own, offsets = _edge_cuts(np.log(np.stack([x.weights for x in part])), np.stack([x.degrees for x in part]),
+                                  np.concatenate([x.edges for x in part]), edge_graph, family.interval)
         points.append(own)
         counts.append(np.diff(offsets))
     return np.concatenate(points), np.cumsum(np.concatenate(counts))
@@ -855,6 +906,8 @@ def mwis_to_dict(instance: MwisInstance) -> dict:
 
 
 def mwis_from_dict(payload: dict) -> MwisInstance:
+    if not isinstance(payload, dict) or not {"n", "edges", "weights"} <= payload.keys():
+        raise ValueError("an MWIS instance must be a JSON object with the fields 'n', 'edges' and 'weights'")
     exponents = payload.get("exact_exponents")
     return MwisInstance(payload["n"], payload["edges"], payload["weights"],
                         exact_base=payload.get("exact_base"),
@@ -868,7 +921,10 @@ def save_mwis(instance: MwisInstance, path: str) -> None:
 
 def load_mwis(path: str) -> MwisInstance:
     with open(path) as fh:
-        return mwis_from_dict(json.load(fh))
+        try:
+            return mwis_from_dict(json.load(fh))
+        except (ValueError, TypeError) as exc:  # a malformed field's own message names it
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_knapsack(instance: KnapsackInstance, path: str) -> None:

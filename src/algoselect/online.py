@@ -17,15 +17,20 @@ are provided:
   sequence does not depend on the learner, `run_smoothed_online` builds the
   run's step functions before Hedge starts, in blocks sized by one memory
   budget: one `rng.random` call draws a block, and offline ERM's non-adaptive
-  MWIS code cuts each step at its own crossings and values each piece, into
-  one `StepFunctions` batch.  The superset of transition points is built
-  only for the few steps where a sliver test flags a point of it within
-  rounding reach of a crossing (their sliver cuts), and for
-  `RegretTrace.min_comparator_gap`, which is computed when first read.
-  Only Hedge runs per step, skipping constant updates.
-  It runs over cells, not net points: net points that no change point of the
-  run separates gain the same at every step, so they share one weight and one
-  total (`_cells` over the union of the batch's change points).
+  MWIS code cuts each step at its edge crossings and values each piece, into
+  one `StepFunctions` batch.  First fit takes a vertex exactly when no
+  earlier neighbour was taken, so a run depends only on which end of each
+  edge comes first: a crossing of two vertices no edge joins never changes
+  it, and s steps give at most 2 sum |E_i| + 1 distinct behaviours in rho.
+  The superset of transition points is built only for the few steps where a
+  sliver test flags a point of it within rounding reach of an edge crossing
+  (their sliver cuts), and for `RegretTrace.min_comparator_gap`, which is
+  computed when first read.  Hedge reads the batch a block of steps at a
+  time, advances its log weights one update at a time, skipping constant
+  steps, and draws the block's picks at once.  It runs over cells, not net
+  points: net points that no change point of the run separates gain the
+  same at every step, so they share one weight and one total (`_cells` over
+  the union of the batch's change points).
 
 Costs are normalized to [0, 1] (smoothed instances divide by total vertex
 weight, which preserves the per-instance ranking of parameters).
@@ -44,11 +49,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import StepFunctions, piece_midpoints
+from .core import StepFunctions, piece_midpoints, running_totals
 # `erdos_renyi_generator` is re-exported as the graph model of smoothed runs.
 from .greedy import (_BLOCK_ROOTS, _GRID_MAX_N, MwisInstance, _ErdosRenyi, _graph_lanes,  # noqa: F401
-                     _log_ratios, _nonadaptive_crossings, _nonadaptive_masks, _rows_within, _vertex_pairs,
-                     erdos_renyi_generator, mask_cost, mwis_from_dict, mwis_to_dict)
+                     _log_ratios, _nonadaptive_crossings, _nonadaptive_masks, _pair_crossings, _rows_within,
+                     _vertex_pairs, erdos_renyi_generator, mask_cost, mwis_from_dict, mwis_to_dict)
 from .utils import labeled_rng
 
 
@@ -347,10 +352,8 @@ def _transition_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     as the flat points and offsets of `greedy._rows_within`."""
     _check_distinct(weights)
     steps, n = weights.shape
-    denoms = np.asarray(_canonical_denominators(n))
-    logw = np.log(weights)
-    i, j = _vertex_pairs(n)
-    return _rows_within(((logw[:, i] - logw[:, j])[:, :, None] / denoms).reshape(steps, -1), 0.0, 1.0)
+    roots = _pair_crossings(np.log(weights), *_vertex_pairs(n), np.asarray(_canonical_denominators(n)))
+    return _rows_within(roots.reshape(steps, -1), 0.0, 1.0)
 
 
 _SLIVER = 1e-9  # far above a crossing's rounding, 1e-16 |log w| / |ln(k_i / k_j)|
@@ -359,19 +362,21 @@ _SLIVER = 1e-9  # far above a crossing's rounding, 1e-16 |log w| / |ln(k_i / k_j
 def _needs_slivers(logw: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """The rows whose `_sliver_points` may change a piece value: a
     `_transition_rows` point other than the crossing itself lies within
-    2 `_SLIVER` of one of the row's own crossings in [0, 1] (`roots`, as
-    `greedy._nonadaptive_crossings` gives them) or of 0, or an own crossing
-    lies within 2 `_SLIVER` of 0 or 1.  In any other row a sliver cut lies
-    more than 2 `_SLIVER` from every crossing, so each piece it splits off has
-    its midpoint far beyond rounding from every crossing and keeps the value
-    of the piece it came from.  May flag a row that needs no sliver cut;
-    misses none.
+    2 `_SLIVER` of one of the row's edge crossings in [0, 1] (`roots`, as
+    `_step_functions` keeps them) or of 0, or an edge crossing lies within
+    2 `_SLIVER` of 0 or 1.  A run changes only where an edge's ends swap,
+    within rounding of the edge's crossing, so in any other row each sliver
+    cut, and each crossing of a pair no edge joins, lies more than
+    2 `_SLIVER` from every swap: each piece it splits off has its midpoint
+    far beyond rounding from every swap and keeps the value of the piece it
+    came from.  May flag a row that needs no sliver cut; misses none.
 
     A superset point is |x| / d, x = log w_i - log w_j over the vertex pairs
     and d a positive canonical denominator, so one within 2 `_SLIVER` of a
     crossing c has d in [|x| / (c + 3 _SLIVER), |x| / (c - 3 _SLIVER)] (the
-    extra `_SLIVER` covers rounding): one search of the sorted denominators
-    per crossing and pair, where the crossing itself is one hit."""
+    extra `_SLIVER` covers rounding): per crossing and pair, one search of
+    the sorted denominators for the lower end and a look at the next two,
+    where the crossing itself is one hit."""
     n = logw.shape[1]
     denoms = np.asarray(_canonical_denominators(n))
     denoms = denoms[denoms > 0.0]
@@ -384,7 +389,9 @@ def _needs_slivers(logw: np.ndarray, roots: np.ndarray) -> np.ndarray:
     size = np.sort(size, axis=1)[row]  # runs of increasing keys search faster
     with np.errstate(divide="ignore", invalid="ignore"):
         lo, hi = size / (c + 3 * _SLIVER), size / np.maximum(c - 3 * _SLIVER, 0.0)
-    hits = np.searchsorted(denoms, hi, side="right") - np.searchsorted(denoms, lo)
+    first = np.searchsorted(denoms, lo)
+    ahead = np.append(denoms, [np.nan, np.nan])  # NaN is never a hit
+    hits = (ahead[first] <= hi).astype(np.intp) + (ahead[first + 1] <= hi)
     flag[row[hits.sum(axis=1) > 1]] = True
     return flag
 
@@ -437,10 +444,12 @@ class HedgeLearner:
     one per cell; update multiplies each weight by exp(eta * gain), with the
     rate eta = sqrt(8 ln K / T) set by the net size K (not the cell count)
     and the horizon T.  Weights are kept in log space and renormalized, so
-    they stay positive and finite at any horizon.  `sample` draws a (cell,
-    net index) pair by one uniform: first a cell by its total weight, then a
-    point inside it from the same uniform.  It keeps its CDF until the next
-    `update`.
+    they stay positive and finite at any horizon.  A draw takes one uniform:
+    first a cell by its total weight, then a point inside it from the same
+    uniform.  `play` runs a block of steps: with full information the
+    weights do not depend on the draws, so it advances the log weights one
+    update at a time and then draws every step's pick from them at once;
+    `sample` and `update` are its one-step forms.
     """
 
     def __init__(self, sizes, T: int):
@@ -452,28 +461,47 @@ class HedgeLearner:
             raise ValueError(f"the rate needs a horizon T >= 1, got {T}")
         self.eta = math.sqrt(8.0 * math.log(max(int(self.sizes.sum()), 2)) / T)
         self.starts = np.cumsum(self.sizes) - self.sizes  # each cell's first net index
-        self._log_w = np.zeros(self.sizes.size)
-        self._cdf = None
+        # The log weights, weights and CDF the next step draws from.
+        self._log_w, self._w = np.zeros(self.sizes.size), np.ones(self.sizes.size)
+        self._cdf = np.cumsum(self.sizes * self._w)
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        if self._cdf is None:
-            w = np.exp(self._log_w)  # the largest log weight is 0 (see `update`)
-            self._cdf = w, np.cumsum(self.sizes * w)
-        w, cdf = self._cdf
-        x = rng.random() * cdf[-1]
-        cell = int(np.searchsorted(cdf, x, side="right"))
-        if cell == cdf.size:  # rounding put x at the very top
-            return cell - 1, int(self.starts[-1] + self.sizes[-1]) - 1
-        inside = int((x - (cdf[cell - 1] if cell else 0.0)) / w[cell])
-        return cell, int(self.starts[cell]) + min(inside, int(self.sizes[cell]) - 1)
+        cell, index = self.play(np.zeros((1, self.sizes.size)), np.ones(1, dtype=bool), np.array([rng.random()]))
+        return int(cell[0]), int(index[0])
 
     def update(self, gains: np.ndarray) -> None:
         gains = np.asarray(gains, dtype=float)
         if gains.shape != self._log_w.shape:
             raise ValueError("one gain per cell required")
-        self._log_w += self.eta * gains
-        self._log_w -= self._log_w.max()
-        self._cdf = None
+        self.play(gains[None], np.zeros(1, dtype=bool), np.zeros(1))  # its draw is dropped
+
+    def play(self, gains: np.ndarray, constant: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The picks (cells, net indices) of a block of steps, gains of shape
+        (steps, cells).  Step t draws by the uniform u[t]: x = u[t] * total
+        weight falls in the first cell whose cumulative weight exceeds it, at
+        the point (x - weight before the cell) / the cell's weight per point.
+        Then, unless constant[t] (every point gains the same: a pure shift),
+        it adds eta * gains[t] to the log weights and subtracts their maximum."""
+        update = ~constant
+        state = np.cumsum(update) - update  # the log weights each step draws from
+        rows = state[-1] + update[-1] + 1
+        work = np.empty((3, rows, self.sizes.size))
+        log_w, w, cdf = work
+        log_w[0], w[0], cdf[0] = self._log_w, self._w, self._cdf
+        for k, t in enumerate(np.flatnonzero(update).tolist(), start=1):
+            np.add(log_w[k - 1], np.multiply(gains[t], self.eta, out=log_w[k]), out=log_w[k])
+            log_w[k] -= np.maximum.reduce(log_w[k])
+        np.exp(log_w[1:], out=w[1:])  # the largest log weight of each row is 0
+        np.cumsum(np.multiply(self.sizes.astype(float), w[1:], out=cdf[1:]), axis=1, out=cdf[1:])
+        x = u * cdf[state, -1]
+        ends = np.searchsorted(state, np.arange(rows + 1)).tolist()
+        cell = np.concatenate([np.searchsorted(c, x[a:b], side="right") for c, a, b in zip(cdf, ends, ends[1:])])
+        self._log_w, self._w, self._cdf = work[:, -1].copy()
+        top = cell == self.sizes.size  # rounding put x at the very top: the last point
+        cell[top] -= 1
+        below = np.where(cell > 0, cdf[state, cell - 1], 0.0)
+        inside = np.divide(x - below, w[state, cell], out=np.full(u.size, np.inf), where=~top)
+        return cell, self.starts[cell] + np.minimum(inside, self.sizes[cell] - 1).astype(np.intp)
 
 
 def _cells(cuts: np.ndarray, net: np.ndarray) -> np.ndarray:
@@ -566,7 +594,7 @@ def _min_transition_gap(blocks) -> float | None:
 
 def _block_steps(n: int) -> int:
     """Steps per block: at least one, and as many as `_BLOCK_ROOTS` floats hold
-    of each step's largest array, the sliver test's own crossings x vertex
+    of each step's largest array, the sliver test's edge crossings x vertex
     pairs (`_needs_slivers`) at most, plus its weights.  A flagged step's
     superset (pairs x denominators) is about 1.2 times that, but few steps
     are flagged: 1 in 24,000 of uniform weights."""
@@ -578,17 +606,19 @@ def _step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarra
     """Step functions of a block of instances as `_draw_block` gives them, as
     unmerged flat points, offsets and values (`core.StepFunctions`' layout).
 
-    Each step is cut at its own crossings in [0, 1]
+    Each step is cut at its edge crossings in [0, 1]
     (`greedy._nonadaptive_crossings`), and only the steps `_needs_slivers`
     flags also at their `_sliver_points`; once equal neighbouring pieces are
-    merged, that is the function that cutting every step at its sliver points
-    gives.  Each piece is valued by `greedy._nonadaptive_masks` at its
-    midpoint, over the total vertex weight (in [0, 1])."""
+    merged, that is the function that cutting every step at the crossings
+    of all its vertex pairs and at its sliver points gives.  Each piece is
+    valued by `greedy._nonadaptive_masks` at its midpoint, over the total
+    vertex weight (in [0, 1])."""
     _check_distinct(weights)
     steps, n = weights.shape
     lanes = _graph_lanes(n, steps, edges, edge_step)
     logw = np.log(weights)
-    roots = _nonadaptive_crossings(logw, lanes[0])
+    roots, edge = _nonadaptive_crossings(logw, lanes[0], edges, edge_step)
+    roots[~edge] = np.nan
     flagged = np.flatnonzero(_needs_slivers(logw, roots))
     if flagged.size:
         extra = _sliver_points(weights[flagged])
@@ -601,28 +631,27 @@ def _step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarra
     return points, offsets, mask_cost(_nonadaptive_masks(logw, *lanes, owner, mids), weights[owner]) / totals
 
 
-def _run_hedge(net: np.ndarray, sizes: np.ndarray, step_gains, T: int, seed: int) -> RegretTrace:
+def _run_hedge(net: np.ndarray, sizes: np.ndarray, blocks, T: int, seed: int) -> RegretTrace:
     """Hedge over the sorted `net`, cut into cells of `sizes` (see
-    `HedgeLearner`), for T steps of gains from `step_gains`: one per cell, or
-    a float when every point gains the same (a pure shift of the log weights,
-    so no update).  Totals are kept per cell, and each is the same running
-    sum as at any of its points, so `cum_best` and `best_net_*` (the first
-    best point in net order) are those of a per-point run.  The caller fills
-    in the reference comparator."""
+    `HedgeLearner`), for T steps of gains from `blocks`: pairs (gains of
+    shape (steps, cells), constant steps), as `HedgeLearner.play` takes
+    them.  A block's uniforms are one `rng.random` call, for PCG64 the
+    doubles of one call per step.  Totals are kept per cell, and each is the
+    same running sum as at any of its points, so `cum_best` and `best_net_*`
+    (the first best point in net order) are those of a per-point run.  The
+    caller fills in the reference comparator."""
     learner = HedgeLearner(sizes, T)
     rng_learner = labeled_rng(seed, "mw-learner")
-    chosen_rho, costs, cum_best = (np.empty(T) for _ in range(3))
-    totals = np.zeros(sizes.size)
-    for t, gains in enumerate(step_gains):
-        cell, idx = learner.sample(rng_learner)
-        if not isinstance(gains, float):
-            learner.update(gains)
-        costs[t] = gains if isinstance(gains, float) else gains[cell]
-        totals += gains
-        chosen_rho[t] = net[idx]
-        cum_best[t] = totals.max()
+    index, costs, cum_best = np.empty(T, dtype=np.intp), np.empty(T), np.empty(T)
+    totals, t = np.zeros(sizes.size), 0
+    for gains, constant in blocks:
+        steps = slice(t, t + len(gains))
+        cells, index[steps] = learner.play(gains, constant, rng_learner.random(len(gains)))
+        costs[steps] = gains[np.arange(len(gains)), cells]
+        totals = running_totals(gains, totals)  # each row now its step's running totals
+        cum_best[steps], totals, t = np.maximum.reduce(totals, axis=1), totals[-1], t + len(gains)
     best = int(np.argmax(totals))
-    return RegretTrace(net, chosen_rho, costs, cum_best, float(net[learner.starts[best]]),
+    return RegretTrace(net, net[index], costs, cum_best, float(net[learner.starts[best]]),
                        float(totals[best]), best_ref_rho=math.nan, best_ref_total=math.nan)
 
 
@@ -666,7 +695,10 @@ def run_smoothed_online(spec: SmoothSpec, graph_generator, T: int, seed: int, ne
     offsets = np.cumsum(np.concatenate([[0]] + [np.diff(o) for o in offsets]))
     functions = StepFunctions(np.concatenate(points), offsets, np.concatenate(values))
     sizes = _cells(np.unique(functions.points), net_arr)
-    trace = _run_hedge(net_arr, sizes, functions._rows(net_arr[np.cumsum(sizes) - sizes]), T, seed)
+    constant = np.diff(functions.offsets) == 0
+    blocks = ((gains, constant[first:first + len(gains)])
+              for first, gains in functions.blocks(net_arr[np.cumsum(sizes) - sizes]))
+    trace = _run_hedge(net_arr, sizes, blocks, T, seed)
     trace.best_ref_rho, trace.best_ref_total = functions.argmax_sum(0.0, 1.0)
     trace._gap_weights = weights
     return trace
@@ -688,9 +720,9 @@ def run_adversary_online(n_budget: int, T: int, seed: int) -> RegretTrace:
     ends = np.array([[math.floor(p.r * n) + 1, math.floor(p.s * n) + 1] for p in params_list])
     sizes = _cells(np.unique(ends), k)
     first = np.cumsum(sizes) - sizes
-    step_gains = (np.where((first >= a) & (first < b), p.inside_cost(), p.outside_cost())
-                  for p, (a, b) in zip(params_list, ends))
-    trace = _run_hedge(k / n, sizes, step_gains, T, seed)
+    steps = ((np.where((first >= a) & (first < b), p.inside_cost(), p.outside_cost())[None], np.zeros(1, dtype=bool))
+             for p, (a, b) in zip(params_list, ends))  # a block per step: runs are short
+    trace = _run_hedge(k / n, sizes, steps, T, seed)
     final = params_list[-1]
     trace.best_ref_rho = float((final.r + final.s) / 2)
     # cumsum adds in step order, like a running total.

@@ -177,10 +177,12 @@ def _routing_table(n: int, starts: np.ndarray, depths: np.ndarray, bucket_count:
     dtype = np.min_scalar_type(bucket_count)
     searches = np.array([c for m in lengths.tolist() for c in _leaf_routes(m)], dtype=dtype)
     # Each table cell's entry of `searches`: where its leaf's size starts
-    # there, plus the cell's offset into the leaf.
-    cells = np.repeat((np.cumsum(lengths) - lengths)[kind] - first, sizes)
-    cells += np.arange(n * bucket_count)
-    table = searches[cells]
+    # there, plus the cell's offset into the leaf; one cumulative sum, in
+    # place, of steps of 1 that jump at each leaf's first cell.
+    base = (np.cumsum(lengths) - lengths)[kind]
+    cells = np.ones(n * bucket_count, dtype=np.intp)
+    cells[first] = base - np.concatenate([[0], (base + sizes - 1)[:-1]])
+    table = searches[np.cumsum(cells, out=cells)]
     table += np.repeat(depths.astype(dtype), sizes)
     return table.reshape(n, bucket_count)
 
@@ -270,10 +272,14 @@ def train_sorter(samples: Sequence) -> BucketSorter:
     boundaries = np.unique(np.sort(stacked, axis=None)[s - 1::s])
     width = boundaries.size + 1
     cells = np.searchsorted(boundaries, stacked, side="right")
+    del stacked  # each n x s temporary goes before the next is made
     cells += np.arange(n) * width
     counts = np.bincount(cells.ravel(), minlength=n * width).reshape(n, width)
+    del cells
     counts += 1  # Laplace
-    return BucketSorter._from_leaves(boundaries, n, *_grow_leaves(counts, _node_cap(n)))
+    leaves = _grow_leaves(counts, _node_cap(n))
+    del counts
+    return BucketSorter._from_leaves(boundaries, n, *leaves)
 
 
 def mergesort_count(values: Sequence[float]) -> tuple[list, int]:

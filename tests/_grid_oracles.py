@@ -15,10 +15,15 @@ costs `piece_costs` reads off its step functions.
 pair, without the library's enumerators, so oracle grids sized from it do not
 depend on the code they check.
 
-`superset_step_functions` cuts every step of a smoothed block at its own
-crossings and at each transition point next to a sliver of the full superset
-(pairs x canonical denominators), the oracle for the online runner, which
-builds the superset only for the steps its sliver test flags.
+`all_pair_crossings` gives each non-adaptive MWIS graph's crossings over
+all its vertex pairs, and `all_pair_step_functions` cuts each sample at them
+and runs the scalar greedy at every piece midpoint: the oracle for the
+library's non-adaptive step functions, which cut at edge crossings only.
+`superset_step_functions` cuts every step of a smoothed block at its
+all-pair crossings and at each transition point next to a sliver of the
+full superset (pairs x canonical denominators), the oracle for the online
+runner, which cuts at edge crossings and builds the superset only for the
+steps its sliver test flags.
 `min_pairwise_gap` is the smallest gap of a point set.
 
 `NetHedgeLearner` is Hedge with one weight per net point, the oracle for the
@@ -54,9 +59,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from algoselect.core import StepFunctions, piece_midpoints
 from algoselect.greedy import (_GRID_MAX_N, KnapsackInstance, MwisInstance, ParamGreedyFamily,
-                               _graph_lanes, _nonadaptive_crossings, _nonadaptive_masks, _rows_within,
-                               greedy_cost, mask_cost)
+                               _graph_lanes, _inside, _log_ratios, _nonadaptive_masks, _rows_within,
+                               _vertex_pairs, greedy_cost, mask_cost)
 from algoselect.online import _SLIVER, HardInstanceParams, _transition_rows
 from algoselect.sorter import BucketSorter, SortStats, mergesort_count
 
@@ -224,19 +230,42 @@ def crossing_superset(family: ParamGreedyFamily, samples) -> np.ndarray:
     return np.array(kept)
 
 
+def all_pair_crossings(logw: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Each row's crossings (log w_i - log w_j) / (ln k_i - ln k_j), k = 1 +
+    degree, over every vertex pair i < j, edge or not: shape (rows, pairs),
+    NaN where k_i = k_j or a vertex is isolated."""
+    i, j = _vertex_pairs(logw.shape[1])
+    return (logw[:, i] - logw[:, j]) / _log_ratios(logw.shape[1])[degrees[:, i] + 1, degrees[:, j] + 1]
+
+
+def all_pair_step_functions(family: ParamGreedyFamily, samples) -> StepFunctions:
+    """Non-adaptive MWIS samples cut at their `all_pair_crossings` `_inside`
+    the interval, each piece valued by one scalar `greedy_cost` at its
+    midpoint, merged as `StepFunctions` merges them."""
+    points, values = [np.empty(0)], [np.empty(0)]
+    for x in samples:
+        own, offsets = _rows_within(all_pair_crossings(np.log(x.weights)[None], x.degrees[None]),
+                                    *_inside(family.interval))
+        points.append(own)
+        mids, _ = piece_midpoints(own, offsets, *family.interval)
+        values.append([greedy_cost(family, rho, x) for rho in mids])
+    return StepFunctions(np.concatenate(points), np.cumsum([0] + [p.size for p in points[1:]]),
+                         np.concatenate(values))
+
+
 def superset_step_functions(weights: np.ndarray, edges: np.ndarray, edge_step: np.ndarray):
     """The online runner's step functions of a block (`online._draw_block`
-    arrays) with every step cut at its own crossings plus the superset points
-    next to a piece narrower than `_SLIVER`: unmerged flat points, offsets and
-    values, and the smallest gap between two superset points of one step (inf
-    when no step has two)."""
+    arrays) with every step cut at its all-pair crossings plus the superset
+    points next to a piece narrower than `_SLIVER`: unmerged flat points,
+    offsets and values, and the smallest gap between two superset points of
+    one step (inf when no step has two)."""
     steps, n = weights.shape
     points, offsets = _transition_rows(weights)
     row, pos = np.repeat(np.arange(steps), np.diff(offsets)), np.arange(points.size)
     gaps = np.diff(points)[row[1:] == row[:-1]]
     lanes = _graph_lanes(n, steps, edges, edge_step)
     logw = np.log(weights)
-    roots = _nonadaptive_crossings(logw, lanes[0])
+    roots = all_pair_crossings(logw, lanes[0])
     narrow = np.insert(points, offsets[1:], 1.0) - np.insert(points, offsets[:-1], 0.0) < _SLIVER
     near = narrow[pos + row] | narrow[pos + row + 1]  # the pieces left and right of a point
     if near.any():

@@ -549,6 +549,28 @@ def test_empty_net_is_one_json_line(net, tmp_path, capsys):
     assert json.loads(line)["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("command,text,named", [
+    ("erm-greedy", "[1, 2]", "must be a JSON object"),
+    ("erm-greedy", '{"n": 3, "weights": [0.1, 0.2, 0.3]}', "'edges'"),
+    ("erm-greedy", '{"n": 3, "edges": [], "weights": [0.5]}', "weights must have one entry per vertex"),
+    ("erm-greedy", "{", "Expecting"),
+    ("gd-tune", "[1, 2]", "JSON object with the fields 'lambdas' and 'z0'"),
+    ("gd-tune", '{"lambdas": [1.0]}', "'z0'"),
+    ("gd-tune", '{"lambdas": [1.0], "z0": [1.0, 2.0]}', "equal-length"),
+], ids=["mwis-list", "mwis-no-edges", "mwis-short-weights", "mwis-truncated", "gd-list", "gd-no-z0",
+        "gd-lengths"])
+def test_malformed_instance_files_are_one_json_line(command, text, named, tmp_path, capsys):
+    d = tmp_path / "instances"
+    d.mkdir()
+    (d / "bad.json").write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(command, "--instances", d, "--out", out) == 1
+    assert not out.exists()
+    payload = one_json_error(capsys)
+    assert payload["type"] == "ValueError"
+    assert str(d / "bad.json") in payload["error"] and named in payload["error"]
+
+
 def test_error_payload_is_machine_readable(tmp_path, capsys):
     code = run_cli("erm-greedy", "--instances", tmp_path / "missing", "--out", tmp_path / "x.csv")
     assert code == 1

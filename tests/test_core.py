@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from algoselect import core
 from algoselect.core import (
     MAXIMIZE,
     MINIMIZE,
@@ -348,6 +349,47 @@ class TestStepFunction:
     def test_argmax_sum_without_change_points(self):
         rho, total = StepFunctions([], [0, 0, 0, 0], [0.1] * 3).argmax_sum(0.0, 2.0)
         assert (rho, total) == (1.0, 0.1 + 0.1 + 0.1)
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, core._BLOCK_CELLS])
+    def test_block_reads_equal_row_reads(self, monkeypatch, cells):
+        # Blocks of at most `cells` cells (a row each when a row holds more),
+        # consecutive and covering every row, read what each row reads on
+        # its own, bit for bit: on a sorted grid, an unsorted one with
+        # repeats and an empty one, with rows that have no change point.
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for _ in range(60):
+            raw = [random_step(rng, palette=rng.random(3)) for _ in range(rng.integers(1, 40))]
+            raw += [(np.empty(0), rng.random(1)) for _ in range(3)]
+            raw = [raw[i] for i in rng.permutation(len(raw))]
+            lattice = np.arange(17) / 16.0
+            for grid in (lattice, rng.choice(lattice, size=rng.integers(1, 40)), np.empty(0)):
+                firsts, blocks = zip(*batch_of(raw).blocks(grid))
+                assert list(firsts) == np.cumsum([0] + [len(b) for b in blocks[:-1]]).tolist()
+                assert all(b.shape[1] == grid.size and (len(b) == 1 or b.size <= cells) for b in blocks)
+                want = np.array([v[np.searchsorted(p, grid, side="right")] for p, v in raw])
+                assert np.vstack(blocks).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cells", [1, 5, 50])
+    def test_argmax_sum_across_blocks(self, monkeypatch, cells):
+        # Totals added in row order across block boundaries, bit-equal to
+        # the row-by-row sum; values of many magnitudes make order show.
+        monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for _ in range(200):
+            raw = [random_step(rng, palette=10.0 ** rng.uniform(-8, 2, 3)) for _ in range(rng.integers(1, 30))]
+            raw.insert(rng.integers(len(raw) + 1), (np.empty(0), np.array([0.3])))
+            assert batch_of(raw).argmax_sum(0.0, 1.0) == list_argmax_sum(raw, 0.0, 1.0)
+
+    def test_argmax_sum_of_a_batch_beyond_one_block(self):
+        # Also a batch without change points: one column of 9000 rows, where
+        # a pairwise sum would differ from the row-by-row one.
+        rng = np.random.default_rng(79)
+        raw = [random_step(rng, palette=10.0 ** rng.uniform(-8, 2, 3)) for _ in range(9000)]
+        assert len(list(batch_of(raw).blocks(np.arange(9) / 8.0))) > 1
+        flat = [(np.empty(0), 10.0 ** rng.uniform(-8, 2, 1)) for _ in range(9000)]
+        for rows in (raw, flat):
+            assert batch_of(rows).argmax_sum(0.0, 1.0) == list_argmax_sum(rows, 0.0, 1.0)
 
 
 class TestPieceMidpoints:

@@ -6,7 +6,7 @@ import pytest
 
 from _fixtures import (KNAPSACK_SIZE_PALETTE, KNAPSACK_VALUE_PALETTE, MWIS_WEIGHT_PALETTE,
                        crafted_shatter_pair)
-from _grid_oracles import (adjacency_matrix, crossing_superset, grid_costs, grid_masks,
+from _grid_oracles import (adjacency_matrix, all_pair_step_functions, crossing_superset, grid_costs, grid_masks,
                            is_independent_set, knapsack_feasible, scalar_costs, total_weight)
 from algoselect import greedy, online
 from algoselect.core import shatter_probe
@@ -719,6 +719,52 @@ class TestNonadaptiveStepFunctions:
         got = greedy.step_functions(fam, samples)
         for field in ("points", "offsets", "values"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    @staticmethod
+    def assert_equal_functions(got, want):
+        for field in ("points", "offsets", "values"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 63, 64, 70])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0], ids=["edgeless", "sparse", "dense", "complete"])
+    @pytest.mark.parametrize("weights", ["continuous", "palette", "tied"])
+    def test_edge_cuts_equal_the_all_pair_oracle(self, weights, p, n):
+        # Cut at the edge crossings (and the crossings within rounding reach
+        # of one), the merged functions are those of cutting at the crossings
+        # of all vertex pairs, bit for bit: with distinct palette weights,
+        # whose crossings sit a few ulps apart, with weights tied within a
+        # graph, and with isolated vertices, no edge or every edge.
+        rng = np.random.default_rng([n, int(10 * p), len(weights)])
+        samples = []
+        for _ in range(3):
+            if weights == "continuous":
+                w = 1.0 - rng.random(n)
+            elif weights == "palette":
+                w = rng.choice(1.17 ** -np.arange(max(n, 12), dtype=float), n, replace=False)
+            else:
+                w = 1.17 ** -rng.integers(0, 4, n).astype(float)
+            samples.append(MwisInstance(n, greedy.erdos_renyi_generator(n, p)(rng), w))
+        for interval in ((0.0, 1.0), (0.1, 3.0)):
+            fam = mwis_family(n, interval)
+            self.assert_equal_functions(greedy.step_functions(fam, samples), all_pair_step_functions(fam, samples))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 70])
+    def test_log_ratio_table_is_the_per_pair_loop(self, n):
+        # The vectorized table equals math.log of each reduced ratio, pair by pair.
+        want = np.full((n + 1, n + 1), np.nan)
+        for k1 in range(2, n + 1):
+            for k2 in range(2, n + 1):
+                if k1 != k2:
+                    g = math.gcd(k1, k2)
+                    want[k1, k2] = math.log(k1 // g) - math.log(k2 // g)
+        assert greedy._log_ratios(n).tobytes() == want.tobytes()
+
+    def test_edge_cuts_on_a_large_sparse_graph(self):
+        # G(400, 0.02): about 200 edge crossings in [0, 1] instead of about
+        # 10,000 over all vertex pairs, one scalar run each.
+        x = random_mwis_instance(400, 0.02, np.random.default_rng(0))
+        fam = mwis_family(400)
+        self.assert_equal_functions(greedy.step_functions(fam, [x]), all_pair_step_functions(fam, [x]))
 
     @pytest.mark.parametrize("n, runs", [(63, False), (64, True)])
     def test_no_scalar_runs_within_the_lanes(self, monkeypatch, n, runs):

@@ -11,7 +11,6 @@ from algoselect.greedy import (
     MwisInstance,
     _exact_groups,
     _graph_lanes,
-    _nonadaptive_crossings,
     _nonadaptive_masks,
     _rows_within,
     mask_cost,
@@ -41,9 +40,9 @@ from algoselect.online import (
 from algoselect.utils import labeled_rng
 
 from _fixtures import MWIS_WEIGHT_PALETTE
-from _grid_oracles import (NetHedgeLearner, grid_costs, grid_masks, hard_cost_at, min_pairwise_gap,
-                           per_vertex_exact_keys, per_vertex_exact_order, per_vertex_first_fit,
-                           superset_step_functions, total_weight)
+from _grid_oracles import (NetHedgeLearner, all_pair_crossings, grid_costs, grid_masks, hard_cost_at,
+                           min_pairwise_gap, per_vertex_exact_keys, per_vertex_exact_order,
+                           per_vertex_first_fit, superset_step_functions, total_weight)
 
 
 class TestHardInstance:
@@ -1184,8 +1183,9 @@ class TestStackedPaths:
 
     @pytest.mark.parametrize("n", [3, 5, 8, 12])
     def test_own_crossings_keep_the_superset_step_functions(self, n):
-        # Continuous weights: every own crossing is bitwise a superset point,
-        # and cutting by the superset instead gives the same merged function.
+        # Continuous weights: every crossing of a vertex pair is bitwise a
+        # superset point, the edge crossings are some of them, and cutting by
+        # the superset instead gives the same merged function.
         rng = np.random.default_rng(n)
         fam = mwis_family(n)
         for _ in range(3):
@@ -1193,13 +1193,16 @@ class TestStackedPaths:
             weights, edges, step = self.block_arrays(block)
             points, offsets = online._transition_rows(weights)
             degrees, _ = _graph_lanes(n, len(block), edges, step)
-            own, own_offsets = _rows_within(_nonadaptive_crossings(np.log(weights), degrees), 0.0, 1.0)
+            own, own_offsets = _rows_within(all_pair_crossings(np.log(weights), degrees), 0.0, 1.0)
+            roots, edge = greedy._nonadaptive_crossings(np.log(weights), degrees, edges, step)
+            cut, cut_offsets = _rows_within(np.where(edge, roots, np.nan), 0.0, 1.0)
             batch = StepFunctions(*online._step_functions(weights, edges, step))
             for i, x in enumerate(block):
                 tau = points[offsets[i]:offsets[i + 1]]
                 mine = own[own_offsets[i]:own_offsets[i + 1]]
                 assert np.array_equal(mine, _reference_own_crossings(x))
                 assert np.isin(mine, tau).all()
+                assert np.isin(cut[cut_offsets[i]:cut_offsets[i + 1]], mine).all()  # edges: a subset
                 grid = np.concatenate([[0.0], tau, [1.0]])
                 pieces = grid_costs(fam, (grid[:-1] + grid[1:]) / 2.0, x) / total_weight(x)
                 superset = merged_step(tau, pieces)
@@ -1236,11 +1239,10 @@ class TestStackedPaths:
         uniform = np.linspace(0.0, 1.0, 101)
         for net in (uniform, rng.permutation(np.concatenate([uniform, uniform[::3], [0.0, 1.0]])),
                     rng.permutation(np.concatenate([points, points]))):
-            gains = list(batch._rows(net))
-            assert len(gains) == len(rows)
+            gains = np.vstack([block for _, block in batch.blocks(net)])
+            assert gains.shape == (len(rows), net.size)
             for g, (p, v) in zip(gains, rows):
-                assert isinstance(g, float) == (p.size == 0)
-                assert np.array_equal(np.broadcast_to(g, net.shape), step_at(p, v, net))
+                assert g.tobytes() == step_at(p, v, net).tobytes()
 
     @staticmethod
     def weights_of(kind, n, rng):
@@ -1308,13 +1310,13 @@ class TestStackedPaths:
         self.assert_same_functions(online._step_functions(*arrays), superset_step_functions(*arrays))
 
     def test_constructed_slivers_need_their_cuts(self, monkeypatch):
-        # Cut by own crossings alone, some constructed rows change, so the
+        # Cut by edge crossings alone, some constructed rows change, so the
         # test above would catch a sliver test that missed them.
         rng = np.random.default_rng(3)
         blocks = [self.block_arrays(self.sliver_block(n, where, rng))
                   for n in (5, 8, 12) for where in ("crossing", "zero", "one")]
         want = [StepFunctions(*superset_step_functions(*arrays)[:3]) for arrays in blocks]
-        monkeypatch.setattr(online, "_needs_slivers", lambda logw, roots: np.zeros(len(logw), bool))
+        monkeypatch.setattr(online, "_needs_slivers", lambda logw, *crossings: np.zeros(len(logw), bool))
         got = [StepFunctions(*online._step_functions(*arrays)) for arrays in blocks]
         assert any(g.points.tobytes() != w.points.tobytes() or g.values.tobytes() != w.values.tobytes()
                    for g, w in zip(got, want))
